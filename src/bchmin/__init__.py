@@ -14,13 +14,11 @@ from .construct import (
     quadform_rows,
     up_convert,
 )
-from .gf2m import GF2m, default_field, make_field, parse_poly
+from .gf2m import GF2m, default_field, parse_poly
 from .linearized import (
     LinearizedPoly,
-    LinearMap2,
     affine_cubic_roots,
     annihilator,
-    image_map_for_subspace,
     image_poly,
     lin_eval,
     lin_kernel,
@@ -44,16 +42,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF2m",
-    "make_field",
     "default_field",
     "parse_poly",
     "LinearizedPoly",
-    "LinearMap2",
     "annihilator",
     "lin_eval",
     "lin_kernel",
     "image_poly",
-    "image_map_for_subspace",
     "affine_cubic_roots",
     "SolutionVector",
     "SolverReport",

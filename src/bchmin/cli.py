@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from math import gcd
 
 from . import construct, gflinalg, solvers, verify
 from .construct import CodewordSupport
@@ -45,14 +44,6 @@ def _elem_out(ctx, x: int):
     if ctx.m <= 24:
         return -1 if x == 0 else ctx.log(x)
     return hex(x)
-
-
-def _elem_in(ctx, v) -> int:
-    if isinstance(v, str):
-        return int(v, 16)
-    if v == -1:
-        return 0
-    return ctx.exp(v)
 
 
 def _sorted_out(ctx, elems) -> list:
@@ -92,19 +83,42 @@ def render_bits(ctx, cw: CodewordSupport) -> str:
     return header + "\n" + "\n".join(hex(x) for x in sorted(cw.elems)) + "\n"
 
 
+def _elements(ctx, entries: list) -> frozenset:
+    """Decode support entries, all discrete logs (ints, -1 for zero) or all
+    hex element values (strs).  Values outside the field and repeated
+    entries are refused, not repaired."""
+    n = ctx.n
+    if entries and all(type(v) is int for v in entries):
+        if not -1 <= min(entries) <= max(entries) < n:
+            bad = next(v for v in entries if not -1 <= v < n)
+            raise ParseError(f"discrete log {bad} is outside -1..{n - 1}")
+        elems = frozenset(0 if v == -1 else ctx.exp(v) for v in entries)
+    else:
+        elems = frozenset(int(v, 16) for v in entries)
+        if elems and not 0 <= min(elems) <= max(elems) <= n:
+            bad = next(x for x in elems if not 0 <= x <= n)
+            raise ParseError(f"element {hex(bad)} is outside GF(2^{ctx.m})")
+    if len(elems) != len(entries):
+        raise ParseError(f"{len(entries) - len(elems)} repeated support entries")
+    return elems
+
+
 def parse_support_file(text: str) -> CodewordSupport:
-    """Accept the JSON document or the two-line log-support format."""
+    """Accept the JSON document or the two-line log-support / bits format;
+    raise ParseError on anything malformed."""
     text = text.strip()
     if not text:
         raise ParseError("empty input")
     if text.startswith("{"):
         try:
             doc = json.loads(text)
+            if doc.get("spec_version") != SPEC_VERSION:
+                raise ParseError(f"unsupported spec_version {doc.get('spec_version')!r}")
+            if not isinstance(doc["support"], list) or not isinstance(doc["extended"], bool):
+                raise ParseError("support must be a list and extended a boolean")
             ctx = default_field(int(doc["m"]), parse_poly(doc["poly"]))
-            elems = frozenset(_elem_in(ctx, v) for v in doc["support"])
-            return CodewordSupport(
-                ctx, elems, int(doc["d"]), bool(doc["extended"])
-            )
+            elems = _elements(ctx, doc["support"])
+            return CodewordSupport(ctx, elems, int(doc["d"]), doc["extended"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ParseError(f"bad JSON support file: {exc}") from exc
     try:
@@ -112,13 +126,11 @@ def parse_support_file(text: str) -> CodewordSupport:
         fields = dict(part.split("=", 1) for part in lines[0].split())
         ctx = default_field(int(fields["m"]), parse_poly(fields["poly"]))
         body = [v.strip() for ln in lines[1:] for v in ln.split(",") if v.strip()]
-        if body[0].lower().startswith("0x"):
-            elems = frozenset(int(v, 16) for v in body)
-        else:
-            elems = frozenset(_elem_in(ctx, int(v)) for v in body)
-        return CodewordSupport(
-            ctx, elems, int(fields["d"]), fields["extended"] == "1"
-        )
+        if not body or fields["extended"] not in ("0", "1"):
+            raise ParseError("need support entries and extended=0 or 1")
+        hexes = body[0].lower().startswith("0x")
+        elems = _elements(ctx, body if hexes else [int(v) for v in body])
+        return CodewordSupport(ctx, elems, int(fields["d"]), fields["extended"] == "1")
     except (KeyError, ValueError, IndexError) as exc:
         raise ParseError(f"bad log-support file: {exc}") from exc
 
@@ -126,66 +138,11 @@ def parse_support_file(text: str) -> CodewordSupport:
 # -- generation routing ------------------------------------------------------
 
 
-def _route_method(m: int, i: int) -> str:
-    if i == 2:
-        if m >= 4 and m % 2 == 0:
-            return solvers.I2_EVEN
-        if m >= 5:
-            return solvers.I2_ODD
-    elif i == 3:
-        if m >= 6 and m % 2 == 0:
-            return solvers.I3_EVEN
-        if m >= 7:
-            return solvers.I3_HEURISTIC
-    elif i == 4:
-        if m >= 8 and m % 4 == 0:
-            return solvers.I4_DIV4
-    raise UncoveredCase(f"no solver covers i={i}, m={m}")
-
-
-def _composite_split(m: int) -> tuple[int, int]:
-    for a in range(2, m):
-        if m % a == 0:
-            b = m // a
-            if min(a, b) >= 2 and max(a, b) >= 3 and gcd(a, b) == 1:
-                return a, b
-    raise UncoveredCase(f"m={m} has no coprime split with min >= 2, max >= 3")
-
-
-def _solve(ctx, method: str, seed: int, max_retries: int | None) -> solvers.SolverReport:
-    kw = {} if max_retries is None else {"max_retries": max_retries}
-    if method == solvers.I2_EVEN:
-        return solvers.solve_i2_even(ctx)
-    if method == solvers.I2_ODD:
-        return solvers.solve_i2_odd(ctx, seed, **kw)
-    if method == solvers.I2_COMPOSITE:
-        ell, t = _composite_split(ctx.m)
-        return solvers.solve_i2_composite(ctx, ell, t)
-    if method == solvers.I3_EVEN:
-        return solvers.solve_i3_even(ctx, seed, **kw)
-    if method == solvers.I3_HEURISTIC:
-        return solvers.solve_i3_heuristic(ctx, seed, **kw)
-    if method == solvers.I4_DIV4:
-        return solvers.solve_i4(ctx)
-    raise UncoveredCase(f"unknown method {method}")
-
-
 def _upconvert_to_dim(cw: CodewordSupport, dim: int) -> CodewordSupport:
-    """Up-convert over the span of the support completed greedily to the
-    requested dimension."""
-    ctx = cw.ctx
-    basis: list[int] = []
-    for x in sorted(cw.elems):
-        if x and gflinalg.rank(basis + [x], ctx.m) > len(basis):
-            basis.append(x)
-    for k in range(ctx.m):
-        if len(basis) >= dim:
-            break
-        cand = 1 << k
-        if gflinalg.rank(basis + [cand], ctx.m) > len(basis):
-            basis.append(cand)
-    assert len(basis) == dim
-    return construct.up_convert(cw, basis)
+    """Up-convert over the span of the support completed by unit vectors to
+    the requested dimension."""
+    span_basis = gflinalg.LinearMap(sorted(cw.elems), cw.ctx.m).image
+    return construct.up_convert(cw, gflinalg.complete_to_basis(cw.ctx, span_basis)[:dim])
 
 
 def generate(
@@ -228,8 +185,14 @@ def generate(
         meta = {"i": 2, "s": s, "method": "gk", "seed": seed}
     else:
         if method == "auto":
-            method = _route_method(m, i)
-        report = _solve(ctx, method, seed, max_retries)
+            method = next((k for k, r in solvers.SOLVERS.items() if r.i == i and r.auto(m)), None)
+            if method is None:
+                raise UncoveredCase(f"no solver covers i={i}, m={m}")
+        route = solvers.SOLVERS.get(method)
+        if route is None or route.i != i:
+            raise UncoveredCase(f"method {method} does not solve i={i}")
+        kw = {} if max_retries is None else {"max_retries": max_retries}
+        report = route.call(ctx, seed, **kw)
         spec = construct.build_support(report.solution, s)
         cw = construct.expand(spec)
         meta = {
@@ -364,17 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--poly", type=str, default=None, help="primitive polynomial override")
     g.add_argument(
         "--method",
-        choices=[
-            "auto",
-            solvers.I2_EVEN,
-            solvers.I2_ODD,
-            solvers.I2_COMPOSITE,
-            solvers.I3_EVEN,
-            solvers.I3_HEURISTIC,
-            solvers.I4_DIV4,
-            "gold",
-            "gk",
-        ],
+        choices=["auto", *solvers.SOLVERS, "gold", "gk"],
         default="auto",
     )
     g.add_argument("--retries", type=int, default=None, help="solver retry cap override")

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gflinalg, linearized
-from .gflinalg import BitMatrix
 from .solvers import BadDegree, SolutionVector
+from .verify import BadDistanceParity
 
 
 class BadS(ValueError):
@@ -25,10 +25,6 @@ class CollisionDetected(ValueError):
 
 class NotCosetUnion(ValueError):
     """Support is not a union of cosets of the given subspace."""
-
-
-class BadDistanceParity(ValueError):
-    """Distance parity requirement violated."""
 
 
 class SupportNotInU(ValueError):
@@ -83,7 +79,7 @@ class CodewordSupport:
         return len(self.elems)
 
 
-def quadform_rows(i: int) -> BitMatrix:
+def quadform_rows(i: int) -> tuple[int, ...]:
     """Rows are all (x_1, ..., x_2i) with x_1 x_2 + ... + x_{2i-1} x_{2i} = 1,
     in lexicographic order; bit j-1 of a row int holds x_j."""
     if i < 1:
@@ -102,7 +98,7 @@ def quadform_rows(i: int) -> BitMatrix:
                     row |= 1 << j
             rows.append(row)
     assert len(rows) == (1 << (w - 1)) - (1 << (i - 1))
-    return BitMatrix(len(rows), w, tuple(rows))
+    return tuple(rows)
 
 
 def build_support(sol: SolutionVector, s: int) -> SupportSpec:
@@ -126,7 +122,7 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
     tail = tuple(linearized.lin_eval(ann, bp) for bp in dual[2 * i + s :])
     assert gflinalg.independent(ctx, gens + tail)
     x_set = set()
-    for row in quadform_rows(i).data:
+    for row in quadform_rows(i):
         e = 0
         for j in range(2 * i):
             if (row >> j) & 1:
@@ -186,16 +182,17 @@ def up_convert(cw: CodewordSupport, U_basis) -> CodewordSupport:
         raise ValueError("up-conversion applies to extended supports")
     ctx = cw.ctx
     U_basis = list(U_basis)
-    k = len(U_basis)
-    red, pivots, _ = gflinalg._eliminate(list(U_basis), ctx.m)
-    if len(pivots) != k:
-        raise linearized.DependentGenerators("U basis is dependent")
+    bpoly = linearized.image_poly(ctx, U_basis)
+    bmap = gflinalg.LinearMap(linearized.matrix_cols(bpoly), ctx.m)
+    kernel = gflinalg.span(bmap.kernel)
+    preimage = set()
     for x in cw.elems:
-        if gflinalg._reduce_against(x, red, pivots):
+        # the image of B is exactly span(U)
+        x0 = bmap.preimage(x)
+        if x0 is None:
             raise SupportNotInU(f"support element {x} outside span(U)")
-    bmap = linearized.image_map_for_subspace(ctx, U_basis)
-    preimage = bmap.preimage_set(cw.elems)
-    factor = 1 << (ctx.m - k)
+        preimage.update(x0 ^ v for v in kernel)
+    factor = 1 << (ctx.m - len(U_basis))
     assert len(preimage) == len(cw.elems) * factor
     return CodewordSupport(
         ctx, frozenset(preimage), cw.claimed_distance * factor, extended=True

@@ -212,10 +212,6 @@ class GF2m:
 
     # -- core arithmetic ----------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        """Field addition (bitwise XOR)."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Field multiplication modulo the primitive polynomial."""
         if self._log is not None:
@@ -226,9 +222,6 @@ class GF2m:
                 e -= self.n
             return self._exp[e]
         return self._reduce(_clmul(a, b))
-
-    def square(self, a: int) -> int:
-        return self.mul(a, a)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
@@ -330,22 +323,17 @@ class GF2m:
         if self.m % 2 == 1:
             inv3 = pow(3, -1, self.n)
             return {self.pow(z, inv3)}
-        cols = [self.pow(1 << k, 4) ^ self.mul(z, 1 << k) for k in range(self.m)]
-        rows = gflinalg.transpose(cols, self.m)
-        roots = set()
-        for x in gflinalg.span(gflinalg.nullspace(rows, self.m)):
-            if x and self.pow(x, 3) == z:
-                roots.add(x)
-        return roots
+        images = [self.pow(1 << k, 4) ^ self.mul(z, 1 << k) for k in range(self.m)]
+        kernel = gflinalg.LinearMap(images, self.m).kernel
+        return {x for x in gflinalg.span(kernel) if x and self.pow(x, 3) == z}
 
     def artin_schreier_solve(self, w: int) -> set[int]:
         """Solution set of x^2 + x = w: empty when Tr(w) = 1, else a coset
         of {0, 1}."""
         if self.trace(w) == 1:
             return set()
-        cols = [self.square(1 << k) ^ (1 << k) for k in range(self.m)]
-        rows = gflinalg.transpose(cols, self.m)
-        x0, _ = gflinalg.solve(rows, self.m, w)
+        images = [self.mul(1 << k, 1 << k) ^ (1 << k) for k in range(self.m)]
+        x0 = gflinalg.LinearMap(images, self.m).preimage(w)
         assert x0 is not None
         return {x0, x0 ^ 1}
 
@@ -356,9 +344,8 @@ class GF2m:
         generator g with GF(2)(g) = GF(2^ell)."""
         if ell < 1 or self.m % ell != 0:
             raise BadTowerDegrees(f"{ell} does not divide m={self.m}")
-        cols = [self.frobenius(1 << k, ell) ^ (1 << k) for k in range(self.m)]
-        rows = gflinalg.transpose(cols, self.m)
-        elems = sorted(gflinalg.span(gflinalg.nullspace(rows, self.m)))
+        images = [self.frobenius(1 << k, ell) ^ (1 << k) for k in range(self.m)]
+        elems = sorted(gflinalg.span(gflinalg.LinearMap(images, self.m).kernel))
         assert len(elems) == 1 << ell
         proper = [ell // p for p in _factorize(ell)] if ell > 1 else []
         gen = next(
@@ -417,9 +404,4 @@ class GF2m:
 @lru_cache(maxsize=None)
 def default_field(m: int, poly: int | None = None) -> GF2m:
     """Shared GF2m instances; fields are immutable so caching is safe."""
-    return GF2m(m, poly)
-
-
-def make_field(m: int, poly: int | str | None = None) -> GF2m:
-    """Construct a field context (alias of the GF2m constructor)."""
     return GF2m(m, poly)

@@ -7,28 +7,11 @@ coordinate representation can be used directly as rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
 class DependentInput(ValueError):
     """Linearly dependent elements where independence is required."""
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """Dense bit matrix, row-major; data[r] bit c is the (r, c) entry."""
-
-    rows: int
-    cols: int
-    data: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols <= 0 or len(self.data) != self.rows:
-            raise ValueError("inconsistent BitMatrix shape")
-
-    def row(self, r: int) -> int:
-        return self.data[r]
 
 
 def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int], list[int]]:
@@ -67,45 +50,31 @@ def rank(rows: Sequence[int], ncols: int) -> int:
     return len(pivots)
 
 
-def solve(rows: Sequence[int], ncols: int, rhs: int) -> tuple[int | None, list[int]]:
-    """Solve M x = rhs over GF(2); rhs bit r is the right-hand side of row r.
+class LinearMap:
+    """A GF(2)-linear map f given by the images f(e_k) of the unit vectors
+    (ncols-bit ints; on GF(2^m), e_k = alpha^k), factorized by one
+    elimination of those images.
 
-    Returns (particular solution with free variables set to 0, or None if
-    inconsistent; basis of the nullspace).  Pivoting is deterministic, so
-    identical inputs reproduce identical outputs.
+    The transform rows below the rank are preimages of the reduced image
+    basis, and the rows past the rank span the kernel, so preimages, the
+    kernel and membership in the image all come from the same elimination.
     """
-    nrows = len(rows)
-    aug = [rows[r] | (((rhs >> r) & 1) << ncols) for r in range(nrows)]
-    red, pivots, _ = _eliminate(aug, ncols)
-    kernel = _kernel_from_rref(red, pivots, ncols)
-    particular = 0
-    for r, col in enumerate(pivots):
-        if (red[r] >> ncols) & 1:
-            particular |= 1 << col
-    for r in range(len(pivots), nrows):
-        if red[r] >> ncols:
-            return None, kernel
-    return particular, kernel
 
+    def __init__(self, images: Sequence[int], ncols: int):
+        red, pivots, trans = _eliminate(list(images), ncols)
+        r = len(pivots)
+        self.image = red[:r]  # reduced basis of the image
+        self.kernel = trans[r:]
+        self._steps = list(zip(pivots, red, trans))
 
-def nullspace(rows: Sequence[int], ncols: int) -> list[int]:
-    """Basis of {x : M x = 0}."""
-    red, pivots, _ = _eliminate(list(rows), ncols)
-    return _kernel_from_rref(red, pivots, ncols)
-
-
-def _kernel_from_rref(red: list[int], pivots: list[int], ncols: int) -> list[int]:
-    pivot_set = set(pivots)
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for r, col in enumerate(pivots):
-            if (red[r] >> free) & 1:
-                vec |= 1 << col
-        kernel.append(vec)
-    return kernel
+    def preimage(self, y: int) -> int | None:
+        """One x with f(x) = y, or None when y lies outside the image."""
+        x = 0
+        for col, row, pre in self._steps:
+            if (y >> col) & 1:
+                y ^= row
+                x ^= pre
+        return None if y else x
 
 
 def invert(rows: Sequence[int], n: int) -> list[int]:

@@ -1,11 +1,11 @@
 """Linearized polynomials as GF(2)-linear maps on GF(2^m): annihilators of
 subspaces via Moore systems, image polynomials via symbolic division,
-kernels, preimages, and the quartic trick for affine cubics.
+kernels, and the quartic trick for affine cubics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import gflinalg
@@ -95,70 +95,8 @@ def matrix_cols(poly: LinearizedPoly) -> list[int]:
 
 
 def lin_kernel(poly: LinearizedPoly) -> list[int]:
-    """Basis of {x : P(x) = 0}, via the GF(2) nullspace of the map."""
-    m = poly.ctx.m
-    rows = gflinalg.transpose(matrix_cols(poly), m)
-    return gflinalg.nullspace(rows, m)
-
-
-@dataclass
-class LinearMap2:
-    """A GF(2)-linear map on GF(2^m), column-major; used where only the
-    action and preimages of a linearized polynomial are needed."""
-
-    ctx: object
-    cols: list[int]
-    poly: LinearizedPoly | None = None
-    _rref: tuple | None = field(default=None, repr=False)
-
-    def apply(self, x: int) -> int:
-        acc = 0
-        k = 0
-        while x:
-            if x & 1:
-                acc ^= self.cols[k]
-            x >>= 1
-            k += 1
-        return acc
-
-    def _rows(self) -> list[int]:
-        return gflinalg.transpose(self.cols, self.ctx.m)
-
-    def image_basis(self) -> list[int]:
-        red, pivots, _ = gflinalg._eliminate(list(self.cols), self.ctx.m)
-        return [red[r] for r in range(len(pivots))]
-
-    def kernel_basis(self) -> list[int]:
-        return gflinalg.nullspace(self._rows(), self.ctx.m)
-
-    def _factorized(self):
-        if self._rref is None:
-            red, pivots, trans = gflinalg._eliminate(self._rows(), self.ctx.m)
-            self._rref = (red, pivots, trans)
-        return self._rref
-
-    def preimage(self, y: int) -> int | None:
-        """One x with map(x) = y, or None if y is outside the image."""
-        red, pivots, trans = self._factorized()
-        x = 0
-        for r, col in enumerate(pivots):
-            if gflinalg.dot(trans[r], y):
-                x |= 1 << col
-        for r in range(len(pivots), self.ctx.m):
-            if gflinalg.dot(trans[r], y):
-                return None
-        return x
-
-    def preimage_set(self, elems) -> set[int]:
-        """Full preimage of a set: union of kernel cosets."""
-        kern = gflinalg.span(self.kernel_basis())
-        out = set()
-        for y in elems:
-            x0 = self.preimage(y)
-            if x0 is None:
-                raise ValueError(f"{y} is not in the image of the map")
-            out.update(x0 ^ v for v in kern)
-        return out
+    """Basis of {x : P(x) = 0}."""
+    return gflinalg.LinearMap(matrix_cols(poly), poly.ctx.m).kernel
 
 
 def image_poly(ctx, U_basis: Sequence[int]) -> LinearizedPoly:
@@ -195,20 +133,6 @@ def image_poly(ctx, U_basis: Sequence[int]) -> LinearizedPoly:
                 acc ^= ctx.mul(a[i], ctx.pow(b[j], 1 << i))
         assert acc == (1 if t == 0 else 0), "image polynomial division failed"
     return LinearizedPoly(ctx, tuple(b))
-
-
-def image_map_for_subspace(ctx, U_basis: Sequence[int]) -> LinearMap2:
-    """The image polynomial of span(U_basis) as a linear map: image exactly
-    span(U_basis), kernel of dimension m - k, preimages computable as
-    unions of kernel cosets.  The polynomial itself rides along in .poly."""
-    U_basis = list(U_basis)
-    if U_basis and not gflinalg.independent(ctx, U_basis):
-        raise DependentGenerators("subspace basis is dependent")
-    if len(U_basis) == ctx.m:
-        ident = LinearizedPoly(ctx, (1,))
-        return LinearMap2(ctx, matrix_cols(ident), poly=ident)
-    poly = image_poly(ctx, U_basis)
-    return LinearMap2(ctx, matrix_cols(poly), poly=poly)
 
 
 def affine_cubic_roots(ctx, c1: int, c2: int) -> set[int]:

@@ -42,31 +42,31 @@ def designed_distance(m: int, s: int, i: int) -> int:
     return (1 << (m - 1 - s)) - (1 << (m - 1 - i - s))
 
 
+def _syndromes(ctx, elems, js):
+    """Yield p_j over the nonzero elements elems for each j in js, lazily so
+    a scan can stop at the first nonzero one."""
+    if ctx.m <= 24:
+        n, exp = ctx.n, ctx.exp_array()
+        logs = np.array([ctx.log(x) for x in elems], dtype=np.int64)
+        for j in js:
+            yield int(np.bitwise_xor.reduce(exp[(logs * j) % n]))
+        return
+    for j in js:
+        acc = 0
+        for x in elems:
+            acc ^= ctx.pow(x, j)
+        yield acc
+
+
 def power_sums(cw, j_max: int) -> list[int]:
     """[p_1, ..., p_j_max] with p_j the sum of x^j over nonzero x in the
     support."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    ctx = cw.ctx
     elems = [x for x in cw.elems if x]
     if not elems:
         return [0] * j_max
-    if ctx.m <= 24:
-        exp = ctx.exp_array()
-        logs = np.array([ctx.log(x) for x in elems], dtype=np.int64)
-        out = []
-        for j in range(1, j_max + 1):
-            vals = exp[(logs * j) % ctx.n]
-            out.append(int(np.bitwise_xor.reduce(vals)))
-        return out
-    return [_power_sum_direct(ctx, elems, j) for j in range(1, j_max + 1)]
-
-
-def _power_sum_direct(ctx, elems, j: int) -> int:
-    acc = 0
-    for x in elems:
-        acc ^= ctx.pow(x, j)
-    return acc
+    return list(_syndromes(cw.ctx, elems, range(1, j_max + 1)))
 
 
 def _coset_reps(n: int, j_limit: int) -> list[int]:
@@ -97,17 +97,7 @@ def _first_failing_odd_syndrome(ctx, elems, j_limit: int) -> tuple[int, int] | N
     if not elems or j_limit < 1:
         return None
     reps = _coset_reps(ctx.n, j_limit)
-    if ctx.m <= 24:
-        n = ctx.n
-        exp = ctx.exp_array()
-        logs = np.array([ctx.log(x) for x in elems], dtype=np.int64)
-        for j in reps:
-            pj = int(np.bitwise_xor.reduce(exp[(logs * j) % n]))
-            if pj:
-                return (j, pj)
-        return None
-    for j in reps:
-        pj = _power_sum_direct(ctx, elems, j)
+    for j, pj in zip(reps, _syndromes(ctx, elems, reps)):
         if pj:
             return (j, pj)
     return None

@@ -182,7 +182,7 @@ def test_criterion_07_conversion_roundtrips():
                 ub = _span_basis(ctx, cw.elems, target_dim=udim)
                 high = up_convert(cw, ub)
                 assert high.weight == cw.weight * (1 << (m - len(ub)))
-                kb = linearized.image_map_for_subspace(ctx, ub).kernel_basis()
+                kb = linearized.lin_kernel(linearized.image_poly(ctx, ub))
                 assert down_convert(high, kb).elems == cw.elems
 
 

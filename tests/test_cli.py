@@ -1,12 +1,17 @@
+import hashlib
 import json
 
-from bchmin import cli
+import pytest
+
+from bchmin import cli, solvers
 from bchmin.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNCOVERED,
     EXIT_VERIFY_FAIL,
+    ParseError,
+    UncoveredCase,
     generate,
     parse_support_file,
     render_json,
@@ -151,3 +156,115 @@ def test_parse_support_file_accepts_generated_forms():
 def test_generate_refuses_bad_s(capsys):
     code, _ = _run(capsys, ["generate", "--m", "8", "--i", "3", "--s", "9"])
     assert code == EXIT_UNCOVERED
+
+
+def test_method_must_match_i(capsys):
+    # i2even builds a d(8, 0, 2) = 96 support, not the i = 3 distance 112
+    code, out = _run(capsys, ["generate", "--m", "8", "--i", "3", "--method", "i2even"])
+    assert code == EXIT_UNCOVERED and out == ""
+    code, _ = _run(capsys, ["generate", "--m", "8", "--i", "2", "--method", "i3even"])
+    assert code == EXIT_UNCOVERED
+
+
+# -- verify: malformed files are refused with exit 5 ------------------------
+
+
+def _refused(tmp_path, capsys, text):
+    with pytest.raises(ParseError):
+        parse_support_file(text)
+    path = tmp_path / "malformed"
+    path.write_text(text)
+    code = cli.main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == "" and captured.err.strip()
+
+
+def _json_doc(m, i, s):
+    cw, meta = generate(m, i, s, seed=0)
+    return json.loads(render_json(cw.ctx, cw, meta))
+
+
+def test_verify_rejects_hex_element_out_of_range(tmp_path, capsys):
+    doc = _json_doc(8, 2, 3)
+    doc["support"][0] = "0x1ff"
+    _refused(tmp_path, capsys, json.dumps(doc))
+    cw, _ = generate(8, 2, 3, seed=0)
+    bits = cli.render_bits(cw.ctx, cw).replace(hex(max(cw.elems)), "0x1ff")
+    _refused(tmp_path, capsys, bits)
+
+
+def test_verify_rejects_exponent_out_of_range(tmp_path, capsys):
+    cw, _ = generate(8, 2, 3, seed=0)
+    head, body = render_logsupport(cw.ctx, cw).split("\n", 1)
+    logs = [int(v) for v in body.split(",")]
+    for bad in (logs[-1] + 255, -2):
+        text = head + "\n" + ",".join(map(str, logs[:-1] + [bad])) + "\n"
+        _refused(tmp_path, capsys, text)
+    doc = _json_doc(8, 2, 3)
+    doc["support"][-1] = 255
+    _refused(tmp_path, capsys, json.dumps(doc))
+
+
+def test_verify_rejects_duplicate_entries(tmp_path, capsys):
+    doc = _json_doc(10, 2, 3)
+    assert doc["d"] == 48 and len(doc["support"]) == 48
+    doc["support"].append(doc["support"][5])
+    _refused(tmp_path, capsys, json.dumps(doc))
+
+
+def test_verify_rejects_unknown_spec_version(tmp_path, capsys):
+    doc = _json_doc(8, 2, 3)
+    doc["spec_version"] = 99
+    _refused(tmp_path, capsys, json.dumps(doc))
+
+
+# -- pinned outputs and the solver registry -----------------------------------
+
+# SHA-256 of stdout, recorded before the solver registry replaced the CLI's
+# own routing: one cell per method, each format, and the hex path (m > 24).
+PINNED = [
+    ("generate --m 10 --i 2 --s 3 --seed 1", "c5e8f7e1fcef6f3361087b5170b1dc3d6d0334b05ac41d78c725ac29817d4030"),
+    ("generate --m 9 --i 3 --s 1 --seed 2", "90ad178483a5ec00d1a288d67199acbd032c25ebbaaf3383855b8f48deaaa557"),
+    ("generate --m 12 --i 4 --s 2 --seed 0", "2a636e5b69da809edae95dafdd4db99b3d912369a4c58dbd181efb498a8120da"),
+    ("generate --m 9 --i 2 --s 3 --seed 4 --method i2odd", "e3776ad14159990d1a48b79172e36fa7173ce728a4316f2f1da33e47c434538a"),
+    ("generate --m 15 --i 2 --s 9 --seed 0 --method i2composite", "e5374fb3d27af8f0f783d35b0fdd6085355961b293bdf6d19ee6d023214df7e8"),
+    ("generate --m 8 --i 2 --s 1 --seed 0 --method gold", "3327fd4ebfb6edbe86c5ddee61edb031d80d7f2bb014ecfac05ff5793553306f"),
+    ("generate --m 8 --i 2 --s 3 --seed 2 --method gk", "b8d734b32b699d787239a290c8b065fc745716c5c4cf6afaccdfe4b9fa58a017"),
+    ("generate --m 8 --i 3 --s 2 --seed 3 --format json", "65b489fc9a4ad1f8ecf2f380bc5958d54f14766b2415f9838a24718b99609f8e"),
+    ("generate --m 10 --i 2 --s 3 --seed 1 --format logsupport", "edd2bbd1d4b348ff9ae11b11d291672bf3a31df7994e3823c4b422703fe16b6e"),
+    ("generate --m 7 --i 3 --s 1 --seed 5 --format bits", "76309d140982f74024810c15989281478c7d43a9be3ec46a5841e0ca3b0b9a6d"),
+    ("generate --m 25 --i 2 --s 21 --seed 0", "de66e4f6046d14ea7bda5694844f69730b96d6054c1ab345cff33f8a2604ed9f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED)
+def test_pinned_output(capsys, argv, digest):
+    code, out = _run(capsys, argv.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_method_choices_are_the_registry():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    method = next(a for a in sub.choices["generate"]._actions if a.dest == "method")
+    assert set(method.choices) == {"auto", "gold", "gk"} | set(solvers.SOLVERS)
+
+
+# auto route per (m, i) of the acceptance grid; None is uncovered
+AUTO_ROUTES = {
+    2: {m: "i2even" if m % 2 == 0 else "i2odd" for m in range(4, 17)},
+    3: {m: "i3even" if m % 2 == 0 else "i3heuristic" for m in range(6, 17)},
+    4: {8: "i4", 12: "i4", 16: "i4"},
+}
+
+
+@pytest.mark.parametrize("i", [2, 3, 4])
+def test_auto_routes_grid(i):
+    for m in range(4, 17):
+        expected = AUTO_ROUTES[i].get(m)
+        if expected is None:
+            with pytest.raises(UncoveredCase):
+                generate(m, i, max(m - 2 * i, 0), seed=1)
+            continue
+        _, meta = generate(m, i, m - 2 * i, seed=1)
+        assert meta["method"] == expected

@@ -32,16 +32,17 @@ def _row_tuple(row: int, width: int):
 
 
 def test_quadform_rows_i1():
-    mat = quadform_rows(1)
-    assert mat.rows == 1 and mat.cols == 2
-    assert _row_tuple(mat.data[0], 2) == (1, 1)
+    rows = quadform_rows(1)
+    assert rows == (0b11,)
+    assert _row_tuple(rows[0], 2) == (1, 1)
 
 
 @pytest.mark.parametrize("i,count", [(1, 1), (2, 6), (3, 28), (4, 120)])
 def test_quadform_row_counts(i, count):
-    mat = quadform_rows(i)
-    assert mat.rows == count
-    for row in mat.data:
+    rows = quadform_rows(i)
+    assert len(rows) == count
+    for row in rows:
+        assert row < 1 << (2 * i)
         bits = _row_tuple(row, 2 * i)
         acc = 0
         for k in range(i):
@@ -50,8 +51,7 @@ def test_quadform_row_counts(i, count):
 
 
 def test_quadform_rows_lexicographic():
-    mat = quadform_rows(2)
-    as_tuples = [_row_tuple(row, 4) for row in mat.data]
+    as_tuples = [_row_tuple(row, 4) for row in quadform_rows(2)]
     assert as_tuples == sorted(as_tuples)
 
 
@@ -191,7 +191,7 @@ def test_up_then_down_roundtrip():
     up = up_convert(cw, ub)
     assert up.weight == cw.weight * (1 << (10 - len(ub)))
     assert verify.is_min_weight(up).is_min_weight
-    v = linearized.image_map_for_subspace(ctx, ub).kernel_basis()
+    v = linearized.lin_kernel(linearized.image_poly(ctx, ub))
     assert down_convert(up, v).elems == cw.elems
 
 
@@ -227,6 +227,8 @@ def test_up_convert_rejects_outside_support():
     cw = gold_support(ctx, 2)
     with pytest.raises(SupportNotInU):
         up_convert(cw, [1, 2])
+    with pytest.raises(linearized.DependentGenerators):
+        up_convert(cw, [3, 5, 6])
 
 
 # -- special supports -----------------------------------------------------------------

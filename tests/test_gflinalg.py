@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 from bchmin import gflinalg
 from bchmin.gf2m import default_field
 from bchmin.gflinalg import (
-    BitMatrix,
     DependentInput,
+    LinearMap,
     complete_to_basis,
     dual_basis,
     independent,
     invert,
-    nullspace,
     rank,
-    solve,
     span,
     transpose,
 )
@@ -42,49 +40,67 @@ def _rank_oracle(rows, ncols):
     return rk
 
 
-def test_bitmatrix_shape_validation():
-    with pytest.raises(ValueError):
-        BitMatrix(2, 3, (0b1,))
+def _apply(images, x):
+    """f(x) for the linear map with f(e_k) = images[k]."""
+    acc = 0
+    for k, img in enumerate(images):
+        if (x >> k) & 1:
+            acc ^= img
+    return acc
 
 
 def test_solve_identity():
-    rows = [1, 2, 4, 8]
-    x, kern = solve(rows, 4, 0b1010)
-    assert x == 0b1010
-    assert kern == []
+    fmap = LinearMap([1, 2, 4, 8], 4)
+    assert fmap.preimage(0b1010) == 0b1010
+    assert fmap.kernel == []
+    assert fmap.image == [1, 2, 4, 8]
 
 
 def test_solve_zero_matrix_inconsistent():
-    x, kern = solve([0, 0, 0], 3, 0b010)
-    assert x is None
-    assert len(kern) == 3  # homogeneous part still returned
+    fmap = LinearMap([0, 0, 0], 3)
+    assert fmap.preimage(0b010) is None
+    assert fmap.preimage(0) == 0
+    assert len(fmap.kernel) == 3  # homogeneous part still returned
 
 
 def test_solve_random_systems():
     r = rng(42)
     for _ in range(30):
-        rows = [r.getrandbits(20) for _ in range(20)]
-        rk = _rank_oracle(rows, 20)
-        # consistent right-hand side: random combination of the rows' action
+        images = [r.getrandbits(20) for _ in range(20)]
+        rk = _rank_oracle(images, 20)
         xtrue = r.getrandbits(20)
-        rhs = 0
-        for i, row in enumerate(rows):
-            rhs |= gflinalg.dot(row, xtrue) << i
-        x, kern = solve(rows, 20, rhs)
-        assert x is not None
-        assert len(kern) == 20 - rk
-        for i, row in enumerate(rows):
-            assert gflinalg.dot(row, x) == (rhs >> i) & 1
-            for k in kern:
-                assert gflinalg.dot(row, x ^ k) == (rhs >> i) & 1
+        y = _apply(images, xtrue)
+        fmap = LinearMap(images, 20)
+        x = fmap.preimage(y)
+        assert x is not None and _apply(images, x) == y
+        assert len(fmap.kernel) == 20 - rk and len(fmap.image) == rk
+        for k in fmap.kernel:
+            assert _apply(images, x ^ k) == y
+
+
+def test_solve_outside_image():
+    # images span only the even-weight vectors of GF(2)^6
+    r = rng(44)
+    images = [0] * 6
+    while _rank_oracle(images, 6) < 5:
+        images = [v ^ (v.bit_count() & 1) for v in (r.getrandbits(6) for _ in range(6))]
+    fmap = LinearMap(images, 6)
+    for y in range(64):
+        x = fmap.preimage(y)
+        if y.bit_count() & 1:
+            assert x is None
+        else:
+            assert x is not None and _apply(images, x) == y
 
 
 def test_nullspace_vectors_annihilate():
     r = rng(5)
-    rows = [r.getrandbits(12) for _ in range(8)]
-    for v in nullspace(rows, 12):
-        assert all(gflinalg.dot(row, v) == 0 for row in rows)
-    assert len(nullspace(rows, 12)) == 12 - _rank_oracle(rows, 12)
+    images = [r.getrandbits(8) for _ in range(12)]
+    kernel = LinearMap(images, 8).kernel
+    for v in kernel:
+        assert _apply(images, v) == 0
+    assert len(kernel) == 12 - _rank_oracle(images, 8)
+    assert rank(kernel, 12) == len(kernel)
 
 
 def test_invert_roundtrip():

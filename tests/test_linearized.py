@@ -1,6 +1,7 @@
 import pytest
 
 from bchmin import gflinalg
+from bchmin.construct import CodewordSupport, up_convert
 from bchmin.gf2m import default_field
 from bchmin.linearized import (
     DependentGenerators,
@@ -8,7 +9,6 @@ from bchmin.linearized import (
     ZeroLeadingCoefficient,
     affine_cubic_roots,
     annihilator,
-    image_map_for_subspace,
     image_poly,
     lin_eval,
     lin_kernel,
@@ -105,19 +105,19 @@ def test_lin_kernel_matches_span(gf256):
 
 
 def test_image_map_full_space_is_identity(gf256):
-    m = image_map_for_subspace(gf256, [1 << k for k in range(8)])
+    bpoly = image_poly(gf256, [1 << k for k in range(8)])
+    assert bpoly.coeffs == (1,)
     for x in (0, 1, 0x35, 0xFF):
-        assert m.apply(x) == x
+        assert lin_eval(bpoly, x) == x
 
 
 def test_image_map_rank_and_kernel(gf256):
     r = rng(41)
     for k in (2, 4, 6):
         U = _random_independent(gf256, k, r)
-        bmap = image_map_for_subspace(gf256, U)
-        assert len(bmap.image_basis()) == k
-        assert len(bmap.kernel_basis()) == 8 - k
-        image = {bmap.apply(x) for x in range(256)}
+        bpoly = image_poly(gf256, U)
+        assert len(lin_kernel(bpoly)) == 8 - k
+        image = {lin_eval(bpoly, x) for x in range(256)}
         assert image == set(gflinalg.span(U))
 
 
@@ -131,27 +131,28 @@ def test_image_poly_is_canonical_annihilator_of_its_kernel(gf256):
 
 
 def test_image_map_preimage_sizes(gf256):
+    # preimages are taken by up_convert: one kernel coset per point
     r = rng(47)
     U = _random_independent(gf256, 3, r)
-    bmap = image_map_for_subspace(gf256, U)
+    bpoly = image_poly(gf256, U)
     for u in gflinalg.span(U):
-        pre = bmap.preimage_set([u])
+        pre = up_convert(CodewordSupport(gf256, frozenset({u}), 2, extended=True), U).elems
         assert len(pre) == 1 << 5
-        assert all(bmap.apply(x) == u for x in pre)
+        assert all(lin_eval(bpoly, x) == u for x in pre)
 
 
 def test_image_map_preimage_of_image_identity(gf256):
     r = rng(53)
     U = _random_independent(gf256, 4, r)
-    bmap = image_map_for_subspace(gf256, U)
-    S = set(gflinalg.span(U)[:7])
-    roundtrip = {bmap.apply(x) for x in bmap.preimage_set(S)}
-    assert roundtrip == S
+    bpoly = image_poly(gf256, U)
+    S = frozenset(gflinalg.span(U)[:7])
+    pre = up_convert(CodewordSupport(gf256, S, 2, extended=True), U).elems
+    assert {lin_eval(bpoly, x) for x in pre} == S
 
 
 def test_image_map_rejects_dependent(gf256):
     with pytest.raises(DependentGenerators):
-        image_map_for_subspace(gf256, [3, 5, 6])
+        image_poly(gf256, [3, 5, 6])
 
 
 # -- affine cubics ------------------------------------------------------------------

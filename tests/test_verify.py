@@ -54,16 +54,18 @@ def test_power_sum_frobenius_conjugacy(gf256):
 
 
 def test_power_sums_match_direct_path():
-    # numpy table path vs the scalar path used for m > 24
-    from bchmin.verify import _power_sum_direct
-
-    ctx = default_field(10)
+    # the numpy table path (m <= 24) and the scalar path (m > 24) against a
+    # direct sum of powers
     r = rng(23)
-    elems = [x for x in (r.getrandbits(10) for _ in range(30)) if x]
-    cw = CodewordSupport(ctx, frozenset(elems), 6, True)
-    p = power_sums(cw, 25)
-    for j in (1, 7, 25):
-        assert p[j - 1] == _power_sum_direct(ctx, sorted(set(elems)), j)
+    for m in (10, 25):
+        ctx = default_field(m)
+        elems = {x for x in (r.getrandbits(m) for _ in range(30)) if x}
+        p = power_sums(CodewordSupport(ctx, frozenset(elems), 6, True), 25)
+        for j in (1, 7, 25):
+            direct = 0
+            for x in elems:
+                direct ^= ctx.pow(x, j)
+            assert p[j - 1] == direct
 
 
 # -- membership ---------------------------------------------------------------
