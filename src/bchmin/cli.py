@@ -8,6 +8,7 @@ parameter combination, 4 solver retries exhausted, 5 parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -103,6 +104,23 @@ def _elements(ctx, entries: list) -> frozenset:
     return elems
 
 
+def _json_int(doc: dict, key: str) -> int:
+    """A JSON integer field; floats, strings and booleans are refused."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ParseError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _text_int(fields: dict, key: str) -> int:
+    """A header field of decimal digits; signs, spaces and the rest are
+    refused."""
+    value = fields[key]
+    if not (value.isascii() and value.isdigit()):
+        raise ParseError(f"{key} must be decimal digits, got {value!r}")
+    return int(value)
+
+
 def parse_support_file(text: str) -> CodewordSupport:
     """Accept the JSON document or the two-line log-support / bits format;
     raise ParseError on anything malformed."""
@@ -116,21 +134,23 @@ def parse_support_file(text: str) -> CodewordSupport:
                 raise ParseError(f"unsupported spec_version {doc.get('spec_version')!r}")
             if not isinstance(doc["support"], list) or not isinstance(doc["extended"], bool):
                 raise ParseError("support must be a list and extended a boolean")
-            ctx = default_field(int(doc["m"]), parse_poly(doc["poly"]))
+            if type(doc["poly"]) not in (int, str):
+                raise ParseError(f"poly must be a string or an integer, got {doc['poly']!r}")
+            ctx = default_field(_json_int(doc, "m"), parse_poly(doc["poly"]))
             elems = _elements(ctx, doc["support"])
-            return CodewordSupport(ctx, elems, int(doc["d"]), doc["extended"])
-        except (KeyError, ValueError, TypeError) as exc:
+            return CodewordSupport(ctx, elems, _json_int(doc, "d"), doc["extended"])
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad JSON support file: {exc}") from exc
     try:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         fields = dict(part.split("=", 1) for part in lines[0].split())
-        ctx = default_field(int(fields["m"]), parse_poly(fields["poly"]))
+        ctx = default_field(_text_int(fields, "m"), parse_poly(fields["poly"]))
         body = [v.strip() for ln in lines[1:] for v in ln.split(",") if v.strip()]
         if not body or fields["extended"] not in ("0", "1"):
             raise ParseError("need support entries and extended=0 or 1")
         hexes = body[0].lower().startswith("0x")
         elems = _elements(ctx, body if hexes else [int(v) for v in body])
-        return CodewordSupport(ctx, elems, int(fields["d"]), fields["extended"] == "1")
+        return CodewordSupport(ctx, elems, _text_int(fields, "d"), fields["extended"] == "1")
     except (KeyError, ValueError, IndexError) as exc:
         raise ParseError(f"bad log-support file: {exc}") from exc
 
@@ -163,6 +183,8 @@ def generate(
         native_s = m - 2 * i
         if not 0 <= s <= native_s:
             raise UncoveredCase(f"s must be in 0..{native_s} for the Gold route")
+        if verify.designed_distance(m, s, i) < 2:
+            raise UncoveredCase(f"d({m}, {s}, {i}) = 1: no code of distance < 2 to certify")
         if s < native_s:
             cw = _upconvert_to_dim(cw, 2 * i + s)
         meta = {"i": i, "s": s, "method": "gold", "seed": seed}
@@ -254,6 +276,9 @@ def _cmd_verify(args) -> int:
     except OSError as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"{args.input} is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
@@ -268,6 +293,7 @@ def _cmd_verify(args) -> int:
         "claimed_distance": verdict.claimed_distance,
         "is_min_weight": verdict.is_min_weight,
         "failing_syndrome": verdict.failing_syndrome,
+        "route": verdict.route,
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK if verdict.is_min_weight else EXIT_VERIFY_FAIL
@@ -307,6 +333,17 @@ def _cmd_table(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _seed(text: str) -> int:
+    """--seed value; the default stands for $BCHMIN_SEED (else 0), read
+    when the command line is parsed, so a parser built once stays current."""
+    if text is _SEED_FROM_ENV:
+        text = os.environ.get(SEED_ENV_VAR, "0")
+    return int(text)
+
+
+_SEED_FROM_ENV = f"${SEED_ENV_VAR}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bchmin",
@@ -317,13 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get(SEED_ENV_VAR, "0"))
 
     g = sub.add_parser("generate", help="construct one verified support")
     g.add_argument("--m", type=int, required=True, help="extension degree")
     g.add_argument("--i", type=int, required=True, help="distance family index")
     g.add_argument("--s", type=int, default=0, help="down-conversion level (default 0)")
-    g.add_argument("--seed", type=int, default=default_seed)
+    g.add_argument("--seed", type=_seed, default=_SEED_FROM_ENV)
     g.add_argument("--poly", type=str, default=None, help="primitive polynomial override")
     g.add_argument(
         "--method",
@@ -340,13 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="verify a golden table and regenerate it")
     t.add_argument("which", choices=["t27", "t23"])
-    t.add_argument("--seed", type=int, default=default_seed)
+    t.add_argument("--seed", type=_seed, default=_SEED_FROM_ENV)
     t.set_defaults(func=_cmd_table)
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs ~10x what parsing does."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -93,7 +93,10 @@ def parse_poly(spec: int | str) -> int:
     if "," in s:
         poly = 0
         for part in s.split(","):
-            poly |= 1 << int(part.strip())
+            e = int(part.strip())
+            if not 0 <= e <= 32:  # no supported modulus has a larger term
+                raise ValueError(f"exponent {e} is outside 0..32")
+            poly |= 1 << e
         return poly
     return int(s, 0)
 

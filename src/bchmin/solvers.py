@@ -213,7 +213,7 @@ def solve_i3_heuristic(ctx, rng_seed: int, max_retries: int = 4096) -> SolverRep
     satisfies f_1(x1,x2) = c1 and f_2(x1,x2) = c2.
     """
     if ctx.m < 6:
-        raise ValueError(f"m >= 6 required, got m={ctx.m}")
+        raise BadDegree(f"m >= 6 required, got m={ctx.m}")
     from . import linearized
 
     rng = random.Random(rng_seed)

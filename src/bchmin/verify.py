@@ -2,9 +2,17 @@
 
 A support S certifies membership through its syndromes p_j = sum of x^j
 over the nonzero support elements: an extended claim eBCH(d) (d even) needs
-even |S| and p_j = 0 for j = 1..d-2; a punctured claim BCH(d) (d odd) needs
-0 outside S and p_j = 0 for j = 1..d-1.  Since p_2j is always p_j squared,
-only odd j are scanned.
+even |S| and p_j = 0 for j = 1..L with L = d-2; a punctured claim BCH(d)
+(d odd) needs 0 outside S and p_j = 0 for j = 1..L with L = d-1.  Since
+p_2j is always p_j squared, only odd j are scanned.
+
+Two routes reach the same verdict.  The scan evaluates p_j at one odd
+representative per 2-cyclotomic coset meeting [1, L].  The check route
+packs c(X) = sum of X^log(x) over the nonzero support and tests
+c(X) h(X) = 0 mod X^n - 1, where h is the check polynomial of the cyclic
+code with zeros alpha^j, j in [1, L]; it wins when that code has small
+dimension k.  Both start with p_1, and the cheaper one is picked from
+(n, L, |S|) alone.
 
 This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element sets (anything with ctx, elems,
@@ -14,8 +22,21 @@ claimed_distance, extended attributes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 
 import numpy as np
+
+# Discrete logs, and with them the check route, exist for m <= 24.
+_LOG_MAX_M = 24
+
+# Measured costs (medians over the larger m = 12..16 acceptance supports):
+# one table gather of the scan, i.e. one support element at one
+# representative, and one 64-bit word of one shift-XOR term of the check.
+# Only their ratio matters; it puts the crossover of the acceptance grid
+# between s = 2 and s = 3 for m >= 8.
+_SCAN_NS_PER_GATHER = 7.2
+_CHECK_NS_PER_WORD = 4.0
 
 
 class BadDistanceParity(ValueError):
@@ -33,6 +54,7 @@ class Verdict:
     claimed_distance: int
     is_min_weight: bool
     failing_syndrome: tuple[int, int] | None
+    route: str  # "scan" or "check": the route the cost rule picks for the claim
 
 
 def designed_distance(m: int, s: int, i: int) -> int:
@@ -42,18 +64,29 @@ def designed_distance(m: int, s: int, i: int) -> int:
     return (1 << (m - 1 - s)) - (1 << (m - 1 - i - s))
 
 
-def _syndromes(ctx, elems, js):
-    """Yield p_j over the nonzero elements elems for each j in js, lazily so
-    a scan can stop at the first nonzero one."""
-    if ctx.m <= 24:
+def _nonzero(ctx, elems):
+    """The nonzero support in the form `_syndromes` takes: discrete logs as
+    an int64 array where log tables exist, else a list of the elements.
+    The logs are taken once per claim and shared by both routes.  They are
+    looked up one by one: a numpy copy of the log table would cost 2-3 s
+    and 64 MB at m = 24, paid by the first claim of each field."""
+    nonzero = [x for x in elems if x]
+    if ctx.m <= _LOG_MAX_M:
+        return np.fromiter(map(ctx.log, nonzero), dtype=np.int64, count=len(nonzero))
+    return nonzero
+
+
+def _syndromes(ctx, nonzero, js):
+    """Yield p_j over the nonzero support (see `_nonzero`) for each j in js,
+    lazily so a scan can stop at the first nonzero one."""
+    if ctx.m <= _LOG_MAX_M:
         n, exp = ctx.n, ctx.exp_array()
-        logs = np.array([ctx.log(x) for x in elems], dtype=np.int64)
         for j in js:
-            yield int(np.bitwise_xor.reduce(exp[(logs * j) % n]))
+            yield int(np.bitwise_xor.reduce(exp[(nonzero * j) % n]))
         return
     for j in js:
         acc = 0
-        for x in elems:
+        for x in nonzero:
             acc ^= ctx.pow(x, j)
         yield acc
 
@@ -63,75 +96,183 @@ def power_sums(cw, j_max: int) -> list[int]:
     support."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    elems = [x for x in cw.elems if x]
-    if not elems:
+    nonzero = _nonzero(cw.ctx, cw.elems)
+    if not len(nonzero):
         return [0] * j_max
-    return list(_syndromes(cw.ctx, elems, range(1, j_max + 1)))
+    return list(_syndromes(cw.ctx, nonzero, range(1, j_max + 1)))
 
 
-def _coset_reps(n: int, j_limit: int) -> list[int]:
+def _coset_reps(n: int, j_limit: int) -> tuple[list[int], int]:
     """Smallest odd member <= j_limit of each 2-cyclotomic coset mod n that
-    meets [1, j_limit]."""
+    meets [1, j_limit], and the dimension k = n - (size of those cosets) of
+    the cyclic code they are the zeros of."""
     reps = []
+    k = n
     visited = bytearray(j_limit + 1)
     for j in range(1, j_limit + 1, 2):
         if visited[j]:
             continue
         reps.append(j)
+        k -= 1
         t = (j << 1) % n
         while t != j:
             if t <= j_limit and t & 1:
                 visited[t] = 1
             t = (t << 1) % n
-    return reps
+            k -= 1
+    return reps, k
 
 
-def _first_failing_odd_syndrome(ctx, elems, j_limit: int) -> tuple[int, int] | None:
+@lru_cache(maxsize=512)
+def _coset_counts(n: int, j_limit: int) -> tuple[int, int]:
+    """(number of coset representatives, code dimension k) for the cost
+    rule; two ints per key, so a stream of claims keeps it small."""
+    reps, k = _coset_reps(n, j_limit)
+    return len(reps), k
+
+
+def _pick_route(ctx, j_limit: int, size: int) -> str:
+    """The cheaper route past p_1, from (n, L, |S|) alone; with L < 3
+    there is nothing past p_1, and without logs no check route."""
+    if ctx.m > _LOG_MAX_M or j_limit < 3:
+        return "scan"
+    reps, k = _coset_counts(ctx.n, j_limit)
+    scan_ns = (reps - 1) * size * _SCAN_NS_PER_GATHER
+    check_ns = k / 2 * -(-ctx.n // 64) * _CHECK_NS_PER_WORD
+    return "check" if check_ns < scan_ns else "scan"
+
+
+def _scan(ctx, nonzero, js) -> tuple[int, int] | None:
+    """First (j, p_j) with p_j != 0 over js, or None."""
+    return next(((j, pj) for j, pj in zip(js, _syndromes(ctx, nonzero, js)) if pj), None)
+
+
+def _scan_route(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
     """First (in class-reduced ascending scan) odd j <= j_limit with
-    p_j != 0, or None.
+    p_j != 0, or None: p_1, then the other coset representatives.
 
     p_(2j mod n) = p_j^2, so the whole range vanishes iff one odd
     representative per 2-cyclotomic coset does.
     """
-    elems = [x for x in elems if x]
-    if not elems or j_limit < 1:
+    return _scan(ctx, nonzero, (1,)) or _scan(ctx, nonzero, _coset_reps(ctx.n, j_limit)[0][1:])
+
+
+def _min_poly(ctx, r: int) -> int:
+    """Minimal polynomial over GF(2) of beta = alpha^r, packed (bit t is the
+    coefficient of X^t): the first GF(2)-relation among 1, beta, beta^2, ...
+    found by eliminating the powers as m-bit vectors."""
+    rows = []  # (vector, combination of powers), leading bits distinct, descending
+    for t in count():
+        v, comb = ctx.exp(r * t), 1 << t
+        for pv, pc in rows:
+            if v ^ pv < v:  # the leading bit of pv is set in v
+                v, comb = v ^ pv, comb ^ pc
+        if v == 0:
+            return comb
+        rows.append((v, comb))
+        rows.sort(reverse=True)
+
+
+def _clmul(a: int, b: int) -> int:
+    """Product of two GF(2) polynomials packed into ints (a local copy, so
+    the verifier uses no field internals beyond the public GF2m methods)."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+def _kept_coset_minima(m: int, j_limit: int) -> list[int]:
+    """Minimum of each nonzero 2-cyclotomic coset mod 2^m - 1 whose minimum
+    exceeds j_limit.  The minima are found first, over blocks of the odd j
+    in (j_limit, n), so conjugates are only formed for the kept cosets."""
+    n = (1 << m) - 1
+    kept = []
+    block = 1 << 16
+    for lo in range(j_limit + 1 | 1, n, 2 * block):
+        j = np.arange(lo, min(lo + 2 * block, n), 2, dtype=np.int32)
+        low = j.copy()
+        cur = j
+        for _ in range(m - 1):
+            cur = ((cur << 1) | (cur >> (m - 1))) & n  # 2j mod n
+            np.minimum(low, cur, out=low)
+        kept += j[low == j].tolist()
+    return kept
+
+
+@lru_cache(maxsize=256)
+def _check_poly(ctx, j_limit: int) -> int:
+    """The check polynomial h(X) = (X + 1) * prod M_r(X) over the cosets
+    whose minimum exceeds j_limit, packed; derived from the field and
+    j_limit alone."""
+    h = 0b11
+    for r in _kept_coset_minima(ctx.m, j_limit):
+        h = _clmul(h, _min_poly(ctx, r))
+    return h
+
+
+def _in_code(ctx, nonzero, j_limit: int) -> bool:
+    """c(X) h(X) = 0 mod X^n - 1 for c(X) = sum of X^log(x)."""
+    n = ctx.n
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[nonzero] = 1
+    c = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    acc = 0
+    for t, bit in enumerate(bin(_check_poly(ctx, j_limit))[:1:-1]):
+        if bit == "1":
+            acc ^= c << t
+    return acc & ((1 << n) - 1) == acc >> n
+
+
+def _check_route(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
+    """p_1, then the check polynomial; a rejected support goes through the
+    scan, which names its first failing syndrome."""
+    if _scan(ctx, nonzero, (1,)) is None and _in_code(ctx, nonzero, j_limit):
         return None
-    reps = _coset_reps(ctx.n, j_limit)
-    for j, pj in zip(reps, _syndromes(ctx, elems, reps)):
-        if pj:
-            return (j, pj)
-    return None
+    fail = _scan_route(ctx, nonzero, j_limit)
+    if fail is None:
+        raise RuntimeError("check polynomial and syndrome scan disagree")
+    return fail
 
 
-def _membership(cw) -> tuple[bool, tuple[int, int] | None]:
-    d = cw.claimed_distance
-    if d < 2:
-        raise ValueError(f"claimed distance must be >= 2, got {d}")
+_ROUTES = {"scan": _scan_route, "check": _check_route}
+
+
+def _membership(cw) -> tuple[bool, tuple[int, int] | None, str]:
+    ctx, d = cw.ctx, cw.claimed_distance
+    if not 2 <= d <= ctx.n + 1:
+        raise ValueError(f"claimed distance must be in 2..{ctx.n + 1}, got {d}")
     if cw.extended:
         if d % 2:
             raise BadDistanceParity(f"extended claim needs even d, got {d}")
-        if len(cw.elems) % 2:
-            return False, None
-        fail = _first_failing_odd_syndrome(cw.ctx, cw.elems, d - 2)
+        refused = len(cw.elems) % 2 == 1
+        j_limit = d - 2
     else:
         if d % 2 == 0:
             raise BadDistanceParity(f"punctured claim needs odd d, got {d}")
-        if 0 in cw.elems:
-            return False, None
-        fail = _first_failing_odd_syndrome(cw.ctx, cw.elems, d - 1)
-    return fail is None, fail
+        refused = 0 in cw.elems
+        j_limit = d - 1
+    nonzero = _nonzero(ctx, cw.elems)
+    route = _pick_route(ctx, j_limit, len(nonzero))
+    if refused:
+        return False, None, route
+    fail = _ROUTES[route](ctx, nonzero, j_limit) if len(nonzero) and j_limit else None
+    return fail is None, fail, route
 
 
 def is_member(cw) -> bool:
     """True iff the support lies in the claimed (extended) BCH code."""
-    member, _ = _membership(cw)
+    member, _, _ = _membership(cw)
     return member
 
 
 def is_min_weight(cw) -> Verdict:
     """Certify the support as a minimum-weight codeword: membership plus
     weight exactly equal to the claimed designed distance."""
-    member, fail = _membership(cw)
+    member, fail, route = _membership(cw)
     weight = len(cw.elems)
     return Verdict(
         member=member,
@@ -139,4 +280,5 @@ def is_min_weight(cw) -> Verdict:
         claimed_distance=cw.claimed_distance,
         is_min_weight=member and weight == cw.claimed_distance,
         failing_syndrome=fail,
+        route=route,
     )

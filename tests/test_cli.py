@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchmin import cli, solvers
 from bchmin.cli import (
@@ -143,6 +147,19 @@ def test_seed_env_var(monkeypatch):
     assert args.seed == 777
 
 
+def test_seed_env_var_read_per_command(monkeypatch, capsys):
+    # main() keeps one parser; the variable is still read on every call
+    argv = ["generate", "--m", "9", "--i", "2", "--s", "3"]
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
+    _, first = _run(capsys, argv)
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "6")
+    _, second = _run(capsys, argv)
+    assert json.loads(first)["seed"] == 5 and json.loads(second)["seed"] == 6
+    monkeypatch.delenv(cli.SEED_ENV_VAR)
+    _, third = _run(capsys, argv)
+    assert json.loads(third)["seed"] == 0
+
+
 def test_parse_support_file_accepts_generated_forms():
     cw, meta = generate(9, 2, 2, seed=4)
     ctx = cw.ctx
@@ -151,6 +168,23 @@ def test_parse_support_file_accepts_generated_forms():
         assert back.elems == cw.elems
         assert back.claimed_distance == cw.claimed_distance
         assert back.extended == cw.extended
+
+
+def test_generate_i3heuristic_needs_m6(capsys):
+    for m in ("4", "5"):
+        code = cli.main(["generate", "--m", m, "--i", "3", "--method", "i3heuristic"])
+        captured = capsys.readouterr()
+        assert code == EXIT_UNCOVERED and captured.out == ""
+        assert captured.err.startswith("uncovered case")
+
+
+def test_generate_gold_distance_one_uncovered(capsys):
+    # d(8, 6, 1) = 1; one s lower the Gold route gives a verified d = 2 word
+    code = cli.main(["generate", "--m", "8", "--i", "1", "--method", "gold", "--s", "6"])
+    captured = capsys.readouterr()
+    assert code == EXIT_UNCOVERED and captured.err.startswith("uncovered case")
+    code, out = _run(capsys, ["generate", "--m", "8", "--i", "1", "--method", "gold", "--s", "5"])
+    assert code == EXIT_OK and json.loads(out)["d"] == 2
 
 
 def test_generate_refuses_bad_s(capsys):
@@ -216,6 +250,108 @@ def test_verify_rejects_unknown_spec_version(tmp_path, capsys):
     doc = _json_doc(8, 2, 3)
     doc["spec_version"] = 99
     _refused(tmp_path, capsys, json.dumps(doc))
+
+
+def test_verify_rejects_non_integer_fields(tmp_path, capsys):
+    # d and m are refused, not coerced with int()
+    doc = _json_doc(8, 2, 3)
+    assert doc["d"] == 12
+    for key, bad in (("d", 12.7), ("d", "12"), ("d", True), ("m", 8.0), ("m", "8")):
+        _refused(tmp_path, capsys, json.dumps({**doc, key: bad}))
+    cw, _ = generate(8, 2, 3, seed=0)
+    text = render_logsupport(cw.ctx, cw)
+    for bad in ("d=12.0", "d=+12", "d=1_2", "d=\u0661\u0662", "d=-12"):
+        _refused(tmp_path, capsys, text.replace("d=12", bad))
+    _refused(tmp_path, capsys, text.replace("m=8", "m=8.0"))
+
+
+def test_verify_rejects_unreadable_inputs(tmp_path, capsys):
+    doc = _json_doc(8, 2, 3)
+    for bad_poly in (None, [285], True, "8,4,3,2,10000000000"):
+        _refused(tmp_path, capsys, json.dumps({**doc, "poly": bad_poly}))
+    _refused(tmp_path, capsys, "{" + '"a":' + "[" * 100_000)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(doc).encode().replace(b'"m"', b'"\xe9"'))
+    assert cli.main(["verify", str(path)]) == EXIT_PARSE
+    # parses, but d > 2^m is no claim to verify (it once made verify hang)
+    path.write_text(json.dumps({**doc, "d": 258}))
+    assert cli.main(["verify", str(path)]) == EXIT_PARSE
+
+
+def test_verify_prints_the_route(tmp_path, capsys):
+    # the route depends on (n, L, |S|) only, so repeated calls print the same
+    code, out = _run(capsys, ["generate", "--m", "12", "--i", "4", "--s", "0"])
+    path = tmp_path / "d1920.json"
+    path.write_text(out)
+    outs = [_run(capsys, ["verify", str(path)]) for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0][0] == EXIT_OK
+    assert json.loads(outs[0][1])["route"] == "check"
+    code, out = _run(capsys, ["generate", "--m", "12", "--i", "4", "--s", "4"])
+    path.write_text(out)
+    code, out = _run(capsys, ["verify", str(path)])
+    assert code == EXIT_OK and json.loads(out)["route"] == "scan"
+
+
+# -- verify: fuzzed files ---------------------------------------------------------
+
+FUZZ_POLYS = ["0x43", "0x61", "6,1,0", "0x11d", 67, True, None, [1], "zz", "1,99999999999"]
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-2, 70), max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    cw, meta = generate(6, 2, 1, seed=0)  # d = 12
+    ctx = cw.ctx
+    texts = [render_json(ctx, cw, meta), render_logsupport(ctx, cw), cli.render_bits(ctx, cw)]
+    return texts, tmp_path_factory.mktemp("fuzz") / "support"
+
+
+@st.composite
+def _mutated(draw, texts):
+    text = draw(st.sampled_from(texts))
+    if text.startswith("{"):
+        doc = json.loads(text)
+        for _ in range(draw(st.integers(0, 2))):
+            key = draw(st.sampled_from(["m", "poly", "d", "extended", "support", "spec_version"]))
+            if key == "poly":
+                doc[key] = draw(st.sampled_from(FUZZ_POLYS))
+            elif key == "m":
+                doc[key] = draw(st.integers(-1, 40))
+            elif draw(st.booleans()) and doc["support"]:
+                doc["support"][draw(st.integers(0, len(doc["support"]) - 1))] = draw(FUZZ_VALUES)
+            else:
+                doc[key] = draw(FUZZ_VALUES)
+        text = json.dumps(doc)
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.sampled_from(b"0123456789abcdefx,-=.{}[]\" \n") | st.integers(0, 255))
+        if op == "insert":
+            data.insert(pos, byte)
+        elif pos < len(data):
+            if op == "replace":
+                data[pos] = byte
+            else:
+                del data[pos]
+    return bytes(data)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_fuzzed_files(fuzz_files, data):
+    texts, path = fuzz_files
+    path.write_bytes(data.draw(_mutated(texts)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", str(path)])
+    assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_PARSE)
 
 
 # -- pinned outputs and the solver registry -----------------------------------

@@ -62,6 +62,8 @@ def test_parse_poly_forms():
     assert parse_poly("0x11D") == 0x11D
     assert parse_poly("8,4,3,2,0") == 0x11D
     assert parse_poly(0x13) == 0x13
+    with pytest.raises(ValueError):  # refused before 1 << 10^10 is formed
+        parse_poly("8,4,3,2,10000000000")
 
 
 def test_default_polys_all_valid():

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from bchmin.construct import CodewordSupport
 from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
@@ -6,6 +10,11 @@ from bchmin.gf2m import default_field
 from bchmin.verify import (
     BadDistanceParity,
     BadRange,
+    _check_route,
+    _coset_counts,
+    _nonzero,
+    _pick_route,
+    _scan_route,
     designed_distance,
     is_member,
     is_min_weight,
@@ -152,3 +161,118 @@ def test_designed_distance_range_checks():
         designed_distance(8, 5, 2)  # s > m - 2i
     with pytest.raises(BadRange):
         designed_distance(8, -1, 2)
+
+
+# -- the two verifier routes ----------------------------------------------------
+
+# Bounds on the work of one example, so that both routes run on every
+# claim, including the route the cost rule would not pick.
+MAX_SCAN_GATHERS = 4_000_000
+MAX_CHECK_WORDS = 16_000_000
+
+
+def _span(basis) -> list[int]:
+    elems = [0]
+    for b in basis:
+        elems += [e ^ b for e in elems]
+    return elems
+
+
+def _subspace_member(ctx, r: int, extended: bool, rand) -> frozenset:
+    """A translate of a random r-dimensional GF(2)-subspace: a member of
+    eBCH(2^r); without its 0 the subspace itself is a member of BCH(2^r - 1)."""
+    basis = []
+    while len(basis) < r:
+        x = rand.getrandbits(ctx.m)
+        if x and len(set(_span(basis + [x]))) == 1 << (len(basis) + 1):
+            basis.append(x)
+    space = _span(basis)
+    if not extended:
+        return frozenset(space[1:])
+    a = rand.getrandbits(ctx.m)
+    return frozenset(a ^ v for v in space)
+
+
+def _outsider(ctx, elems, rand) -> int:
+    while True:
+        y = rand.getrandbits(ctx.m)
+        if y not in elems:
+            return y
+
+
+def _mutate(ctx, elems: frozenset, kind: str, rand) -> frozenset:
+    if kind == "swap":
+        x = rand.choice(sorted(elems))
+        return (elems - {x}) | {_outsider(ctx, elems, rand)}
+    if kind == "add":
+        return elems | {_outsider(ctx, elems, rand)}
+    if kind == "remove":
+        return elems - {rand.choice(sorted(elems))}
+    if kind == "add0":
+        return elems | {0}
+    if kind == "p1swap":  # two swaps keeping p_1 = x + y, so p_1 alone passes
+        while True:
+            x, y = rand.sample(sorted(elems - {0}), 2)
+            x2 = _outsider(ctx, elems, rand)
+            y2 = x ^ y ^ x2
+            if 0 not in (x2, y2) and x2 != y2 and y2 not in elems:
+                return (elems - {x, y}) | {x2, y2}
+    if kind == "random":
+        return frozenset(rand.sample(range(1 << ctx.m), len(elems)))
+    return elems
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_routes_agree(data):
+    # Both routes on the same claim: same member, same first failing
+    # syndrome; on members, on swap / add / remove / add-0 mutants and on
+    # mutants that pass p_1, so the check polynomial decides.
+    m = data.draw(st.integers(4, 16), label="m")
+    extended = data.draw(st.booleans(), label="extended")
+    r = data.draw(st.integers(2, m - 1), label="r")
+    kind = data.draw(st.sampled_from(["none", "swap", "add", "remove", "add0", "p1swap", "random"]))
+    rand = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    ctx = default_field(m)
+    j_limit = (1 << r) - 2
+    reps, k = _coset_counts(ctx.n, j_limit)
+    assume(reps << r <= MAX_SCAN_GATHERS and k * -(-ctx.n // 64) <= MAX_CHECK_WORDS)
+    elems = _mutate(ctx, _subspace_member(ctx, r, extended, rand), kind, rand)
+    nonzero = _nonzero(ctx, elems)
+    event(_pick_route(ctx, j_limit, len(nonzero)))
+    scanned = _scan_route(ctx, nonzero, j_limit)
+    assert _check_route(ctx, nonzero, j_limit) == scanned
+    if kind in ("none", "add0"):
+        assert scanned is None
+
+
+def test_route_pick_follows_cost():
+    # m = 16 extended claims of d(16, s, 2): the check route below the
+    # crossover at s = 2 / 3, the scan above it and for small d
+    ctx = default_field(16)
+    for s, route in ((0, "check"), (2, "check"), (3, "scan"), (12, "scan")):
+        d = designed_distance(16, s, 2)
+        assert _pick_route(ctx, d - 2, d) == route
+    assert _pick_route(default_field(25), (1 << 20) - 2, 1 << 20) == "scan"  # no logs
+
+
+def test_verdict_names_the_route():
+    ctx = default_field(12)
+    space = frozenset(_subspace_member(ctx, 10, True, rng(3)))
+    big = is_min_weight(CodewordSupport(ctx, space, 1 << 10, True))
+    assert big.is_min_weight and big.route == "check"
+    small = is_min_weight(CodewordSupport(ctx, frozenset(_span([1, 2, 4])), 8, True))
+    assert small.is_min_weight and small.route == "scan"
+    # a rejection through the check route still names the first failing
+    # syndrome the scan finds
+    bad = _mutate(ctx, space, "swap", rng(5))
+    verdict = is_min_weight(CodewordSupport(ctx, bad, 1 << 10, True))
+    assert verdict.route == "check" and not verdict.member
+    assert verdict.failing_syndrome == _scan_route(ctx, _nonzero(ctx, bad), (1 << 10) - 2)
+
+
+def test_claimed_distance_beyond_length_refused(gf16):
+    # j_limit >= n once made the coset walk loop forever
+    with pytest.raises(ValueError):
+        is_member(CodewordSupport(gf16, frozenset({1, 2}), 18, extended=True))
+    assert is_member(CodewordSupport(gf16, frozenset(range(16)), 16, extended=True))
