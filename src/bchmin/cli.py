@@ -17,7 +17,7 @@ import sys
 from . import construct, gflinalg, solvers, verify
 from .construct import CodewordSupport
 from .fixtures import BCH23_FIXTURE, BCH27_FIXTURES
-from .gf2m import default_field, parse_poly
+from .gf2m import UnsupportedDegree, default_field, parse_poly
 
 SPEC_VERSION = 1
 SEED_ENV_VAR = "BCHMIN_SEED"
@@ -34,7 +34,7 @@ class UncoveredCase(ValueError):
 
 
 class ParseError(ValueError):
-    """Unreadable support file."""
+    """Unreadable support file or field modulus."""
 
 
 # -- serialization -----------------------------------------------------------
@@ -175,8 +175,14 @@ def generate(
     max_retries: int | None = None,
 ) -> tuple[CodewordSupport, dict]:
     """Produce a verified support plus metadata; the support is refused
-    (AssertionError) if self-verification fails."""
-    ctx = default_field(m, parse_poly(poly) if poly is not None else None)
+    (RuntimeError) if self-verification fails.  An m outside 2..32 raises
+    UncoveredCase, a bad poly ParseError."""
+    try:
+        ctx = default_field(m, parse_poly(poly) if poly is not None else None)
+    except UnsupportedDegree as exc:
+        raise UncoveredCase(str(exc)) from exc
+    except ValueError as exc:  # unparsable, wrong degree, not primitive
+        raise ParseError(f"bad --poly {poly!r}: {exc}") from exc
 
     if method == "gold":
         cw = construct.gold_support(ctx, i)
@@ -258,6 +264,9 @@ def _cmd_generate(args) -> int:
     except solvers.RetriesExhausted as exc:
         print(f"solver exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except ParseError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_PARSE
 
     ctx = cw.ctx
     if args.format == "json":

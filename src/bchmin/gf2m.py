@@ -404,7 +404,13 @@ class GF2m:
         return self._log_np
 
 
-@lru_cache(maxsize=None)
 def default_field(m: int, poly: int | None = None) -> GF2m:
-    """Shared GF2m instances; fields are immutable so caching is safe."""
+    """Shared GF2m instances, one per (m, modulus); fields are immutable so
+    caching is safe.  poly=None stands for the built-in modulus and shares
+    its field."""
+    return _field(m, _DEFAULT_POLYS.get(m) if poly is None else poly)
+
+
+@lru_cache(maxsize=None)
+def _field(m: int, poly: int | None) -> GF2m:
     return GF2m(m, poly)

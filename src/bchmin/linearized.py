@@ -1,6 +1,6 @@
 """Linearized polynomials as GF(2)-linear maps on GF(2^m): annihilators of
-subspaces via Moore systems, image polynomials via symbolic division,
-kernels, and the quartic trick for affine cubics.
+subspaces by the recursion A <- A^2 + A(v) * A, image polynomials as
+annihilators of images, kernels, and the quartic trick for affine cubics.
 """
 
 from __future__ import annotations
@@ -51,42 +51,26 @@ def lin_eval(poly: LinearizedPoly, x: int) -> int:
     return acc
 
 
-def _field_solve(ctx, matrix: list[list[int]], rhs: list[int]) -> list[int]:
-    """Gaussian elimination for a square system over GF(2^m)."""
-    s = len(matrix)
-    aug = [matrix[r][:] + [rhs[r]] for r in range(s)]
-    for col in range(s):
-        piv = next((r for r in range(col, s) if aug[r][col]), None)
-        if piv is None:
-            raise DependentGenerators("singular Moore system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ctx.inv(aug[col][col])
-        aug[col] = [ctx.mul(inv, v) for v in aug[col]]
-        for r in range(s):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [aug[r][j] ^ ctx.mul(f, aug[col][j]) for j in range(s + 1)]
-    return [aug[r][s] for r in range(s)]
-
-
 def annihilator(ctx, gens: Sequence[int]) -> LinearizedPoly:
     """The monic linearized polynomial A(X) = X^(2^s) + a_{s-1} X^(2^(s-1))
     + ... + a_0 X vanishing exactly on span(gens), s = len(gens).
 
-    The coefficients solve the Moore system whose rows are
-    (g, g^2, ..., g^(2^(s-1))) with right-hand side g^(2^s); the Moore
-    matrix is invertible exactly when the generators are independent.
+    Built one generator at a time from A = X: A_V^2 + A_V(v) * A_V vanishes
+    on V and on V + v (Lidl & Niederreiter, Finite Fields, 3.4), so it is
+    A_{V + <v>}.  A_V(v) = 0 exactly when v lies in V, which refuses
+    dependent generators on the way.
     """
-    gens = list(gens)
-    if not gflinalg.independent(ctx, gens):
-        raise DependentGenerators("annihilator generators are dependent")
-    s = len(gens)
-    if s == 0:
-        return LinearizedPoly(ctx, (1,))
-    matrix = [[ctx.pow(g, 1 << j) for j in range(s)] for g in gens]
-    rhs = [ctx.pow(g, 1 << s) for g in gens]
-    low = _field_solve(ctx, matrix, rhs)
-    return LinearizedPoly(ctx, tuple(low) + (1,))
+    coeffs = (1,)
+    for v in gens:
+        w = lin_eval(LinearizedPoly(ctx, coeffs), v)
+        if w == 0:
+            raise DependentGenerators("annihilator generators are dependent")
+        # a'_j = a_{j-1}^2 + w * a_j
+        coeffs = tuple(
+            ctx.mul(hi, hi) ^ ctx.mul(w, lo)
+            for lo, hi in zip(coeffs + (0,), (0,) + coeffs)
+        )
+    return LinearizedPoly(ctx, coeffs)
 
 
 def matrix_cols(poly: LinearizedPoly) -> list[int]:
@@ -103,36 +87,15 @@ def image_poly(ctx, U_basis: Sequence[int]) -> LinearizedPoly:
     """The unique monic linearized polynomial B of degree 2^(m-k) whose
     image is span(U_basis), k = len(U_basis).
 
-    B is the right factor in the symbolic factorization
-    A_U(B(X)) = X^(2^m) + X, where A_U is the annihilator of span(U_basis);
-    the composition equations are triangular in B's coefficients and are
-    solved by descending degree, each step taking one 2^(-k)-th root.
+    B is the right factor in A_U(B(X)) = X^(2^m) + X, where A_U is the
+    annihilator of span(U_basis).  X^(2^m) + X is central in the composition
+    ring, which has no zero divisors, so also B(A_U(X)) = X^(2^m) + X: B is
+    the annihilator of the (m-k)-dimensional image of A_U.
     """
-    m = ctx.m
-    k = len(U_basis)
-    if k == 0:
-        # the zero map: X^(2^m) + X kills everything
-        return LinearizedPoly(ctx, (1,) + (0,) * (m - 1) + (1,))
-    a = annihilator(ctx, U_basis).coeffs  # a[0..k], a[k] = 1
-    r = m - k
-    b = [0] * (r + 1)
-    b[r] = 1
-    for t in range(m - 1, k - 1, -1):
-        acc = 0
-        for i in range(k):
-            j = t - i
-            if 0 <= j <= r and a[i] and b[j]:
-                acc ^= ctx.mul(a[i], ctx.pow(b[j], 1 << i))
-        b[t - k] = ctx.frobenius(acc, -k)
-    # the remaining composition coefficients must come out as X^(2^m) + X
-    for t in range(k):
-        acc = 0
-        for i in range(k + 1):
-            j = t - i
-            if 0 <= j <= r and a[i] and b[j]:
-                acc ^= ctx.mul(a[i], ctx.pow(b[j], 1 << i))
-        assert acc == (1 if t == 0 else 0), "image polynomial division failed"
-    return LinearizedPoly(ctx, tuple(b))
+    cols = matrix_cols(annihilator(ctx, U_basis))
+    image = gflinalg.LinearMap(cols, ctx.m).image
+    assert len(image) == ctx.m - len(U_basis)
+    return annihilator(ctx, image)
 
 
 def affine_cubic_roots(ctx, c1: int, c2: int) -> set[int]:

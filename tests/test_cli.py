@@ -187,6 +187,22 @@ def test_generate_gold_distance_one_uncovered(capsys):
     assert code == EXIT_OK and json.loads(out)["d"] == 2
 
 
+def test_generate_unsupported_degree_uncovered(capsys):
+    for m in ("40", "1"):
+        code = cli.main(["generate", "--m", m, "--i", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_UNCOVERED and captured.out == ""
+        assert captured.err.startswith("uncovered case")
+
+
+def test_generate_bad_poly_refused(capsys):
+    # not primitive, reducible, wrong degree, not a polynomial
+    for poly in ("0x11b", "0x101", "0x13", "zz"):
+        code = cli.main(["generate", "--m", "8", "--i", "2", "--poly", poly])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == "" and poly in captured.err
+
+
 def test_generate_refuses_bad_s(capsys):
     code, _ = _run(capsys, ["generate", "--m", "8", "--i", "3", "--s", "9"])
     assert code == EXIT_UNCOVERED

@@ -72,6 +72,15 @@ def test_default_polys_all_valid():
         assert ctx.m == m
 
 
+def test_default_field_one_object_per_field():
+    # None names the built-in modulus, so both spellings share one set of tables
+    assert default_field(8) is default_field(8, 0x11D)
+    assert default_field(8, 0x12B) is not default_field(8)
+    for m in (1, 33):
+        with pytest.raises(UnsupportedDegree):
+            default_field(m)
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 

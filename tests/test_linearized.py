@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchmin import gflinalg
 from bchmin.construct import CodewordSupport, up_convert
@@ -12,6 +14,7 @@ from bchmin.linearized import (
     image_poly,
     lin_eval,
     lin_kernel,
+    matrix_cols,
 )
 from bchmin.solvers import f_j
 
@@ -153,6 +156,51 @@ def test_image_map_preimage_of_image_identity(gf256):
 def test_image_map_rejects_dependent(gf256):
     with pytest.raises(DependentGenerators):
         image_poly(gf256, [3, 5, 6])
+
+
+# -- defining properties, across field sizes ------------------------------------------
+
+
+def _compose(ctx, a, b):
+    """Coefficients of A(B(X)) = sum_i a_i * (sum_j b_j X^(2^j))^(2^i)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] ^= ctx.mul(ai, ctx.frobenius(bj, i))
+    return out
+
+
+@pytest.mark.parametrize("m", [*range(2, 17), 29])  # m = 29 has no log tables
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_subspace_polynomials(m, data):
+    ctx = default_field(m)
+    r = rng(data.draw(st.integers(0, 2**32 - 1)))
+    gens = _random_independent(ctx, data.draw(st.integers(0, m)), r)
+    s = len(gens)
+
+    ann = annihilator(ctx, gens)
+    assert ann.is_monic and ann.q_degree == s
+    assert all(lin_eval(ann, g) == 0 for g in gens)
+    assert len(lin_kernel(ann)) == s
+
+    bad = [0]
+    if s >= 1:
+        bad.append(r.choice(gens))  # repeated
+    if s >= 2:
+        bad.append(gens[0] ^ gens[-1] ^ r.choice(gens[1:-1] + [0]))  # summed
+    for extra in bad:
+        dependent = gens + [extra]
+        r.shuffle(dependent)
+        with pytest.raises(DependentGenerators):
+            annihilator(ctx, dependent)
+
+    bpoly = image_poly(ctx, gens)
+    assert bpoly.is_monic and bpoly.q_degree == m - s
+    cols = matrix_cols(bpoly)  # they span the image of B, which is span(gens)
+    assert gflinalg.rank(cols, m) == s and gflinalg.rank(cols + gens, m) == s
+    # A_U(B(X)) = X^(2^m) + X
+    assert _compose(ctx, ann.coeffs, bpoly.coeffs) == [1] + [0] * (m - 1) + [1]
 
 
 # -- affine cubics ------------------------------------------------------------------
