@@ -14,6 +14,8 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from . import construct, gflinalg, solvers, verify
 from .construct import CodewordSupport
 from .fixtures import BCH23_FIXTURE, BCH27_FIXTURES
@@ -48,8 +50,11 @@ def _elem_out(ctx, x: int):
 
 
 def _sorted_out(ctx, elems) -> list:
+    """The support as `_elem_out` writes it, sorted: the logs come from one
+    gather, with -1 (the zero element) first."""
     if ctx.m <= 24:
-        return sorted(_elem_out(ctx, x) for x in elems)
+        logs = np.sort(ctx.log_array()[[x for x in elems if x]]).tolist()
+        return [-1] + logs if 0 in elems else logs
     return [hex(x) for x in sorted(elems)]
 
 
@@ -93,7 +98,11 @@ def _elements(ctx, entries: list) -> frozenset:
         if not -1 <= min(entries) <= max(entries) < n:
             bad = next(v for v in entries if not -1 <= v < n)
             raise ParseError(f"discrete log {bad} is outside -1..{n - 1}")
-        elems = frozenset(0 if v == -1 else ctx.exp(v) for v in entries)
+        if ctx.m <= 24:
+            logs = np.array(entries, dtype=np.int64)
+            elems = frozenset(np.where(logs < 0, 0, ctx.exp_array()[logs]).tolist())
+        else:
+            elems = frozenset(0 if v == -1 else ctx.exp(v) for v in entries)
     else:
         elems = frozenset(int(v, 16) for v in entries)
         if elems and not 0 <= min(elems) <= max(elems) <= n:

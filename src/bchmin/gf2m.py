@@ -189,10 +189,12 @@ class GF2m:
         self.n = (1 << m) - 1
         self.alpha = 2
         self._mask = self.n
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._exp_np = None
-        self._log_np = None
+        # uint32 arrays, and the views scalar arithmetic indexes (lists for
+        # m <= 16, zero-copy memoryviews above); all built together.
+        self._exp_arr: np.ndarray | None = None
+        self._log_arr: np.ndarray | None = None
+        self._exp = None
+        self._log = None
 
         for p in _factorize(self.n):
             if self._pow_nontable(2, self.n // p) == 1:
@@ -358,19 +360,39 @@ class GF2m:
         return elems, gen
 
     def _build_tables(self) -> None:
-        n, m, poly = self.n, self.m, self.poly
-        exp = [0] * n
-        log = [0] * (n + 1)
-        cur = 1
-        for k in range(n):
-            exp[k] = cur
-            log[cur] = k
-            cur <<= 1
-            if cur >> m:
-                cur ^= poly
-        assert cur == 1  # alpha has order n
-        self._exp = exp
-        self._log = log
+        """exp[k] = alpha^k for k < n, filled by doubling: x -> c*x with
+        c = alpha^size is GF(2)-linear, so each doubling XORs one gather
+        per byte of x from a 256-entry table of c times that byte.  Then
+        log[exp] = arange(n); log[0] is unused."""
+        n, m = self.n, self.m
+        exp = np.empty(n, dtype=np.uint32)
+        exp[0] = 1
+        size = 1
+        while size < n:
+            top = min(size, n - size)
+            src, out = exp[:top], exp[size:size + top]
+            out.fill(0)
+            img = self._reduce(int(exp[size - 1]) << 1)  # c = alpha^size
+            for shift in range(0, m, 8):
+                # tab[v] = c * (v << shift); img runs through c * alpha^k
+                tab = np.zeros(1, dtype=np.uint32)
+                for _ in range(shift, min(shift + 8, m)):
+                    tab = np.concatenate((tab, tab ^ img))
+                    img = self._reduce(img << 1)
+                byte = src >> shift
+                if shift + 8 < m:
+                    byte &= 0xFF
+                out ^= tab[byte]
+            size += top
+        log = np.zeros(n + 1, dtype=np.uint32)
+        log[exp] = np.arange(n, dtype=np.uint32)
+        # exp is a bijection onto 1..n, i.e. alpha has order n
+        assert np.array_equal(exp[log[1:]], np.arange(1, n + 1, dtype=np.uint32))
+        self._exp_arr, self._log_arr = exp, log
+        if m <= _EAGER_TABLE_MAX_M:
+            self._exp, self._log = exp.tolist(), log.tolist()
+        else:
+            self._exp, self._log = memoryview(exp), memoryview(log)
 
     def _ensure_tables(self) -> None:
         if self._log is None:
@@ -390,18 +412,16 @@ class GF2m:
         return self.pow(self.alpha, e)
 
     def exp_array(self) -> np.ndarray:
-        """Antilog table as an int32 numpy array (m <= 24)."""
+        """Antilog table as a uint32 numpy array (m <= 24); the stored
+        table, not a copy."""
         self._ensure_tables()
-        if self._exp_np is None:
-            self._exp_np = np.array(self._exp, dtype=np.int32)
-        return self._exp_np
+        return self._exp_arr
 
     def log_array(self) -> np.ndarray:
-        """Log table as an int32 numpy array; entry 0 is unused."""
+        """Log table as a uint32 numpy array (m <= 24); entry 0 is unused.
+        The stored table, not a copy."""
         self._ensure_tables()
-        if self._log_np is None:
-            self._log_np = np.array(self._log, dtype=np.int32)
-        return self._log_np
+        return self._log_arr
 
 
 def default_field(m: int, poly: int | None = None) -> GF2m:

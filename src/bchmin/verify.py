@@ -67,12 +67,11 @@ def designed_distance(m: int, s: int, i: int) -> int:
 def _nonzero(ctx, elems):
     """The nonzero support in the form `_syndromes` takes: discrete logs as
     an int64 array where log tables exist, else a list of the elements.
-    The logs are taken once per claim and shared by both routes.  They are
-    looked up one by one: a numpy copy of the log table would cost 2-3 s
-    and 64 MB at m = 24, paid by the first claim of each field."""
+    The logs are taken once per claim, in one gather from the log table,
+    and shared by both routes."""
     nonzero = [x for x in elems if x]
     if ctx.m <= _LOG_MAX_M:
-        return np.fromiter(map(ctx.log, nonzero), dtype=np.int64, count=len(nonzero))
+        return ctx.log_array()[nonzero].astype(np.int64)
     return nonzero
 
 

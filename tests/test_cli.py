@@ -163,11 +163,13 @@ def test_seed_env_var_read_per_command(monkeypatch, capsys):
 def test_parse_support_file_accepts_generated_forms():
     cw, meta = generate(9, 2, 2, seed=4)
     ctx = cw.ctx
-    for text in (render_json(ctx, cw, meta), render_logsupport(ctx, cw)):
-        back = parse_support_file(text)
-        assert back.elems == cw.elems
-        assert back.claimed_distance == cw.claimed_distance
-        assert back.extended == cw.extended
+    # with and without the zero element, which is written as the log -1
+    for shown in (cw, type(cw)(ctx, cw.elems ^ {0}, cw.claimed_distance, cw.extended)):
+        for text in (render_json(ctx, shown, meta), render_logsupport(ctx, shown)):
+            back = parse_support_file(text)
+            assert back.elems == shown.elems
+            assert back.claimed_distance == cw.claimed_distance
+            assert back.extended == cw.extended
 
 
 def test_generate_i3heuristic_needs_m6(capsys):

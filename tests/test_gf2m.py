@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bchmin
 from bchmin.gf2m import (
+    _DEFAULT_POLYS,
     BadTowerDegrees,
     GF2m,
     NonPrimitiveAlpha,
@@ -329,3 +338,91 @@ def test_log_unsupported_for_large_m():
     ctx = GF2m(25)
     with pytest.raises(Unsupported):
         ctx.log(3)
+
+
+# -- table layout ----------------------------------------------------------------
+
+
+def _reference_tables(m: int, poly: int) -> tuple[list[int], list[int]]:
+    """exp and log by the one-step walk cur -> cur * alpha."""
+    n = (1 << m) - 1
+    exp, log = [0] * n, [0] * (n + 1)
+    cur = 1
+    for k in range(n):
+        exp[k], log[cur] = cur, k
+        cur <<= 1
+        if cur >> m:
+            cur ^= poly
+    return exp, log
+
+
+@pytest.mark.parametrize(
+    "m, poly",
+    [(m, _DEFAULT_POLYS[m]) for m in range(2, 21)] + [(8, 0x12B), (13, 0x2027), (17, 0x2000F)],
+)
+def test_tables_match_reference_walk(m, poly):
+    ctx = GF2m(m, poly)
+    exp, log = _reference_tables(m, poly)
+    assert ctx.exp_array().tolist() == exp
+    assert ctx.log_array()[1:].tolist() == log[1:]
+
+
+@pytest.mark.parametrize("m", [8, 17])
+def test_table_arrays_are_stored_uint32(m):
+    ctx = default_field(m)
+    assert ctx.exp_array() is ctx.exp_array()
+    assert ctx.log_array() is ctx.log_array()
+    assert ctx.exp_array().dtype == np.uint32 and ctx.log_array().dtype == np.uint32
+    assert len(ctx.exp_array()) == ctx.n and len(ctx.log_array()) == ctx.n + 1
+
+
+@pytest.mark.parametrize("m", [8, 16, 17, 20])
+def test_scalar_results_are_python_ints(m):
+    ctx = default_field(m)
+    x = ctx.exp(ctx.n // 3 + 5)
+    for value in (ctx.log(x), ctx.mul(x, 3), ctx.inv(x), ctx.pow(x, 7), ctx.exp(11)):
+        assert type(value) is int
+
+
+@pytest.mark.parametrize("m", [17, 20])
+def test_memoryview_path_matches_polynomial_arithmetic(m):
+    from bchmin.gf2m import _clmul
+
+    ctx = default_field(m)
+    ctx.log(1)  # build the tables; m > 16 builds them lazily
+    r = rng(m)
+    for _ in range(300):
+        a, b = random_nonzero(ctx, r), r.getrandbits(m)
+        e = r.randrange(-ctx.n, 2 * ctx.n)
+        assert ctx.mul(a, b) == ctx._reduce(_clmul(a, b))
+        assert ctx.inv(a) == ctx._pow_nontable(a, ctx.n - 1)
+        assert ctx._reduce(_clmul(a, ctx.inv(a))) == 1
+        assert ctx.pow(a, e) == ctx._pow_nontable(a, e % ctx.n)
+        assert ctx.exp(ctx.log(a)) == a
+
+
+# A fresh interpreter building the m = 24 tables: 2 x 64 MB of uint32 arrays
+# plus the temporaries of the log scatter and the bijection check (~333 MB
+# and ~1.5 s measured).  The Python-list tables took 1.38 GB and ~8 s.
+_M24_RSS_CEILING_MB = 600
+_M24_WALL_CEILING_S = 10.0
+_M24_CHILD = """
+import resource, sys
+from bchmin.gf2m import GF2m
+GF2m(24).log(3)
+kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(kib / 1024 if sys.platform != "darwin" else kib / 2**20)
+"""
+
+
+def test_m24_tables_memory_and_time_ceiling():
+    env = dict(os.environ, PYTHONPATH=str(Path(bchmin.__file__).resolve().parents[1]))
+    t0 = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", _M24_CHILD], env=env, capture_output=True, text=True, timeout=60
+    )
+    wall = time.perf_counter() - t0
+    assert child.returncode == 0, child.stderr
+    peak_mb = float(child.stdout)
+    assert peak_mb < _M24_RSS_CEILING_MB
+    assert wall < _M24_WALL_CEILING_S

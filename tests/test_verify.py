@@ -64,13 +64,13 @@ def test_power_sum_frobenius_conjugacy(gf256):
 
 def test_power_sums_match_direct_path():
     # the numpy table path (m <= 24) and the scalar path (m > 24) against a
-    # direct sum of powers
+    # direct sum of powers; at m = 20, log(x) * j passes 2^32 for j = 5000
     r = rng(23)
-    for m in (10, 25):
+    for m, js in ((10, (1, 7, 25)), (20, (1, 4099, 5000)), (25, (1, 7, 25))):
         ctx = default_field(m)
         elems = {x for x in (r.getrandbits(m) for _ in range(30)) if x}
-        p = power_sums(CodewordSupport(ctx, frozenset(elems), 6, True), 25)
-        for j in (1, 7, 25):
+        p = power_sums(CodewordSupport(ctx, frozenset(elems), 6, True), max(js))
+        for j in js:
             direct = 0
             for x in elems:
                 direct ^= ctx.pow(x, j)
