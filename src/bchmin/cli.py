@@ -12,7 +12,9 @@ import functools
 import json
 import os
 import random
+import re
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -43,8 +45,9 @@ class ParseError(ValueError):
 
 
 def _elem_out(ctx, x: int):
-    """Log index for m <= 24 (with -1 for the zero element), hex otherwise."""
-    if ctx.m <= 24:
+    """Log index when the field has log tables (with -1 for the zero
+    element), hex otherwise."""
+    if ctx.has_logs:
         return -1 if x == 0 else ctx.log(x)
     return hex(x)
 
@@ -52,7 +55,7 @@ def _elem_out(ctx, x: int):
 def _sorted_out(ctx, elems) -> list:
     """The support as `_elem_out` writes it, sorted: the logs come from one
     gather, with -1 (the zero element) first."""
-    if ctx.m <= 24:
+    if ctx.has_logs:
         logs = np.sort(ctx.log_array()[[x for x in elems if x]]).tolist()
         return [-1] + logs if 0 in elems else logs
     return [hex(x) for x in sorted(elems)]
@@ -73,7 +76,7 @@ def render_json(ctx, cw: CodewordSupport, meta: dict) -> str:
 
 
 def render_logsupport(ctx, cw: CodewordSupport) -> str:
-    # falls back to hex element values when no log table exists (m > 24)
+    # falls back to hex element values when the field has no log tables
     header = (
         f"m={ctx.m} poly={hex(ctx.poly)} d={cw.claimed_distance} "
         f"extended={1 if cw.extended else 0}"
@@ -89,22 +92,34 @@ def render_bits(ctx, cw: CodewordSupport) -> str:
     return header + "\n" + "\n".join(hex(x) for x in sorted(cw.elems)) + "\n"
 
 
-def _elements(ctx, entries: list) -> frozenset:
-    """Decode support entries, all discrete logs (ints, -1 for zero) or all
-    hex element values (strs).  Values outside the field and repeated
-    entries are refused, not repaired."""
+# The two forms of support entries, each matched once against all of a
+# file's entries with a comma after each: element values, "0x" and hex
+# digits (JSON strings), and discrete logs, decimal digits or -1 (JSON
+# integers).  Joining fails on a JSON value that is not a string, and a
+# JSON string holding a comma passes the match but fails int().
+_HEX_ENTRIES = re.compile(r"(?:0x[0-9a-fA-F]+,)*")
+_LOG_ENTRIES = re.compile(r"(?:[0-9]+,|-1,)*")
+
+
+def _elements(ctx, entries: list, logs: bool) -> frozenset:
+    """Decode support entries: discrete logs (ints, -1 for zero) if `logs`,
+    else hex element values ("0x" and hex digits, anything else refused).
+    Values outside the field and repeated entries are refused, not
+    repaired."""
     n = ctx.n
-    if entries and all(type(v) is int for v in entries):
+    if logs:
         if not -1 <= min(entries) <= max(entries) < n:
             bad = next(v for v in entries if not -1 <= v < n)
             raise ParseError(f"discrete log {bad} is outside -1..{n - 1}")
-        if ctx.m <= 24:
+        if ctx.has_logs:
             logs = np.array(entries, dtype=np.int64)
             elems = frozenset(np.where(logs < 0, 0, ctx.exp_array()[logs]).tolist())
         else:
             elems = frozenset(0 if v == -1 else ctx.exp(v) for v in entries)
     else:
-        elems = frozenset(int(v, 16) for v in entries)
+        if entries and not _HEX_ENTRIES.fullmatch(",".join(entries) + ","):
+            raise ParseError("support entries must be all 0x-hex values or all decimal logs")
+        elems = frozenset(map(int, entries, repeat(16)))
         if elems and not 0 <= min(elems) <= max(elems) <= n:
             bad = next(x for x in elems if not 0 <= x <= n)
             raise ParseError(f"element {hex(bad)} is outside GF(2^{ctx.m})")
@@ -146,7 +161,8 @@ def parse_support_file(text: str) -> CodewordSupport:
             if type(doc["poly"]) not in (int, str):
                 raise ParseError(f"poly must be a string or an integer, got {doc['poly']!r}")
             ctx = default_field(_json_int(doc, "m"), parse_poly(doc["poly"]))
-            elems = _elements(ctx, doc["support"])
+            support = doc["support"]
+            elems = _elements(ctx, support, bool(support) and all(type(v) is int for v in support))
             return CodewordSupport(ctx, elems, _json_int(doc, "d"), doc["extended"])
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad JSON support file: {exc}") from exc
@@ -154,11 +170,11 @@ def parse_support_file(text: str) -> CodewordSupport:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         fields = dict(part.split("=", 1) for part in lines[0].split())
         ctx = default_field(_text_int(fields, "m"), parse_poly(fields["poly"]))
-        body = [v.strip() for ln in lines[1:] for v in ln.split(",") if v.strip()]
+        body = [e for ln in lines[1:] for v in ln.split(",") if (e := v.strip())]
         if not body or fields["extended"] not in ("0", "1"):
             raise ParseError("need support entries and extended=0 or 1")
-        hexes = body[0].lower().startswith("0x")
-        elems = _elements(ctx, body if hexes else [int(v) for v in body])
+        logs = _LOG_ENTRIES.fullmatch(",".join(body) + ",") is not None
+        elems = _elements(ctx, list(map(int, body)) if logs else body, logs)
         return CodewordSupport(ctx, elems, _text_int(fields, "d"), fields["extended"] == "1")
     except (KeyError, ValueError, IndexError) as exc:
         raise ParseError(f"bad log-support file: {exc}") from exc

@@ -78,8 +78,7 @@ _DEFAULT_POLYS = {
     32: 0x1000000AF,
 }
 
-_LOG_TABLE_MAX_M = 24
-_EAGER_TABLE_MAX_M = 16
+_LOG_TABLE_MAX_M = 24  # larger fields have no tables: carry-less arithmetic
 
 
 def parse_poly(spec: int | str) -> int:
@@ -155,7 +154,10 @@ def _is_irreducible(poly: int, m: int) -> bool:
 
 class GF2m:
     """A concrete representation of GF(2^m) with a designated primitive
-    element alpha (the class of X).
+    element alpha (the class of X).  `has_logs` is True iff m <= 24: the
+    field then holds log/antilog tables from construction on; otherwise
+    `log`, `exp_array` and `log_array` raise Unsupported and the
+    arithmetic is carry-less.
 
     Parameters
     ----------
@@ -189,12 +191,6 @@ class GF2m:
         self.n = (1 << m) - 1
         self.alpha = 2
         self._mask = self.n
-        # uint32 arrays, and the views scalar arithmetic indexes (lists for
-        # m <= 16, zero-copy memoryviews above); all built together.
-        self._exp_arr: np.ndarray | None = None
-        self._log_arr: np.ndarray | None = None
-        self._exp = None
-        self._log = None
 
         for p in _factorize(self.n):
             if self._pow_nontable(2, self.n // p) == 1:
@@ -209,7 +205,8 @@ class GF2m:
                 tmask |= 1 << k
         self._trace_mask = tmask
 
-        if m <= _EAGER_TABLE_MAX_M:
+        self.has_logs = m <= _LOG_TABLE_MAX_M
+        if self.has_logs:
             self._build_tables()
 
     def __repr__(self) -> str:
@@ -219,7 +216,7 @@ class GF2m:
 
     def mul(self, a: int, b: int) -> int:
         """Field multiplication modulo the primitive polynomial."""
-        if self._log is not None:
+        if self.has_logs:
             if a == 0 or b == 0:
                 return 0
             e = self._log[a] + self._log[b]
@@ -232,7 +229,7 @@ class GF2m:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^m)")
-        if self._log is not None:
+        if self.has_logs:
             e = self._log[a]
             return self._exp[(self.n - e) % self.n]
         return self._pow_nontable(a, self.n - 1)
@@ -246,7 +243,7 @@ class GF2m:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
             return 0
         e %= self.n
-        if self._log is not None:
+        if self.has_logs:
             return self._exp[(self._log[a] * e) % self.n]
         return self._pow_nontable(a, e)
 
@@ -363,7 +360,8 @@ class GF2m:
         """exp[k] = alpha^k for k < n, filled by doubling: x -> c*x with
         c = alpha^size is GF(2)-linear, so each doubling XORs one gather
         per byte of x from a 256-entry table of c times that byte.  Then
-        log[exp] = arange(n); log[0] is unused."""
+        log[exp] = arange(n); log[0] is unused.  Scalar arithmetic indexes
+        zero-copy memoryviews of both."""
         n, m = self.n, self.m
         exp = np.empty(n, dtype=np.uint32)
         exp[0] = 1
@@ -389,22 +387,17 @@ class GF2m:
         # exp is a bijection onto 1..n, i.e. alpha has order n
         assert np.array_equal(exp[log[1:]], np.arange(1, n + 1, dtype=np.uint32))
         self._exp_arr, self._log_arr = exp, log
-        if m <= _EAGER_TABLE_MAX_M:
-            self._exp, self._log = exp.tolist(), log.tolist()
-        else:
-            self._exp, self._log = memoryview(exp), memoryview(log)
+        self._exp, self._log = memoryview(exp), memoryview(log)
 
-    def _ensure_tables(self) -> None:
-        if self._log is None:
-            if self.m > _LOG_TABLE_MAX_M:
-                raise Unsupported(f"log tables are not built for m={self.m} > 24")
-            self._build_tables()
+    def _require_tables(self) -> None:
+        if not self.has_logs:
+            raise Unsupported(f"log tables are not built for m={self.m} > {_LOG_TABLE_MAX_M}")
 
     def log(self, x: int) -> int:
         """Discrete log base alpha (table-backed, m <= 24)."""
         if x == 0:
             raise ZeroHasNoLog("discrete log of 0 requested")
-        self._ensure_tables()
+        self._require_tables()
         return self._log[x]
 
     def exp(self, e: int) -> int:
@@ -414,23 +407,32 @@ class GF2m:
     def exp_array(self) -> np.ndarray:
         """Antilog table as a uint32 numpy array (m <= 24); the stored
         table, not a copy."""
-        self._ensure_tables()
+        self._require_tables()
         return self._exp_arr
 
     def log_array(self) -> np.ndarray:
         """Log table as a uint32 numpy array (m <= 24); entry 0 is unused.
         The stored table, not a copy."""
-        self._ensure_tables()
+        self._require_tables()
         return self._log_arr
 
 
 def default_field(m: int, poly: int | None = None) -> GF2m:
     """Shared GF2m instances, one per (m, modulus); fields are immutable so
     caching is safe.  poly=None stands for the built-in modulus and shares
-    its field."""
-    return _field(m, _DEFAULT_POLYS.get(m) if poly is None else poly)
+    its field.  The built-in fields are kept for good; of the other moduli
+    only the most recently used few, since a stream of support files can
+    name any of them and a field holds up to 128 MB of tables."""
+    if poly is None or poly == _DEFAULT_POLYS.get(m):
+        return _builtin_field(m)
+    return _other_field(m, poly)
 
 
 @lru_cache(maxsize=None)
-def _field(m: int, poly: int | None) -> GF2m:
+def _builtin_field(m: int) -> GF2m:
+    return GF2m(m)
+
+
+@lru_cache(maxsize=2)
+def _other_field(m: int, poly: int) -> GF2m:
     return GF2m(m, poly)

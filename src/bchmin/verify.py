@@ -7,12 +7,15 @@ even |S| and p_j = 0 for j = 1..L with L = d-2; a punctured claim BCH(d)
 p_2j is always p_j squared, only odd j are scanned.
 
 Two routes reach the same verdict.  The scan evaluates p_j at one odd
-representative per 2-cyclotomic coset meeting [1, L].  The check route
-packs c(X) = sum of X^log(x) over the nonzero support and tests
-c(X) h(X) = 0 mod X^n - 1, where h is the check polynomial of the cyclic
-code with zeros alpha^j, j in [1, L]; it wins when that code has small
-dimension k.  Both start with p_1, and the cheaper one is picked from
-(n, L, |S|) alone.
+representative per 2-cyclotomic coset meeting [1, L], walking them in
+ascending order without a list, so it stops at the first nonzero p_j
+whatever L is.  The check route packs c(X) = sum of X^log(x) over the
+nonzero support and tests c(X) h(X) = 0 mod X^n - 1, where h is the check
+polynomial of the cyclic code with zeros alpha^j, j in [1, L]; it wins when
+that code has small dimension k.  Both start with p_1, and the cheaper one
+is picked from (n, L, |S|) alone.  The check route needs discrete logs, so
+it exists only on fields with log tables (`GF2m.has_logs`); on the others
+the scan runs alone, on scalar field arithmetic.
 
 This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element sets (anything with ctx, elems,
@@ -21,14 +24,12 @@ claimed_distance, extended attributes).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import count, tee
 
 import numpy as np
-
-# Discrete logs, and with them the check route, exist for m <= 24.
-_LOG_MAX_M = 24
 
 # Measured costs (medians over the larger m = 12..16 acceptance supports):
 # one table gather of the scan, i.e. one support element at one
@@ -66,11 +67,11 @@ def designed_distance(m: int, s: int, i: int) -> int:
 
 def _nonzero(ctx, elems):
     """The nonzero support in the form `_syndromes` takes: discrete logs as
-    an int64 array where log tables exist, else a list of the elements.
-    The logs are taken once per claim, in one gather from the log table,
-    and shared by both routes."""
+    an int64 array when the field has log tables, else a list of the
+    elements.  The logs are taken once per claim, in one gather from the
+    log table, and shared by both routes."""
     nonzero = [x for x in elems if x]
-    if ctx.m <= _LOG_MAX_M:
+    if ctx.has_logs:
         return ctx.log_array()[nonzero].astype(np.int64)
     return nonzero
 
@@ -78,7 +79,7 @@ def _nonzero(ctx, elems):
 def _syndromes(ctx, nonzero, js):
     """Yield p_j over the nonzero support (see `_nonzero`) for each j in js,
     lazily so a scan can stop at the first nonzero one."""
-    if ctx.m <= _LOG_MAX_M:
+    if ctx.has_logs:
         n, exp = ctx.n, ctx.exp_array()
         for j in js:
             yield int(np.bitwise_xor.reduce(exp[(nonzero * j) % n]))
@@ -133,7 +134,7 @@ def _coset_counts(n: int, j_limit: int) -> tuple[int, int]:
 def _pick_route(ctx, j_limit: int, size: int) -> str:
     """The cheaper route past p_1, from (n, L, |S|) alone; with L < 3
     there is nothing past p_1, and without logs no check route."""
-    if ctx.m > _LOG_MAX_M or j_limit < 3:
+    if not ctx.has_logs or j_limit < 3:
         return "scan"
     reps, k = _coset_counts(ctx.n, j_limit)
     scan_ns = (reps - 1) * size * _SCAN_NS_PER_GATHER
@@ -141,9 +142,23 @@ def _pick_route(ctx, j_limit: int, size: int) -> str:
     return "check" if check_ns < scan_ns else "scan"
 
 
+def _odd_coset_reps(n: int, j_limit: int):
+    """Yield, ascending and in constant memory, the representatives that
+    `_coset_reps` lists, so a scan that fails early walks no further: the
+    smallest odd member of each coset meeting [1, j_limit], which lies in
+    that range, since an even member 2^a u has the odd member u below it."""
+    for j in range(1, j_limit + 1, 2):
+        t = (j << 1) % n
+        while t != j and not (t < j and t & 1):
+            t = (t << 1) % n
+        if t == j:
+            yield j
+
+
 def _scan(ctx, nonzero, js) -> tuple[int, int] | None:
-    """First (j, p_j) with p_j != 0 over js, or None."""
-    return next(((j, pj) for j, pj in zip(js, _syndromes(ctx, nonzero, js)) if pj), None)
+    """First (j, p_j) with p_j != 0 over the iterable js, or None."""
+    js, ahead = tee(js)
+    return next(((j, pj) for j, pj in zip(js, _syndromes(ctx, nonzero, ahead)) if pj), None)
 
 
 def _scan_route(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
@@ -153,7 +168,7 @@ def _scan_route(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
     p_(2j mod n) = p_j^2, so the whole range vanishes iff one odd
     representative per 2-cyclotomic coset does.
     """
-    return _scan(ctx, nonzero, (1,)) or _scan(ctx, nonzero, _coset_reps(ctx.n, j_limit)[0][1:])
+    return _scan(ctx, nonzero, _odd_coset_reps(ctx.n, j_limit))
 
 
 def _min_poly(ctx, r: int) -> int:
@@ -202,11 +217,17 @@ def _kept_coset_minima(m: int, j_limit: int) -> list[int]:
     return kept
 
 
-@lru_cache(maxsize=256)
 def _check_poly(ctx, j_limit: int) -> int:
     """The check polynomial h(X) = (X + 1) * prod M_r(X) over the cosets
     whose minimum exceeds j_limit, packed; derived from the field and
-    j_limit alone."""
+    j_limit alone, and cached per (field, j_limit) under a weak reference,
+    so the cache keeps no field alive."""
+    return _check_poly_cached(weakref.ref(ctx), j_limit)
+
+
+@lru_cache(maxsize=256)
+def _check_poly_cached(field_ref, j_limit: int) -> int:
+    ctx = field_ref()
     h = 0b11
     for r in _kept_coset_minima(ctx.m, j_limit):
         h = _clmul(h, _min_poly(ctx, r))

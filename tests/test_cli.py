@@ -1,12 +1,19 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bchmin
 from bchmin import cli, solvers
 from bchmin.cli import (
     EXIT_EXHAUSTED,
@@ -22,6 +29,7 @@ from bchmin.cli import (
     render_logsupport,
 )
 from bchmin.fixtures import BCH27_FIXTURES
+from bchmin.gf2m import GF2m, NonPrimitiveAlpha, ReduciblePolynomial
 
 
 def _run(capsys, argv):
@@ -296,6 +304,59 @@ def test_verify_rejects_unreadable_inputs(tmp_path, capsys):
     assert cli.main(["verify", str(path)]) == EXIT_PARSE
 
 
+def test_verify_rejects_mixed_and_foreign_entry_forms(tmp_path, capsys):
+    # an entry is 0x-hex or decimal (a log, or -1), one form per file; these
+    # were once read as {1, 3, 18}, as {3, 0x10}, as logs 3 and 5 and as 0x12
+    head = "m=8 poly=0x11d d=4 extended=1\n"
+    for body in ("0x3,12,0x1", "0x3,1_0", "3,+5"):
+        _refused(tmp_path, capsys, head + body + "\n")
+    _refused(tmp_path, capsys, json.dumps({**_json_doc(8, 2, 3), "support": ["12"]}))
+
+
+def test_verify_stream_of_moduli_pins_few_fields(tmp_path, capsys):
+    # one file per primitive modulus of degree 8, each verified on the check
+    # route; the caches keep the built-in field and at most two others
+    polys = []
+    for poly in range(0x101, 0x200, 2):
+        try:
+            GF2m(8, poly)
+        except (ReduciblePolynomial, NonPrimitiveAlpha):
+            continue
+        polys.append(poly)
+    assert len(polys) == 16
+    path = tmp_path / "support.json"
+    for poly in polys:
+        cw, meta = generate(8, 2, 0, seed=0, poly=poly)
+        path.write_text(render_json(cw.ctx, cw, meta))
+        code, out = _run(capsys, ["verify", str(path)])
+        assert code == EXIT_OK and json.loads(out)["route"] == "check"
+    del cw
+    gc.collect()
+    live = [obj for obj in gc.get_objects() if isinstance(obj, GF2m) and obj.m == 8]
+    assert len(live) <= 3
+
+
+_VERIFY_CHILD = "import sys; from bchmin.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("m, poly", [(26, "0x4000047"), (32, "0x1000000af")])
+def test_verify_absurd_distance_stops_at_first_failing_syndrome(tmp_path, m, poly):
+    # d = 2^m claims p_j = 0 for every j < 2^m - 1; the scan must stop at
+    # p_3 != 0 without walking (or allocating for) the whole range
+    path = tmp_path / "absurd.bits"
+    path.write_text(f"m={m} poly={poly} d={1 << m} extended=1\n0x0\n0x1\n0x2\n0x3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bchmin.__file__).resolve().parents[1]))
+    t0 = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", _VERIFY_CHILD, "verify", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    wall = time.perf_counter() - t0
+    assert child.returncode == EXIT_VERIFY_FAIL, child.stderr
+    assert json.loads(child.stdout)["failing_syndrome"][0] == 3
+    assert wall < 5.0
+
+
 def test_verify_prints_the_route(tmp_path, capsys):
     # the route depends on (n, L, |S|) only, so repeated calls print the same
     code, out = _run(capsys, ["generate", "--m", "12", "--i", "4", "--s", "0"])
@@ -342,7 +403,7 @@ def _mutated(draw, texts):
                 doc[key] = draw(st.sampled_from(FUZZ_POLYS))
             elif key == "m":
                 doc[key] = draw(st.integers(-1, 40))
-            elif draw(st.booleans()) and doc["support"]:
+            elif draw(st.booleans()) and isinstance(doc["support"], list) and doc["support"]:
                 doc["support"][draw(st.integers(0, len(doc["support"]) - 1))] = draw(FUZZ_VALUES)
             else:
                 doc[key] = draw(FUZZ_VALUES)

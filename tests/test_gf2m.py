@@ -122,7 +122,13 @@ def test_pow_edge_cases(gf256):
 def test_nontable_path_matches_table_path():
     from bchmin.gf2m import _clmul
 
-    assert GF2m(17)._log is None  # no eager tables past m=16
+    # the representation is fixed at construction: tables up to m = 24 only
+    assert default_field(24).has_logs and len(default_field(24)._log) == 1 << 24
+    big = GF2m(25)
+    assert not big.has_logs
+    for table_call in (lambda: big.log(3), big.exp_array, big.log_array):
+        with pytest.raises(Unsupported):
+            table_call()
     small = GF2m(8)
     r = rng(3)
     for _ in range(200):
@@ -384,12 +390,11 @@ def test_scalar_results_are_python_ints(m):
         assert type(value) is int
 
 
-@pytest.mark.parametrize("m", [17, 20])
+@pytest.mark.parametrize("m", [8, 16, 17, 20])
 def test_memoryview_path_matches_polynomial_arithmetic(m):
     from bchmin.gf2m import _clmul
 
     ctx = default_field(m)
-    ctx.log(1)  # build the tables; m > 16 builds them lazily
     r = rng(m)
     for _ in range(300):
         a, b = random_nonzero(ctx, r), r.getrandbits(m)
