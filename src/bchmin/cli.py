@@ -1,8 +1,9 @@
 """Command-line interface: generate verified minimum-weight supports,
 re-verify serialized supports, and reproduce the bundled golden tables.
 
-Exit codes: 0 success / verified, 2 verification failure, 3 uncovered
-parameter combination, 4 solver retries exhausted, 5 parse error.
+Exit codes: 0 success / verified, 2 verification failure (also a generated
+support that fails its self-verification), 3 uncovered parameter
+combination, 4 solver retries exhausted, 5 parse error.
 """
 
 from __future__ import annotations
@@ -11,17 +12,17 @@ import argparse
 import functools
 import json
 import os
-import random
 import re
 import sys
 from itertools import repeat
 
 import numpy as np
 
-from . import construct, gflinalg, solvers, verify
+from . import construct, solvers, verify
 from .construct import CodewordSupport
 from .fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from .gf2m import UnsupportedDegree, default_field, parse_poly
+from .solvers import UncoveredCase
 
 SPEC_VERSION = 1
 SEED_ENV_VAR = "BCHMIN_SEED"
@@ -31,10 +32,6 @@ EXIT_VERIFY_FAIL = 2
 EXIT_UNCOVERED = 3
 EXIT_EXHAUSTED = 4
 EXIT_PARSE = 5
-
-
-class UncoveredCase(ValueError):
-    """No solver route covers this (m, i, s, method) combination."""
 
 
 class ParseError(ValueError):
@@ -180,14 +177,7 @@ def parse_support_file(text: str) -> CodewordSupport:
         raise ParseError(f"bad log-support file: {exc}") from exc
 
 
-# -- generation routing ------------------------------------------------------
-
-
-def _upconvert_to_dim(cw: CodewordSupport, dim: int) -> CodewordSupport:
-    """Up-convert over the span of the support completed by unit vectors to
-    the requested dimension."""
-    span_basis = gflinalg.LinearMap(sorted(cw.elems), cw.ctx.m).image
-    return construct.up_convert(cw, gflinalg.complete_to_basis(cw.ctx, span_basis)[:dim])
+# -- generation --------------------------------------------------------------
 
 
 def generate(
@@ -199,67 +189,19 @@ def generate(
     method: str = "auto",
     max_retries: int | None = None,
 ) -> tuple[CodewordSupport, dict]:
-    """Produce a verified support plus metadata; the support is refused
-    (RuntimeError) if self-verification fails.  An m outside 2..32 raises
-    UncoveredCase, a bad poly ParseError."""
+    """`construct.generate` on GF(2^m), with the X and B of the support's
+    spec in the metadata.  An m outside 2..32 raises UncoveredCase, a bad
+    poly ParseError."""
     try:
         ctx = default_field(m, parse_poly(poly) if poly is not None else None)
     except UnsupportedDegree as exc:
         raise UncoveredCase(str(exc)) from exc
     except ValueError as exc:  # unparsable, wrong degree, not primitive
         raise ParseError(f"bad --poly {poly!r}: {exc}") from exc
-
-    if method == "gold":
-        cw = construct.gold_support(ctx, i)
-        native_s = m - 2 * i
-        if not 0 <= s <= native_s:
-            raise UncoveredCase(f"s must be in 0..{native_s} for the Gold route")
-        if verify.designed_distance(m, s, i) < 2:
-            raise UncoveredCase(f"d({m}, {s}, {i}) = 1: no code of distance < 2 to certify")
-        if s < native_s:
-            cw = _upconvert_to_dim(cw, 2 * i + s)
-        meta = {"i": i, "s": s, "method": "gold", "seed": seed}
-    elif method == "gk":
-        if i != 2:
-            raise UncoveredCase("the six-element route is an i=2 construction")
-        native_s = m - 4
-        if not 0 <= s <= native_s:
-            raise UncoveredCase(f"s must be in 0..{native_s} for the gk route")
-        rng = random.Random(seed)
-        while True:
-            y = rng.getrandbits(m)
-            try:
-                cw = construct.gk_support(ctx, y)
-                break
-            except construct.DegenerateY:
-                continue
-        if s < native_s:
-            cw = _upconvert_to_dim(cw, 4 + s)
-        meta = {"i": 2, "s": s, "method": "gk", "seed": seed}
-    else:
-        if method == "auto":
-            method = next((k for k, r in solvers.SOLVERS.items() if r.i == i and r.auto(m)), None)
-            if method is None:
-                raise UncoveredCase(f"no solver covers i={i}, m={m}")
-        route = solvers.SOLVERS.get(method)
-        if route is None or route.i != i:
-            raise UncoveredCase(f"method {method} does not solve i={i}")
-        kw = {} if max_retries is None else {"max_retries": max_retries}
-        report = route.call(ctx, seed, **kw)
-        spec = construct.build_support(report.solution, s)
-        cw = construct.expand(spec)
-        meta = {
-            "i": i,
-            "s": s,
-            "method": report.method,
-            "seed": seed if report.rng_seed is not None else None,
-            "X": _sorted_out(ctx, spec.x_set),
-            "B": [_elem_out(ctx, x) for x in spec.basis],
-        }
-
-    verdict = verify.is_min_weight(cw)
-    if not verdict.is_min_weight:
-        raise RuntimeError(f"refusing to emit unverified support: {verdict}")
+    cw, meta, spec = construct.generate(ctx, i, s, seed, method, max_retries)
+    if spec is not None:
+        meta["X"] = _sorted_out(ctx, spec.x_set)
+        meta["B"] = [_elem_out(ctx, x) for x in spec.basis]
     return cw, meta
 
 
@@ -268,27 +210,16 @@ def generate(
 
 def _cmd_generate(args) -> int:
     try:
-        cw, meta = generate(
-            args.m,
-            args.i,
-            args.s,
-            seed=args.seed,
-            poly=args.poly,
-            method=args.method,
-            max_retries=args.retries,
-        )
-    except (
-        UncoveredCase,
-        construct.BadS,
-        solvers.BadParity,
-        solvers.BadDegree,
-        solvers.BadFactorization,
-    ) as exc:
+        cw, meta = generate(args.m, args.i, args.s, args.seed, args.poly, args.method, args.retries)
+    except UncoveredCase as exc:
         print(f"uncovered case: {exc}", file=sys.stderr)
         return EXIT_UNCOVERED
     except solvers.RetriesExhausted as exc:
         print(f"solver exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except construct.UnverifiedSupport as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
@@ -340,11 +271,6 @@ def _fixture_support(m: int, poly: int, exps) -> CodewordSupport:
     return CodewordSupport(ctx, elems, d, extended=False)
 
 
-def _fresh_punctured(m: int, i: int, s: int, seed: int) -> CodewordSupport:
-    cw, _ = generate(m, i, s, seed=seed)
-    return construct.puncture(cw, min(cw.elems))
-
-
 def _cmd_table(args) -> int:
     ok = True
     seed = args.seed
@@ -356,7 +282,8 @@ def _cmd_table(args) -> int:
     for m, poly, exps, i, s in rows:
         fix = _fixture_support(m, poly, exps)
         v_fix = verify.is_min_weight(fix)
-        fresh = _fresh_punctured(m, i, s, seed)
+        cw, _ = generate(m, i, s, seed=seed)
+        fresh = construct.puncture(cw, min(cw.elems))
         v_fresh = verify.is_min_weight(fresh)
         match = "set-equal" if fresh.elems == fix.elems else "different-but-valid"
         print(
@@ -397,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--poly", type=str, default=None, help="primitive polynomial override")
     g.add_argument(
         "--method",
-        choices=["auto", *solvers.SOLVERS, "gold", "gk"],
+        choices=["auto", *construct.METHODS],
         default="auto",
     )
     g.add_argument("--retries", type=int, default=None, help="solver retry cap override")

@@ -1,6 +1,8 @@
 """Assemble explicit codeword supports from equation solutions, convert them
 between designed distances at the support level, and build the Gold-function
-and Grigorescu-Kaufman special supports.
+and Grigorescu-Kaufman special supports.  `METHODS` registers every way of
+building a support, and `generate` runs one of them behind the range check
+and the self-verification gate.
 
 A support is kept compressed as X + span(B) (a small set plus a subspace
 basis) until expanded to an explicit element set.
@@ -8,15 +10,21 @@ basis) until expanded to an explicit element set.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from . import gflinalg, linearized
-from .solvers import BadDegree, SolutionVector
+from . import gflinalg, linearized, solvers, verify
+from .solvers import BadDegree, SolutionVector, UncoveredCase
 from .verify import BadDistanceParity
 
 
-class BadS(ValueError):
-    """s outside 0..m-2i."""
+class BadS(UncoveredCase):
+    """s outside 0..m-2i, or a designed distance below 2."""
+
+
+class UnverifiedSupport(RuntimeError):
+    """Self-verification refused a generated support."""
 
 
 class CollisionDetected(ValueError):
@@ -244,3 +252,106 @@ def puncture(cw: CodewordSupport, x: int) -> CodewordSupport:
     return CodewordSupport(
         cw.ctx, frozenset(elems), cw.claimed_distance - 1, extended=False
     )
+
+
+class Method(NamedTuple):
+    """A `--method`: the i it builds (None: any i), whether `auto` routes m
+    to it, and the call (ctx, i, s, seed, **retry cap) -> (support, whether
+    the seed is recorded, the SupportSpec it was expanded from or None)."""
+
+    i: int | None
+    auto: Callable[[int], bool]
+    call: Callable[..., tuple]
+
+
+def _solved(report: solvers.SolverReport, s: int) -> tuple:
+    """The support assembled at s from a solver's solution."""
+    spec = build_support(report.solution, s)
+    return expand(spec), report.rng_seed is not None, spec
+
+
+def _lifted(cw: CodewordSupport, i: int, s: int) -> tuple:
+    """A support built at s = m - 2i, up-converted to s over its span
+    completed by unit vectors to dimension 2i + s; the seed is recorded."""
+    if s < cw.ctx.m - 2 * i:
+        span = gflinalg.LinearMap(sorted(cw.elems), cw.ctx.m).image
+        cw = up_convert(cw, gflinalg.complete_to_basis(cw.ctx, span)[: 2 * i + s])
+    return cw, True, None
+
+
+def _gk_drawn(ctx, seed: int) -> CodewordSupport:
+    """`gk_support` at the first nondegenerate y drawn from the seed."""
+    rng = random.Random(seed)
+    while True:
+        try:
+            return gk_support(ctx, rng.getrandbits(ctx.m))
+        except DegenerateY:
+            continue
+
+
+# In auto-routing order: `auto` takes the first method for i whose predicate
+# holds, so i2even and i3even win on even m.  The calls look their steps up
+# by name when they run, so wrappers installed on the modules are honoured.
+METHODS: dict[str, Method] = {
+    solvers.I2_EVEN: Method(
+        2,
+        lambda m: m >= 4 and m % 2 == 0,
+        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i2_even(ctx), s),
+    ),
+    solvers.I2_ODD: Method(
+        2,
+        lambda m: m >= 5,
+        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i2_odd(ctx, seed, **kw), s),
+    ),
+    solvers.I2_COMPOSITE: Method(
+        2,
+        lambda m: False,
+        lambda ctx, i, s, seed, **kw: _solved(
+            solvers.solve_i2_composite(ctx, *solvers.coprime_split(ctx.m)), s
+        ),
+    ),
+    solvers.I3_EVEN: Method(
+        3,
+        lambda m: m >= 6 and m % 2 == 0,
+        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i3_even(ctx, seed, **kw), s),
+    ),
+    solvers.I3_HEURISTIC: Method(
+        3,
+        lambda m: m >= 7,
+        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i3_heuristic(ctx, seed, **kw), s),
+    ),
+    solvers.I4_DIV4: Method(
+        4,
+        lambda m: m >= 8 and m % 4 == 0,
+        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i4(ctx), s),
+    ),
+    "gold": Method(
+        None, lambda m: False, lambda ctx, i, s, seed, **kw: _lifted(gold_support(ctx, i), i, s)
+    ),
+    "gk": Method(
+        2, lambda m: False, lambda ctx, i, s, seed, **kw: _lifted(_gk_drawn(ctx, seed), i, s)
+    ),
+}
+
+
+def generate(
+    ctx, i: int, s: int, seed: int = 0, method: str = "auto", max_retries: int | None = None
+) -> tuple[CodewordSupport, dict, SupportSpec | None]:
+    """A verified d(m, s, i) support built by `method` (`auto`: the first
+    that covers (m, i)), its metadata and its SupportSpec (None for gold
+    and gk).  Uncovered cases raise UncoveredCase before any method runs; a
+    support the verifier refuses raises UnverifiedSupport."""
+    m = ctx.m
+    if method == "auto":
+        method = next((k for k, e in METHODS.items() if e.i == i and e.auto(m)), method)
+    entry = METHODS.get(method)
+    if entry is None or entry.i not in (None, i):
+        raise UncoveredCase(f"method {method} does not build i={i} at m={m}")
+    if i < 0 or not 0 <= s <= m - 2 * i or verify.designed_distance(m, s, i) < 2:
+        raise BadS(f"need s in 0..{m - 2 * i} and d({m}, {s}, {i}) >= 2, got s={s}")
+    kw = {} if max_retries is None else {"max_retries": max_retries}
+    cw, seeded, spec = entry.call(ctx, i, s, seed, **kw)
+    verdict = verify.is_min_weight(cw)
+    if not verdict.is_min_weight:
+        raise UnverifiedSupport(f"refusing to emit unverified support: {verdict}")
+    return cw, {"i": i, "s": s, "method": method, "seed": seed if seeded else None}, spec

@@ -14,20 +14,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, NamedTuple
 
 from . import gflinalg
 
 
-class BadParity(ValueError):
+class UncoveredCase(ValueError):
+    """No construction covers this (m, i, s, method) combination."""
+
+
+class BadParity(UncoveredCase):
     """Solver requires the other parity of m."""
 
 
-class BadFactorization(ValueError):
+class BadFactorization(UncoveredCase):
     """m must factor as ell * t with gcd 1, min >= 2, max >= 3."""
 
 
-class BadDegree(ValueError):
+class BadDegree(UncoveredCase):
     """Divisibility condition on m violated."""
 
 
@@ -263,48 +266,13 @@ def solve_i4(ctx) -> SolverReport:
     return SolverReport(SolutionVector(ctx, b), 1, None, I4_DIV4)
 
 
-def _coprime_split(m: int) -> tuple[int, int]:
+def coprime_split(m: int) -> tuple[int, int]:
     """The first m = ell * t with gcd(ell, t) = 1, min >= 2 and max >= 3."""
     for ell in range(2, m):
         t = m // ell
         if m % ell == 0 and min(ell, t) >= 2 and max(ell, t) >= 3 and gcd(ell, t) == 1:
             return ell, t
     raise BadFactorization(f"m={m} has no coprime split with min >= 2, max >= 3")
-
-
-class Route(NamedTuple):
-    """A registered solver: the i it solves, whether `auto` routes m to it,
-    and the call (ctx, seed, **retry cap) -> SolverReport."""
-
-    i: int
-    auto: Callable[[int], bool]
-    call: Callable[..., SolverReport]
-
-
-# Listed in auto-routing order: `auto` takes the first route for i whose
-# predicate holds, so i2even and i3even win on even m.  The calls look the
-# solve_* functions up by name when they run, so wrappers installed on this
-# module (tracing, tests) are honoured.
-SOLVERS: dict[str, Route] = {
-    I2_EVEN: Route(
-        2, lambda m: m >= 4 and m % 2 == 0, lambda ctx, seed, **kw: solve_i2_even(ctx)
-    ),
-    I2_ODD: Route(
-        2, lambda m: m >= 5, lambda ctx, seed, **kw: solve_i2_odd(ctx, seed, **kw)
-    ),
-    I2_COMPOSITE: Route(
-        2, lambda m: False, lambda ctx, seed, **kw: solve_i2_composite(ctx, *_coprime_split(ctx.m))
-    ),
-    I3_EVEN: Route(
-        3, lambda m: m >= 6 and m % 2 == 0, lambda ctx, seed, **kw: solve_i3_even(ctx, seed, **kw)
-    ),
-    I3_HEURISTIC: Route(
-        3, lambda m: m >= 7, lambda ctx, seed, **kw: solve_i3_heuristic(ctx, seed, **kw)
-    ),
-    I4_DIV4: Route(
-        4, lambda m: m >= 8 and m % 4 == 0, lambda ctx, seed, **kw: solve_i4(ctx)
-    ),
-}
 
 
 def iter_i2_solutions(ctx):

@@ -62,7 +62,7 @@ def designed_distance(m: int, s: int, i: int) -> int:
     """The designed-distance family 2^(m-1-s) - 2^(m-1-i-s)."""
     if m < 2 or not 0 <= i <= m // 2 or not 0 <= s <= m - 2 * i:
         raise BadRange(f"bad parameters m={m}, s={s}, i={i}")
-    return (1 << (m - 1 - s)) - (1 << (m - 1 - i - s))
+    return ((1 << (m - s)) - (1 << (m - i - s))) >> 1  # 0 at i = 0, s = m
 
 
 def _nonzero(ctx, elems):
@@ -102,33 +102,24 @@ def power_sums(cw, j_max: int) -> list[int]:
     return list(_syndromes(cw.ctx, nonzero, range(1, j_max + 1)))
 
 
-def _coset_reps(n: int, j_limit: int) -> tuple[list[int], int]:
-    """Smallest odd member <= j_limit of each 2-cyclotomic coset mod n that
-    meets [1, j_limit], and the dimension k = n - (size of those cosets) of
-    the cyclic code they are the zeros of."""
-    reps = []
-    k = n
-    visited = bytearray(j_limit + 1)
-    for j in range(1, j_limit + 1, 2):
-        if visited[j]:
-            continue
-        reps.append(j)
-        k -= 1
-        t = (j << 1) % n
-        while t != j:
-            if t <= j_limit and t & 1:
-                visited[t] = 1
-            t = (t << 1) % n
-            k -= 1
-    return reps, k
-
-
 @lru_cache(maxsize=512)
 def _coset_counts(n: int, j_limit: int) -> tuple[int, int]:
     """(number of coset representatives, code dimension k) for the cost
-    rule; two ints per key, so a stream of claims keeps it small."""
-    reps, k = _coset_reps(n, j_limit)
-    return len(reps), k
+    rule: k is n less the sizes of the 2-cyclotomic cosets meeting
+    [1, j_limit], the zeros of the code.  Two ints per key, so a stream of
+    claims keeps the cache small."""
+    m = n.bit_length()
+    # A coset's size is the least t | m with j (2^t - 1) = 0 mod n; it is m
+    # except on the multiples of n / (2^t - 1) for t | m, t < m.
+    short = {}
+    for t in range(1, m):
+        if m % t == 0:
+            for j in range(0, n, n // ((1 << t) - 1)):
+                short.setdefault(j, t)
+    reps, k = 0, n
+    for j in _odd_coset_reps(n, j_limit):
+        reps, k = reps + 1, k - short.get(j, m)
+    return reps, k
 
 
 def _pick_route(ctx, j_limit: int, size: int) -> str:
@@ -143,10 +134,10 @@ def _pick_route(ctx, j_limit: int, size: int) -> str:
 
 
 def _odd_coset_reps(n: int, j_limit: int):
-    """Yield, ascending and in constant memory, the representatives that
-    `_coset_reps` lists, so a scan that fails early walks no further: the
-    smallest odd member of each coset meeting [1, j_limit], which lies in
-    that range, since an even member 2^a u has the odd member u below it."""
+    """Yield, ascending and in constant memory, the smallest odd member of
+    each 2-cyclotomic coset mod n meeting [1, j_limit], so a scan that
+    fails early walks no further; that member lies in the range, since an
+    even member 2^a u has the odd member u below it."""
     for j in range(1, j_limit + 1, 2):
         t = (j << 1) % n
         while t != j and not (t < j and t & 1):

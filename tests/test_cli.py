@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bchmin
-from bchmin import cli, solvers
+from bchmin import cli, construct
 from bchmin.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -216,6 +216,29 @@ def test_generate_bad_poly_refused(capsys):
 def test_generate_refuses_bad_s(capsys):
     code, _ = _run(capsys, ["generate", "--m", "8", "--i", "3", "--s", "9"])
     assert code == EXIT_UNCOVERED
+
+
+def test_generate_checks_s_before_the_solver(capsys):
+    # with no retries the solver would exhaust (exit 4); the bad s is seen first
+    code, out = _run(capsys, ["generate", "--m", "7", "--i", "3", "--s", "9", "--retries", "0"])
+    assert code == EXIT_UNCOVERED and out == ""
+
+
+def test_generate_refuses_unverified_support(monkeypatch, capsys):
+    # one element of the expanded support swapped for an outsider
+    expand = construct.expand
+
+    def swapped(spec):
+        cw = expand(spec)
+        outsider = next(x for x in range(cw.ctx.n + 1) if x not in cw.elems)
+        elems = cw.elems - {max(cw.elems)} | {outsider}
+        return construct.CodewordSupport(cw.ctx, elems, cw.claimed_distance, cw.extended)
+
+    monkeypatch.setattr(construct, "expand", swapped)
+    code = cli.main(["generate", "--m", "8", "--i", "2", "--s", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFY_FAIL and captured.out == ""
+    assert captured.err.startswith("refusing to emit unverified support")
 
 
 def test_method_must_match_i(capsys):
@@ -462,7 +485,7 @@ def test_pinned_output(capsys, argv, digest):
 def test_method_choices_are_the_registry():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     method = next(a for a in sub.choices["generate"]._actions if a.dest == "method")
-    assert set(method.choices) == {"auto", "gold", "gk"} | set(solvers.SOLVERS)
+    assert set(method.choices) == {"auto"} | set(construct.METHODS)
 
 
 # auto route per (m, i) of the acceptance grid; None is uncovered

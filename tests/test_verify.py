@@ -152,6 +152,14 @@ def test_designed_distance_values():
         assert designed_distance(m, m - 6, 3) == 28
 
 
+def test_designed_distance_zero_at_i0():
+    # i = 0 allows s up to m, where 2^(m-1-s) - 2^(m-1-i-s) has negative shifts
+    for m in range(2, 33):
+        assert designed_distance(m, m, 0) == 0
+        assert designed_distance(m, 0, 0) == 0
+        assert designed_distance(m, m - 2, 1) == 1
+
+
 def test_designed_distance_range_checks():
     with pytest.raises(BadRange):
         designed_distance(1, 0, 0)
@@ -244,6 +252,20 @@ def test_routes_agree(data):
     assert _check_route(ctx, nonzero, j_limit) == scanned
     if kind in ("none", "add0"):
         assert scanned is None
+
+
+def test_coset_counts_match_brute_force():
+    # every L at m = 2..10: the cosets meeting [1, L], and n less their sizes
+    for m in range(2, 11):
+        n = (1 << m) - 1
+        cosets, zeros = set(), 0
+        assert _coset_counts(n, 0) == (0, n)
+        for j_limit in range(1, n):
+            coset = frozenset((j_limit << t) % n for t in range(m))
+            if coset not in cosets:
+                cosets.add(coset)
+                zeros += len(coset)
+            assert _coset_counts(n, j_limit) == (len(cosets), n - zeros), (m, j_limit)
 
 
 def test_route_pick_follows_cost():
