@@ -282,15 +282,21 @@ def _cmd_table(args) -> int:
     for m, poly, exps, i, s in rows:
         fix = _fixture_support(m, poly, exps)
         v_fix = verify.is_min_weight(fix)
-        cw, _ = generate(m, i, s, seed=seed)
-        fresh = construct.puncture(cw, min(cw.elems))
-        v_fresh = verify.is_min_weight(fresh)
-        match = "set-equal" if fresh.elems == fix.elems else "different-but-valid"
+        try:
+            cw, _ = generate(m, i, s, seed=seed)
+        except construct.UnverifiedSupport as exc:
+            fresh_ok, fresh_text = False, f"verified=False ({exc})"
+        else:
+            fresh = construct.puncture(cw, min(cw.elems))
+            v_fresh = verify.is_min_weight(fresh)
+            match = "set-equal" if fresh.elems == fix.elems else "different-but-valid"
+            fresh_ok = v_fresh.is_min_weight
+            fresh_text = f"weight={v_fresh.weight} verified={fresh_ok} match={match}"
         print(
             f"m={m} fixture: weight={v_fix.weight} verified={v_fix.is_min_weight} | "
-            f"fresh: weight={v_fresh.weight} verified={v_fresh.is_min_weight} match={match}"
+            f"fresh: {fresh_text}"
         )
-        ok = ok and v_fix.is_min_weight and v_fresh.is_min_weight
+        ok = ok and v_fix.is_min_weight and fresh_ok
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

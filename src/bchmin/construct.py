@@ -270,13 +270,14 @@ def _solved(report: solvers.SolverReport, s: int) -> tuple:
     return expand(spec), report.rng_seed is not None, spec
 
 
-def _lifted(cw: CodewordSupport, i: int, s: int) -> tuple:
+def _lifted(cw: CodewordSupport, i: int, s: int, seeded: bool) -> tuple:
     """A support built at s = m - 2i, up-converted to s over its span
-    completed by unit vectors to dimension 2i + s; the seed is recorded."""
+    completed by unit vectors to dimension 2i + s; the seed is recorded iff
+    the support was drawn from it."""
     if s < cw.ctx.m - 2 * i:
         span = gflinalg.LinearMap(sorted(cw.elems), cw.ctx.m).image
         cw = up_convert(cw, gflinalg.complete_to_basis(cw.ctx, span)[: 2 * i + s])
-    return cw, True, None
+    return cw, seeded, None
 
 
 def _gk_drawn(ctx, seed: int) -> CodewordSupport:
@@ -326,10 +327,12 @@ METHODS: dict[str, Method] = {
         lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i4(ctx), s),
     ),
     "gold": Method(
-        None, lambda m: False, lambda ctx, i, s, seed, **kw: _lifted(gold_support(ctx, i), i, s)
+        None,
+        lambda m: False,
+        lambda ctx, i, s, seed, **kw: _lifted(gold_support(ctx, i), i, s, False),
     ),
     "gk": Method(
-        2, lambda m: False, lambda ctx, i, s, seed, **kw: _lifted(_gk_drawn(ctx, seed), i, s)
+        2, lambda m: False, lambda ctx, i, s, seed, **kw: _lifted(_gk_drawn(ctx, seed), i, s, True)
     ),
 }
 

@@ -223,7 +223,7 @@ class GF2m:
             if e >= self.n:
                 e -= self.n
             return self._exp[e]
-        return self._reduce(_clmul(a, b))
+        return _polymod(_clmul(a, b), self.poly)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
@@ -247,20 +247,13 @@ class GF2m:
             return self._exp[(self._log[a] * e) % self.n]
         return self._pow_nontable(a, e)
 
-    def _reduce(self, x: int) -> int:
-        poly, m = self.poly, self.m
-        for k in range(x.bit_length() - 1, m - 1, -1):
-            if (x >> k) & 1:
-                x ^= poly << (k - m)
-        return x
-
     def _pow_nontable(self, a: int, e: int) -> int:
         r = 1
         base = a
         while e:
             if e & 1:
-                r = self._reduce(_clmul(r, base))
-            base = self._reduce(_clmul(base, base))
+                r = _polymod(_clmul(r, base), self.poly)
+            base = _polymod(_clmul(base, base), self.poly)
             e >>= 1
         return r
 
@@ -278,7 +271,7 @@ class GF2m:
         cur = x
         for _ in range(self.m):
             t ^= cur
-            cur = self._reduce(_clmul(cur, cur))
+            cur = _polymod(_clmul(cur, cur), self.poly)
         return t
 
     def trace(self, x: int) -> int:
@@ -370,13 +363,13 @@ class GF2m:
             top = min(size, n - size)
             src, out = exp[:top], exp[size:size + top]
             out.fill(0)
-            img = self._reduce(int(exp[size - 1]) << 1)  # c = alpha^size
+            img = _polymod(int(exp[size - 1]) << 1, self.poly)  # c = alpha^size
             for shift in range(0, m, 8):
                 # tab[v] = c * (v << shift); img runs through c * alpha^k
                 tab = np.zeros(1, dtype=np.uint32)
                 for _ in range(shift, min(shift + 8, m)):
                     tab = np.concatenate((tab, tab ^ img))
-                    img = self._reduce(img << 1)
+                    img = _polymod(img << 1, self.poly)
                 byte = src >> shift
                 if shift + 8 < m:
                     byte &= 0xFF

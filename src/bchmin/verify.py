@@ -6,16 +6,19 @@ even |S| and p_j = 0 for j = 1..L with L = d-2; a punctured claim BCH(d)
 (d odd) needs 0 outside S and p_j = 0 for j = 1..L with L = d-1.  Since
 p_2j is always p_j squared, only odd j are scanned.
 
-Two routes reach the same verdict.  The scan evaluates p_j at one odd
-representative per 2-cyclotomic coset meeting [1, L], walking them in
-ascending order without a list, so it stops at the first nonzero p_j
-whatever L is.  The check route packs c(X) = sum of X^log(x) over the
-nonzero support and tests c(X) h(X) = 0 mod X^n - 1, where h is the check
-polynomial of the cyclic code with zeros alpha^j, j in [1, L]; it wins when
-that code has small dimension k.  Both start with p_1, and the cheaper one
-is picked from (n, L, |S|) alone.  The check route needs discrete logs, so
-it exists only on fields with log tables (`GF2m.has_logs`); on the others
-the scan runs alone, on scalar field arithmetic.
+Two routes reach the same verdict.  The scan evaluates p_j at the leader
+(least member, always odd) of each 2-cyclotomic coset meeting [1, L], in
+ascending order, so it stops at the first nonzero p_j whatever L is.  The
+check route packs c(X) = sum of X^log(x) over the nonzero support and tests
+c(X) h(X) = 0 mod X^n - 1, where h is the check polynomial of the cyclic
+code with zeros alpha^j, j in [1, L], a product over the leaders in (L, n);
+it wins when that code has small dimension k.  Both start with p_1, and the
+cheaper one is picked from (n, L, |S|) alone, by counting the leaders in
+[1, L] and their coset sizes.  The scan, the check polynomial and that count
+share one enumeration of the leaders, `_coset_leaders`.  The check route
+needs discrete logs, so it exists only on fields with log tables
+(`GF2m.has_logs`); on the others the scan runs alone, on scalar field
+arithmetic.
 
 This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element sets (anything with ctx, elems,
@@ -27,7 +30,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, tee
+from itertools import chain, count, tee
 
 import numpy as np
 
@@ -102,23 +105,39 @@ def power_sums(cw, j_max: int) -> list[int]:
     return list(_syndromes(cw.ctx, nonzero, range(1, j_max + 1)))
 
 
+def _coset_leaders(m: int, lo: int, hi: int):
+    """Yield, as ascending int64 blocks, the leaders of the 2-cyclotomic
+    cosets mod n = 2^m - 1 in [lo, hi): the j equal to the least of their m
+    rotations, 2j mod n being j rotated left in m bits (int64 holds the
+    shifted j for every m <= 32).  A leader is odd, since an even j has j / 2
+    in its coset, and below 2^(m-1), since a larger j has 2j - n; a coset
+    meets [1, L] iff its leader does.  Blocks grow from 32 odd j, so a scan
+    that fails at p_3 builds one small block, up to 2048 odd j, whose m - 1
+    rotations take under 0.5 MB (larger blocks measured slower)."""
+    n, size, t = (1 << m) - 1, 32, np.arange(1, m)[:, None]
+    lo, hi = lo | 1, min(hi, 1 << (m - 1))
+    while lo < hi:
+        j = np.arange(lo, min(lo + 2 * size, hi), 2, dtype=np.int64)
+        rot = ((j << t) | (j >> (m - t))) & n  # row t - 1 holds 2^t j mod n
+        yield j[(rot >= j).all(axis=0)]
+        lo, size = lo + 2 * size, min(2 * size, 2048)
+
+
 @lru_cache(maxsize=512)
 def _coset_counts(n: int, j_limit: int) -> tuple[int, int]:
-    """(number of coset representatives, code dimension k) for the cost
-    rule: k is n less the sizes of the 2-cyclotomic cosets meeting
+    """(number of coset leaders in [1, j_limit], code dimension k) for the
+    cost rule: k is n less the sizes of the 2-cyclotomic cosets meeting
     [1, j_limit], the zeros of the code.  Two ints per key, so a stream of
     claims keeps the cache small."""
     m = n.bit_length()
-    # A coset's size is the least t | m with j (2^t - 1) = 0 mod n; it is m
-    # except on the multiples of n / (2^t - 1) for t | m, t < m.
-    short = {}
-    for t in range(1, m):
-        if m % t == 0:
-            for j in range(0, n, n // ((1 << t) - 1)):
-                short.setdefault(j, t)
     reps, k = 0, n
-    for j in _odd_coset_reps(n, j_limit):
-        reps, k = reps + 1, k - short.get(j, m)
+    for lead in _coset_leaders(m, 1, j_limit + 1):
+        # a coset's size is the least t | m with j (2^t - 1) = 0 mod n
+        size = np.full(len(lead), m)
+        for t in range(m // 2, 0, -1):
+            if m % t == 0:
+                size[lead * ((1 << t) - 1) % n == 0] = t
+        reps, k = reps + len(lead), k - int(size.sum())
     return reps, k
 
 
@@ -133,23 +152,18 @@ def _pick_route(ctx, j_limit: int, size: int) -> str:
     return "check" if check_ns < scan_ns else "scan"
 
 
-def _odd_coset_reps(n: int, j_limit: int):
-    """Yield, ascending and in constant memory, the smallest odd member of
-    each 2-cyclotomic coset mod n meeting [1, j_limit], so a scan that
-    fails early walks no further; that member lies in the range, since an
-    even member 2^a u has the odd member u below it."""
-    for j in range(1, j_limit + 1, 2):
-        t = (j << 1) % n
-        while t != j and not (t < j and t & 1):
-            t = (t << 1) % n
-        if t == j:
-            yield j
-
-
 def _scan(ctx, nonzero, js) -> tuple[int, int] | None:
     """First (j, p_j) with p_j != 0 over the iterable js, or None."""
     js, ahead = tee(js)
     return next(((j, pj) for j, pj in zip(js, _syndromes(ctx, nonzero, ahead)) if pj), None)
+
+
+def _scan_past_p1(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
+    """First coset leader j in [3, j_limit] with p_j != 0, or None; the
+    leaders are walked block by block, so a scan that fails early walks no
+    further whatever j_limit is."""
+    blocks = _coset_leaders(ctx.m, 3, j_limit + 1)
+    return _scan(ctx, nonzero, chain.from_iterable(b.tolist() for b in blocks))
 
 
 def _scan_route(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
@@ -159,7 +173,7 @@ def _scan_route(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
     p_(2j mod n) = p_j^2, so the whole range vanishes iff one odd
     representative per 2-cyclotomic coset does.
     """
-    return _scan(ctx, nonzero, _odd_coset_reps(ctx.n, j_limit))
+    return _scan(ctx, nonzero, (1,)) or _scan_past_p1(ctx, nonzero, j_limit)
 
 
 def _min_poly(ctx, r: int) -> int:
@@ -190,24 +204,6 @@ def _clmul(a: int, b: int) -> int:
     return acc
 
 
-def _kept_coset_minima(m: int, j_limit: int) -> list[int]:
-    """Minimum of each nonzero 2-cyclotomic coset mod 2^m - 1 whose minimum
-    exceeds j_limit.  The minima are found first, over blocks of the odd j
-    in (j_limit, n), so conjugates are only formed for the kept cosets."""
-    n = (1 << m) - 1
-    kept = []
-    block = 1 << 16
-    for lo in range(j_limit + 1 | 1, n, 2 * block):
-        j = np.arange(lo, min(lo + 2 * block, n), 2, dtype=np.int32)
-        low = j.copy()
-        cur = j
-        for _ in range(m - 1):
-            cur = ((cur << 1) | (cur >> (m - 1))) & n  # 2j mod n
-            np.minimum(low, cur, out=low)
-        kept += j[low == j].tolist()
-    return kept
-
-
 def _check_poly(ctx, j_limit: int) -> int:
     """The check polynomial h(X) = (X + 1) * prod M_r(X) over the cosets
     whose minimum exceeds j_limit, packed; derived from the field and
@@ -220,8 +216,9 @@ def _check_poly(ctx, j_limit: int) -> int:
 def _check_poly_cached(field_ref, j_limit: int) -> int:
     ctx = field_ref()
     h = 0b11
-    for r in _kept_coset_minima(ctx.m, j_limit):
-        h = _clmul(h, _min_poly(ctx, r))
+    for lead in _coset_leaders(ctx.m, j_limit + 1, ctx.n):
+        for r in lead.tolist():
+            h = _clmul(h, _min_poly(ctx, r))
     return h
 
 
@@ -239,13 +236,13 @@ def _in_code(ctx, nonzero, j_limit: int) -> bool:
 
 
 def _check_route(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
-    """p_1, then the check polynomial; a rejected support goes through the
-    scan, which names its first failing syndrome."""
-    if _scan(ctx, nonzero, (1,)) is None and _in_code(ctx, nonzero, j_limit):
-        return None
-    fail = _scan_route(ctx, nonzero, j_limit)
-    if fail is None:
-        raise RuntimeError("check polynomial and syndrome scan disagree")
+    """p_1, then the check polynomial; a rejected support resumes the scan
+    past p_1, which names its first failing syndrome."""
+    fail = _scan(ctx, nonzero, (1,))
+    if fail is None and not _in_code(ctx, nonzero, j_limit):
+        fail = _scan_past_p1(ctx, nonzero, j_limit)
+        if fail is None:
+            raise RuntimeError("check polynomial and syndrome scan disagree")
     return fail
 
 

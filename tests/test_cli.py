@@ -88,6 +88,15 @@ def test_generate_gold_upconverted(capsys):
     assert json.loads(out)["d"] == 48
 
 
+def test_generate_gold_records_no_seed(capsys):
+    # the Gold support does not depend on the seed, so the output does not
+    # name one
+    argv = ["generate", "--m", "8", "--i", "2", "--s", "1", "--method", "gold", "--seed"]
+    (code1, out1), (code7, out7) = (_run(capsys, argv + [seed]) for seed in ("1", "7"))
+    assert code1 == code7 == EXIT_OK and out1 == out7
+    assert json.loads(out1)["seed"] is None
+
+
 def test_generate_gk_route(capsys):
     code, out = _run(capsys, ["generate", "--m", "8", "--i", "2", "--s", "4", "--method", "gk", "--seed", "2"])
     assert code == EXIT_OK
@@ -224,7 +233,7 @@ def test_generate_checks_s_before_the_solver(capsys):
     assert code == EXIT_UNCOVERED and out == ""
 
 
-def test_generate_refuses_unverified_support(monkeypatch, capsys):
+def _swap_one_expanded_element(monkeypatch):
     # one element of the expanded support swapped for an outsider
     expand = construct.expand
 
@@ -235,10 +244,23 @@ def test_generate_refuses_unverified_support(monkeypatch, capsys):
         return construct.CodewordSupport(cw.ctx, elems, cw.claimed_distance, cw.extended)
 
     monkeypatch.setattr(construct, "expand", swapped)
+
+
+def test_generate_refuses_unverified_support(monkeypatch, capsys):
+    _swap_one_expanded_element(monkeypatch)
     code = cli.main(["generate", "--m", "8", "--i", "2", "--s", "2"])
     captured = capsys.readouterr()
     assert code == EXIT_VERIFY_FAIL and captured.out == ""
     assert captured.err.startswith("refusing to emit unverified support")
+
+
+def test_table_reports_unverified_row(monkeypatch, capsys):
+    # a fresh row the self-verification refuses is printed as such, not
+    # raised
+    _swap_one_expanded_element(monkeypatch)
+    code, out = _run(capsys, ["table", "t23"])
+    assert code == EXIT_VERIFY_FAIL
+    assert "m=16 fixture: weight=23 verified=True | fresh: verified=False (refusing" in out
 
 
 def test_method_must_match_i(capsys):
@@ -362,7 +384,7 @@ def test_verify_stream_of_moduli_pins_few_fields(tmp_path, capsys):
 _VERIFY_CHILD = "import sys; from bchmin.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-@pytest.mark.parametrize("m, poly", [(26, "0x4000047"), (32, "0x1000000af")])
+@pytest.mark.parametrize("m, poly", [(24, "0x100001B"), (26, "0x4000047"), (32, "0x1000000af")])
 def test_verify_absurd_distance_stops_at_first_failing_syndrome(tmp_path, m, poly):
     # d = 2^m claims p_j = 0 for every j < 2^m - 1; the scan must stop at
     # p_3 != 0 without walking (or allocating for) the whole range
@@ -460,13 +482,14 @@ def test_verify_fuzzed_files(fuzz_files, data):
 
 # SHA-256 of stdout, recorded before the solver registry replaced the CLI's
 # own routing: one cell per method, each format, and the hex path (m > 24).
+# The gold cell was recorded again when its "seed" became null.
 PINNED = [
     ("generate --m 10 --i 2 --s 3 --seed 1", "c5e8f7e1fcef6f3361087b5170b1dc3d6d0334b05ac41d78c725ac29817d4030"),
     ("generate --m 9 --i 3 --s 1 --seed 2", "90ad178483a5ec00d1a288d67199acbd032c25ebbaaf3383855b8f48deaaa557"),
     ("generate --m 12 --i 4 --s 2 --seed 0", "2a636e5b69da809edae95dafdd4db99b3d912369a4c58dbd181efb498a8120da"),
     ("generate --m 9 --i 2 --s 3 --seed 4 --method i2odd", "e3776ad14159990d1a48b79172e36fa7173ce728a4316f2f1da33e47c434538a"),
     ("generate --m 15 --i 2 --s 9 --seed 0 --method i2composite", "e5374fb3d27af8f0f783d35b0fdd6085355961b293bdf6d19ee6d023214df7e8"),
-    ("generate --m 8 --i 2 --s 1 --seed 0 --method gold", "3327fd4ebfb6edbe86c5ddee61edb031d80d7f2bb014ecfac05ff5793553306f"),
+    ("generate --m 8 --i 2 --s 1 --seed 0 --method gold", "c46cbcee5982d96d8e9ece12b192ad043f11168f41620a3194e0e403c0d164ce"),
     ("generate --m 8 --i 2 --s 3 --seed 2 --method gk", "b8d734b32b699d787239a290c8b065fc745716c5c4cf6afaccdfe4b9fa58a017"),
     ("generate --m 8 --i 3 --s 2 --seed 3 --format json", "65b489fc9a4ad1f8ecf2f380bc5958d54f14766b2415f9838a24718b99609f8e"),
     ("generate --m 10 --i 2 --s 3 --seed 1 --format logsupport", "edd2bbd1d4b348ff9ae11b11d291672bf3a31df7994e3823c4b422703fe16b6e"),

@@ -12,6 +12,7 @@ from bchmin.verify import (
     BadRange,
     _check_route,
     _coset_counts,
+    _coset_leaders,
     _nonzero,
     _pick_route,
     _scan_route,
@@ -266,6 +267,41 @@ def test_coset_counts_match_brute_force():
                 cosets.add(coset)
                 zeros += len(coset)
             assert _coset_counts(n, j_limit) == (len(cosets), n - zeros), (m, j_limit)
+
+
+def _brute_leaders(m, lo, hi):
+    n = (1 << m) - 1
+    return [j for j in range(lo, hi) if j % 2 and all((j << t) % n >= j for t in range(1, m))]
+
+
+def _leaders(m, lo, hi):
+    return [j for block in _coset_leaders(m, lo, hi) for j in block.tolist()]
+
+
+def test_coset_leaders_match_brute_force():
+    # every range [lo, hi) at m = 2..8; at m = 9, 10 every prefix, every
+    # suffix and ranges across the block boundaries
+    for m in range(2, 11):
+        n = (1 << m) - 1
+        brute = _brute_leaders(m, 0, n)
+        if m <= 8:
+            ranges = [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+        else:
+            edges = [1, 2, 63, 64, 65, 191, 192, 193, 447, 448, 449, n - 1, n]
+            ranges = [(0, hi) for hi in range(n + 1)] + [(lo, n) for lo in range(n + 1)]
+            ranges += [(lo, hi) for lo in edges for hi in edges if lo <= hi]
+        for lo, hi in ranges:
+            assert _leaders(m, lo, hi) == [j for j in brute if lo <= j < hi], (m, lo, hi)
+
+
+@pytest.mark.parametrize("m", [17, 25, 32])
+def test_coset_leaders_windows_match_brute_force(m):
+    # windows at the bottom, the middle and the top of [0, n), each long
+    # enough to reach the largest block; int64 holds the rotations up to
+    # m = 32
+    n, width = (1 << m) - 1, 10_000
+    for lo in (0, n // 2 - width // 2, n - width):
+        assert _leaders(m, lo, lo + width) == _brute_leaders(m, lo, lo + width), (m, lo)
 
 
 def test_route_pick_follows_cost():
