@@ -179,6 +179,8 @@ class GF2m:
             poly = _DEFAULT_POLYS[m]
         else:
             poly = parse_poly(poly)
+        if poly < 0:  # _clmul would never finish on a negative multiplier
+            raise ValueError(f"modulus {hex(poly)} is negative")
         if poly.bit_length() != m + 1:
             raise ValueError(
                 f"modulus {hex(poly)} does not have degree {m}"

@@ -158,24 +158,6 @@ def _scan(ctx, nonzero, js) -> tuple[int, int] | None:
     return next(((j, pj) for j, pj in zip(js, _syndromes(ctx, nonzero, ahead)) if pj), None)
 
 
-def _scan_past_p1(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
-    """First coset leader j in [3, j_limit] with p_j != 0, or None; the
-    leaders are walked block by block, so a scan that fails early walks no
-    further whatever j_limit is."""
-    blocks = _coset_leaders(ctx.m, 3, j_limit + 1)
-    return _scan(ctx, nonzero, chain.from_iterable(b.tolist() for b in blocks))
-
-
-def _scan_route(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
-    """First (in class-reduced ascending scan) odd j <= j_limit with
-    p_j != 0, or None: p_1, then the other coset representatives.
-
-    p_(2j mod n) = p_j^2, so the whole range vanishes iff one odd
-    representative per 2-cyclotomic coset does.
-    """
-    return _scan(ctx, nonzero, (1,)) or _scan_past_p1(ctx, nonzero, j_limit)
-
-
 def _min_poly(ctx, r: int) -> int:
     """Minimal polynomial over GF(2) of beta = alpha^r, packed (bit t is the
     coefficient of X^t): the first GF(2)-relation among 1, beta, beta^2, ...
@@ -235,18 +217,21 @@ def _in_code(ctx, nonzero, j_limit: int) -> bool:
     return acc & ((1 << n) - 1) == acc >> n
 
 
-def _check_route(ctx, nonzero, j_limit: int) -> tuple[int, int] | None:
-    """p_1, then the check polynomial; a rejected support resumes the scan
-    past p_1, which names its first failing syndrome."""
+def _first_failure(ctx, nonzero, j_limit: int, route: str) -> tuple[int, int] | None:
+    """First (j, p_j) with p_j != 0 over the coset leaders j in [1, j_limit],
+    ascending, or None; p_(2j mod n) = p_j^2, so the range vanishes iff one
+    leader per 2-cyclotomic coset does.  p_1 comes first.  The check route
+    then tests the check polynomial; the scan (on the scan route, or after a
+    check rejection to name its first failing syndrome) walks the leaders
+    in [3, j_limit] block by block, so it stops early whatever j_limit is."""
     fail = _scan(ctx, nonzero, (1,))
-    if fail is None and not _in_code(ctx, nonzero, j_limit):
-        fail = _scan_past_p1(ctx, nonzero, j_limit)
-        if fail is None:
-            raise RuntimeError("check polynomial and syndrome scan disagree")
+    if fail is not None or (route == "check" and _in_code(ctx, nonzero, j_limit)):
+        return fail
+    blocks = _coset_leaders(ctx.m, 3, j_limit + 1)
+    fail = _scan(ctx, nonzero, chain.from_iterable(b.tolist() for b in blocks))
+    if fail is None and route == "check":
+        raise RuntimeError("check polynomial and syndrome scan disagree")
     return fail
-
-
-_ROUTES = {"scan": _scan_route, "check": _check_route}
 
 
 def _membership(cw) -> tuple[bool, tuple[int, int] | None, str]:
@@ -267,7 +252,7 @@ def _membership(cw) -> tuple[bool, tuple[int, int] | None, str]:
     route = _pick_route(ctx, j_limit, len(nonzero))
     if refused:
         return False, None, route
-    fail = _ROUTES[route](ctx, nonzero, j_limit) if len(nonzero) and j_limit else None
+    fail = _first_failure(ctx, nonzero, j_limit, route) if len(nonzero) and j_limit else None
     return fail is None, fail, route
 
 

@@ -381,7 +381,16 @@ def test_verify_stream_of_moduli_pins_few_fields(tmp_path, capsys):
     assert len(live) <= 3
 
 
-_VERIFY_CHILD = "import sys; from bchmin.cli import main; sys.exit(main(sys.argv[1:]))"
+_CLI_CHILD = "import sys; from bchmin.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _cli_child(argv, timeout):
+    """`bchmin argv` in a fresh interpreter, killed after timeout seconds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bchmin.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", _CLI_CHILD, *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 @pytest.mark.parametrize("m, poly", [(24, "0x100001B"), (26, "0x4000047"), (32, "0x1000000af")])
@@ -390,16 +399,31 @@ def test_verify_absurd_distance_stops_at_first_failing_syndrome(tmp_path, m, pol
     # p_3 != 0 without walking (or allocating for) the whole range
     path = tmp_path / "absurd.bits"
     path.write_text(f"m={m} poly={poly} d={1 << m} extended=1\n0x0\n0x1\n0x2\n0x3\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(bchmin.__file__).resolve().parents[1]))
     t0 = time.perf_counter()
-    child = subprocess.run(
-        [sys.executable, "-c", _VERIFY_CHILD, "verify", str(path)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    child = _cli_child(["verify", str(path)], timeout=60)
     wall = time.perf_counter() - t0
     assert child.returncode == EXIT_VERIFY_FAIL, child.stderr
     assert json.loads(child.stdout)["failing_syndrome"][0] == 3
     assert wall < 5.0
+
+
+@pytest.mark.parametrize("form", ["json-int", "json-str", "text", "flag"])
+def test_negative_modulus_refused(tmp_path, form):
+    # a negative modulus has the bit length of a degree-8 one, and once made
+    # the field's irreducibility test loop forever
+    path = tmp_path / "negative"
+    if form.startswith("json"):
+        doc = _json_doc(8, 2, 3)
+        doc["poly"] = -285 if form == "json-int" else "-0x11d"
+        path.write_text(json.dumps(doc))
+    else:
+        path.write_text("m=8 poly=-285 d=6 extended=1\n0x0\n0x1\n0x2\n0x3\n0x4\n0x5\n")
+    argv = ["verify", str(path)]
+    if form == "flag":
+        argv = ["generate", "--m", "8", "--i", "2", "--poly=-285"]
+    child = _cli_child(argv, timeout=30)
+    assert child.returncode == EXIT_PARSE and child.stdout == ""
+    assert "negative" in child.stderr
 
 
 def test_verify_prints_the_route(tmp_path, capsys):

@@ -215,3 +215,47 @@ def test_self_dual_basis_fixed():
 @settings(max_examples=50)
 def test_rank_matches_oracle(rows):
     assert rank(rows, 8) == _rank_oracle(rows, 8)
+
+
+def _greedy_completion(m, elems):
+    """The first unit vectors 1, alpha, ... that extend the rank, in turn."""
+    basis = list(elems)
+    for k in range(m):
+        if rank(basis + [1 << k], m) > len(basis):
+            basis.append(1 << k)
+    return basis
+
+
+def _matmul(a, b):
+    """Product of bit matrices given as rows: row i is the XOR of the rows
+    b[k] with bit k set in a[i]."""
+    return [_apply(b, row) for row in a]
+
+
+@pytest.mark.parametrize("m", [*range(2, 17), 25, 32])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_against_definitions(m, data):
+    # complete_to_basis is the greedy completion, dual_basis the trace-dual,
+    # invert a left inverse, and each refuses dependent input
+    ctx = default_field(m)
+    elem = st.integers(0, ctx.n)
+    elems = data.draw(st.lists(elem, max_size=m), label="elems")
+    if _rank_oracle(elems, m) < len(elems):
+        with pytest.raises(DependentInput):
+            complete_to_basis(ctx, elems)
+        return
+    basis = complete_to_basis(ctx, elems)
+    assert basis == _greedy_completion(m, elems) and len(basis) == m
+    dual = dual_basis(ctx, basis)
+    for i, b in enumerate(basis):
+        for j, bp in enumerate(dual):
+            assert ctx.trace(ctx.mul(b, bp)) == (i == j)
+    assert _matmul(invert(basis, m), basis) == [1 << k for k in range(m)]
+    # one element replaced by a combination of the others
+    mask = data.draw(st.integers(0, (1 << (m - 1)) - 1), label="mask")
+    dep = basis[1:] + [_apply(basis[1:], mask)]
+    for call in (lambda: complete_to_basis(ctx, dep), lambda: dual_basis(ctx, dep),
+                 lambda: invert(dep, m), lambda: dual_basis(ctx, basis[1:])):
+        with pytest.raises(DependentInput):
+            call()

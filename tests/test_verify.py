@@ -10,12 +10,11 @@ from bchmin.gf2m import default_field
 from bchmin.verify import (
     BadDistanceParity,
     BadRange,
-    _check_route,
     _coset_counts,
     _coset_leaders,
+    _first_failure,
     _nonzero,
     _pick_route,
-    _scan_route,
     designed_distance,
     is_member,
     is_min_weight,
@@ -249,8 +248,8 @@ def test_routes_agree(data):
     elems = _mutate(ctx, _subspace_member(ctx, r, extended, rand), kind, rand)
     nonzero = _nonzero(ctx, elems)
     event(_pick_route(ctx, j_limit, len(nonzero)))
-    scanned = _scan_route(ctx, nonzero, j_limit)
-    assert _check_route(ctx, nonzero, j_limit) == scanned
+    scanned = _first_failure(ctx, nonzero, j_limit, "scan")
+    assert _first_failure(ctx, nonzero, j_limit, "check") == scanned
     if kind in ("none", "add0"):
         assert scanned is None
 
@@ -326,7 +325,9 @@ def test_verdict_names_the_route():
     bad = _mutate(ctx, space, "swap", rng(5))
     verdict = is_min_weight(CodewordSupport(ctx, bad, 1 << 10, True))
     assert verdict.route == "check" and not verdict.member
-    assert verdict.failing_syndrome == _scan_route(ctx, _nonzero(ctx, bad), (1 << 10) - 2)
+    assert verdict.failing_syndrome == _first_failure(
+        ctx, _nonzero(ctx, bad), (1 << 10) - 2, "scan"
+    )
 
 
 def test_claimed_distance_beyond_length_refused(gf16):
