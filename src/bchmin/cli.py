@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from itertools import repeat
 
 import numpy as np
@@ -142,6 +143,16 @@ def _text_int(fields: dict, key: str) -> int:
     return int(value)
 
 
+def _unique_names(pairs: list) -> dict:
+    """The dict of (name, value) pairs of a JSON object or a text header; a
+    repeated name is refused, not resolved to its last value."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        counts = Counter(k for k, _ in pairs)
+        raise ParseError(f"repeated names {sorted(k for k, c in counts.items() if c > 1)}")
+    return doc
+
+
 def parse_support_file(text: str) -> CodewordSupport:
     """Accept the JSON document or the two-line log-support / bits format;
     raise ParseError on anything malformed."""
@@ -150,7 +161,7 @@ def parse_support_file(text: str) -> CodewordSupport:
         raise ParseError("empty input")
     if text.startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_names)
             if doc.get("spec_version") != SPEC_VERSION:
                 raise ParseError(f"unsupported spec_version {doc.get('spec_version')!r}")
             if not isinstance(doc["support"], list) or not isinstance(doc["extended"], bool):
@@ -165,7 +176,7 @@ def parse_support_file(text: str) -> CodewordSupport:
             raise ParseError(f"bad JSON support file: {exc}") from exc
     try:
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        fields = dict(part.split("=", 1) for part in lines[0].split())
+        fields = _unique_names([part.split("=", 1) for part in lines[0].split()])
         ctx = default_field(_text_int(fields, "m"), parse_poly(fields["poly"]))
         body = [e for ln in lines[1:] for v in ln.split(",") if (e := v.strip())]
         if not body or fields["extended"] not in ("0", "1"):

@@ -214,7 +214,7 @@ def gold_support(ctx, i: int) -> CodewordSupport:
     2i | m."""
     if i < 1 or ctx.m % (2 * i):
         raise BadDegree(f"2i = {2 * i} must divide m = {ctx.m}")
-    elems, _ = ctx.subfield(2 * i)
+    elems, _ = linearized.subfield(ctx, 2 * i)
     beta = next(x for x in elems if not ctx.in_subfield(x, i))
     d = 1 << i
     support = frozenset(

@@ -1,5 +1,6 @@
 """Arithmetic in GF(2^m): field construction, Frobenius, traces, norms,
-cube roots, Artin-Schreier solving, subfield enumeration, discrete logs.
+discrete logs.  Equations over the field (cube roots, Artin-Schreier,
+subfields) are kernels of linearized polynomials, in `linearized`.
 
 Field elements are plain Python ints: bit k is the coefficient of alpha^k
 in the polynomial basis {1, alpha, ..., alpha^(m-1)}, where alpha is the
@@ -11,8 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-from . import gflinalg
 
 
 class UnsupportedDegree(ValueError):
@@ -95,6 +94,8 @@ def parse_poly(spec: int | str) -> int:
             e = int(part.strip())
             if not 0 <= e <= 32:  # no supported modulus has a larger term
                 raise ValueError(f"exponent {e} is outside 0..32")
+            if poly >> e & 1:  # X^e + X^e cancels: no silent repair
+                raise ValueError(f"exponent {e} is repeated")
             poly |= 1 << e
         return poly
     return int(s, 0)
@@ -309,47 +310,7 @@ class GF2m:
         if a < 1 or b % a != 0 or self.m % b != 0:
             raise BadTowerDegrees(f"need a | b | m, got a={a}, b={b}, m={self.m}")
 
-    # -- root finding --------------------------------------------------------
-
-    def cube_roots(self, z: int) -> set[int]:
-        """All cube roots of z.  Unique for odd m; for even m the roots are
-        the nonzero kernel of the linear map x -> x^4 + z*x (empty set when
-        z is a cubic non-residue)."""
-        if z == 0:
-            return {0}
-        if self.m % 2 == 1:
-            inv3 = pow(3, -1, self.n)
-            return {self.pow(z, inv3)}
-        images = [self.pow(1 << k, 4) ^ self.mul(z, 1 << k) for k in range(self.m)]
-        kernel = gflinalg.LinearMap(images, self.m).kernel
-        return {x for x in gflinalg.span(kernel) if x and self.pow(x, 3) == z}
-
-    def artin_schreier_solve(self, w: int) -> set[int]:
-        """Solution set of x^2 + x = w: empty when Tr(w) = 1, else a coset
-        of {0, 1}."""
-        if self.trace(w) == 1:
-            return set()
-        images = [self.mul(1 << k, 1 << k) ^ (1 << k) for k in range(self.m)]
-        x0 = gflinalg.LinearMap(images, self.m).preimage(w)
-        assert x0 is not None
-        return {x0, x0 ^ 1}
-
-    # -- subfields and logs ----------------------------------------------------
-
-    def subfield(self, ell: int) -> tuple[list[int], int]:
-        """All 2^ell elements of the subfield GF(2^ell), sorted, plus a
-        generator g with GF(2)(g) = GF(2^ell)."""
-        if ell < 1 or self.m % ell != 0:
-            raise BadTowerDegrees(f"{ell} does not divide m={self.m}")
-        images = [self.frobenius(1 << k, ell) ^ (1 << k) for k in range(self.m)]
-        elems = sorted(gflinalg.span(gflinalg.LinearMap(images, self.m).kernel))
-        assert len(elems) == 1 << ell
-        proper = [ell // p for p in _factorize(ell)] if ell > 1 else []
-        gen = next(
-            x for x in elems
-            if x and all(self.frobenius(x, d) != x for d in proper)
-        )
-        return elems, gen
+    # -- logs ---------------------------------------------------------------
 
     def _build_tables(self) -> None:
         """exp[k] = alpha^k for k < n, filled by doubling: x -> c*x with

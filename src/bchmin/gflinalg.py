@@ -71,22 +71,6 @@ def invert(rows: Sequence[int], n: int) -> list[int]:
     return [fmap.preimage(1 << j) for j in range(n)]
 
 
-def transpose(rows: Sequence[int], ncols: int) -> list[int]:
-    """Transpose a bit matrix given as rows; result has len(rows) columns."""
-    out = []
-    for c in range(ncols):
-        v = 0
-        for r, row in enumerate(rows):
-            v |= ((row >> c) & 1) << r
-        out.append(v)
-    return out
-
-
-def dot(row: int, vec: int) -> int:
-    """GF(2) inner product of two bit vectors."""
-    return (row & vec).bit_count() & 1
-
-
 def span(basis: Sequence[int]) -> list[int]:
     """All 2^k combinations of k basis vectors (in subset-doubling order)."""
     out = [0]

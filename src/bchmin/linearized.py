@@ -1,6 +1,9 @@
 """Linearized polynomials as GF(2)-linear maps on GF(2^m): annihilators of
 subspaces by the recursion A <- A^2 + A(v) * A, image polynomials as
-annihilators of images, kernels, and the quartic trick for affine cubics.
+annihilators of images, and the field equations the solvers need, each a
+kernel or a preimage of such a map: affine cubics and cube roots by the
+quartic trick, Artin-Schreier x^2 + x = w, and subfields as the kernel of
+X^(2^ell) + X.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import gflinalg
+from .gf2m import BadTowerDegrees
 
 
 class DependentGenerators(ValueError):
@@ -99,17 +103,36 @@ def image_poly(ctx, U_basis: Sequence[int]) -> LinearizedPoly:
 
 
 def affine_cubic_roots(ctx, c1: int, c2: int) -> set[int]:
-    """All nonzero roots of c1*X^3 + c2*X + c1^2, read off the kernel of the
-    linearized map x -> c1*x^4 + c2*x^2 + c1^2*x; the root set has size
-    0, 1, or 3."""
+    """All nonzero roots of c1*X^3 + c2*X + c1^2: the nonzero kernel of the
+    linearized map x -> c1*x^4 + c2*x^2 + c1^2*x = x * (c1*x^3 + c2*x +
+    c1^2).  The root set has size 0, 1, or 3."""
     if c1 == 0:
         raise ZeroLeadingCoefficient("leading cubic coefficient is zero")
     quartic = LinearizedPoly(ctx, (ctx.mul(c1, c1), c2, c1))
-    c1sq = ctx.mul(c1, c1)
-    roots = set()
-    for x in gflinalg.span(lin_kernel(quartic)):
-        if x == 0:
-            continue
-        if ctx.mul(c1, ctx.pow(x, 3)) ^ ctx.mul(c2, x) ^ c1sq == 0:
-            roots.add(x)
-    return roots
+    return set(gflinalg.span(lin_kernel(quartic))) - {0}
+
+
+def cube_roots(ctx, z: int) -> set[int]:
+    """All cube roots of z: for z != 0 the roots of z*X^3 + z^2, since
+    that is z * (X^3 + z).  One root for odd m; for even m three, or none
+    when z is a cubic non-residue."""
+    return affine_cubic_roots(ctx, z, 0) if z else {0}
+
+
+def artin_schreier_solve(ctx, w: int) -> set[int]:
+    """Solution set of x^2 + x = w, the preimage of w under X^2 + X: a
+    coset of {0, 1}, empty when Tr(w) = 1."""
+    x0 = gflinalg.LinearMap(matrix_cols(LinearizedPoly(ctx, (1, 1))), ctx.m).preimage(w)
+    return set() if x0 is None else {x0, x0 ^ 1}
+
+
+def subfield(ctx, ell: int) -> tuple[list[int], int]:
+    """All 2^ell elements of the subfield GF(2^ell), the kernel of
+    X^(2^ell) + X, sorted, plus the first generator: the first element
+    not fixed by x -> x^(2^d) for any d < ell."""
+    if ell < 1 or ctx.m % ell != 0:
+        raise BadTowerDegrees(f"{ell} does not divide m={ctx.m}")
+    fixed = LinearizedPoly(ctx, (1,) + (0,) * (ell - 1) + (1,))  # X^(2^ell) + X
+    elems = sorted(gflinalg.span(lin_kernel(fixed)))
+    gen = next(x for x in elems if x and all(ctx.frobenius(x, d) != x for d in range(1, ell)))
+    return elems, gen

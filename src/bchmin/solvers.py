@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from . import gflinalg
+from . import gflinalg, linearized
 
 
 class UncoveredCase(ValueError):
@@ -100,7 +100,7 @@ class SolverReport:
 
 
 def _f4_generator(ctx) -> int:
-    _, c = ctx.subfield(2)
+    _, c = linearized.subfield(ctx, 2)
     return c
 
 
@@ -162,10 +162,10 @@ def solve_i2_composite(ctx, ell: int, t: int) -> SolverReport:
         raise BadFactorization(
             f"need m = ell*t, gcd 1, min >= 2, max >= 3; got ell={ell}, t={t}, m={ctx.m}"
         )
-    _, a = ctx.subfield(ell)
-    _, b = ctx.subfield(t)
+    _, a = linearized.subfield(ctx, ell)
+    _, b = linearized.subfield(ctx, t)
     w = ctx.mul(ctx.mul(a, a), b) ^ ctx.mul(a, ctx.mul(b, b))
-    sols = ctx.artin_schreier_solve(w)
+    sols = linearized.artin_schreier_solve(ctx, w)
     assert sols, "trace obstruction cannot occur for conjugate products"
     x = min(sols)
     vec = (1, x, a, b)
@@ -189,7 +189,7 @@ def solve_i3_even(ctx, rng_seed: int, max_retries: int = 256) -> SolverReport:
         if ctx.in_subfield(y, 2):
             continue
         z = ctx.mul(c2, y) ^ ctx.mul(c, ctx.mul(y, y))
-        roots = sorted(r for r in ctx.cube_roots(z) if r)
+        roots = sorted(linearized.cube_roots(ctx, z))  # z = c y (c + y) != 0
         if not roots:
             continue
         d = ctx.inv(roots[0])
@@ -217,8 +217,6 @@ def solve_i3_heuristic(ctx, rng_seed: int, max_retries: int = 4096) -> SolverRep
     """
     if ctx.m < 6:
         raise BadDegree(f"m >= 6 required, got m={ctx.m}")
-    from . import linearized
-
     rng = random.Random(rng_seed)
     for attempt in range(1, max_retries + 1):
         draw = []
@@ -250,7 +248,7 @@ def solve_i4(ctx) -> SolverReport:
     if ctx.m < 8 or ctx.m % 4:
         raise BadDegree(f"m >= 8 divisible by 4 required, got m={ctx.m}")
     c = _f4_generator(ctx)
-    f16, _ = ctx.subfield(4)
+    f16, _ = linearized.subfield(ctx, 4)
     d = next(x for x in f16 if x != 1 and ctx.pow(x, 5) == 1)
     y = next(1 << k for k in range(ctx.m) if not ctx.in_subfield(1 << k, 4))
     b = (

@@ -358,6 +358,36 @@ def test_verify_rejects_mixed_and_foreign_entry_forms(tmp_path, capsys):
     _refused(tmp_path, capsys, json.dumps({**_json_doc(8, 2, 3), "support": ["12"]}))
 
 
+
+def test_verify_rejects_repeated_header_names(tmp_path, capsys):
+    # the last value of a repeated name used to win: d=99 ... d=24 read as d=24
+    cw, _ = generate(6, 2, 0, seed=0)
+    text = render_logsupport(cw.ctx, cw)
+    assert text.startswith("m=6 poly=0x43 d=24 extended=1\n")
+    assert parse_support_file(text).claimed_distance == 24
+    for head in ("m=6 poly=0x43 d=99 d=24 extended=1", "m=6 poly=0x43 d=24 extended=1 m=6"):
+        _refused(tmp_path, capsys, text.replace("m=6 poly=0x43 d=24 extended=1", head))
+
+
+def test_verify_rejects_repeated_json_names(tmp_path, capsys):
+    # json.loads keeps the last value of a repeated name
+    text = json.dumps(_json_doc(8, 2, 3))
+    assert parse_support_file(text).claimed_distance == 12
+    for first in ('"d": 99, ', '"m": 9, ', '"d": 12, '):
+        _refused(tmp_path, capsys, "{" + first + text[1:])
+
+
+def test_repeated_modulus_exponent_refused(tmp_path, capsys):
+    # X^8 + X^8 cancels over GF(2); the list was once OR-ed into 0x11d
+    with pytest.raises(ValueError, match="repeated"):
+        bchmin.parse_poly("8,8,4,3,2,0")
+    code = cli.main(["generate", "--m", "8", "--i", "2", "--poly", "8,8,4,3,2,0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == "" and "repeated" in captured.err
+    _refused(tmp_path, capsys, json.dumps({**_json_doc(8, 2, 3), "poly": "8,8,4,3,2,0"}))
+    cw, _ = generate(8, 2, 3, seed=0)
+    _refused(tmp_path, capsys, render_logsupport(cw.ctx, cw).replace("0x11d", "8,8,4,3,2,0"))
+
 def test_verify_stream_of_moduli_pins_few_fields(tmp_path, capsys):
     # one file per primitive modulus of degree 8, each verified on the check
     # route; the caches keep the built-in field and at most two others

@@ -11,10 +11,13 @@ from bchmin.linearized import (
     ZeroLeadingCoefficient,
     affine_cubic_roots,
     annihilator,
+    artin_schreier_solve,
+    cube_roots,
     image_poly,
     lin_eval,
     lin_kernel,
     matrix_cols,
+    subfield,
 )
 from bchmin.solvers import f_j
 
@@ -250,3 +253,31 @@ def test_affine_cubic_census_exhaustive(m):
 def test_affine_cubic_rejects_zero_leading(gf256):
     with pytest.raises(ZeroLeadingCoefficient):
         affine_cubic_roots(gf256, 0, 1)
+
+
+# -- field equations, with and without log tables ------------------------------------
+
+
+@pytest.mark.parametrize("m", [*range(2, 17), *range(25, 33)])  # m >= 25: no tables
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_field_equations(m, data):
+    ctx = default_field(m)
+    x = data.draw(st.integers(0, ctx.n))
+    for z in (x, ctx.pow(x, 3)):
+        roots = cube_roots(ctx, z)
+        assert all(ctx.pow(r, 3) == z for r in roots)
+        assert len(roots) in ((1,) if m % 2 or z == 0 else (0, 3))
+    assert x in cube_roots(ctx, ctx.pow(x, 3))
+
+    sols = artin_schreier_solve(ctx, x)
+    assert len(sols) == (0 if ctx.trace(x) else 2)
+    assert all(ctx.mul(y, y) ^ y == x for y in sols)
+
+    ell = data.draw(st.sampled_from([e for e in range(1, 9) if m % e == 0]))
+    elems, gen = subfield(ctx, ell)
+    assert len(set(elems)) == 1 << ell
+    assert all(ctx.frobenius(y, ell) == y for y in elems)
+    # gen lies in no proper subfield of GF(2^ell)
+    assert gen in elems
+    assert not any(ctx.in_subfield(gen, d) for d in range(1, ell) if ell % d == 0)
