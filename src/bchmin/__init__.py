@@ -26,7 +26,6 @@ from .linearized import (
 from .solvers import (
     SolutionVector,
     SolverReport,
-    brute_force_solver,
     check_system,
     f_j,
     solve_i2_composite,
@@ -60,7 +59,6 @@ __all__ = [
     "solve_i3_even",
     "solve_i3_heuristic",
     "solve_i4",
-    "brute_force_solver",
     "SupportSpec",
     "CodewordSupport",
     "quadform_rows",

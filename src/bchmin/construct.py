@@ -59,10 +59,8 @@ class SupportSpec:
     ctx: object
     x_set: frozenset
     basis: tuple[int, ...]
-    m: int
     i: int
     s: int
-    method: str
     solution: tuple[int, ...]
     x_generators: tuple[int, ...]
 
@@ -141,10 +139,8 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
         ctx=ctx,
         x_set=frozenset(x_set),
         basis=tail,
-        m=m,
         i=i,
         s=s,
-        method="quadform",
         solution=sol.b,
         x_generators=gens,
     )

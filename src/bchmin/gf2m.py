@@ -1,6 +1,6 @@
-"""Arithmetic in GF(2^m): field construction, Frobenius, traces, norms,
-discrete logs.  Equations over the field (cube roots, Artin-Schreier,
-subfields) are kernels of linearized polynomials, in `linearized`.
+"""Arithmetic in GF(2^m): field construction, Frobenius, traces, discrete
+logs.  Equations over the field (cube roots, Artin-Schreier, subfields) are
+kernels of linearized polynomials, in `linearized`.
 
 Field elements are plain Python ints: bit k is the coefficient of alpha^k
 in the polynomial basis {1, alpha, ..., alpha^(m-1)}, where alpha is the
@@ -232,10 +232,7 @@ class GF2m:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^m)")
-        if self.has_logs:
-            e = self._log[a]
-            return self._exp[(self.n - e) % self.n]
-        return self._pow_nontable(a, self.n - 1)
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         """a^e with the exponent reduced mod 2^m - 1 for nonzero a."""
@@ -260,7 +257,7 @@ class GF2m:
             e >>= 1
         return r
 
-    # -- Frobenius, trace, norm ---------------------------------------------
+    # -- Frobenius, trace ---------------------------------------------------
 
     def frobenius(self, x: int, k: int = 1) -> int:
         """x^(2^(k mod m)); negative k inverts squaring."""
@@ -296,15 +293,6 @@ class GF2m:
             acc ^= cur
             cur = self.frobenius(cur, a)
         return acc
-
-    def norm_rel(self, x: int, a: int, b: int) -> int:
-        """Relative norm from the 2^b-element subfield onto the 2^a one."""
-        self._check_tower(a, b)
-        if not self.in_subfield(x, b):
-            raise NotInSubfield(f"element {x} is not in GF(2^{b})")
-        if x == 0:
-            return 0
-        return self.pow(x, ((1 << b) - 1) // ((1 << a) - 1))
 
     def _check_tower(self, a: int, b: int) -> None:
         if a < 1 or b % a != 0 or self.m % b != 0:

@@ -34,14 +34,6 @@ class LinearizedPoly:
         if not self.coeffs or self.coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
 
-    @property
-    def q_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1
-
 
 def lin_eval(poly: LinearizedPoly, x: int) -> int:
     """Evaluate sum_j a_j * x^(2^j)."""

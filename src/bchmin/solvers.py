@@ -6,7 +6,7 @@
 whose solutions with GF(2)-independent entries seed minimum-weight codeword
 supports.  Deterministic closed forms exist for i=2 (even or coprime
 composite m) and i=4 (4 | m); i=2 odd m and i=3 use seeded probabilistic
-constructions; a brute-force oracle covers tiny fields.
+constructions.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class BadDegree(UncoveredCase):
     """Divisibility condition on m violated."""
 
 
-class TooLarge(ValueError):
-    """Brute force is limited to i = 2 and m <= 6."""
-
-
 class RetriesExhausted(RuntimeError):
     """Probabilistic solver hit its retry cap."""
 
@@ -48,7 +44,6 @@ I2_COMPOSITE = "i2composite"
 I3_EVEN = "i3even"
 I3_HEURISTIC = "i3heuristic"
 I4_DIV4 = "i4"
-BRUTE_FORCE = "bruteforce"
 
 
 def f_j(ctx, j: int, x1: int, x2: int) -> int:
@@ -99,17 +94,12 @@ class SolverReport:
     method: str
 
 
-def _f4_generator(ctx) -> int:
-    _, c = linearized.subfield(ctx, 2)
-    return c
-
-
 def solve_i2_even(ctx) -> SolverReport:
     """Deterministic i=2 solution (1, alpha, c, c*alpha) for even m >= 4,
     with c generating GF(4)*."""
     if ctx.m % 2 or ctx.m < 4:
         raise BadParity(f"even m >= 4 required, got m={ctx.m}")
-    c = _f4_generator(ctx)
+    _, c = linearized.subfield(ctx, 2)
     b = (1, ctx.alpha, c, ctx.mul(c, ctx.alpha))
     return SolverReport(SolutionVector(ctx, b), 1, None, I2_EVEN)
 
@@ -182,7 +172,7 @@ def solve_i3_even(ctx, rng_seed: int, max_retries: int = 256) -> SolverReport:
     if ctx.m % 2 or ctx.m < 6:
         raise BadParity(f"even m >= 6 required, got m={ctx.m}")
     rng = random.Random(rng_seed)
-    c = _f4_generator(ctx)
+    _, c = linearized.subfield(ctx, 2)
     c2 = ctx.mul(c, c)
     for attempt in range(1, max_retries + 1):
         y = rng.getrandbits(ctx.m)
@@ -247,7 +237,7 @@ def solve_i4(ctx) -> SolverReport:
     the first power basis vector outside GF(16)."""
     if ctx.m < 8 or ctx.m % 4:
         raise BadDegree(f"m >= 8 divisible by 4 required, got m={ctx.m}")
-    c = _f4_generator(ctx)
+    _, c = linearized.subfield(ctx, 2)
     f16, _ = linearized.subfield(ctx, 4)
     d = next(x for x in f16 if x != 1 and ctx.pow(x, 5) == 1)
     y = next(1 << k for k in range(ctx.m) if not ctx.in_subfield(1 << k, 4))
@@ -271,27 +261,3 @@ def coprime_split(m: int) -> tuple[int, int]:
         if m % ell == 0 and min(ell, t) >= 2 and max(ell, t) >= 3 and gcd(ell, t) == 1:
             return ell, t
     raise BadFactorization(f"m={m} has no coprime split with min >= 2, max >= 3")
-
-
-def iter_i2_solutions(ctx):
-    """Exhaustively yield every independent ordered solution for i=2
-    (intended for m <= 6: the scan is grouped by the common f_1 value)."""
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for x1 in range(1 << ctx.m):
-        for x2 in range(1 << ctx.m):
-            buckets.setdefault(f_j(ctx, 1, x1, x2), []).append((x1, x2))
-    for pairs in buckets.values():
-        for b1, b2 in pairs:
-            for b3, b4 in pairs:
-                b = (b1, b2, b3, b4)
-                if gflinalg.independent(ctx, b):
-                    yield b
-
-
-def brute_force_solver(ctx, i: int) -> SolverReport:
-    """Exhaustive-search oracle: first independent solution in scan order."""
-    if i != 2 or ctx.m > 6:
-        raise TooLarge("brute force supports i=2 and m <= 6 only")
-    for b in iter_i2_solutions(ctx):
-        return SolverReport(SolutionVector(ctx, b), 1, None, BRUTE_FORCE)
-    raise RetriesExhausted("no solution found by exhaustive scan")

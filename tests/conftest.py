@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from bchmin.gf2m import default_field
+from bchmin import gflinalg
+from bchmin.gf2m import NotInSubfield, default_field
+from bchmin.solvers import RetriesExhausted, SolutionVector, SolverReport, f_j
 
 
 @pytest.fixture
@@ -26,6 +28,16 @@ def random_nonzero(ctx, r: random.Random) -> int:
             return x
 
 
+def norm_rel(ctx, x: int, a: int, b: int) -> int:
+    """Relative norm from the 2^b-element subfield onto the 2^a one."""
+    ctx._check_tower(a, b)
+    if not ctx.in_subfield(x, b):
+        raise NotInSubfield(f"element {x} is not in GF(2^{b})")
+    if x == 0:
+        return 0
+    return ctx.pow(x, ((1 << b) - 1) // ((1 << a) - 1))
+
+
 # -- bit-matrix helpers for the test oracles -------------------------------------
 
 
@@ -43,3 +55,36 @@ def transpose(rows, ncols: int) -> list[int]:
 def dot(row: int, vec: int) -> int:
     """GF(2) inner product of two bit vectors."""
     return (row & vec).bit_count() & 1
+
+
+# -- exhaustive i = 2 oracle -------------------------------------------------------
+
+BRUTE_FORCE = "bruteforce"
+
+
+class TooLarge(ValueError):
+    """Brute force is limited to i = 2 and m <= 6."""
+
+
+def iter_i2_solutions(ctx):
+    """Exhaustively yield every independent ordered solution for i=2
+    (intended for m <= 6: the scan is grouped by the common f_1 value)."""
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for x1 in range(1 << ctx.m):
+        for x2 in range(1 << ctx.m):
+            buckets.setdefault(f_j(ctx, 1, x1, x2), []).append((x1, x2))
+    for pairs in buckets.values():
+        for b1, b2 in pairs:
+            for b3, b4 in pairs:
+                b = (b1, b2, b3, b4)
+                if gflinalg.independent(ctx, b):
+                    yield b
+
+
+def brute_force_solver(ctx, i: int) -> SolverReport:
+    """Exhaustive-search oracle: first independent solution in scan order."""
+    if i != 2 or ctx.m > 6:
+        raise TooLarge("brute force supports i=2 and m <= 6 only")
+    for b in iter_i2_solutions(ctx):
+        return SolverReport(SolutionVector(ctx, b), 1, None, BRUTE_FORCE)
+    raise RetriesExhausted("no solution found by exhaustive scan")

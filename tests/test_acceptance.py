@@ -25,7 +25,7 @@ from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from bchmin.gf2m import default_field
 from bchmin.verify import designed_distance, is_min_weight
 
-from conftest import dot, transpose
+from conftest import dot, iter_i2_solutions, transpose
 
 
 @contextmanager
@@ -266,7 +266,7 @@ def test_criterion_10_brute_force_oracle():
         t0 = time.time()
         for m in (4, 5, 6):
             ctx = default_field(m)
-            all_solutions = set(solvers.iter_i2_solutions(ctx))
+            all_solutions = set(iter_i2_solutions(ctx))
             assert all_solutions
             if m % 2 == 0:
                 assert solvers.solve_i2_even(ctx).solution.b in all_solutions
@@ -286,7 +286,7 @@ def test_criterion_11_weight_spectrum_m4():
 
         built.append(expand(build_support(solvers.solve_i2_even(ctx).solution, 0)))
         sampled = 0
-        for b in solvers.iter_i2_solutions(ctx):
+        for b in iter_i2_solutions(ctx):
             if sampled % 53 == 0:  # spread across the full solution set
                 built.append(expand(build_support(solvers.SolutionVector(ctx, b), 0)))
             sampled += 1

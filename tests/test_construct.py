@@ -76,10 +76,8 @@ def test_expand_detects_collisions():
         ctx=ctx,
         x_set=frozenset({1, 3}),
         basis=(2,),  # 1 ^ 2 = 3 collides with the X part
-        m=4,
         i=1,
         s=0,
-        method="quadform",
         solution=(),
         x_generators=(),
     )

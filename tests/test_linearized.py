@@ -52,7 +52,7 @@ def test_annihilator_vanishes_exactly_on_span(gf256):
     r = rng(23)
     gens = _random_independent(gf256, 3, r)
     ann = annihilator(gf256, gens)
-    assert ann.is_monic and ann.q_degree == 3
+    assert ann.coeffs[-1] == 1 and len(ann.coeffs) - 1 == 3
     members = set(gflinalg.span(gens))
     for x in members:
         assert lin_eval(ann, x) == 0
@@ -131,7 +131,7 @@ def test_image_poly_is_canonical_annihilator_of_its_kernel(gf256):
     r = rng(43)
     U = _random_independent(gf256, 5, r)
     bpoly = image_poly(gf256, U)
-    assert bpoly.is_monic and bpoly.q_degree == 3
+    assert bpoly.coeffs[-1] == 1 and len(bpoly.coeffs) - 1 == 3
     kern = lin_kernel(bpoly)
     assert annihilator(gf256, kern).coeffs == bpoly.coeffs
 
@@ -183,7 +183,7 @@ def test_subspace_polynomials(m, data):
     s = len(gens)
 
     ann = annihilator(ctx, gens)
-    assert ann.is_monic and ann.q_degree == s
+    assert ann.coeffs[-1] == 1 and len(ann.coeffs) - 1 == s
     assert all(lin_eval(ann, g) == 0 for g in gens)
     assert len(lin_kernel(ann)) == s
 
@@ -199,7 +199,7 @@ def test_subspace_polynomials(m, data):
             annihilator(ctx, dependent)
 
     bpoly = image_poly(ctx, gens)
-    assert bpoly.is_monic and bpoly.q_degree == m - s
+    assert bpoly.coeffs[-1] == 1 and len(bpoly.coeffs) - 1 == m - s
     cols = matrix_cols(bpoly)  # they span the image of B, which is span(gens)
     assert gflinalg.rank(cols, m) == s and gflinalg.rank(cols + gens, m) == s
     # A_U(B(X)) = X^(2^m) + X

@@ -8,11 +8,8 @@ from bchmin.solvers import (
     BadParity,
     RetriesExhausted,
     SolutionVector,
-    TooLarge,
-    brute_force_solver,
     check_system,
     f_j,
-    iter_i2_solutions,
     solve_i2_composite,
     solve_i2_even,
     solve_i2_odd,
@@ -21,7 +18,7 @@ from bchmin.solvers import (
     solve_i4,
 )
 
-from conftest import random_nonzero, rng
+from conftest import TooLarge, brute_force_solver, iter_i2_solutions, random_nonzero, rng
 
 
 # -- the bilinear form and the checker ---------------------------------------
