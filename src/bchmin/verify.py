@@ -17,8 +17,8 @@ cheaper one is picked from (n, L, |S|) alone, by counting the leaders in
 [1, L] and their coset sizes.  The scan, the check polynomial and that count
 share one enumeration of the leaders, `_coset_leaders`.  The check route
 needs discrete logs, so it exists only on fields with log tables
-(`GF2m.has_logs`); on the others the scan runs alone, on scalar field
-arithmetic.
+(`GF2m.has_logs`); on the others the scan runs alone, stepping the powers
+of the whole support as numpy uint64 products (`_power_walk`).
 
 This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element sets (anything with ctx, elems,
@@ -68,30 +68,90 @@ def designed_distance(m: int, s: int, i: int) -> int:
     return ((1 << (m - s)) - (1 << (m - i - s))) >> 1  # 0 at i = 0, s = m
 
 
-def _nonzero(ctx, elems):
-    """The nonzero support in the form `_syndromes` takes: discrete logs as
-    an int64 array when the field has log tables, else a list of the
-    elements.  The logs are taken once per claim, in one gather from the
-    log table, and shared by both routes."""
+def _nonzero(ctx, elems) -> np.ndarray:
+    """The nonzero support in the form `_syndromes` takes: the discrete logs
+    as int64 when the field has log tables, else the elements as uint64.
+    The logs are taken once per claim, in one gather from the log table, and
+    shared by both routes."""
     nonzero = [x for x in elems if x]
     if ctx.has_logs:
         return ctx.log_array()[nonzero].astype(np.int64)
-    return nonzero
+    return np.array(nonzero, dtype=np.uint64)
 
 
 def _syndromes(ctx, nonzero, js):
-    """Yield p_j over the nonzero support (see `_nonzero`) for each j in js,
-    lazily so a scan can stop at the first nonzero one."""
+    """Yield p_j over the nonzero support (see `_nonzero`) for each j of the
+    ascending js, lazily so a scan can stop at the first nonzero one.  With
+    log tables p_j is one gather of alpha^(j log x); without, the powers x^j
+    of the whole support are walked up by array products (`_power_walk`)."""
     if ctx.has_logs:
         n, exp = ctx.n, ctx.exp_array()
         for j in js:
             yield int(np.bitwise_xor.reduce(exp[(nonzero * j) % n]))
         return
+    yield from _power_walk(ctx.m, ctx.poly, nonzero, js)
+
+
+# Elements per block of an array product: its m x block transients stay
+# under 1 MB whatever the support size.
+_MUL_BLOCK = 4096
+
+
+@lru_cache(maxsize=64)
+def _fold_tables(m: int, poly: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constants of `_mul` in GF(2)[X] / poly, derived from (m, poly) alone:
+    the bit shifts 0..m-1 as a column, the byte shifts 8k of the high half
+    of a product as a column, and the flat table whose entry 256k + b is
+    (b X^(m+8k)) mod poly, for the ceil((m-1)/8) bytes of that half."""
+    rows = -(-(m - 1) // 8)
+    table = np.zeros((rows, 256), dtype=np.uint64)
+    img = poly ^ (1 << m)  # X^m mod poly
+    for k in range(rows):
+        tab = np.zeros(1, dtype=np.uint64)
+        for _ in range(8):  # doubling: bit t of b adds X^(m+8k+t) mod poly
+            tab = np.concatenate((tab, tab ^ np.uint64(img)))
+            img <<= 1
+            if img >> m:
+                img ^= poly
+        table[k] = tab
+    bits = np.arange(m, dtype=np.uint64)[:, None]
+    shifts = np.arange(0, 8 * rows, 8, dtype=np.uint64)[:, None]
+    return bits, shifts, table.ravel()
+
+
+def _mul(a: np.ndarray, b: np.ndarray, m: int, poly: int) -> np.ndarray:
+    """Elementwise a * b mod poly for uint64 arrays of m-bit elements: the
+    carry-less product is the XOR of b << t over the set bits t of a, which
+    fits in 2m - 1 <= 63 bits; its high m - 1 bits are folded back with one
+    table gather per byte (Lopez and Dahab, INDOCRYPT 2000)."""
+    if len(a) > _MUL_BLOCK:
+        return np.concatenate([
+            _mul(a[lo:lo + _MUL_BLOCK], b[lo:lo + _MUL_BLOCK], m, poly)
+            for lo in range(0, len(a), _MUL_BLOCK)
+        ])
+    bits, shifts, table = _fold_tables(m, poly)
+    prod = np.bitwise_xor.reduce((b << bits) * ((a >> bits) & 1), axis=0)
+    high = prod >> m
+    folded = table[((high >> shifts) & 0xFF) | (shifts << 5)]  # 256k + byte k
+    return (prod & ((1 << m) - 1)) ^ np.bitwise_xor.reduce(folded, axis=0)
+
+
+def _power_walk(m: int, poly: int, x: np.ndarray, js):
+    """Yield the XOR of x^j over the uint64 elements x for each j >= 1 of
+    the ascending js.  y = x^j is kept for the whole array and stepped up by
+    y * x^2 while j is two or more ahead, and by y * x for an odd gap, so
+    the scan of odd leaders takes one product per odd j it passes, and
+    power_sums one per j."""
+    y, at, x2 = x, 1, None
     for j in js:
-        acc = 0
-        for x in nonzero:
-            acc ^= ctx.pow(x, j)
-        yield acc
+        while at < j:
+            if j - at >= 2:
+                if x2 is None:
+                    x2 = _mul(x, x, m, poly)
+                y, at = _mul(y, x2, m, poly), at + 2
+            else:
+                y, at = _mul(y, x, m, poly), at + 1
+        yield int(np.bitwise_xor.reduce(y))
 
 
 def power_sums(cw, j_max: int) -> list[int]:

@@ -38,6 +38,19 @@ def norm_rel(ctx, x: int, a: int, b: int) -> int:
     return ctx.pow(x, ((1 << b) - 1) // ((1 << a) - 1))
 
 
+# -- scalar syndrome reference ----------------------------------------------------
+
+
+def scalar_syndromes(ctx, nonzero, js):
+    """Reference for `verify._syndromes` on fields without log tables: p_j
+    as the XOR of one scalar `ctx.pow(x, j)` per support element."""
+    for j in js:
+        acc = 0
+        for x in nonzero:
+            acc ^= ctx.pow(int(x), j)
+        yield acc
+
+
 # -- bit-matrix helpers for the test oracles -------------------------------------
 
 

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from bchmin.construct import CodewordSupport
+from bchmin import verify
+from bchmin.construct import CodewordSupport, generate
 from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from bchmin.gf2m import default_field
 from bchmin.verify import (
@@ -13,6 +15,7 @@ from bchmin.verify import (
     _coset_counts,
     _coset_leaders,
     _first_failure,
+    _mul,
     _nonzero,
     _pick_route,
     designed_distance,
@@ -21,7 +24,7 @@ from bchmin.verify import (
     power_sums,
 )
 
-from conftest import rng
+from conftest import rng, scalar_syndromes
 
 
 def _fixture(m):
@@ -63,8 +66,9 @@ def test_power_sum_frobenius_conjugacy(gf256):
 
 
 def test_power_sums_match_direct_path():
-    # the numpy table path (m <= 24) and the scalar path (m > 24) against a
-    # direct sum of powers; at m = 20, log(x) * j passes 2^32 for j = 5000
+    # the log-table gathers (m <= 24) and the array products (m > 24)
+    # against a direct sum of powers; at m = 20, log(x) * j passes 2^32 for
+    # j = 5000
     r = rng(23)
     for m, js in ((10, (1, 7, 25)), (20, (1, 4099, 5000)), (25, (1, 7, 25))):
         ctx = default_field(m)
@@ -75,6 +79,70 @@ def test_power_sums_match_direct_path():
             for x in elems:
                 direct ^= ctx.pow(x, j)
             assert p[j - 1] == direct
+
+
+# -- the array kernel of fields without log tables --------------------------------
+
+
+@pytest.mark.parametrize("m", [*range(2, 17), *range(25, 33)])
+def test_array_product_matches_field_mul(m):
+    # 5000 elements pass one block of the product, so the blocks are
+    # stitched too
+    ctx, r = default_field(m), rng(m)
+    a = [r.getrandbits(m) for _ in range(5000)]
+    b = [r.getrandbits(m) for _ in range(5000)]
+    got = _mul(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64), m, ctx.poly)
+    assert got.tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
+
+
+def _table_free_claims(m):
+    """The large-m benchmark cells at m (smallest d for i = 2, 3 and, when
+    4 | m, 4), two mutants of each that keep |S| and p_1 (a, b replaced by
+    a + u, b + u), and the i = 3 support claimed at d = 120, whose first
+    failure falls past the leader 3."""
+    ctx, rand = default_field(m), rng(m)
+    for i in (2, 3, 4) if m % 4 == 0 else (2, 3):
+        cw, _, _ = generate(ctx, i, m - 2 * i, seed=0)
+        yield "valid", cw
+        for _ in range(2):
+            bad = _mutate(ctx, cw.elems, "p1swap", rand)
+            yield "p1", CodewordSupport(ctx, bad, cw.claimed_distance, cw.extended)
+        if i == 3:
+            yield "past3", CodewordSupport(ctx, cw.elems, 120, cw.extended)
+
+
+@pytest.mark.parametrize("m", range(25, 33))
+def test_table_free_kernel_matches_scalar_reference(m, monkeypatch):
+    # verdict, first failing (j, p_j) and p_1..p_40 of the array kernel
+    # against one scalar pow per element
+    for kind, cw in _table_free_claims(m):
+        verdict, sums = is_min_weight(cw), power_sums(cw, 40)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_syndromes", scalar_syndromes)
+            assert is_min_weight(cw) == verdict, (m, kind)
+            assert power_sums(cw, 40) == sums, (m, kind)
+        if kind == "valid":
+            assert verdict.is_min_weight
+        else:
+            j, value = verdict.failing_syndrome
+            assert value and j >= (3 if kind == "p1" else 5), (m, kind)
+
+
+@pytest.mark.parametrize("m, i", [(25, 3), (32, 4)])
+def test_table_free_verification_uses_no_scalar_arithmetic(m, i, monkeypatch):
+    ctx = default_field(m)
+    cw, _, _ = generate(ctx, i, m - 2 * i, seed=0)
+    bad = _mutate(ctx, cw.elems, "p1swap", rng(m))
+    bad = CodewordSupport(ctx, bad, cw.claimed_distance, cw.extended)
+
+    def scalar(*args):
+        raise AssertionError("scalar field arithmetic in table-free verification")
+
+    monkeypatch.setattr(ctx, "pow", scalar)
+    monkeypatch.setattr(ctx, "mul", scalar)
+    assert is_min_weight(cw).is_min_weight
+    verdict = is_min_weight(bad)
+    assert not verdict.member and verdict.failing_syndrome[0] >= 3
 
 
 # -- membership ---------------------------------------------------------------
