@@ -3,12 +3,15 @@ re-verify serialized supports, and reproduce the bundled golden tables.
 
 Exit codes: 0 success / verified, 2 verification failure (also a generated
 support that fails its self-verification), 3 uncovered parameter
-combination, 4 solver retries exhausted, 5 parse error.
+combination, 4 solver retries exhausted, 5 parse error.  Commands report
+a refusal by raising; `_REFUSALS` maps each refusal to its exit code and
+message prefix, and `main` is the one place that applies it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -19,11 +22,11 @@ from itertools import repeat
 
 import numpy as np
 
-from . import construct, solvers, verify
-from .construct import CodewordSupport
+from . import construct, verify
+from .construct import CodewordSupport, UnverifiedSupport
 from .fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from .gf2m import UnsupportedDegree, default_field, parse_poly
-from .solvers import UncoveredCase
+from .solvers import RetriesExhausted, UncoveredCase
 
 SPEC_VERSION = 1
 SEED_ENV_VAR = "BCHMIN_SEED"
@@ -73,21 +76,21 @@ def render_json(ctx, cw: CodewordSupport, meta: dict) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _text_doc(ctx, cw: CodewordSupport, body: str) -> str:
+    """The header line of the two text formats, then `body`."""
+    return (
+        f"m={ctx.m} poly={hex(ctx.poly)} d={cw.claimed_distance} "
+        f"extended={1 if cw.extended else 0}\n{body}\n"
+    )
+
+
 def render_logsupport(ctx, cw: CodewordSupport) -> str:
     # falls back to hex element values when the field has no log tables
-    header = (
-        f"m={ctx.m} poly={hex(ctx.poly)} d={cw.claimed_distance} "
-        f"extended={1 if cw.extended else 0}"
-    )
-    return header + "\n" + ",".join(str(e) for e in _sorted_out(ctx, cw.elems)) + "\n"
+    return _text_doc(ctx, cw, ",".join(str(e) for e in _sorted_out(ctx, cw.elems)))
 
 
 def render_bits(ctx, cw: CodewordSupport) -> str:
-    header = (
-        f"m={ctx.m} poly={hex(ctx.poly)} d={cw.claimed_distance} "
-        f"extended={1 if cw.extended else 0}"
-    )
-    return header + "\n" + "\n".join(hex(x) for x in sorted(cw.elems)) + "\n"
+    return _text_doc(ctx, cw, "\n".join(hex(x) for x in sorted(cw.elems)))
 
 
 # The two forms of support entries, each matched once against all of a
@@ -220,21 +223,7 @@ def generate(
 
 
 def _cmd_generate(args) -> int:
-    try:
-        cw, meta = generate(args.m, args.i, args.s, args.seed, args.poly, args.method, args.retries)
-    except UncoveredCase as exc:
-        print(f"uncovered case: {exc}", file=sys.stderr)
-        return EXIT_UNCOVERED
-    except solvers.RetriesExhausted as exc:
-        print(f"solver exhausted: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except construct.UnverifiedSupport as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
-
+    cw, meta = generate(args.m, args.i, args.s, args.seed, args.poly, args.method, args.retries)
     ctx = cw.ctx
     if args.format == "json":
         print(render_json(ctx, cw, meta))
@@ -248,30 +237,17 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            cw = parse_support_file(fh.read())
+            text = fh.read()
     except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError(f"cannot read {args.input}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        print(f"{args.input} is not UTF-8 text: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError(f"{args.input} is not UTF-8 text: {exc}") from exc
+    cw = parse_support_file(text)
     try:
         verdict = verify.is_min_weight(cw)
-    except (verify.BadDistanceParity, ValueError) as exc:
-        print(f"malformed claim: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    doc = {
-        "member": verdict.member,
-        "weight": verdict.weight,
-        "claimed_distance": verdict.claimed_distance,
-        "is_min_weight": verdict.is_min_weight,
-        "failing_syndrome": verdict.failing_syndrome,
-        "route": verdict.route,
-    }
-    print(json.dumps(doc, indent=2))
+    except ValueError as exc:
+        raise ParseError(f"malformed claim: {exc}") from exc
+    print(json.dumps(dataclasses.asdict(verdict), indent=2))
     return EXIT_OK if verdict.is_min_weight else EXIT_VERIFY_FAIL
 
 
@@ -295,7 +271,7 @@ def _cmd_table(args) -> int:
         v_fix = verify.is_min_weight(fix)
         try:
             cw, _ = generate(m, i, s, seed=seed)
-        except construct.UnverifiedSupport as exc:
+        except UnverifiedSupport as exc:
             fresh_ok, fresh_text = False, f"verified=False ({exc})"
         else:
             fresh = construct.puncture(cw, min(cw.elems))
@@ -365,9 +341,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# Each refusal a command raises: its exit code and the prefix of its message.
+_REFUSALS = {
+    UncoveredCase: (EXIT_UNCOVERED, "uncovered case: "),
+    RetriesExhausted: (EXIT_EXHAUSTED, "solver exhausted: "),
+    UnverifiedSupport: (EXIT_VERIFY_FAIL, ""),
+    ParseError: (EXIT_PARSE, ""),
+}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_REFUSALS) as exc:
+        code, prefix = _REFUSALS[type(exc)]
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -15,32 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import gflinalg, linearized, solvers, verify
-from .solvers import BadDegree, SolutionVector, UncoveredCase
-from .verify import BadDistanceParity
-
-
-class BadS(UncoveredCase):
-    """s outside 0..m-2i, or a designed distance below 2."""
+from .solvers import SolutionVector, UncoveredCase
 
 
 class UnverifiedSupport(RuntimeError):
     """Self-verification refused a generated support."""
-
-
-class CollisionDetected(ValueError):
-    """X + span(B) produced fewer elements than |X| * 2^|B|."""
-
-
-class NotCosetUnion(ValueError):
-    """Support is not a union of cosets of the given subspace."""
-
-
-class SupportNotInU(ValueError):
-    """Support not contained in the subspace being up-converted over."""
-
-
-class XNotInSupport(ValueError):
-    """Puncturing point must belong to the support."""
 
 
 class DegenerateY(ValueError):
@@ -120,7 +99,7 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
     ctx = sol.ctx
     m, i = ctx.m, sol.i
     if not 0 <= s <= m - 2 * i:
-        raise BadS(f"s must be in 0..{m - 2 * i}, got {s}")
+        raise UncoveredCase(f"s must be in 0..{m - 2 * i}, got {s}")
     basis = gflinalg.complete_to_basis(ctx, list(sol.b))
     dual = gflinalg.dual_basis(ctx, basis)
     ann = linearized.annihilator(ctx, dual[2 * i : 2 * i + s])
@@ -152,7 +131,7 @@ def expand(spec: SupportSpec) -> CodewordSupport:
     for v in gflinalg.span(spec.basis):
         elems.update(x ^ v for x in spec.x_set)
     if len(elems) != spec.weight:
-        raise CollisionDetected("X + span(B) is smaller than |X| * 2^|B|")
+        raise ValueError("X + span(B) is smaller than |X| * 2^|B|")
     return CodewordSupport(spec.ctx, frozenset(elems), spec.weight, extended=True)
 
 
@@ -167,11 +146,11 @@ def down_convert(cw: CodewordSupport, V_basis) -> CodewordSupport:
     s = len(V_basis)
     new_d = (cw.claimed_distance + (1 << s) - 1) >> s
     if new_d % 2:
-        raise BadDistanceParity(f"ceil(d / 2^s) = {new_d} must be even")
+        raise ValueError(f"ceil(d / 2^s) = {new_d} must be even")
     for v in V_basis:
         for x in cw.elems:
             if x ^ v not in cw.elems:
-                raise NotCosetUnion("support is not a union of cosets of span(V)")
+                raise ValueError("support is not a union of cosets of span(V)")
     ann = linearized.annihilator(ctx, V_basis)
     image = {linearized.lin_eval(ann, x) for x in cw.elems}
     assert len(image) == len(cw.elems) >> s
@@ -194,7 +173,7 @@ def up_convert(cw: CodewordSupport, U_basis) -> CodewordSupport:
         # the image of B is exactly span(U)
         x0 = bmap.preimage(x)
         if x0 is None:
-            raise SupportNotInU(f"support element {x} outside span(U)")
+            raise ValueError(f"support element {x} outside span(U)")
         preimage.update(x0 ^ v for v in kernel)
     factor = 1 << (ctx.m - len(U_basis))
     assert len(preimage) == len(cw.elems) * factor
@@ -209,7 +188,7 @@ def gold_support(ctx, i: int) -> CodewordSupport:
     2^(2i-1) - 2^(i-1) member of the matching extended BCH code whenever
     2i | m."""
     if i < 1 or ctx.m % (2 * i):
-        raise BadDegree(f"2i = {2 * i} must divide m = {ctx.m}")
+        raise UncoveredCase(f"2i = {2 * i} must divide m = {ctx.m}")
     elems, _ = linearized.subfield(ctx, 2 * i)
     beta = next(x for x in elems if not ctx.in_subfield(x, i))
     d = 1 << i
@@ -242,7 +221,7 @@ def puncture(cw: CodewordSupport, x: int) -> CodewordSupport:
     if not cw.extended:
         raise ValueError("puncturing applies to extended supports")
     if x not in cw.elems:
-        raise XNotInSupport(f"{x} is not in the support")
+        raise ValueError(f"{x} is not in the support")
     elems = {x ^ e for e in cw.elems}
     elems.discard(0)
     return CodewordSupport(
@@ -347,7 +326,7 @@ def generate(
     if entry is None or entry.i not in (None, i):
         raise UncoveredCase(f"method {method} does not build i={i} at m={m}")
     if i < 0 or not 0 <= s <= m - 2 * i or verify.designed_distance(m, s, i) < 2:
-        raise BadS(f"need s in 0..{m - 2 * i} and d({m}, {s}, {i}) >= 2, got s={s}")
+        raise UncoveredCase(f"need s in 0..{m - 2 * i} and d({m}, {s}, {i}) >= 2, got s={s}")
     kw = {} if max_retries is None else {"max_retries": max_retries}
     cw, seeded, spec = entry.call(ctx, i, s, seed, **kw)
     verdict = verify.is_min_weight(cw)

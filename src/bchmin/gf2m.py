@@ -18,30 +18,6 @@ class UnsupportedDegree(ValueError):
     """Extension degree outside the supported range 2..32."""
 
 
-class ReduciblePolynomial(ValueError):
-    """The supplied modulus is reducible over GF(2)."""
-
-
-class NonPrimitiveAlpha(ValueError):
-    """X is not a generator of the multiplicative group modulo the modulus."""
-
-
-class NotInSubfield(ValueError):
-    """Element does not lie in the requested subfield."""
-
-
-class BadTowerDegrees(ValueError):
-    """Requested subfield degrees do not form a divisor tower."""
-
-
-class ZeroHasNoLog(ValueError):
-    """Discrete log of the zero element requested."""
-
-
-class Unsupported(RuntimeError):
-    """Log tables are only built for m <= 24."""
-
-
 # Built-in primitive polynomials, degree -> modulus (bit k = coeff of X^k).
 _DEFAULT_POLYS = {
     2: 0x7,
@@ -157,7 +133,7 @@ class GF2m:
     """A concrete representation of GF(2^m) with a designated primitive
     element alpha (the class of X).  `has_logs` is True iff m <= 24: the
     field then holds log/antilog tables from construction on; otherwise
-    `log`, `exp_array` and `log_array` raise Unsupported and the
+    `log`, `exp_array` and `log_array` raise RuntimeError and the
     arithmetic is carry-less.
 
     Parameters
@@ -170,7 +146,11 @@ class GF2m:
 
     Raises
     ------
-    UnsupportedDegree, ReduciblePolynomial, NonPrimitiveAlpha
+    UnsupportedDegree
+        m outside 2..32.
+    ValueError
+        poly does not parse, is negative, is not of degree m, is reducible,
+        or has X of order below 2^m - 1.
     """
 
     def __init__(self, m: int, poly: int | str | None = None):
@@ -183,23 +163,18 @@ class GF2m:
         if poly < 0:  # _clmul would never finish on a negative multiplier
             raise ValueError(f"modulus {hex(poly)} is negative")
         if poly.bit_length() != m + 1:
-            raise ValueError(
-                f"modulus {hex(poly)} does not have degree {m}"
-            )
+            raise ValueError(f"modulus {hex(poly)} does not have degree {m}")
         if not _is_irreducible(poly, m):
-            raise ReduciblePolynomial(f"{hex(poly)} is reducible over GF(2)")
+            raise ValueError(f"{hex(poly)} is reducible over GF(2)")
 
         self.m = m
         self.poly = poly
         self.n = (1 << m) - 1
         self.alpha = 2
-        self._mask = self.n
 
         for p in _factorize(self.n):
             if self._pow_nontable(2, self.n // p) == 1:
-                raise NonPrimitiveAlpha(
-                    f"X has order < 2^{m}-1 modulo {hex(poly)}"
-                )
+                raise ValueError(f"X has order < 2^{m}-1 modulo {hex(poly)}")
 
         # bit k set iff Tr(alpha^k) = 1; makes trace a masked parity
         tmask = 0
@@ -286,7 +261,7 @@ class GF2m:
         """Relative trace from the 2^b-element subfield onto the 2^a one."""
         self._check_tower(a, b)
         if not self.in_subfield(x, b):
-            raise NotInSubfield(f"element {x} is not in GF(2^{b})")
+            raise ValueError(f"element {x} is not in GF(2^{b})")
         acc = 0
         cur = x
         for _ in range(b // a):
@@ -296,7 +271,7 @@ class GF2m:
 
     def _check_tower(self, a: int, b: int) -> None:
         if a < 1 or b % a != 0 or self.m % b != 0:
-            raise BadTowerDegrees(f"need a | b | m, got a={a}, b={b}, m={self.m}")
+            raise ValueError(f"need a | b | m, got a={a}, b={b}, m={self.m}")
 
     # -- logs ---------------------------------------------------------------
 
@@ -335,12 +310,12 @@ class GF2m:
 
     def _require_tables(self) -> None:
         if not self.has_logs:
-            raise Unsupported(f"log tables are not built for m={self.m} > {_LOG_TABLE_MAX_M}")
+            raise RuntimeError(f"log tables are not built for m={self.m} > {_LOG_TABLE_MAX_M}")
 
     def log(self, x: int) -> int:
         """Discrete log base alpha (table-backed, m <= 24)."""
         if x == 0:
-            raise ZeroHasNoLog("discrete log of 0 requested")
+            raise ValueError("discrete log of 0 requested")
         self._require_tables()
         return self._log[x]
 

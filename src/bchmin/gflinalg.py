@@ -13,10 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 
-class DependentInput(ValueError):
-    """Linearly dependent elements where independence is required."""
-
-
 class LinearMap:
     """A GF(2)-linear map f given by the images f(e_k) of the unit vectors
     (ncols-bit ints; on GF(2^m), e_k = alpha^k), factorized by one RREF
@@ -63,11 +59,11 @@ def rank(rows: Sequence[int], ncols: int) -> int:
 
 
 def invert(rows: Sequence[int], n: int) -> list[int]:
-    """Inverse of a square n x n bit matrix A (DependentInput if singular):
+    """Inverse of a square n x n bit matrix A (ValueError if singular):
     row j of A^(-1) is the preimage of e_j under f(e_r) = rows[r], i.e. A^T."""
     fmap = LinearMap(rows, n)
     if fmap.kernel or len(rows) != n:
-        raise DependentInput("matrix is singular over GF(2)")
+        raise ValueError("matrix is singular over GF(2)")
     return [fmap.preimage(1 << j) for j in range(n)]
 
 
@@ -96,7 +92,7 @@ def complete_to_basis(ctx, elems: Sequence[int]) -> list[int]:
         while x and x.bit_length() in tops:
             x ^= tops[x.bit_length()]
         if not x:
-            raise DependentInput("cannot complete dependent elements to a basis")
+            raise ValueError("cannot complete dependent elements to a basis")
         tops[x.bit_length()] = x
     return list(elems) + [1 << k for k in range(ctx.m) if k + 1 not in tops]
 
@@ -115,5 +111,5 @@ def dual_basis(ctx, basis: Sequence[int]) -> list[int]:
             x = ctx.mul(x, ctx.alpha)
     fmap = LinearMap(images, m)
     if len(basis) != m or fmap.kernel:
-        raise DependentInput("dual basis requires a full basis")
+        raise ValueError("dual basis requires a full basis")
     return [fmap.preimage(1 << j) for j in range(m)]

@@ -12,15 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import gflinalg
-from .gf2m import BadTowerDegrees
-
-
-class DependentGenerators(ValueError):
-    """Generators of a subspace must be linearly independent."""
-
-
-class ZeroLeadingCoefficient(ValueError):
-    """The cubic c1*X^3 + c2*X + c1^2 needs c1 != 0."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +51,7 @@ def annihilator(ctx, gens: Sequence[int]) -> LinearizedPoly:
     for v in gens:
         w = lin_eval(LinearizedPoly(ctx, coeffs), v)
         if w == 0:
-            raise DependentGenerators("annihilator generators are dependent")
+            raise ValueError("annihilator generators are dependent")
         # a'_j = a_{j-1}^2 + w * a_j
         coeffs = tuple(
             ctx.mul(hi, hi) ^ ctx.mul(w, lo)
@@ -99,7 +90,7 @@ def affine_cubic_roots(ctx, c1: int, c2: int) -> set[int]:
     linearized map x -> c1*x^4 + c2*x^2 + c1^2*x = x * (c1*x^3 + c2*x +
     c1^2).  The root set has size 0, 1, or 3."""
     if c1 == 0:
-        raise ZeroLeadingCoefficient("leading cubic coefficient is zero")
+        raise ValueError("leading cubic coefficient is zero")
     quartic = LinearizedPoly(ctx, (ctx.mul(c1, c1), c2, c1))
     return set(gflinalg.span(lin_kernel(quartic))) - {0}
 
@@ -123,7 +114,7 @@ def subfield(ctx, ell: int) -> tuple[list[int], int]:
     X^(2^ell) + X, sorted, plus the first generator: the first element
     not fixed by x -> x^(2^d) for any d < ell."""
     if ell < 1 or ctx.m % ell != 0:
-        raise BadTowerDegrees(f"{ell} does not divide m={ctx.m}")
+        raise ValueError(f"{ell} does not divide m={ctx.m}")
     fixed = LinearizedPoly(ctx, (1,) + (0,) * (ell - 1) + (1,))  # X^(2^ell) + X
     elems = sorted(gflinalg.span(lin_kernel(fixed)))
     gen = next(x for x in elems if x and all(ctx.frobenius(x, d) != x for d in range(1, ell)))

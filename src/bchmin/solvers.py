@@ -22,18 +22,6 @@ class UncoveredCase(ValueError):
     """No construction covers this (m, i, s, method) combination."""
 
 
-class BadParity(UncoveredCase):
-    """Solver requires the other parity of m."""
-
-
-class BadFactorization(UncoveredCase):
-    """m must factor as ell * t with gcd 1, min >= 2, max >= 3."""
-
-
-class BadDegree(UncoveredCase):
-    """Divisibility condition on m violated."""
-
-
 class RetriesExhausted(RuntimeError):
     """Probabilistic solver hit its retry cap."""
 
@@ -98,7 +86,7 @@ def solve_i2_even(ctx) -> SolverReport:
     """Deterministic i=2 solution (1, alpha, c, c*alpha) for even m >= 4,
     with c generating GF(4)*."""
     if ctx.m % 2 or ctx.m < 4:
-        raise BadParity(f"even m >= 4 required, got m={ctx.m}")
+        raise UncoveredCase(f"even m >= 4 required, got m={ctx.m}")
     _, c = linearized.subfield(ctx, 2)
     b = (1, ctx.alpha, c, ctx.mul(c, ctx.alpha))
     return SolverReport(SolutionVector(ctx, b), 1, None, I2_EVEN)
@@ -114,7 +102,7 @@ def solve_i2_odd(ctx, rng_seed: int, max_retries: int = 64) -> SolverReport:
     most a handful of bad c per field.
     """
     if ctx.m % 2 == 0 or ctx.m < 5:
-        raise BadParity(f"odd m >= 5 required, got m={ctx.m}")
+        raise UncoveredCase(f"odd m >= 5 required, got m={ctx.m}")
     rng = random.Random(rng_seed)
     v, vp = 1, ctx.alpha
     inv3 = pow(3, -1, ctx.n)
@@ -149,7 +137,7 @@ def solve_i2_composite(ctx, ell: int, t: int) -> SolverReport:
         or max(ell, t) < 3
         or gcd(ell, t) != 1
     ):
-        raise BadFactorization(
+        raise UncoveredCase(
             f"need m = ell*t, gcd 1, min >= 2, max >= 3; got ell={ell}, t={t}, m={ctx.m}"
         )
     _, a = linearized.subfield(ctx, ell)
@@ -170,7 +158,7 @@ def solve_i3_even(ctx, rng_seed: int, max_retries: int = 256) -> SolverReport:
     independent entries.  Each draw is accepted with probability about 1/3.
     """
     if ctx.m % 2 or ctx.m < 6:
-        raise BadParity(f"even m >= 6 required, got m={ctx.m}")
+        raise UncoveredCase(f"even m >= 6 required, got m={ctx.m}")
     rng = random.Random(rng_seed)
     _, c = linearized.subfield(ctx, 2)
     c2 = ctx.mul(c, c)
@@ -206,7 +194,7 @@ def solve_i3_heuristic(ctx, rng_seed: int, max_retries: int = 4096) -> SolverRep
     satisfies f_1(x1,x2) = c1 and f_2(x1,x2) = c2.
     """
     if ctx.m < 6:
-        raise BadDegree(f"m >= 6 required, got m={ctx.m}")
+        raise UncoveredCase(f"m >= 6 required, got m={ctx.m}")
     rng = random.Random(rng_seed)
     for attempt in range(1, max_retries + 1):
         draw = []
@@ -236,7 +224,7 @@ def solve_i4(ctx) -> SolverReport:
     divisible by 4: c generates GF(4)*, d has order 5 in GF(16), and y is
     the first power basis vector outside GF(16)."""
     if ctx.m < 8 or ctx.m % 4:
-        raise BadDegree(f"m >= 8 divisible by 4 required, got m={ctx.m}")
+        raise UncoveredCase(f"m >= 8 divisible by 4 required, got m={ctx.m}")
     _, c = linearized.subfield(ctx, 2)
     f16, _ = linearized.subfield(ctx, 4)
     d = next(x for x in f16 if x != 1 and ctx.pow(x, 5) == 1)
@@ -260,4 +248,4 @@ def coprime_split(m: int) -> tuple[int, int]:
         t = m // ell
         if m % ell == 0 and min(ell, t) >= 2 and max(ell, t) >= 3 and gcd(ell, t) == 1:
             return ell, t
-    raise BadFactorization(f"m={m} has no coprime split with min >= 2, max >= 3")
+    raise UncoveredCase(f"m={m} has no coprime split with min >= 2, max >= 3")

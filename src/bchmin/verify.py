@@ -43,14 +43,6 @@ _SCAN_NS_PER_GATHER = 7.2
 _CHECK_NS_PER_WORD = 4.0
 
 
-class BadDistanceParity(ValueError):
-    """Extended claims need even d, punctured claims odd d."""
-
-
-class BadRange(ValueError):
-    """Parameters outside m >= 2, 0 <= i <= m/2, 0 <= s <= m - 2i."""
-
-
 @dataclass(frozen=True)
 class Verdict:
     member: bool
@@ -64,7 +56,7 @@ class Verdict:
 def designed_distance(m: int, s: int, i: int) -> int:
     """The designed-distance family 2^(m-1-s) - 2^(m-1-i-s)."""
     if m < 2 or not 0 <= i <= m // 2 or not 0 <= s <= m - 2 * i:
-        raise BadRange(f"bad parameters m={m}, s={s}, i={i}")
+        raise ValueError(f"bad parameters m={m}, s={s}, i={i}")
     return ((1 << (m - s)) - (1 << (m - i - s))) >> 1  # 0 at i = 0, s = m
 
 
@@ -300,12 +292,12 @@ def _membership(cw) -> tuple[bool, tuple[int, int] | None, str]:
         raise ValueError(f"claimed distance must be in 2..{ctx.n + 1}, got {d}")
     if cw.extended:
         if d % 2:
-            raise BadDistanceParity(f"extended claim needs even d, got {d}")
+            raise ValueError(f"extended claim needs even d, got {d}")
         refused = len(cw.elems) % 2 == 1
         j_limit = d - 2
     else:
         if d % 2 == 0:
-            raise BadDistanceParity(f"punctured claim needs odd d, got {d}")
+            raise ValueError(f"punctured claim needs odd d, got {d}")
         refused = 0 in cw.elems
         j_limit = d - 1
     nonzero = _nonzero(ctx, cw.elems)

@@ -1,3 +1,7 @@
+import importlib
+import inspect
+import pkgutil
+
 import bchmin
 
 PUBLIC = {
@@ -47,3 +51,26 @@ def test_public_api_is_pinned():
     # the exhaustive i = 2 search is a test oracle, not library API
     for oracle in ("brute_force_solver", "iter_i2_solutions", "TooLarge", "norm_rel"):
         assert not hasattr(bchmin, oracle)
+
+
+# One class per outcome a caller handles on its own; every other refusal is
+# the builtin named here as its base.
+EXCEPTIONS = {
+    "cli.ParseError": ValueError,
+    "construct.DegenerateY": ValueError,
+    "construct.UnverifiedSupport": RuntimeError,
+    "gf2m.UnsupportedDegree": ValueError,
+    "solvers.RetriesExhausted": RuntimeError,
+    "solvers.UncoveredCase": ValueError,
+}
+
+
+def test_exception_classes_are_pinned():
+    # New exception classes are an API decision too: add them here on purpose.
+    defined = {}
+    for info in pkgutil.iter_modules(bchmin.__path__):
+        module = importlib.import_module(f"bchmin.{info.name}")
+        for name, obj in inspect.getmembers(module, inspect.isclass):
+            if issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                defined[f"{info.name}.{name}"] = obj.__bases__
+    assert defined == {name: (base,) for name, base in EXCEPTIONS.items()}

@@ -29,7 +29,7 @@ from bchmin.cli import (
     render_logsupport,
 )
 from bchmin.fixtures import BCH27_FIXTURES
-from bchmin.gf2m import GF2m, NonPrimitiveAlpha, ReduciblePolynomial
+from bchmin.gf2m import GF2m
 
 
 def _run(capsys, argv):
@@ -271,6 +271,81 @@ def test_method_must_match_i(capsys):
     assert code == EXIT_UNCOVERED
 
 
+# -- one exit code and stderr prefix per refusal, all through main ---------
+
+_ODD_EXTENDED_CLAIM = b"m=8 poly=0x11d d=25 extended=1\n0x1,0x2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, files, swap, code, err",
+    [
+        pytest.param(
+            ["generate", "--m", "9", "--i", "4"], {}, False,
+            EXIT_UNCOVERED, "uncovered case: method auto does not build i=4 at m=9",
+            id="generate-uncovered",
+        ),
+        pytest.param(
+            ["generate", "--m", "8", "--i", "2", "--s", "9"], {}, False,
+            EXIT_UNCOVERED, "uncovered case: need s in 0..4 and d(8, 9, 2) >= 2, got s=9",
+            id="generate-bad-s",
+        ),
+        pytest.param(
+            ["generate", "--m", "40", "--i", "2"], {}, False,
+            EXIT_UNCOVERED, "uncovered case: m must be in 2..32, got 40",
+            id="generate-bad-m",
+        ),
+        pytest.param(
+            ["generate", "--m", "8", "--i", "2", "--poly", "0x11b"], {}, False,
+            EXIT_PARSE, "bad --poly '0x11b': X has order < 2^8-1 modulo 0x11b",
+            id="generate-bad-poly",
+        ),
+        pytest.param(
+            ["generate", "--m", "7", "--i", "3", "--retries", "0"], {}, False,
+            EXIT_EXHAUSTED, "solver exhausted: heuristic failed within 0 iterations",
+            id="generate-retries-0",
+        ),
+        pytest.param(
+            ["generate", "--m", "8", "--i", "2", "--s", "2"], {}, True,
+            EXIT_VERIFY_FAIL, "refusing to emit unverified support: Verdict(",
+            id="generate-refused",
+        ),
+        pytest.param(
+            ["verify", "{dir}/missing.json"], {}, False,
+            EXIT_PARSE, "cannot read {dir}/missing.json: [Errno 2]",
+            id="verify-missing-file",
+        ),
+        pytest.param(
+            ["verify", "{dir}/latin1.json"], {"latin1.json": b"\xff{"}, False,
+            EXIT_PARSE, "{dir}/latin1.json is not UTF-8 text: 'utf-8' codec can't decode",
+            id="verify-not-utf8",
+        ),
+        pytest.param(
+            ["verify", "{dir}/claim.log"], {"claim.log": _ODD_EXTENDED_CLAIM}, False,
+            EXIT_PARSE, "malformed claim: extended claim needs even d, got 25",
+            id="verify-malformed-claim",
+        ),
+        pytest.param(
+            ["verify", "{dir}/brace.json"], {"brace.json": b"{"}, False,
+            EXIT_PARSE, "bad JSON support file: Expecting property name",
+            id="verify-malformed-file",
+        ),
+        pytest.param(["table", "t23"], {}, True, EXIT_VERIFY_FAIL, "", id="table-row-refused"),
+    ],
+)
+def test_refusal_exit_code_and_message(tmp_path, monkeypatch, capsys, argv, files, swap, code, err):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    if swap:
+        _swap_one_expanded_element(monkeypatch)
+    assert cli.main([a.format(dir=tmp_path) for a in argv]) == code
+    captured = capsys.readouterr()
+    if argv[0] == "table":  # a refused row is printed as such and the table goes on
+        assert captured.err == "" and "fresh: verified=False (refusing" in captured.out
+    else:
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(err.format(dir=tmp_path))
+
+
 # -- verify: malformed files are refused with exit 5 ------------------------
 
 
@@ -395,7 +470,7 @@ def test_verify_stream_of_moduli_pins_few_fields(tmp_path, capsys):
     for poly in range(0x101, 0x200, 2):
         try:
             GF2m(8, poly)
-        except (ReduciblePolynomial, NonPrimitiveAlpha):
+        except ValueError:  # reducible, or X not primitive
             continue
         polys.append(poly)
     assert len(polys) == 16

@@ -13,14 +13,8 @@ import bchmin
 from bchmin import linearized
 from bchmin.gf2m import (
     _DEFAULT_POLYS,
-    BadTowerDegrees,
     GF2m,
-    NonPrimitiveAlpha,
-    NotInSubfield,
-    ReduciblePolynomial,
-    Unsupported,
     UnsupportedDegree,
-    ZeroHasNoLog,
     default_field,
     parse_poly,
 )
@@ -49,13 +43,13 @@ def test_make_field_default_degree8():
 
 
 def test_make_field_rejects_reducible():
-    with pytest.raises(ReduciblePolynomial):
+    with pytest.raises(ValueError, match="0x15 is reducible over GF"):
         GF2m(4, 0x15)  # X^4 + X^2 + 1 = (X^2 + X + 1)^2
 
 
 def test_make_field_rejects_nonprimitive():
     # X^4 + X^3 + X^2 + X + 1 is irreducible but X has order 5
-    with pytest.raises(NonPrimitiveAlpha):
+    with pytest.raises(ValueError, match="X has order < 2\\^4-1 modulo 0x1f"):
         GF2m(4, 0x1F)
 
 
@@ -128,7 +122,7 @@ def test_nontable_path_matches_table_path():
     big = GF2m(25)
     assert not big.has_logs
     for table_call in (lambda: big.log(3), big.exp_array, big.log_array):
-        with pytest.raises(Unsupported):
+        with pytest.raises(RuntimeError, match="log tables are not built for m=25 > 24"):
             table_call()
     small = GF2m(8)
     r = rng(3)
@@ -212,9 +206,9 @@ def test_trace_tower_transitivity():
 
 
 def test_trace_rel_errors(gf256):
-    with pytest.raises(BadTowerDegrees):
+    with pytest.raises(ValueError, match="need a \\| b \\| m, got a=3, b=8, m=8"):
         gf256.trace_rel(1, 3, 8)  # 3 does not divide 8
-    with pytest.raises(NotInSubfield):
+    with pytest.raises(ValueError, match="is not in GF\\(2\\^4\\)"):
         gf256.trace_rel(gf256.alpha, 1, 4)  # alpha not in GF(16)
 
 
@@ -311,7 +305,7 @@ def test_subfield_gf4_in_gf16(gf16):
 
 
 def test_subfield_bad_degree(gf256):
-    with pytest.raises(BadTowerDegrees):
+    with pytest.raises(ValueError, match="3 does not divide m=8"):
         linearized.subfield(gf256, 3)
 
 
@@ -330,7 +324,7 @@ def test_discrete_log_basics(gf256):
     assert gf256.log(1) == 0
     assert gf256.log(gf256.alpha) == 1
     assert gf256.log(gf256.exp(30)) == 30
-    with pytest.raises(ZeroHasNoLog):
+    with pytest.raises(ValueError, match="discrete log of 0 requested"):
         gf256.log(0)
 
 
@@ -343,7 +337,7 @@ def test_log_exp_roundtrip_exhaustive(m):
 
 def test_log_unsupported_for_large_m():
     ctx = GF2m(25)
-    with pytest.raises(Unsupported):
+    with pytest.raises(RuntimeError, match="log tables are not built for m=25 > 24"):
         ctx.log(3)
 
 

@@ -6,9 +6,7 @@ from bchmin import gflinalg
 from bchmin.construct import CodewordSupport, up_convert
 from bchmin.gf2m import default_field
 from bchmin.linearized import (
-    DependentGenerators,
     LinearizedPoly,
-    ZeroLeadingCoefficient,
     affine_cubic_roots,
     annihilator,
     artin_schreier_solve,
@@ -65,7 +63,7 @@ def test_annihilator_vanishes_exactly_on_span(gf256):
 
 
 def test_annihilator_rejects_dependent(gf256):
-    with pytest.raises(DependentGenerators):
+    with pytest.raises(ValueError, match="annihilator generators are dependent"):
         annihilator(gf256, [3, 5, 6])
 
 
@@ -157,7 +155,7 @@ def test_image_map_preimage_of_image_identity(gf256):
 
 
 def test_image_map_rejects_dependent(gf256):
-    with pytest.raises(DependentGenerators):
+    with pytest.raises(ValueError, match="annihilator generators are dependent"):
         image_poly(gf256, [3, 5, 6])
 
 
@@ -195,7 +193,7 @@ def test_subspace_polynomials(m, data):
     for extra in bad:
         dependent = gens + [extra]
         r.shuffle(dependent)
-        with pytest.raises(DependentGenerators):
+        with pytest.raises(ValueError, match="annihilator generators are dependent"):
             annihilator(ctx, dependent)
 
     bpoly = image_poly(ctx, gens)
@@ -251,7 +249,7 @@ def test_affine_cubic_census_exhaustive(m):
 
 
 def test_affine_cubic_rejects_zero_leading(gf256):
-    with pytest.raises(ZeroLeadingCoefficient):
+    with pytest.raises(ValueError, match="leading cubic coefficient is zero"):
         affine_cubic_roots(gf256, 0, 1)
 
 

@@ -3,11 +3,9 @@ import pytest
 from bchmin import gflinalg, linearized
 from bchmin.gf2m import default_field
 from bchmin.solvers import (
-    BadDegree,
-    BadFactorization,
-    BadParity,
     RetriesExhausted,
     SolutionVector,
+    UncoveredCase,
     check_system,
     f_j,
     solve_i2_composite,
@@ -90,7 +88,7 @@ def test_solve_i2_even_matched_pairs_all_odd_j(gf256):
 
 
 def test_solve_i2_even_requires_even_m():
-    with pytest.raises(BadParity):
+    with pytest.raises(UncoveredCase, match="even m >= 4 required, got m=5"):
         solve_i2_even(default_field(5))
 
 
@@ -114,7 +112,7 @@ def test_solve_i2_odd_deterministic_given_seed():
 
 
 def test_solve_i2_odd_requires_odd_m():
-    with pytest.raises(BadParity):
+    with pytest.raises(UncoveredCase, match="odd m >= 5 required, got m=6"):
         solve_i2_odd(default_field(6), 1)
 
 
@@ -129,11 +127,11 @@ def test_solve_i2_composite():
 
 
 def test_solve_i2_composite_bad_factorizations():
-    with pytest.raises(BadFactorization):
+    with pytest.raises(UncoveredCase, match="got ell=2, t=2, m=4"):
         solve_i2_composite(default_field(4), 2, 2)  # gcd = 2
-    with pytest.raises(BadFactorization):
+    with pytest.raises(UncoveredCase, match="got ell=2, t=2, m=6"):
         solve_i2_composite(default_field(6), 2, 2)  # 2 * 2 != 6
-    with pytest.raises(BadFactorization):
+    with pytest.raises(UncoveredCase, match="got ell=1, t=6, m=6"):
         solve_i2_composite(default_field(6), 1, 6)  # min < 2
 
 
@@ -151,7 +149,7 @@ def test_solve_i3_even(m):
 
 
 def test_solve_i3_even_requires_even_m():
-    with pytest.raises(BadParity):
+    with pytest.raises(UncoveredCase, match="even m >= 6 required, got m=7"):
         solve_i3_even(default_field(7), 1)
 
 
@@ -214,7 +212,7 @@ def test_solve_i4(m):
 
 
 def test_solve_i4_requires_divisible_by_4():
-    with pytest.raises(BadDegree):
+    with pytest.raises(UncoveredCase, match="m >= 8 divisible by 4 required, got m=10"):
         solve_i4(default_field(10))
 
 

@@ -10,8 +10,6 @@ from bchmin.construct import CodewordSupport, generate
 from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from bchmin.gf2m import default_field
 from bchmin.verify import (
-    BadDistanceParity,
-    BadRange,
     _coset_counts,
     _coset_leaders,
     _first_failure,
@@ -174,9 +172,9 @@ def test_nonextended_rejects_zero_in_support(gf256):
 
 
 def test_distance_parity_validation(gf256):
-    with pytest.raises(BadDistanceParity):
+    with pytest.raises(ValueError, match="extended claim needs even d, got 5"):
         is_member(CodewordSupport(gf256, frozenset({1, 2}), 5, extended=True))
-    with pytest.raises(BadDistanceParity):
+    with pytest.raises(ValueError, match="punctured claim needs odd d, got 6"):
         is_member(CodewordSupport(gf256, frozenset({1, 2}), 6, extended=False))
     with pytest.raises(ValueError):
         is_member(CodewordSupport(gf256, frozenset({1, 2}), 1, extended=False))
@@ -229,13 +227,13 @@ def test_designed_distance_zero_at_i0():
 
 
 def test_designed_distance_range_checks():
-    with pytest.raises(BadRange):
+    with pytest.raises(ValueError, match="bad parameters m=1, s=0, i=0"):
         designed_distance(1, 0, 0)
-    with pytest.raises(BadRange):
+    with pytest.raises(ValueError, match="bad parameters m=8, s=0, i=5"):
         designed_distance(8, 0, 5)  # i > m/2
-    with pytest.raises(BadRange):
+    with pytest.raises(ValueError, match="bad parameters m=8, s=5, i=2"):
         designed_distance(8, 5, 2)  # s > m - 2i
-    with pytest.raises(BadRange):
+    with pytest.raises(ValueError, match="bad parameters m=8, s=-1, i=2"):
         designed_distance(8, -1, 2)
 
 
