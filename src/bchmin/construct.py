@@ -69,21 +69,13 @@ def quadform_rows(i: int) -> tuple[int, ...]:
     in lexicographic order; bit j-1 of a row int holds x_j."""
     if i < 1:
         raise ValueError("i must be >= 1")
-    rows = []
     w = 2 * i
-    for v in range(1 << w):
-        # enumerate lexicographically on (x_1, ..., x_2i): x_1 is the MSB of v
-        acc = 0
-        for k in range(i):
-            acc ^= ((v >> (w - 1 - 2 * k)) & (v >> (w - 2 - 2 * k))) & 1
-        if acc:
-            row = 0
-            for j in range(w):
-                if (v >> (w - 1 - j)) & 1:
-                    row |= 1 << j
-            rows.append(row)
+    pairs = int("01" * i, 2)  # bit 2k stands for the pair (x_2k+1, x_2k+2)
+    # lexicographic on (x_1, ..., x_2i): x_1 is the MSB of v and bit 0 of row
+    lex = (int(f"{v:0{w}b}"[::-1], 2) for v in range(1 << w))
+    rows = tuple(row for row in lex if (row & row >> 1 & pairs).bit_count() & 1)
     assert len(rows) == (1 << (w - 1)) - (1 << (i - 1))
-    return tuple(rows)
+    return rows
 
 
 def build_support(sol: SolutionVector, s: int) -> SupportSpec:
@@ -106,13 +98,8 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
     gens = tuple(linearized.lin_eval(ann, bp) for bp in dual[: 2 * i])
     tail = tuple(linearized.lin_eval(ann, bp) for bp in dual[2 * i + s :])
     assert gflinalg.independent(ctx, gens + tail)
-    x_set = set()
-    for row in quadform_rows(i):
-        e = 0
-        for j in range(2 * i):
-            if (row >> j) & 1:
-                e ^= gens[j]
-        x_set.add(e)
+    sums = gflinalg.span(gens)
+    x_set = {sums[row] for row in quadform_rows(i)}
     assert len(x_set) == (1 << (2 * i - 1)) - (1 << (i - 1))
     return SupportSpec(
         ctx=ctx,
@@ -190,10 +177,12 @@ def gold_support(ctx, i: int) -> CodewordSupport:
     if i < 1 or ctx.m % (2 * i):
         raise UncoveredCase(f"2i = {2 * i} must divide m = {ctx.m}")
     elems, _ = linearized.subfield(ctx, 2 * i)
-    beta = next(x for x in elems if not ctx.in_subfield(x, i))
+    half, _ = linearized.subfield(ctx, i)
+    beta = next(x for x in elems if x not in half)
+    tr = linearized.LinearizedPoly(ctx, (1,) * (2 * i))  # trace of GF(2^2i) onto GF(2)
     d = 1 << i
     support = frozenset(
-        x for x in elems if ctx.trace_rel(ctx.mul(beta, ctx.pow(x, d + 1)), 1, 2 * i) == 0
+        x for x in elems if linearized.lin_eval(tr, ctx.mul(beta, ctx.pow(x, d + 1))) == 0
     )
     weight = (1 << (2 * i - 1)) - (1 << (i - 1))
     assert len(support) == weight

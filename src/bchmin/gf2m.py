@@ -1,6 +1,7 @@
-"""Arithmetic in GF(2^m): field construction, Frobenius, traces, discrete
-logs.  Equations over the field (cube roots, Artin-Schreier, subfields) are
-kernels of linearized polynomials, in `linearized`.
+"""Arithmetic in GF(2^m): field construction, Frobenius, the absolute
+trace, discrete logs.  Subfields, relative traces and equations over the
+field (cube roots, Artin-Schreier) are linearized polynomials, in
+`linearized`.
 
 Field elements are plain Python ints: bit k is the coefficient of alpha^k
 in the polynomial basis {1, alpha, ..., alpha^(m-1)}, where alpha is the
@@ -131,10 +132,11 @@ def _is_irreducible(poly: int, m: int) -> bool:
 
 class GF2m:
     """A concrete representation of GF(2^m) with a designated primitive
-    element alpha (the class of X).  `has_logs` is True iff m <= 24: the
-    field then holds log/antilog tables from construction on; otherwise
-    `log`, `exp_array` and `log_array` raise RuntimeError and the
-    arithmetic is carry-less.
+    element alpha (the class of X): arithmetic, Frobenius, the absolute
+    trace and discrete logs.  `has_logs` is True iff m <= 24: the field
+    then holds log/antilog tables from construction on; otherwise `log`,
+    `exp_array` and `log_array` raise RuntimeError and the arithmetic is
+    carry-less.
 
     Parameters
     ----------
@@ -252,26 +254,6 @@ class GF2m:
     def trace(self, x: int) -> int:
         """Absolute trace GF(2^m) -> GF(2), as an int in {0, 1}."""
         return (x & self._trace_mask).bit_count() & 1
-
-    def in_subfield(self, x: int, ell: int) -> bool:
-        """True iff x lies in the subfield of 2^ell elements (ell | m)."""
-        return self.frobenius(x, ell) == x
-
-    def trace_rel(self, x: int, a: int, b: int) -> int:
-        """Relative trace from the 2^b-element subfield onto the 2^a one."""
-        self._check_tower(a, b)
-        if not self.in_subfield(x, b):
-            raise ValueError(f"element {x} is not in GF(2^{b})")
-        acc = 0
-        cur = x
-        for _ in range(b // a):
-            acc ^= cur
-            cur = self.frobenius(cur, a)
-        return acc
-
-    def _check_tower(self, a: int, b: int) -> None:
-        if a < 1 or b % a != 0 or self.m % b != 0:
-            raise ValueError(f"need a | b | m, got a={a}, b={b}, m={self.m}")
 
     # -- logs ---------------------------------------------------------------
 

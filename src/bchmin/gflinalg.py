@@ -68,7 +68,8 @@ def invert(rows: Sequence[int], n: int) -> list[int]:
 
 
 def span(basis: Sequence[int]) -> list[int]:
-    """All 2^k combinations of k basis vectors (in subset-doubling order)."""
+    """All 2^k combinations of k basis vectors, in bitmask order: entry r
+    is the sum of the basis[j] for the set bits j of r."""
     out = [0]
     for b in basis:
         out += [v ^ b for v in out]

@@ -160,11 +160,11 @@ def solve_i3_even(ctx, rng_seed: int, max_retries: int = 256) -> SolverReport:
     if ctx.m % 2 or ctx.m < 6:
         raise UncoveredCase(f"even m >= 6 required, got m={ctx.m}")
     rng = random.Random(rng_seed)
-    _, c = linearized.subfield(ctx, 2)
+    f4, c = linearized.subfield(ctx, 2)
     c2 = ctx.mul(c, c)
     for attempt in range(1, max_retries + 1):
         y = rng.getrandbits(ctx.m)
-        if ctx.in_subfield(y, 2):
+        if y in f4:
             continue
         z = ctx.mul(c2, y) ^ ctx.mul(c, ctx.mul(y, y))
         roots = sorted(linearized.cube_roots(ctx, z))  # z = c y (c + y) != 0
@@ -228,7 +228,7 @@ def solve_i4(ctx) -> SolverReport:
     _, c = linearized.subfield(ctx, 2)
     f16, _ = linearized.subfield(ctx, 4)
     d = next(x for x in f16 if x != 1 and ctx.pow(x, 5) == 1)
-    y = next(1 << k for k in range(ctx.m) if not ctx.in_subfield(1 << k, 4))
+    y = next(1 << k for k in range(ctx.m) if 1 << k not in f16)
     b = (
         1,
         y,

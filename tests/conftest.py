@@ -28,11 +28,31 @@ def random_nonzero(ctx, r: random.Random) -> int:
             return x
 
 
+def _check_tower(ctx, x: int, a: int, b: int) -> None:
+    """a | b | m, and x is fixed by b squarings, i.e. lies in GF(2^b)."""
+    if a < 1 or b % a or ctx.m % b:
+        raise ValueError(f"need a | b | m, got a={a}, b={b}, m={ctx.m}")
+    if ctx.frobenius(x, b) != x:
+        raise ValueError(f"element {x} is not in GF(2^{b})")
+
+
+def trace_rel(ctx, x: int, a: int, b: int) -> int:
+    """Reference relative trace from the 2^b-element subfield onto the 2^a
+    one: the sum of the conjugates x^(2^(a k)), k < b/a, by repeated
+    squaring with `ctx.mul`."""
+    _check_tower(ctx, x, a, b)
+    acc = 0
+    cur = x
+    for _ in range(b // a):
+        acc ^= cur
+        for _ in range(a):
+            cur = ctx.mul(cur, cur)
+    return acc
+
+
 def norm_rel(ctx, x: int, a: int, b: int) -> int:
     """Relative norm from the 2^b-element subfield onto the 2^a one."""
-    ctx._check_tower(a, b)
-    if not ctx.in_subfield(x, b):
-        raise ValueError(f"element {x} is not in GF(2^{b})")
+    _check_tower(ctx, x, a, b)
     if x == 0:
         return 0
     return ctx.pow(x, ((1 << b) - 1) // ((1 << a) - 1))

@@ -624,6 +624,11 @@ PINNED = [
     ("generate --m 10 --i 2 --s 3 --seed 1 --format logsupport", "edd2bbd1d4b348ff9ae11b11d291672bf3a31df7994e3823c4b422703fe16b6e"),
     ("generate --m 7 --i 3 --s 1 --seed 5 --format bits", "76309d140982f74024810c15989281478c7d43a9be3ec46a5841e0ca3b0b9a6d"),
     ("generate --m 25 --i 2 --s 21 --seed 0", "de66e4f6046d14ea7bda5694844f69730b96d6054c1ab345cff33f8a2604ed9f"),
+    ("generate --m 8 --i 1 --s 2 --seed 0 --method gold", "967b9d2f2a843c086ad68b7a58986f8d0a4a0929f2bd711f3eba57352db3aace"),
+    ("generate --m 12 --i 3 --s 0 --seed 0 --method gold", "54c522a5bb27101d7edd6b0895c97aa86c1d36abc4bf3a96903f7c38aa4dc5fb"),
+    ("generate --m 16 --i 4 --s 0 --seed 0 --method gold", "5fa966ad8b27858b0b847ef805444044c6d17375165cf49850b45f71b132827d"),
+    ("generate --m 16 --i 3 --s 4 --seed 1", "c8c5166666b1498dde57d8fa7c3163ddeac8b732d4d4efc7552f223967b569bc"),
+    ("generate --m 16 --i 4 --s 3 --seed 0", "97fa677cac8d4cef8235c7f7d7154201ff86bf1e465b0378e3e0816a8622fa5c"),
 ]
 
 

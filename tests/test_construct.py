@@ -17,7 +17,7 @@ from bchmin.construct import (
 from bchmin.gf2m import default_field
 from bchmin.solvers import UncoveredCase, solve_i2_even, solve_i3_even
 
-from conftest import rng
+from conftest import rng, trace_rel
 
 
 def _row_tuple(row: int, width: int):
@@ -47,8 +47,9 @@ def test_quadform_row_counts(i, count):
 
 
 def test_quadform_rows_lexicographic():
-    as_tuples = [_row_tuple(row, 4) for row in quadform_rows(2)]
-    assert as_tuples == sorted(as_tuples)
+    for i in range(1, 5):
+        as_tuples = [_row_tuple(row, 2 * i) for row in quadform_rows(i)]
+        assert as_tuples == sorted(as_tuples)
 
 
 # -- support assembly ------------------------------------------------------------
@@ -237,8 +238,31 @@ def test_gold_support_subfield_embedding():
     ctx = default_field(8)
     cw = gold_support(ctx, 2)
     assert cw.weight == 6
-    assert all(ctx.in_subfield(x, 4) for x in cw.elems)
+    f16, _ = linearized.subfield(ctx, 4)
+    assert all(x in f16 for x in cw.elems)
     assert verify.is_min_weight(cw).is_min_weight
+
+
+def _subfield_by_powers(ctx, ell: int) -> list[int]:
+    """GF(2^ell), sorted: 0 and the powers of alpha^((2^m - 1) / (2^ell - 1))."""
+    g = ctx.pow(ctx.alpha, ctx.n // ((1 << ell) - 1))
+    return sorted({0} | {ctx.pow(g, k) for k in range(1 << ell)})
+
+
+@pytest.mark.parametrize("m", range(2, 17, 2))
+def test_gold_support_matches_enumeration(m):
+    # zero set of Tr_{2i/1}(beta x^(2^i + 1)) on GF(2^2i), beta the first
+    # element of GF(2^2i) outside GF(2^i), with the squaring trace oracle
+    ctx = default_field(m)
+    for i in (i for i in range(1, m // 2 + 1) if m % (2 * i) == 0):
+        big, half = _subfield_by_powers(ctx, 2 * i), _subfield_by_powers(ctx, i)
+        beta = next(x for x in big if x not in half)
+        d = 1 << i
+        expect = {x for x in big if trace_rel(ctx, ctx.mul(beta, ctx.pow(x, d + 1)), 1, 2 * i) == 0}
+        cw = gold_support(ctx, i)
+        assert cw.elems == expect
+        assert cw.weight == cw.claimed_distance == (1 << (2 * i - 1)) - (1 << (i - 1))
+        assert cw.extended
 
 
 def test_gold_support_bad_degree():
