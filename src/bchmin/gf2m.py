@@ -6,6 +6,11 @@ field (cube roots, Artin-Schreier) are linearized polynomials, in
 Field elements are plain Python ints: bit k is the coefficient of alpha^k
 in the polynomial basis {1, alpha, ..., alpha^(m-1)}, where alpha is the
 residue class of X modulo the primitive polynomial.
+
+Fields with m <= 24 multiply through log/antilog tables.  Larger fields
+multiply without them: a 4-bit windowed carry-less product, or for a square
+one bit-spread lookup per byte, whose high m - 1 bits are folded back with
+one lookup per byte into tables of (b X^(m+8k)) mod poly.
 """
 
 from __future__ import annotations
@@ -54,7 +59,11 @@ _DEFAULT_POLYS = {
     32: 0x1000000AF,
 }
 
-_LOG_TABLE_MAX_M = 24  # larger fields have no tables: carry-less arithmetic
+_LOG_TABLE_MAX_M = 24  # larger fields have no log tables: windowed arithmetic
+
+# _SPREAD[v] is the carry-less square of the byte v: its bits moved to the
+# even positions, i.e. the binary digits of v read in base 4.
+_SPREAD = tuple(int(bin(v)[2:], 4) for v in range(256))
 
 
 def parse_poly(spec: int | str) -> int:
@@ -79,14 +88,33 @@ def parse_poly(spec: int | str) -> int:
 
 
 def _clmul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials packed into ints."""
-    acc = 0
+    """Carry-less product of two GF(2) polynomials packed into non-negative
+    ints, by 4-bit windows: t[v] = a * v for the 16 polynomials v of degree
+    below 4, then one shifted lookup per nibble of b (Lopez and Dahab,
+    INDOCRYPT 2000)."""
+    a2, a4, a8 = a << 1, a << 2, a << 3
+    a3, a12 = a2 ^ a, a8 ^ a4
+    t = (
+        0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+        a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3,
+    )
+    acc = sh = 0
     while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
+        acc ^= t[b & 15] << sh
+        b >>= 4
+        sh += 4
     return acc
+
+
+def _square(a: int) -> int:
+    """Carry-less square of a polynomial of degree below 32: one spread
+    lookup per byte, since squaring over GF(2) only spaces the bits out."""
+    return (
+        _SPREAD[a & 255]
+        ^ _SPREAD[a >> 8 & 255] << 16
+        ^ _SPREAD[a >> 16 & 255] << 32
+        ^ _SPREAD[a >> 24] << 48
+    )
 
 
 def _polymod(a: int, b: int) -> int:
@@ -100,6 +128,23 @@ def _polygcd(a: int, b: int) -> int:
     while b:
         a, b = b, _polymod(a, b)
     return a
+
+
+def _fold_tables(m: int, poly: int) -> list[list[int]]:
+    """Reduction tables in GF(2)[X] / poly, derived from (m, poly) alone:
+    entry [k][b] is (b X^(m+8k)) mod poly, for the ceil((m-1)/8) bytes k of
+    the high half of a product of two m-bit elements."""
+    tables = []
+    img = poly ^ (1 << m)  # X^m mod poly
+    for _ in range(-(-(m - 1) // 8)):
+        tab = [0]
+        for _ in range(8):  # doubling: bit t of b adds X^(m+8k+t) mod poly
+            tab += [v ^ img for v in tab]
+            img <<= 1
+            if img >> m:
+                img ^= poly
+        tables.append(tab)
+    return tables
 
 
 def _factorize(x: int) -> list[int]:
@@ -135,8 +180,11 @@ class GF2m:
     element alpha (the class of X): arithmetic, Frobenius, the absolute
     trace and discrete logs.  `has_logs` is True iff m <= 24: the field
     then holds log/antilog tables from construction on; otherwise `log`,
-    `exp_array` and `log_array` raise RuntimeError and the arithmetic is
-    carry-less.
+    `exp_array` and `log_array` raise RuntimeError, and `mul` is a windowed
+    carry-less product (a spread-table square when both operands are
+    equal) reduced through the per-byte fold tables `_fold`, which every
+    field builds from (m, poly).  Operands of `mul` are field elements,
+    ints below 2^m; the CLI's parsers refuse anything else.
 
     Parameters
     ----------
@@ -173,6 +221,7 @@ class GF2m:
         self.poly = poly
         self.n = (1 << m) - 1
         self.alpha = 2
+        self._fold = _fold_tables(m, poly)
 
         for p in _factorize(self.n):
             if self._pow_nontable(2, self.n // p) == 1:
@@ -195,7 +244,8 @@ class GF2m:
     # -- core arithmetic ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        """Field multiplication modulo the primitive polynomial."""
+        """Field multiplication modulo the primitive polynomial; a and b are
+        field elements, i.e. ints below 2^m."""
         if self.has_logs:
             if a == 0 or b == 0:
                 return 0
@@ -203,7 +253,19 @@ class GF2m:
             if e >= self.n:
                 e -= self.n
             return self._exp[e]
-        return _polymod(_clmul(a, b), self.poly)
+        return self._mul_free(a, b)
+
+    def _mul_free(self, a: int, b: int) -> int:
+        """a * b without log tables: the windowed product, or the spread
+        square when a == b, then its high m - 1 bits folded back with one
+        `_fold` lookup per byte."""
+        p = _square(a) if a == b else _clmul(a, b)
+        high = p >> self.m
+        p &= self.n
+        for tab in self._fold:
+            p ^= tab[high & 255]
+            high >>= 8
+        return p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
@@ -229,8 +291,8 @@ class GF2m:
         base = a
         while e:
             if e & 1:
-                r = _polymod(_clmul(r, base), self.poly)
-            base = _polymod(_clmul(base, base), self.poly)
+                r = self._mul_free(r, base)
+            base = self._mul_free(base, base)
             e >>= 1
         return r
 
@@ -248,7 +310,7 @@ class GF2m:
         cur = x
         for _ in range(self.m):
             t ^= cur
-            cur = _polymod(_clmul(cur, cur), self.poly)
+            cur = self._mul_free(cur, cur)
         return t
 
     def trace(self, x: int) -> int:

@@ -104,12 +104,14 @@ def dual_basis(ctx, basis: Sequence[int]) -> list[int]:
 
     b'_j is the preimage of e_j under the map x -> sum of Tr(b_i x) 2^i,
     which is invertible iff the b_i form a basis."""
-    m = ctx.m
+    m, poly = ctx.m, ctx.poly
     images = [0] * m  # bit i of images[k] is Tr(b_i alpha^k)
     for i, x in enumerate(basis):
         for k in range(m):
             images[k] |= ctx.trace(x) << i
-            x = ctx.mul(x, ctx.alpha)
+            x <<= 1  # x * alpha: alpha is the class of X
+            if x >> m:
+                x ^= poly
     fmap = LinearMap(images, m)
     if len(basis) != m or fmap.kernel:
         raise ValueError("dual basis requires a full basis")

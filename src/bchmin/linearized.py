@@ -27,15 +27,17 @@ class LinearizedPoly:
 
 
 def lin_eval(poly: LinearizedPoly, x: int) -> int:
-    """Evaluate sum_j a_j * x^(2^j)."""
+    """Evaluate sum_j a_j * x^(2^j): no product for a coefficient 0 or 1,
+    and no squaring past the leading term."""
     ctx = poly.ctx
+    *low, top = poly.coeffs
     acc = 0
     cur = x
-    for a in poly.coeffs:
+    for a in low:
         if a:
-            acc ^= ctx.mul(a, cur)
+            acc ^= cur if a == 1 else ctx.mul(a, cur)
         cur = ctx.mul(cur, cur)
-    return acc
+    return acc ^ (cur if top == 1 else ctx.mul(top, cur))
 
 
 def annihilator(ctx, gens: Sequence[int]) -> LinearizedPoly:

@@ -58,6 +58,34 @@ def norm_rel(ctx, x: int, a: int, b: int) -> int:
     return ctx.pow(x, ((1 << b) - 1) // ((1 << a) - 1))
 
 
+# -- bit-serial GF(2)[X] reference ------------------------------------------------
+
+
+def ref_clmul(a: int, b: int) -> int:
+    """Reference carry-less product: one shift-and-add step per bit of b."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+def ref_mod(a: int, poly: int) -> int:
+    """Reference remainder of a modulo poly: one subtraction per bit of a
+    at or above the degree of poly."""
+    d = poly.bit_length()
+    while a.bit_length() >= d:
+        a ^= poly << (a.bit_length() - d)
+    return a
+
+
+def ref_mul(ctx, a: int, b: int) -> int:
+    """Reference field product of `ctx`, from the bit-serial steps alone."""
+    return ref_mod(ref_clmul(a, b), ctx.poly)
+
+
 # -- scalar syndrome reference ----------------------------------------------------
 
 

@@ -611,7 +611,10 @@ def test_verify_fuzzed_files(fuzz_files, data):
 
 # SHA-256 of stdout, recorded before the solver registry replaced the CLI's
 # own routing: one cell per method, each format, and the hex path (m > 24).
-# The gold cell was recorded again when its "seed" became null.
+# The gold cell was recorded again when its "seed" became null.  The cells
+# from m = 28 on were recorded before the table-free arithmetic moved from
+# bit-serial loops to windowed products and fold tables: one per method at
+# m = 27..32, one with a non-default primitive modulus.
 PINNED = [
     ("generate --m 10 --i 2 --s 3 --seed 1", "c5e8f7e1fcef6f3361087b5170b1dc3d6d0334b05ac41d78c725ac29817d4030"),
     ("generate --m 9 --i 3 --s 1 --seed 2", "90ad178483a5ec00d1a288d67199acbd032c25ebbaaf3383855b8f48deaaa557"),
@@ -629,6 +632,12 @@ PINNED = [
     ("generate --m 16 --i 4 --s 0 --seed 0 --method gold", "5fa966ad8b27858b0b847ef805444044c6d17375165cf49850b45f71b132827d"),
     ("generate --m 16 --i 3 --s 4 --seed 1", "c8c5166666b1498dde57d8fa7c3163ddeac8b732d4d4efc7552f223967b569bc"),
     ("generate --m 16 --i 4 --s 3 --seed 0", "97fa677cac8d4cef8235c7f7d7154201ff86bf1e465b0378e3e0816a8622fa5c"),
+    ("generate --m 28 --i 4 --s 20 --seed 0", "c23e25c4b103cec45c26d79c89e272e538dab7e32157674d99fac5060eb5496c"),
+    ("generate --m 32 --i 3 --s 26 --seed 1", "b43e484bde95b625678ac9f8ff4f62162557920d9b6a1e35dddac9eda35208bd"),
+    ("generate --m 31 --i 3 --s 25 --seed 2", "2be80bd673544d044d8547d9141559e879c3408a2b5336f7f859bf374b0dce6e"),
+    ("generate --m 30 --i 2 --s 26 --seed 3 --method gk", "8445df56ad7ceb1f8138907872570be141662bcd3dcf37ef94f1c879fe7ced8c"),
+    ("generate --m 28 --i 2 --s 24 --method gold", "dfbcc5bdf3e8630527bfe9993559b40e270712fef211cbd62b90e64ef0e7148d"),
+    ("generate --m 27 --i 2 --s 23 --seed 0 --poly 0x80000d1", "3406f852b07337af76a00a0c0381cb562fbd38bb64e2fd718e029c8fa7e16bc5"),
 ]
 
 

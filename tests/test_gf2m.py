@@ -20,7 +20,7 @@ from bchmin.gf2m import (
 )
 from bchmin.linearized import LinearizedPoly, lin_eval
 
-from conftest import norm_rel, random_nonzero, rng, trace_rel
+from conftest import norm_rel, random_nonzero, ref_clmul, ref_mul, rng, trace_rel
 
 
 # -- construction ------------------------------------------------------------
@@ -115,9 +115,31 @@ def test_pow_edge_cases(gf256):
     assert gf256.pow(x, gf256.n) == 1
 
 
-def test_nontable_path_matches_table_path():
-    from bchmin.gf2m import _clmul, _polymod
+# A second primitive modulus per table-free degree.  Each has an X^(m-1)
+# term, so X^m mod poly has its top bit set and every doubling step of the
+# fold tables wraps around the modulus.
+_OTHER_MODULI = {
+    25: 0x3000043,
+    26: 0x6000023,
+    27: 0xC00000D,
+    28: 0x18000031,
+    29: 0x30000075,
+    30: 0x60000073,
+    31: 0xC000005B,
+    32: 0x18000000B,
+}
 
+
+def _ref_pow(ctx, a, e):
+    r = 1
+    for bit in bin(e)[2:]:
+        r = ref_mul(ctx, r, r)
+        if bit == "1":
+            r = ref_mul(ctx, r, a)
+    return r
+
+
+def test_nontable_path_matches_table_path():
     # the representation is fixed at construction: tables up to m = 24 only
     assert default_field(24).has_logs and len(default_field(24)._log) == 1 << 24
     big = GF2m(25)
@@ -129,7 +151,40 @@ def test_nontable_path_matches_table_path():
     r = rng(3)
     for _ in range(200):
         a, b = r.getrandbits(8), r.getrandbits(8)
-        assert small.mul(a, b) == _polymod(_clmul(a, b), small.poly)
+        assert small.mul(a, b) == ref_mul(small, a, b)
+    # every table-free degree, with the built-in and one other modulus
+    for m, other in _OTHER_MODULI.items():
+        for ctx in (default_field(m), GF2m(m, other)):
+            edge = [0, 1, 1 << (m - 1), ctx.n]
+            pairs = [(a, b) for a in edge for b in edge]
+            pairs += [(r.getrandbits(m), r.getrandbits(m)) for _ in range(40)]
+            for a, b in pairs:
+                assert ctx.mul(a, b) == ref_mul(ctx, a, b)
+                assert ctx.mul(a, a) == ref_mul(ctx, a, a)
+                if a:
+                    assert ctx.mul(a, ctx.inv(a)) == 1
+                    assert ctx._pow_nontable(a, ctx.n) == 1
+                    e = r.randrange(1, ctx.n)
+                    assert ctx.pow(a, e) == _ref_pow(ctx, a, e)
+
+
+def test_windowed_clmul_matches_bit_serial():
+    from bchmin.gf2m import _clmul, _square
+
+    # unequal lengths up to 2m bits, as in the irreducibility test
+    r = rng(5)
+    for _ in range(2000):
+        a, b = r.getrandbits(r.randint(0, 64)), r.getrandbits(r.randint(0, 64))
+        assert _clmul(a, b) == ref_clmul(a, b)
+    for k in range(65):
+        ones = (1 << k) - 1
+        assert _clmul(ones, ones) == ref_clmul(ones, ones)
+        assert _clmul(ones, 1 << (64 - k)) == ones << (64 - k)
+        if k <= 32:
+            assert _square(ones) == ref_clmul(ones, ones)
+    for _ in range(500):
+        a = r.getrandbits(32)
+        assert _square(a) == ref_clmul(a, a)
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
@@ -390,16 +445,14 @@ def test_scalar_results_are_python_ints(m):
 
 @pytest.mark.parametrize("m", [8, 16, 17, 20])
 def test_memoryview_path_matches_polynomial_arithmetic(m):
-    from bchmin.gf2m import _clmul, _polymod
-
     ctx = default_field(m)
     r = rng(m)
     for _ in range(300):
         a, b = random_nonzero(ctx, r), r.getrandbits(m)
         e = r.randrange(-ctx.n, 2 * ctx.n)
-        assert ctx.mul(a, b) == _polymod(_clmul(a, b), ctx.poly)
+        assert ctx.mul(a, b) == ref_mul(ctx, a, b)
         assert ctx.inv(a) == ctx._pow_nontable(a, ctx.n - 1)
-        assert _polymod(_clmul(a, ctx.inv(a)), ctx.poly) == 1
+        assert ref_mul(ctx, a, ctx.inv(a)) == 1
         assert ctx.pow(a, e) == ctx._pow_nontable(a, e % ctx.n)
         assert ctx.exp(ctx.log(a)) == a
 

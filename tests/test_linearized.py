@@ -91,6 +91,22 @@ def test_lin_eval_additive(gf256):
         assert lin_eval(poly, x ^ y) == lin_eval(poly, x) ^ lin_eval(poly, y)
 
 
+@pytest.mark.parametrize("m", [8, 29])  # m = 29 has no log tables
+def test_lin_eval_matches_definition(m):
+    # coefficients 0, 1 and others, leading 1 or not
+    ctx = default_field(m)
+    r = rng(37)
+    for _ in range(50):
+        coeffs = [r.choice([0, 1, r.getrandbits(m)]) for _ in range(r.randint(0, m))]
+        coeffs.append(r.choice([1, random_nonzero(ctx, r)]))
+        poly = LinearizedPoly(ctx, tuple(coeffs))
+        x = r.getrandbits(m)
+        expected = 0
+        for j, a in enumerate(coeffs):
+            expected ^= ctx.mul(a, ctx.pow(x, 1 << j))
+        assert lin_eval(poly, x) == expected
+
+
 def test_lin_kernel_prime_cases(gf256):
     assert lin_kernel(LinearizedPoly(gf256, (1,))) == []
     kern = lin_kernel(LinearizedPoly(gf256, (1, 1)))
