@@ -153,7 +153,7 @@ def up_convert(cw: CodewordSupport, U_basis) -> CodewordSupport:
     ctx = cw.ctx
     U_basis = list(U_basis)
     bpoly = linearized.image_poly(ctx, U_basis)
-    bmap = gflinalg.LinearMap(linearized.matrix_cols(bpoly), ctx.m)
+    bmap = gflinalg.LinearMap(linearized.matrix_cols(bpoly))
     kernel = gflinalg.span(bmap.kernel)
     preimage = set()
     for x in cw.elems:
@@ -239,7 +239,7 @@ def _lifted(cw: CodewordSupport, i: int, s: int, seeded: bool) -> tuple:
     completed by unit vectors to dimension 2i + s; the seed is recorded iff
     the support was drawn from it."""
     if s < cw.ctx.m - 2 * i:
-        span = gflinalg.LinearMap(sorted(cw.elems), cw.ctx.m).image
+        span = gflinalg.LinearMap(sorted(cw.elems)).image
         cw = up_convert(cw, gflinalg.complete_to_basis(cw.ctx, span)[: 2 * i + s])
     return cw, seeded, None
 

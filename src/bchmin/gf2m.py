@@ -117,33 +117,19 @@ def _square(a: int) -> int:
     )
 
 
-def _polymod(a: int, b: int) -> int:
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def _polygcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _polymod(a, b)
-    return a
-
-
-def _fold_tables(m: int, poly: int) -> list[list[int]]:
-    """Reduction tables in GF(2)[X] / poly, derived from (m, poly) alone:
-    entry [k][b] is (b X^(m+8k)) mod poly, for the ceil((m-1)/8) bytes k of
-    the high half of a product of two m-bit elements."""
+def _byte_tables(img: int, m: int, poly: int, bits: int) -> list[list[int]]:
+    """Doubling tables of img X^t mod poly, t < bits, one per 8 bits of t:
+    entry b of table k is the sum of img X^(8k + t) mod poly over the set
+    bits t of b."""
     tables = []
-    img = poly ^ (1 << m)  # X^m mod poly
-    for _ in range(-(-(m - 1) // 8)):
-        tab = [0]
-        for _ in range(8):  # doubling: bit t of b adds X^(m+8k+t) mod poly
-            tab += [v ^ img for v in tab]
-            img <<= 1
-            if img >> m:
-                img ^= poly
-        tables.append(tab)
+    for t in range(bits):
+        if t % 8 == 0:
+            tab = [0]
+            tables.append(tab)
+        tab += [v ^ img for v in tab]
+        img <<= 1
+        if img >> m:
+            img ^= poly
     return tables
 
 
@@ -161,18 +147,6 @@ def _factorize(x: int) -> list[int]:
     if x > 1:
         primes.append(x)
     return primes
-
-
-def _is_irreducible(poly: int, m: int) -> bool:
-    """Ben-Or style test: X^(2^m) = X mod poly, and X^(2^(m/p)) - X is
-    coprime to poly for every prime p | m."""
-    checkpoints = {m // p for p in _factorize(m)}
-    cur = 2  # the class of X
-    for k in range(1, m + 1):
-        cur = _polymod(_clmul(cur, cur), poly)
-        if k < m and k in checkpoints and _polygcd(cur ^ 2, poly) != 1:
-            return False
-    return cur == 2
 
 
 class GF2m:
@@ -193,14 +167,18 @@ class GF2m:
     poly : int or str or None
         Primitive polynomial of degree m (see `parse_poly` for accepted
         forms).  Defaults to a built-in primitive polynomial for this m.
+        It is accepted iff X has order exactly 2^m - 1 modulo poly, which
+        one proof covers: X^(2^m - 1) = 1, and X^((2^m - 1)/p) != 1 for
+        every prime p | 2^m - 1.  That order makes poly irreducible.
 
     Raises
     ------
     UnsupportedDegree
         m outside 2..32.
     ValueError
-        poly does not parse, is negative, is not of degree m, is reducible,
-        or has X of order below 2^m - 1.
+        poly does not parse, is negative or is not of degree m; or
+        X^(2^m - 1) != 1, so poly is reducible; or X has order below
+        2^m - 1.
     """
 
     def __init__(self, m: int, poly: int | str | None = None):
@@ -214,15 +192,19 @@ class GF2m:
             raise ValueError(f"modulus {hex(poly)} is negative")
         if poly.bit_length() != m + 1:
             raise ValueError(f"modulus {hex(poly)} does not have degree {m}")
-        if not _is_irreducible(poly, m):
-            raise ValueError(f"{hex(poly)} is reducible over GF(2)")
-
         self.m = m
         self.poly = poly
         self.n = (1 << m) - 1
         self.alpha = 2
-        self._fold = _fold_tables(m, poly)
+        # entry [k][b] is (b X^(m+8k)) mod poly, for the high m - 1 bits of
+        # a product of two field elements; from (m, poly) alone
+        self._fold = _byte_tables(poly ^ (1 << m), m, poly, m - 1)
 
+        # poly is accepted iff X has order exactly n modulo it.  The n powers
+        # of X are then n distinct units, so every nonzero residue is a unit
+        # and poly is irreducible.  X^n = 1 modulo every irreducible poly.
+        if self._pow_nontable(2, self.n) != 1:
+            raise ValueError(f"{hex(poly)} is reducible over GF(2)")
         for p in _factorize(self.n):
             if self._pow_nontable(2, self.n // p) == 1:
                 raise ValueError(f"X has order < 2^{m}-1 modulo {hex(poly)}")
@@ -287,13 +269,15 @@ class GF2m:
         return self._pow_nontable(a, e)
 
     def _pow_nontable(self, a: int, e: int) -> int:
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self._mul_free(r, base)
-            base = self._mul_free(base, base)
-            e >>= 1
+        """a^e for e >= 0, square-and-multiply from the top bit of e down:
+        no product by 1 and no square past the last bit."""
+        if e == 0:
+            return 1
+        r = a
+        for bit in bin(e)[3:]:
+            r = self._mul_free(r, r)
+            if bit == "1":
+                r = self._mul_free(r, a)
         return r
 
     # -- Frobenius, trace ---------------------------------------------------
@@ -333,17 +317,13 @@ class GF2m:
             top = min(size, n - size)
             src, out = exp[:top], exp[size:size + top]
             out.fill(0)
-            img = _polymod(int(exp[size - 1]) << 1, self.poly)  # c = alpha^size
-            for shift in range(0, m, 8):
-                # tab[v] = c * (v << shift); img runs through c * alpha^k
-                tab = np.zeros(1, dtype=np.uint32)
-                for _ in range(shift, min(shift + 8, m)):
-                    tab = np.concatenate((tab, tab ^ img))
-                    img = _polymod(img << 1, self.poly)
-                byte = src >> shift
-                if shift + 8 < m:
+            c = self._mul_free(int(exp[size - 1]), 2)  # alpha^size
+            for k, tab in enumerate(_byte_tables(c, m, self.poly, m)):
+                # tab[v] = c * (v << 8k)
+                byte = src >> 8 * k
+                if 8 * k + 8 < m:
                     byte &= 0xFF
-                out ^= tab[byte]
+                out ^= np.array(tab, dtype=np.uint32)[byte]
             size += top
         log = np.zeros(n + 1, dtype=np.uint32)
         log[exp] = np.arange(n, dtype=np.uint32)

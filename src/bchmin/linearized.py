@@ -69,7 +69,7 @@ def matrix_cols(poly: LinearizedPoly) -> list[int]:
 
 def lin_kernel(poly: LinearizedPoly) -> list[int]:
     """Basis of {x : P(x) = 0}."""
-    return gflinalg.LinearMap(matrix_cols(poly), poly.ctx.m).kernel
+    return gflinalg.LinearMap(matrix_cols(poly)).kernel
 
 
 def image_poly(ctx, U_basis: Sequence[int]) -> LinearizedPoly:
@@ -82,7 +82,7 @@ def image_poly(ctx, U_basis: Sequence[int]) -> LinearizedPoly:
     the annihilator of the (m-k)-dimensional image of A_U.
     """
     cols = matrix_cols(annihilator(ctx, U_basis))
-    image = gflinalg.LinearMap(cols, ctx.m).image
+    image = gflinalg.LinearMap(cols).image
     assert len(image) == ctx.m - len(U_basis)
     return annihilator(ctx, image)
 
@@ -107,7 +107,7 @@ def cube_roots(ctx, z: int) -> set[int]:
 def artin_schreier_solve(ctx, w: int) -> set[int]:
     """Solution set of x^2 + x = w, the preimage of w under X^2 + X: a
     coset of {0, 1}, empty when Tr(w) = 1."""
-    x0 = gflinalg.LinearMap(matrix_cols(LinearizedPoly(ctx, (1, 1))), ctx.m).preimage(w)
+    x0 = gflinalg.LinearMap(matrix_cols(LinearizedPoly(ctx, (1, 1)))).preimage(w)
     return set() if x0 is None else {x0, x0 ^ 1}
 
 

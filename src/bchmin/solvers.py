@@ -36,7 +36,7 @@ I4_DIV4 = "i4"
 
 def f_j(ctx, j: int, x1: int, x2: int) -> int:
     """x1^(2^j) * x2 + x1 * x2^(2^j); homogeneous of degree 2^j + 1."""
-    return ctx.mul(ctx.pow(x1, 1 << j), x2) ^ ctx.mul(x1, ctx.pow(x2, 1 << j))
+    return ctx.mul(ctx.frobenius(x1, j), x2) ^ ctx.mul(x1, ctx.frobenius(x2, j))
 
 
 def check_system(ctx, b) -> bool:

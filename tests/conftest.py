@@ -118,6 +118,20 @@ def dot(row: int, vec: int) -> int:
     return (row & vec).bit_count() & 1
 
 
+def rank(rows) -> int:
+    """Rank over GF(2)."""
+    return len(gflinalg.LinearMap(rows).image)
+
+
+def invert(rows, n: int) -> list[int]:
+    """Inverse of a square n x n bit matrix A (ValueError if singular):
+    row j of A^(-1) is the preimage of e_j under f(e_r) = rows[r], i.e. A^T."""
+    fmap = gflinalg.LinearMap(rows)
+    if fmap.kernel or len(rows) != n:
+        raise ValueError("matrix is singular over GF(2)")
+    return [fmap.preimage(1 << j) for j in range(n)]
+
+
 # -- exhaustive i = 2 oracle -------------------------------------------------------
 
 BRUTE_FORCE = "bruteforce"

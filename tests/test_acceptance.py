@@ -25,7 +25,7 @@ from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from bchmin.gf2m import default_field
 from bchmin.verify import designed_distance, is_min_weight
 
-from conftest import dot, iter_i2_solutions, transpose
+from conftest import dot, invert, iter_i2_solutions, rank, transpose
 
 
 @contextmanager
@@ -145,13 +145,13 @@ def test_criterion_06_gold_constructions():
 def _span_basis(ctx, elems, target_dim=None):
     basis = []
     for x in sorted(elems):
-        if x and gflinalg.rank(basis + [x], ctx.m) > len(basis):
+        if x and rank(basis + [x]) > len(basis):
             basis.append(x)
     if target_dim is not None:
         for k in range(ctx.m):
             if len(basis) >= target_dim:
                 break
-            if gflinalg.rank(basis + [1 << k], ctx.m) > len(basis):
+            if rank(basis + [1 << k]) > len(basis):
                 basis.append(1 << k)
     return basis
 
@@ -213,7 +213,7 @@ def _boolean_enum_check(ctx, spec, cw):
     gens, tail = list(spec.x_generators), list(spec.basis)
     completion = gflinalg.complete_to_basis(ctx, gens + tail)[len(gens) + len(tail):]
     D = gens + completion + tail
-    inv_t = transpose(gflinalg.invert(D, m), m)
+    inv_t = transpose(invert(D, m), m)
     enumerated = set()
     for x in range(1 << m):
         coords = [dot(col, x) for col in inv_t]

@@ -17,7 +17,7 @@ from bchmin.construct import (
 from bchmin.gf2m import default_field
 from bchmin.solvers import UncoveredCase, solve_i2_even, solve_i3_even
 
-from conftest import rng, trace_rel
+from conftest import rank, rng, trace_rel
 
 
 def _row_tuple(row: int, width: int):
@@ -179,7 +179,7 @@ def test_up_then_down_roundtrip():
     cw = expand(spec)
     ub = []
     for x in sorted(cw.elems):
-        if x and gflinalg.rank(ub + [x], 10) > len(ub):
+        if x and rank(ub + [x]) > len(ub):
             ub.append(x)
     up = up_convert(cw, ub)
     assert up.weight == cw.weight * (1 << (10 - len(ub)))
@@ -197,7 +197,7 @@ def test_down_then_up_roundtrip():
     ann = linearized.annihilator(ctx, v)
     u = []
     for col in linearized.matrix_cols(ann):
-        if gflinalg.rank(u + [col], 8) > len(u):
+        if rank(u + [col]) > len(u):
             u.append(col)
     back = up_convert(down, u)
     assert back.elems == cw.elems
@@ -208,7 +208,7 @@ def test_up_convert_gold_over_f16():
     f16, _ = linearized.subfield(ctx, 4)
     basis = []
     for x in sorted(f16):
-        if x and gflinalg.rank(basis + [x], 8) > len(basis):
+        if x and rank(basis + [x]) > len(basis):
             basis.append(x)
     out = up_convert(gold_support(ctx, 2), basis)
     assert out.weight == 96 and out.claimed_distance == 96

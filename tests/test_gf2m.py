@@ -2,7 +2,9 @@ import os
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +54,47 @@ def test_make_field_rejects_nonprimitive():
     # X^4 + X^3 + X^2 + X + 1 is irreducible but X has order 5
     with pytest.raises(ValueError, match="X has order < 2\\^4-1 modulo 0x1f"):
         GF2m(4, 0x1F)
+
+
+def _x_order_walk(m, poly):
+    """Bit-serial oracle: the powers X^1..X^n modulo poly, n = 2^m - 1,
+    by `ref_mul`.  Returns the least k with X^k = 1 (None if there is none
+    up to n) and whether X^n = 1."""
+    ctx = SimpleNamespace(poly=poly)
+    n = (1 << m) - 1
+    x, order = 1, None
+    for k in range(1, n + 1):
+        x = ref_mul(ctx, x, 2)
+        if x == 1 and order is None:
+            order = k
+    return order, x == 1
+
+
+def test_accepts_exactly_primitive_moduli():
+    # every modulus of degree m: accepted iff X has order 2^m - 1, and the
+    # refusal says "reducible" iff X^(2^m - 1) != 1
+    for m in range(2, 9):
+        for poly in range(1 << m, 2 << m):
+            order, x_n_is_one = _x_order_walk(m, poly)
+            try:
+                GF2m(m, poly)
+            except ValueError as exc:
+                assert order != (1 << m) - 1
+                assert ("is reducible over GF(2)" in str(exc)) == (not x_n_is_one)
+                assert x_n_is_one == ("X has order < 2^" in str(exc))
+            else:
+                assert order == (1 << m) - 1
+    # beyond: as many accepted moduli as primitive polynomials, phi(n) / m
+    for m in range(9, 13):
+        n = (1 << m) - 1
+        accepted = 0
+        for poly in range(1 << m, 2 << m):
+            try:
+                GF2m(m, poly)
+                accepted += 1
+            except ValueError:
+                pass
+        assert accepted == sum(gcd(k, n) == 1 for k in range(1, n + 1)) // m
 
 
 def test_make_field_rejects_bad_degree():

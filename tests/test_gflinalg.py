@@ -9,12 +9,10 @@ from bchmin.gflinalg import (
     complete_to_basis,
     dual_basis,
     independent,
-    invert,
-    rank,
     span,
 )
 
-from conftest import dot, rng, transpose
+from conftest import dot, invert, rank, rng, transpose
 
 
 def _rank_oracle(rows, ncols):
@@ -48,32 +46,44 @@ def _apply(images, x):
 
 
 def test_solve_identity():
-    fmap = LinearMap([1, 2, 4, 8], 4)
+    fmap = LinearMap([1, 2, 4, 8])
     assert fmap.preimage(0b1010) == 0b1010
     assert fmap.kernel == []
     assert fmap.image == [1, 2, 4, 8]
 
 
 def test_solve_zero_matrix_inconsistent():
-    fmap = LinearMap([0, 0, 0], 3)
+    fmap = LinearMap([0, 0, 0])
     assert fmap.preimage(0b010) is None
     assert fmap.preimage(0) == 0
     assert len(fmap.kernel) == 3  # homogeneous part still returned
 
 
 def test_solve_random_systems():
+    # n images of w bits: square, wide and tall, the non-square ones drawn
+    # from a random subspace so that the rank also falls below min(n, w)
     r = rng(42)
-    for _ in range(30):
-        images = [r.getrandbits(20) for _ in range(20)]
-        rk = _rank_oracle(images, 20)
-        xtrue = r.getrandbits(20)
+    shapes = [(20, 20)] * 30 + [(n, w) for n in (1, 5, 13, 32) for w in (1, 6, 32) if n != w] * 4
+    for n, w in shapes:
+        if n == w:
+            images = [r.getrandbits(w) for _ in range(n)]
+        else:
+            gens = [r.getrandbits(w) for _ in range(r.randint(1, w))]
+            images = [_apply(gens, r.getrandbits(len(gens))) for _ in range(n)]
+        rk = _rank_oracle(images, w)
+        xtrue = r.getrandbits(n)
         y = _apply(images, xtrue)
-        fmap = LinearMap(images, 20)
+        fmap = LinearMap(images)
         x = fmap.preimage(y)
         assert x is not None and _apply(images, x) == y
-        assert len(fmap.kernel) == 20 - rk and len(fmap.image) == rk
+        assert len(fmap.kernel) == n - rk and len(fmap.image) == rk
         for k in fmap.kernel:
             assert _apply(images, x ^ k) == y
+        # the image rows are a basis of the span of the images
+        assert _rank_oracle(fmap.image, w) == rk
+        for v in fmap.image + images:
+            pre = fmap.preimage(v)
+            assert pre is not None and _apply(images, pre) == v
 
 
 def test_solve_outside_image():
@@ -82,7 +92,7 @@ def test_solve_outside_image():
     images = [0] * 6
     while _rank_oracle(images, 6) < 5:
         images = [v ^ (v.bit_count() & 1) for v in (r.getrandbits(6) for _ in range(6))]
-    fmap = LinearMap(images, 6)
+    fmap = LinearMap(images)
     for y in range(64):
         x = fmap.preimage(y)
         if y.bit_count() & 1:
@@ -94,11 +104,11 @@ def test_solve_outside_image():
 def test_nullspace_vectors_annihilate():
     r = rng(5)
     images = [r.getrandbits(8) for _ in range(12)]
-    kernel = LinearMap(images, 8).kernel
+    kernel = LinearMap(images).kernel
     for v in kernel:
         assert _apply(images, v) == 0
     assert len(kernel) == 12 - _rank_oracle(images, 8)
-    assert rank(kernel, 12) == len(kernel)
+    assert rank(kernel) == len(kernel)
 
 
 def test_invert_roundtrip():
@@ -212,14 +222,14 @@ def test_self_dual_basis_fixed():
 @given(st.lists(st.integers(1, 255), min_size=1, max_size=8))
 @settings(max_examples=50)
 def test_rank_matches_oracle(rows):
-    assert rank(rows, 8) == _rank_oracle(rows, 8)
+    assert rank(rows) == _rank_oracle(rows, 8)
 
 
 def _greedy_completion(m, elems):
     """The first unit vectors 1, alpha, ... that extend the rank, in turn."""
     basis = list(elems)
     for k in range(m):
-        if rank(basis + [1 << k], m) > len(basis):
+        if rank(basis + [1 << k]) > len(basis):
             basis.append(1 << k)
     return basis
 
