@@ -35,7 +35,7 @@ from .solvers import (
     solve_i3_heuristic,
     solve_i4,
 )
-from .verify import Verdict, designed_distance, is_member, is_min_weight, power_sums
+from .verify import Verdict, designed_distance, is_min_weight, power_sums
 
 __version__ = "0.1.0"
 
@@ -72,6 +72,5 @@ __all__ = [
     "Verdict",
     "designed_distance",
     "power_sums",
-    "is_member",
     "is_min_weight",
 ]

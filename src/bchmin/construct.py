@@ -31,16 +31,12 @@ class SupportSpec:
     """Compressed support X + span(B) of a distance-d(m, s, i) codeword.
 
     x_generators are the 2i independent elements whose bit-combinations
-    listed by the quadratic-form rows make up x_set; solution is the
-    equation solution the construction started from.
+    listed by the quadratic-form rows make up x_set.
     """
 
     ctx: object
     x_set: frozenset
     basis: tuple[int, ...]
-    i: int
-    s: int
-    solution: tuple[int, ...]
     x_generators: tuple[int, ...]
 
     @property
@@ -101,15 +97,7 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
     sums = gflinalg.span(gens)
     x_set = {sums[row] for row in quadform_rows(i)}
     assert len(x_set) == (1 << (2 * i - 1)) - (1 << (i - 1))
-    return SupportSpec(
-        ctx=ctx,
-        x_set=frozenset(x_set),
-        basis=tail,
-        i=i,
-        s=s,
-        solution=sol.b,
-        x_generators=gens,
-    )
+    return SupportSpec(ctx, frozenset(x_set), tail, gens)
 
 
 def expand(spec: SupportSpec) -> CodewordSupport:
@@ -219,29 +207,30 @@ def puncture(cw: CodewordSupport, x: int) -> CodewordSupport:
 
 
 class Method(NamedTuple):
-    """A `--method`: the i it builds (None: any i), whether `auto` routes m
-    to it, and the call (ctx, i, s, seed, **retry cap) -> (support, whether
-    the seed is recorded, the SupportSpec it was expanded from or None)."""
+    """A `--method`, named by its key in METHODS: the i it builds (None:
+    any i), whether `auto` routes m to it, whether its support depends on
+    the seed, and the call (ctx, i, s, seed, **retry cap) -> (support, the
+    SupportSpec it was expanded from or None)."""
 
     i: int | None
     auto: Callable[[int], bool]
+    seeded: bool
     call: Callable[..., tuple]
 
 
 def _solved(report: solvers.SolverReport, s: int) -> tuple:
     """The support assembled at s from a solver's solution."""
     spec = build_support(report.solution, s)
-    return expand(spec), report.rng_seed is not None, spec
+    return expand(spec), spec
 
 
-def _lifted(cw: CodewordSupport, i: int, s: int, seeded: bool) -> tuple:
+def _lifted(cw: CodewordSupport, i: int, s: int) -> tuple:
     """A support built at s = m - 2i, up-converted to s over its span
-    completed by unit vectors to dimension 2i + s; the seed is recorded iff
-    the support was drawn from it."""
+    completed by unit vectors to dimension 2i + s."""
     if s < cw.ctx.m - 2 * i:
         span = gflinalg.LinearMap(sorted(cw.elems)).image
         cw = up_convert(cw, gflinalg.complete_to_basis(cw.ctx, span)[: 2 * i + s])
-    return cw, seeded, None
+    return cw, None
 
 
 def _gk_drawn(ctx, seed: int) -> CodewordSupport:
@@ -258,45 +247,39 @@ def _gk_drawn(ctx, seed: int) -> CodewordSupport:
 # holds, so i2even and i3even win on even m.  The calls look their steps up
 # by name when they run, so wrappers installed on the modules are honoured.
 METHODS: dict[str, Method] = {
-    solvers.I2_EVEN: Method(
-        2,
-        lambda m: m >= 4 and m % 2 == 0,
+    "i2even": Method(
+        2, lambda m: m >= 4 and m % 2 == 0, False,
         lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i2_even(ctx), s),
     ),
-    solvers.I2_ODD: Method(
-        2,
-        lambda m: m >= 5,
+    "i2odd": Method(
+        2, lambda m: m >= 5, True,
         lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i2_odd(ctx, seed, **kw), s),
     ),
-    solvers.I2_COMPOSITE: Method(
-        2,
-        lambda m: False,
+    "i2composite": Method(
+        2, lambda m: False, False,
         lambda ctx, i, s, seed, **kw: _solved(
             solvers.solve_i2_composite(ctx, *solvers.coprime_split(ctx.m)), s
         ),
     ),
-    solvers.I3_EVEN: Method(
-        3,
-        lambda m: m >= 6 and m % 2 == 0,
+    "i3even": Method(
+        3, lambda m: m >= 6 and m % 2 == 0, True,
         lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i3_even(ctx, seed, **kw), s),
     ),
-    solvers.I3_HEURISTIC: Method(
-        3,
-        lambda m: m >= 7,
+    "i3heuristic": Method(
+        3, lambda m: m >= 7, True,
         lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i3_heuristic(ctx, seed, **kw), s),
     ),
-    solvers.I4_DIV4: Method(
-        4,
-        lambda m: m >= 8 and m % 4 == 0,
+    "i4": Method(
+        4, lambda m: m >= 8 and m % 4 == 0, False,
         lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i4(ctx), s),
     ),
     "gold": Method(
-        None,
-        lambda m: False,
-        lambda ctx, i, s, seed, **kw: _lifted(gold_support(ctx, i), i, s, False),
+        None, lambda m: False, False,
+        lambda ctx, i, s, seed, **kw: _lifted(gold_support(ctx, i), i, s),
     ),
     "gk": Method(
-        2, lambda m: False, lambda ctx, i, s, seed, **kw: _lifted(_gk_drawn(ctx, seed), i, s, True)
+        2, lambda m: False, True,
+        lambda ctx, i, s, seed, **kw: _lifted(_gk_drawn(ctx, seed), i, s),
     ),
 }
 
@@ -317,8 +300,8 @@ def generate(
     if i < 0 or not 0 <= s <= m - 2 * i or verify.designed_distance(m, s, i) < 2:
         raise UncoveredCase(f"need s in 0..{m - 2 * i} and d({m}, {s}, {i}) >= 2, got s={s}")
     kw = {} if max_retries is None else {"max_retries": max_retries}
-    cw, seeded, spec = entry.call(ctx, i, s, seed, **kw)
+    cw, spec = entry.call(ctx, i, s, seed, **kw)
     verdict = verify.is_min_weight(cw)
     if not verdict.is_min_weight:
         raise UnverifiedSupport(f"refusing to emit unverified support: {verdict}")
-    return cw, {"i": i, "s": s, "method": method, "seed": seed if seeded else None}, spec
+    return cw, {"i": i, "s": s, "method": method, "seed": seed if entry.seeded else None}, spec

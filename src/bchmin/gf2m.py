@@ -327,8 +327,9 @@ class GF2m:
             size += top
         log = np.zeros(n + 1, dtype=np.uint32)
         log[exp] = np.arange(n, dtype=np.uint32)
-        # exp is a bijection onto 1..n, i.e. alpha has order n
-        assert np.array_equal(exp[log[1:]], np.arange(1, n + 1, dtype=np.uint32))
+        # alpha has order n iff exp hits 1..n once each: an entry above n
+        # raised in the scatter, and only k = 0 wrote a 0, to log[1]
+        assert log[2:].all()
         self._exp_arr, self._log_arr = exp, log
         self._exp, self._log = memoryview(exp), memoryview(log)
 

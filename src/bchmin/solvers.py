@@ -26,14 +26,6 @@ class RetriesExhausted(RuntimeError):
     """Probabilistic solver hit its retry cap."""
 
 
-I2_EVEN = "i2even"
-I2_ODD = "i2odd"
-I2_COMPOSITE = "i2composite"
-I3_EVEN = "i3even"
-I3_HEURISTIC = "i3heuristic"
-I4_DIV4 = "i4"
-
-
 def f_j(ctx, j: int, x1: int, x2: int) -> int:
     """x1^(2^j) * x2 + x1 * x2^(2^j); homogeneous of degree 2^j + 1."""
     return ctx.mul(ctx.frobenius(x1, j), x2) ^ ctx.mul(x1, ctx.frobenius(x2, j))
@@ -76,10 +68,10 @@ class SolutionVector:
 
 @dataclass(frozen=True)
 class SolverReport:
-    solution: SolutionVector | None
+    """A solver's checked solution and the number of draws it took."""
+
+    solution: SolutionVector
     trials: int
-    rng_seed: int | None
-    method: str
 
 
 def solve_i2_even(ctx) -> SolverReport:
@@ -89,7 +81,7 @@ def solve_i2_even(ctx) -> SolverReport:
         raise UncoveredCase(f"even m >= 4 required, got m={ctx.m}")
     _, c = linearized.subfield(ctx, 2)
     b = (1, ctx.alpha, c, ctx.mul(c, ctx.alpha))
-    return SolverReport(SolutionVector(ctx, b), 1, None, I2_EVEN)
+    return SolverReport(SolutionVector(ctx, b), 1)
 
 
 def solve_i2_odd(ctx, rng_seed: int, max_retries: int = 64) -> SolverReport:
@@ -122,7 +114,7 @@ def solve_i2_odd(ctx, rng_seed: int, max_retries: int = 64) -> SolverReport:
             cbrt(ctx.mul(ctx.mul(c ^ vp, c ^ vp), ctx.inv(vp))),
         )
         if gflinalg.independent(ctx, b):
-            return SolverReport(SolutionVector(ctx, b), attempt, rng_seed, I2_ODD)
+            return SolverReport(SolutionVector(ctx, b), attempt)
     raise RetriesExhausted(f"no independent i=2 solution in {max_retries} draws")
 
 
@@ -147,7 +139,7 @@ def solve_i2_composite(ctx, ell: int, t: int) -> SolverReport:
     assert sols, "trace obstruction cannot occur for conjugate products"
     x = min(sols)
     vec = (1, x, a, b)
-    return SolverReport(SolutionVector(ctx, vec), 1, None, I2_COMPOSITE)
+    return SolverReport(SolutionVector(ctx, vec), 1)
 
 
 def solve_i3_even(ctx, rng_seed: int, max_retries: int = 256) -> SolverReport:
@@ -179,7 +171,7 @@ def solve_i3_even(ctx, rng_seed: int, max_retries: int = 256) -> SolverReport:
             ctx.mul(d, c),
             ctx.mul(d, ctx.mul(c2, y)),
         )
-        return SolverReport(SolutionVector(ctx, b), attempt, rng_seed, I3_EVEN)
+        return SolverReport(SolutionVector(ctx, b), attempt)
     raise RetriesExhausted(f"no cube-root hit in {max_retries} draws")
 
 
@@ -215,7 +207,7 @@ def solve_i3_heuristic(ctx, rng_seed: int, max_retries: int = 4096) -> SolverRep
         b5, b6 = roots[0], roots[1]
         b = (b1, b2, b3, b4, b5, b6)
         if gflinalg.independent(ctx, b):
-            return SolverReport(SolutionVector(ctx, b), attempt, rng_seed, I3_HEURISTIC)
+            return SolverReport(SolutionVector(ctx, b), attempt)
     raise RetriesExhausted(f"heuristic failed within {max_retries} iterations")
 
 
@@ -239,7 +231,7 @@ def solve_i4(ctx) -> SolverReport:
         ctx.mul(d, c),
         ctx.mul(ctx.mul(d, c), y),
     )
-    return SolverReport(SolutionVector(ctx, b), 1, None, I4_DIV4)
+    return SolverReport(SolutionVector(ctx, b), 1)
 
 
 def coprime_split(m: int) -> tuple[int, int]:

@@ -286,7 +286,9 @@ def _first_failure(ctx, nonzero, j_limit: int, route: str) -> tuple[int, int] | 
     return fail
 
 
-def _membership(cw) -> tuple[bool, tuple[int, int] | None, str]:
+def is_min_weight(cw) -> Verdict:
+    """Certify the support as a minimum-weight codeword: membership plus
+    weight exactly equal to the claimed designed distance."""
     ctx, d = cw.ctx, cw.claimed_distance
     if not 2 <= d <= ctx.n + 1:
         raise ValueError(f"claimed distance must be in 2..{ctx.n + 1}, got {d}")
@@ -302,28 +304,16 @@ def _membership(cw) -> tuple[bool, tuple[int, int] | None, str]:
         j_limit = d - 1
     nonzero = _nonzero(ctx, cw.elems)
     route = _pick_route(ctx, j_limit, len(nonzero))
-    if refused:
-        return False, None, route
-    fail = _first_failure(ctx, nonzero, j_limit, route) if len(nonzero) and j_limit else None
-    return fail is None, fail, route
-
-
-def is_member(cw) -> bool:
-    """True iff the support lies in the claimed (extended) BCH code."""
-    member, _, _ = _membership(cw)
-    return member
-
-
-def is_min_weight(cw) -> Verdict:
-    """Certify the support as a minimum-weight codeword: membership plus
-    weight exactly equal to the claimed designed distance."""
-    member, fail, route = _membership(cw)
+    fail = None
+    if not refused and len(nonzero) and j_limit:
+        fail = _first_failure(ctx, nonzero, j_limit, route)
+    member = not refused and fail is None
     weight = len(cw.elems)
     return Verdict(
         member=member,
         weight=weight,
-        claimed_distance=cw.claimed_distance,
-        is_min_weight=member and weight == cw.claimed_distance,
+        claimed_distance=d,
+        is_min_weight=member and weight == d,
         failing_syndrome=fail,
         route=route,
     )

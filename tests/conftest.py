@@ -134,9 +134,6 @@ def invert(rows, n: int) -> list[int]:
 
 # -- exhaustive i = 2 oracle -------------------------------------------------------
 
-BRUTE_FORCE = "bruteforce"
-
-
 class TooLarge(ValueError):
     """Brute force is limited to i = 2 and m <= 6."""
 
@@ -161,5 +158,5 @@ def brute_force_solver(ctx, i: int) -> SolverReport:
     if i != 2 or ctx.m > 6:
         raise TooLarge("brute force supports i=2 and m <= 6 only")
     for b in iter_i2_solutions(ctx):
-        return SolverReport(SolutionVector(ctx, b), 1, None, BRUTE_FORCE)
+        return SolverReport(SolutionVector(ctx, b), 1)
     raise RetriesExhausted("no solution found by exhaustive scan")

@@ -45,7 +45,7 @@ def _covered_cells(max_m=16):
             cells.append((m, 2, s, "auto"))
     for m in (6, 15):
         for s in range(0, m - 3):
-            cells.append((m, 2, s, solvers.I2_COMPOSITE))
+            cells.append((m, 2, s, "i2composite"))
     for m in range(6, max_m + 1):
         for s in range(0, m - 5):
             cells.append((m, 3, s, "auto"))
@@ -188,14 +188,14 @@ def test_criterion_07_conversion_roundtrips():
                 assert down_convert(high, kb).elems == cw.elems
 
 
-def _boolean_enum_check(ctx, spec, cw):
+def _boolean_enum_check(ctx, sol, i, s, spec, cw):
     """Independent enumeration of the product-form Boolean function in the
     constructed basis; exact set comparison against the expanded support."""
-    m, i, s = ctx.m, spec.i, spec.s
+    m = ctx.m
     if s == 0:
         # coordinates via trace functionals against the primal solution
         masks = []
-        for b in spec.solution:
+        for b in sol.b:
             mask = 0
             for t in range(m):
                 if ctx.trace(ctx.mul(b, 1 << t)):
@@ -236,7 +236,7 @@ def test_criterion_08_boolean_cross_check():
             sol = _solution_for(ctx, i, seed=1)
             spec = build_support(sol, s)
             cw = expand(spec)
-            _boolean_enum_check(ctx, spec, cw)
+            _boolean_enum_check(ctx, sol, i, s, spec, cw)
 
 
 def test_criterion_09_gk_special_case():

@@ -97,6 +97,31 @@ def test_generate_gold_records_no_seed(capsys):
     assert json.loads(out1)["seed"] is None
 
 
+# one covered (m, i, s) per method, and whether its support depends on the seed
+SEED_CELLS = {
+    "i2even": (8, 2, 1, False),
+    "i2odd": (9, 2, 1, True),
+    "i2composite": (6, 2, 1, False),
+    "i3even": (8, 3, 1, True),
+    "i3heuristic": (8, 3, 1, True),
+    "i4": (8, 4, 0, False),
+    "gold": (8, 2, 1, False),
+    "gk": (8, 2, 1, True),
+}
+
+
+@pytest.mark.parametrize("method", sorted(SEED_CELLS))
+def test_generate_records_the_seed_iff_it_is_used(method):
+    m, i, s, seeded = SEED_CELLS[method]
+    _, meta = generate(m, i, s, seed=5, method=method)
+    assert meta["method"] == method
+    assert meta["seed"] == (5 if seeded else None)
+
+
+def test_seed_cells_cover_the_registry():
+    assert set(SEED_CELLS) == set(construct.METHODS)
+
+
 def test_generate_gk_route(capsys):
     code, out = _run(capsys, ["generate", "--m", "8", "--i", "2", "--s", "4", "--method", "gk", "--seed", "2"])
     assert code == EXIT_OK

@@ -71,9 +71,6 @@ def test_expand_detects_collisions():
         ctx=ctx,
         x_set=frozenset({1, 3}),
         basis=(2,),  # 1 ^ 2 = 3 collides with the X part
-        i=1,
-        s=0,
-        solution=(),
         x_generators=(),
     )
     with pytest.raises(ValueError, match="X \\+ span\\(B\\) is smaller than"):

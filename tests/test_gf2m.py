@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bchmin
-from bchmin import linearized
+from bchmin import gf2m, linearized
 from bchmin.gf2m import (
     _DEFAULT_POLYS,
     GF2m,
@@ -501,8 +501,8 @@ def test_memoryview_path_matches_polynomial_arithmetic(m):
 
 
 # A fresh interpreter building the m = 24 tables: 2 x 64 MB of uint32 arrays
-# plus the temporaries of the log scatter and the bijection check (~333 MB
-# and ~1.5 s measured).  The Python-list tables took 1.38 GB and ~8 s.
+# plus the temporaries of the log scatter (~252 MB and ~0.9 s measured on a
+# 2-vCPU x86-64 machine).  The Python-list tables took 1.38 GB and ~8 s.
 _M24_RSS_CEILING_MB = 600
 _M24_WALL_CEILING_S = 10.0
 _M24_CHILD = """
@@ -525,3 +525,20 @@ def test_m24_tables_memory_and_time_ceiling():
     peak_mb = float(child.stdout)
     assert peak_mb < _M24_RSS_CEILING_MB
     assert wall < _M24_WALL_CEILING_S
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_build_tables_refuses_a_non_bijective_exp(monkeypatch, m):
+    # one flipped entry in a doubling table of _build_tables (the only caller
+    # with bits == m) makes exp miss some element of 1..n
+    orig = gf2m._byte_tables
+
+    def flipped(img, deg, poly, bits):
+        tables = orig(img, deg, poly, bits)
+        if bits == deg:
+            tables[0][1] ^= 1
+        return tables
+
+    monkeypatch.setattr(gf2m, "_byte_tables", flipped)
+    with pytest.raises(AssertionError):
+        GF2m(m)

@@ -17,7 +17,6 @@ from bchmin.verify import (
     _nonzero,
     _pick_route,
     designed_distance,
-    is_member,
     is_min_weight,
     power_sums,
 )
@@ -148,7 +147,6 @@ def test_table_free_verification_uses_no_scalar_arithmetic(m, i, monkeypatch):
 
 def test_member_table_fixture_m8():
     _, cw = _fixture(8)
-    assert is_member(cw)
     verdict = is_min_weight(cw)
     assert verdict.member and verdict.weight == 27 and verdict.is_min_weight
 
@@ -162,22 +160,23 @@ def test_member_weight23_fixture():
 
 def test_single_element_extended_fails_parity(gf256):
     cw = CodewordSupport(gf256, frozenset({7}), 4, extended=True)
-    assert not is_member(cw)
-    assert is_min_weight(cw).failing_syndrome is None  # parity, not a syndrome
+    verdict = is_min_weight(cw)
+    assert not verdict.member
+    assert verdict.failing_syndrome is None  # parity, not a syndrome
 
 
 def test_nonextended_rejects_zero_in_support(gf256):
     cw = CodewordSupport(gf256, frozenset({0, 1, 2}), 3, extended=False)
-    assert not is_member(cw)
+    assert not is_min_weight(cw).member
 
 
 def test_distance_parity_validation(gf256):
     with pytest.raises(ValueError, match="extended claim needs even d, got 5"):
-        is_member(CodewordSupport(gf256, frozenset({1, 2}), 5, extended=True))
+        is_min_weight(CodewordSupport(gf256, frozenset({1, 2}), 5, extended=True))
     with pytest.raises(ValueError, match="punctured claim needs odd d, got 6"):
-        is_member(CodewordSupport(gf256, frozenset({1, 2}), 6, extended=False))
+        is_min_weight(CodewordSupport(gf256, frozenset({1, 2}), 6, extended=False))
     with pytest.raises(ValueError):
-        is_member(CodewordSupport(gf256, frozenset({1, 2}), 1, extended=False))
+        is_min_weight(CodewordSupport(gf256, frozenset({1, 2}), 1, extended=False))
 
 
 def test_mutated_fixture_fails_with_syndrome():
@@ -204,7 +203,7 @@ def test_mutation_sensitivity_exhaustive(m):
     outsider = next(x for x in range(1, 1 << m) if x not in cw.elems)
     for x in cw.elems:
         bad = CodewordSupport(ctx, (cw.elems - {x}) | {outsider}, 27, False)
-        assert not is_member(bad)
+        assert not is_min_weight(bad).member
 
 
 # -- designed distance ----------------------------------------------------------
@@ -399,5 +398,5 @@ def test_verdict_names_the_route():
 def test_claimed_distance_beyond_length_refused(gf16):
     # j_limit >= n once made the coset walk loop forever
     with pytest.raises(ValueError):
-        is_member(CodewordSupport(gf16, frozenset({1, 2}), 18, extended=True))
-    assert is_member(CodewordSupport(gf16, frozenset(range(16)), 16, extended=True))
+        is_min_weight(CodewordSupport(gf16, frozenset({1, 2}), 18, extended=True))
+    assert is_min_weight(CodewordSupport(gf16, frozenset(range(16)), 16, extended=True)).member
