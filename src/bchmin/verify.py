@@ -11,10 +11,14 @@ Two routes reach the same verdict.  The scan evaluates p_j at the leader
 ascending order, so it stops at the first nonzero p_j whatever L is.  The
 check route packs c(X) = sum of X^log(x) over the nonzero support and tests
 c(X) h(X) = 0 mod X^n - 1, where h is the check polynomial of the cyclic
-code with zeros alpha^j, j in [1, L], a product over the leaders in (L, n);
-it wins when that code has small dimension k.  Both start with p_1, and the
-cheaper one is picked from (n, L, |S|) alone, by counting the leaders in
-[1, L] and their coset sizes.  The scan, the check polynomial and that count
+code with zeros alpha^j, j in [1, L], a product over the leaders in (L, n)
+of minimal polynomials read off the log tables.  The product c h is a
+shift-XOR when one operand has few terms and blocked float64 FFTs with a
+checked rounding otherwise (`_polymul`), so the check wins when that code
+has small dimension k, and also for dense h when |S| and L are both large.
+Both routes start with p_1, and the cheaper one is picked from (n, L, |S|)
+alone, by counting the leaders in [1, L] and their coset sizes; the check
+is charged for building h too.  The scan, the check polynomial and that count
 share one enumeration of the leaders, `_coset_leaders`.  The check route
 needs discrete logs, so it exists only on fields with log tables
 (`GF2m.has_logs`); on the others the scan runs alone, stepping the powers
@@ -30,17 +34,34 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, tee
+from itertools import chain, tee
+from math import gcd
 
 import numpy as np
 
 # Measured costs (medians over the larger m = 12..16 acceptance supports):
 # one table gather of the scan, i.e. one support element at one
-# representative, and one 64-bit word of one shift-XOR term of the check.
-# Only their ratio matters; it puts the crossover of the acceptance grid
-# between s = 2 and s = 3 for m >= 8.
+# representative; one 64-bit word of the denser operand per term of the
+# sparser one in a shift-XOR product; one transform of the FFT product with
+# its rounding, and one block pair's spectrum product; one coset leader of
+# the check polynomial built.  Only their ratios matter.  The scan's
+# 7.2 ns is the reference; the others were measured in the same runs (the
+# FFT transform by a relative least-squares fit over those supports and
+# random operands of 1..64 blocks, the pair product alone) and scaled by
+# 7.2 ns over the scan's 14.5 ns there.
 _SCAN_NS_PER_GATHER = 7.2
-_CHECK_NS_PER_WORD = 4.0
+_SHIFT_XOR_NS_PER_WORD = 3.1
+_FFT_NS_PER_TRANSFORM = 300e3
+_FFT_NS_PER_PAIR = 24e3
+_CHECK_POLY_NS_PER_LEADER = 13.4e3
+
+# The FFT product cuts both operands into blocks of _BLOCK coefficients, so
+# every block product has under _FFT_LEN coefficients and every transform
+# that length; a rounded coefficient whose residue reaches _MAX_RESIDUE is
+# not trusted, and its block is recomputed by shift-XOR.
+_BLOCK = 1 << 14
+_FFT_LEN = 2 * _BLOCK
+_MAX_RESIDUE = 0.25
 
 
 @dataclass(frozen=True)
@@ -175,32 +196,77 @@ def _coset_leaders(m: int, lo: int, hi: int):
         lo, size = lo + 2 * size, min(2 * size, 2048)
 
 
+def _coset_sizes(m: int, lead: np.ndarray) -> np.ndarray:
+    """The size of the 2-cyclotomic coset of each j in lead: the least t | m
+    with j (2^t - 1) = 0 mod n."""
+    n, size = (1 << m) - 1, np.full(len(lead), m)
+    for t in range(m // 2, 0, -1):
+        if m % t == 0:
+            size[lead * ((1 << t) - 1) % n == 0] = t
+    return size
+
+
+@lru_cache(maxsize=None)
+def _necklaces(m: int) -> int:
+    """Binary necklaces of length m: (1/m) sum over d | m of phi(d) 2^(m/d)."""
+    phi = [sum(gcd(a, d) == 1 for a in range(d)) for d in range(m + 1)]
+    return sum(phi[d] << (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
 @lru_cache(maxsize=512)
 def _coset_counts(n: int, j_limit: int) -> tuple[int, int]:
     """(number of coset leaders in [1, j_limit], code dimension k) for the
     cost rule: k is n less the sizes of the 2-cyclotomic cosets meeting
-    [1, j_limit], the zeros of the code.  Two ints per key, so a stream of
-    claims keeps the cache small."""
+    [1, j_limit], the zeros of the code.  Every leader lies below 2^(m-1),
+    so from j_limit = 2^(m-1) - 1 on every nonzero coset is a zero: one per
+    binary necklace of length m but the all-0 and all-1 ones, which both
+    stand for 0, leaving k = 1.  Two ints per key, so a stream of claims
+    keeps the cache small."""
     m = n.bit_length()
+    if j_limit >= (1 << (m - 1)) - 1:
+        return _necklaces(m) - 2, 1
     reps, k = 0, n
     for lead in _coset_leaders(m, 1, j_limit + 1):
-        # a coset's size is the least t | m with j (2^t - 1) = 0 mod n
-        size = np.full(len(lead), m)
-        for t in range(m // 2, 0, -1):
-            if m % t == 0:
-                size[lead * ((1 << t) - 1) % n == 0] = t
-        reps, k = reps + len(lead), k - int(size.sum())
+        reps, k = reps + len(lead), k - int(_coset_sizes(m, lead).sum())
     return reps, k
+
+
+def _shift_xor_ns(terms: int, dense_len: int) -> float:
+    """Estimated time of a shift-XOR product whose sparser operand has
+    `terms` terms: one pass over the dense_len coefficients of the other
+    operand each."""
+    return terms * -(-dense_len // 64) * _SHIFT_XOR_NS_PER_WORD
+
+
+def _fft_ns(len_a: int, len_b: int) -> float:
+    """Estimated time of the FFT product of operands of len_a and len_b
+    coefficients: per strip, one transform per block of each operand and
+    one inverse per output block; one spectrum product per pair of
+    blocks."""
+    nb, na = sorted(max(1, -(-x // _BLOCK)) for x in (len_a, len_b))
+    strips = -(-nb // _strip_width(na, nb))
+    transforms = 2 * strips * na + 2 * nb - strips
+    return transforms * _FFT_NS_PER_TRANSFORM + na * nb * _FFT_NS_PER_PAIR
 
 
 def _pick_route(ctx, j_limit: int, size: int) -> str:
     """The cheaper route past p_1, from (n, L, |S|) alone; with L < 3
-    there is nothing past p_1, and without logs no check route."""
+    there is nothing past p_1, and without logs no check route.  The check
+    is priced as the cheaper product of c (|S| terms, n coefficients) and
+    h (k + 1 coefficients, about half of them terms), plus building h from
+    the leaders above L: h is cached per (field, L), but a route that
+    depended on the cache would differ between two calls on one claim."""
     if not ctx.has_logs or j_limit < 3:
         return "scan"
-    reps, k = _coset_counts(ctx.n, j_limit)
+    n = ctx.n
+    reps, k = _coset_counts(n, j_limit)
     scan_ns = (reps - 1) * size * _SCAN_NS_PER_GATHER
-    check_ns = k / 2 * -(-ctx.n // 64) * _CHECK_NS_PER_WORD
+    build_ns = (_necklaces(ctx.m) - 2 - reps) * _CHECK_POLY_NS_PER_LEADER
+    if size <= k // 2 + 1:  # c is the sparser operand
+        terms, dense_len = size, k + 1
+    else:
+        terms, dense_len = k // 2 + 1, n
+    check_ns = build_ns + min(_shift_xor_ns(terms, dense_len), _fft_ns(n, k + 1))
     return "check" if check_ns < scan_ns else "scan"
 
 
@@ -210,32 +276,120 @@ def _scan(ctx, nonzero, js) -> tuple[int, int] | None:
     return next(((j, pj) for j, pj in zip(js, _syndromes(ctx, nonzero, ahead)) if pj), None)
 
 
-def _min_poly(ctx, r: int) -> int:
-    """Minimal polynomial over GF(2) of beta = alpha^r, packed (bit t is the
-    coefficient of X^t): the first GF(2)-relation among 1, beta, beta^2, ...
-    found by eliminating the powers as m-bit vectors."""
-    rows = []  # (vector, combination of powers), leading bits distinct, descending
-    for t in count():
-        v, comb = ctx.exp(r * t), 1 << t
-        for pv, pc in rows:
-            if v ^ pv < v:  # the leading bit of pv is set in v
-                v, comb = v ^ pv, comb ^ pc
-        if v == 0:
-            return comb
-        rows.append((v, comb))
-        rows.sort(reverse=True)
+# -- products in GF(2)[X], packed into ints (bit t is the coefficient of X^t) ----
 
 
-def _clmul(a: int, b: int) -> int:
-    """Product of two GF(2) polynomials packed into ints (a local copy, so
-    the verifier uses no field internals beyond the public GF2m methods)."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
+def _shift_xor_mul(a: int, b: int) -> int:
+    """a b as the XOR of the denser operand shifted to each term of the
+    sparser one."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    bits, acc = bin(a)[:1:-1], 0
+    t = bits.find("1")
+    while t >= 0:
+        acc ^= b << t
+        t = bits.find("1", t + 1)
     return acc
+
+
+def _coefficients(x: int, blocks: int) -> np.ndarray:
+    """The coefficients of x as a blocks x _BLOCK array of 0/1 bytes."""
+    raw = np.frombuffer(x.to_bytes(blocks * _BLOCK // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").reshape(blocks, _BLOCK)
+
+
+def _strip_width(na: int, nb: int) -> int:
+    """Blocks of the shorter operand per strip of the FFT product: at most
+    (na + nb) / 4, so the spectra a strip holds (two per block) take no
+    more memory than the product's coefficients as float64."""
+    return max(1, (na + nb) // 4)
+
+
+def _fft_mul(a: int, b: int) -> int:
+    """a b by float64 FFTs of length _FFT_LEN (Brent, Gaudry, Thome and
+    Zimmermann, "Faster multiplication in GF(2)[x]", ANTS 2008), with a
+    the longer operand.  b is taken in strips of `_strip_width` blocks, which
+    bounds the spectra held at once; a is transformed again for each strip.
+    Within a strip, block i of a times block j of b lands in output block
+    i + j: output block q sums those products as spectra, and is
+    transformed back once complete, which is after block q of a.  Its
+    integer coefficients are rounded; if any residue reaches _MAX_RESIDUE,
+    the block is recomputed exactly by shift-XOR.  Each coefficient is then
+    reduced mod 2, and the overlapping halves of adjacent output blocks are
+    XORed."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    na, nb = (max(1, -(-x.bit_length() // _BLOCK)) for x in (a, b))
+    a_blocks, b_blocks = _coefficients(a, na), _coefficients(b, nb)
+    width = _strip_width(na, nb)
+    padded, coef = np.zeros(_FFT_LEN), np.empty(_FFT_LEN)
+    spectra = np.empty((min(width, nb), _FFT_LEN // 2 + 1), dtype=complex)
+    acc = np.zeros_like(spectra)  # row q mod g collects output block lo + q
+    out = np.zeros((na + nb) * _BLOCK, dtype=np.uint8)
+    mask = (1 << _BLOCK) - 1
+    for lo in range(0, nb, width):
+        g = min(width, nb - lo)
+        for j, block in enumerate(b_blocks[lo:lo + g]):
+            padded[:_BLOCK] = block
+            spectra[j] = np.fft.rfft(padded)
+        for q in range(na + g - 1):
+            if q < na:
+                padded[:_BLOCK] = a_blocks[q]
+                spectrum = np.fft.rfft(padded)
+                for j in range(g):
+                    acc[(q + j) % g] += spectrum * spectra[j]
+                del spectrum  # hold at most one transform of a at a time
+            value = np.fft.irfft(acc[q % g], _FFT_LEN)
+            acc[q % g] = 0
+            value -= np.rint(value, out=coef)
+            if max(value.max(), -value.min()) < _MAX_RESIDUE:
+                parity = coef.astype(np.uint32).astype(np.uint8) & 1  # coef <= 2^14 g
+            else:
+                exact = 0
+                for i in range(max(0, q - g + 1), min(q, na - 1) + 1):
+                    exact ^= _shift_xor_mul(
+                        (a >> (i * _BLOCK)) & mask, (b >> ((lo + q - i) * _BLOCK)) & mask
+                    )
+                parity = _coefficients(exact, 2).ravel()
+            out[(lo + q) * _BLOCK:(lo + q + 2) * _BLOCK] ^= parity
+            del value, parity
+    return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
+
+
+def _polymul(a: int, b: int) -> int:
+    """a b in GF(2)[X]: by shift-XOR or by FFT, whichever is estimated
+    cheaper."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    if _shift_xor_ns(a.bit_count(), b.bit_length()) <= _fft_ns(a.bit_length(), b.bit_length()):
+        return _shift_xor_mul(a, b)
+    return _fft_mul(a, b)
+
+
+def _min_polys(ctx, lead: np.ndarray) -> np.ndarray:
+    """Minimal polynomials over GF(2) of beta = alpha^r for the coset
+    leaders r in lead, packed as int64: the product of (X + beta^(2^t))
+    over the coset of r, computed in GF(2^m)[X] through the log and exp
+    tables for all leaders with one coset size at once (one row per leader,
+    one column per coefficient)."""
+    n, exp, log = ctx.n, ctx.exp_array(), ctx.log_array()
+    sizes, packed = _coset_sizes(ctx.m, lead), np.empty(len(lead), dtype=np.int64)
+    for size in (t for t in range(1, ctx.m + 1) if ctx.m % t == 0):
+        root = lead[sizes == size]  # log of beta^(2^t) at step t
+        if not len(root):
+            continue
+        poly = np.zeros((len(root), size + 1), dtype=exp.dtype)
+        poly[:, 0] = 1
+        for t in range(size):  # poly (X + beta^(2^t)), poly of degree t
+            low = poly[:, :t + 1]
+            times_root = np.where(low != 0, exp[(log[low] + root[:, None]) % n], 0)
+            poly[:, 1:t + 2] = low.copy()  # low is a view of these columns
+            poly[:, 0] = 0
+            poly[:, :t + 1] ^= times_root
+            root = root * 2 % n
+        assert ((poly >> 1) == 0).all(), "minimal polynomial outside GF(2)[X]"
+        packed[sizes == size] = (poly.astype(np.int64) << np.arange(size + 1)).sum(axis=1)
+    return packed
 
 
 def _check_poly(ctx, j_limit: int) -> int:
@@ -248,12 +402,17 @@ def _check_poly(ctx, j_limit: int) -> int:
 
 @lru_cache(maxsize=256)
 def _check_poly_cached(field_ref, j_limit: int) -> int:
+    """The product of the minimal polynomials, by a product tree: each level
+    multiplies neighbours, so the operands of a level have about equal
+    degree and the large ones go to the FFT product."""
     ctx = field_ref()
-    h = 0b11
+    factors = [0b11]
     for lead in _coset_leaders(ctx.m, j_limit + 1, ctx.n):
-        for r in lead.tolist():
-            h = _clmul(h, _min_poly(ctx, r))
-    return h
+        factors += _min_polys(ctx, lead).tolist()
+    while len(factors) > 1:
+        paired = [_polymul(a, b) for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[len(paired) * 2:]
+    return factors[0]
 
 
 def _in_code(ctx, nonzero, j_limit: int) -> bool:
@@ -262,10 +421,7 @@ def _in_code(ctx, nonzero, j_limit: int) -> bool:
     bits = np.zeros(n, dtype=np.uint8)
     bits[nonzero] = 1
     c = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    acc = 0
-    for t, bit in enumerate(bin(_check_poly(ctx, j_limit))[:1:-1]):
-        if bit == "1":
-            acc ^= c << t
+    acc = _polymul(c, _check_poly(ctx, j_limit))
     return acc & ((1 << n) - 1) == acc >> n
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import count
 
 import pytest
 
@@ -84,6 +85,22 @@ def ref_mod(a: int, poly: int) -> int:
 def ref_mul(ctx, a: int, b: int) -> int:
     """Reference field product of `ctx`, from the bit-serial steps alone."""
     return ref_mod(ref_clmul(a, b), ctx.poly)
+
+
+def min_poly(ctx, r: int) -> int:
+    """Reference minimal polynomial over GF(2) of beta = alpha^r, packed
+    (bit t is the coefficient of X^t): the first GF(2)-relation among 1,
+    beta, beta^2, ... found by eliminating the powers as m-bit vectors."""
+    rows = []  # (vector, combination of powers), leading bits distinct, descending
+    for t in count():
+        v, comb = ctx.exp(r * t), 1 << t
+        for pv, pc in rows:
+            if v ^ pv < v:  # the leading bit of pv is set in v
+                v, comb = v ^ pv, comb ^ pc
+        if v == 0:
+            return comb
+        rows.append((v, comb))
+        rows.sort(reverse=True)
 
 
 # -- scalar syndrome reference ----------------------------------------------------

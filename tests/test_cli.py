@@ -490,7 +490,8 @@ def test_repeated_modulus_exponent_refused(tmp_path, capsys):
 
 def test_verify_stream_of_moduli_pins_few_fields(tmp_path, capsys):
     # one file per primitive modulus of degree 8, each verified on the check
-    # route; the caches keep the built-in field and at most two others
+    # route (the whole field claimed at d = 256: every coset is a zero, so
+    # h = X + 1); the caches keep the built-in field and at most two others
     polys = []
     for poly in range(0x101, 0x200, 2):
         try:
@@ -502,10 +503,11 @@ def test_verify_stream_of_moduli_pins_few_fields(tmp_path, capsys):
     path = tmp_path / "support.json"
     for poly in polys:
         cw, meta = generate(8, 2, 0, seed=0, poly=poly)
-        path.write_text(render_json(cw.ctx, cw, meta))
+        whole = construct.CodewordSupport(cw.ctx, frozenset(range(256)), 256, True)
+        path.write_text(render_json(cw.ctx, whole, meta))
         code, out = _run(capsys, ["verify", str(path)])
         assert code == EXIT_OK and json.loads(out)["route"] == "check"
-    del cw
+    del cw, whole
     gc.collect()
     live = [obj for obj in gc.get_objects() if isinstance(obj, GF2m) and obj.m == 8]
     assert len(live) <= 3

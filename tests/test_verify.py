@@ -10,18 +10,23 @@ from bchmin.construct import CodewordSupport, generate
 from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from bchmin.gf2m import default_field
 from bchmin.verify import (
+    _BLOCK,
+    _check_poly,
     _coset_counts,
     _coset_leaders,
+    _fft_mul,
     _first_failure,
+    _min_polys,
     _mul,
     _nonzero,
     _pick_route,
+    _shift_xor_mul,
     designed_distance,
     is_min_weight,
     power_sums,
 )
 
-from conftest import rng, scalar_syndromes
+from conftest import min_poly, ref_clmul, rng, scalar_syndromes
 
 
 def _fixture(m):
@@ -298,9 +303,10 @@ def _mutate(ctx, elems: frozenset, kind: str, rand) -> frozenset:
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_routes_agree(data):
-    # Both routes on the same claim: same member, same first failing
-    # syndrome; on members, on swap / add / remove / add-0 mutants and on
-    # mutants that pass p_1, so the check polynomial decides.
+    # Both routes on the same claim, the check once with each product: same
+    # member, same first failing syndrome; on members, on swap / add /
+    # remove / add-0 mutants and on mutants that pass p_1, so the check
+    # polynomial decides.
     m = data.draw(st.integers(4, 16), label="m")
     extended = data.draw(st.booleans(), label="extended")
     r = data.draw(st.integers(2, m - 1), label="r")
@@ -314,7 +320,10 @@ def test_routes_agree(data):
     nonzero = _nonzero(ctx, elems)
     event(_pick_route(ctx, j_limit, len(nonzero)))
     scanned = _first_failure(ctx, nonzero, j_limit, "scan")
-    assert _first_failure(ctx, nonzero, j_limit, "check") == scanned
+    for product in (_shift_xor_mul, _fft_mul):  # the check with each product
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_polymul", product)
+            assert _first_failure(ctx, nonzero, j_limit, "check") == scanned, product
     if kind in ("none", "add0"):
         assert scanned is None
 
@@ -331,6 +340,21 @@ def test_coset_counts_match_brute_force():
                 cosets.add(coset)
                 zeros += len(coset)
             assert _coset_counts(n, j_limit) == (len(cosets), n - zeros), (m, j_limit)
+
+
+def test_coset_counts_every_coset_without_enumeration():
+    # from L = 2^(m-1) - 1 on every nonzero coset is a zero, and the count
+    # is read from the necklaces; at m = 20 against the enumeration
+    m = 20
+    n = (1 << m) - 1
+    lead = np.concatenate(list(_coset_leaders(m, 1, n))).tolist()
+    sizes = sum(len({(j << t) % n for t in range(m)}) for j in lead)
+    assert sizes == n - 1
+    top = lead[-1]
+    assert top == (1 << (m - 1)) - 1
+    for j_limit in (top, top + 1, n - 1):
+        assert _coset_counts(n, j_limit) == (len(lead), 1)
+    assert _coset_counts(n, top - 1) == (len(lead) - 1, 1 + m)
 
 
 def _brute_leaders(m, lo, hi):
@@ -369,12 +393,14 @@ def test_coset_leaders_windows_match_brute_force(m):
 
 
 def test_route_pick_follows_cost():
-    # m = 16 extended claims of d(16, s, 2): the check route below the
-    # crossover at s = 2 / 3, the scan above it and for small d
+    # m = 16 extended claims of d(16, s, i): the check route below the
+    # crossover at s = 2 / 3 for i = 2 and s = 3 / 4 for i = 3, 4, the scan
+    # above it and for small d
     ctx = default_field(16)
-    for s, route in ((0, "check"), (2, "check"), (3, "scan"), (12, "scan")):
-        d = designed_distance(16, s, 2)
-        assert _pick_route(ctx, d - 2, d) == route
+    for i, last_check in ((2, 2), (3, 3), (4, 3)):
+        for s in range(17 - 2 * i):
+            d = designed_distance(16, s, i)
+            assert _pick_route(ctx, d - 2, d) == ("check" if s <= last_check else "scan"), (i, s)
     assert _pick_route(default_field(25), (1 << 20) - 2, 1 << 20) == "scan"  # no logs
 
 
@@ -400,3 +426,86 @@ def test_claimed_distance_beyond_length_refused(gf16):
     with pytest.raises(ValueError):
         is_min_weight(CodewordSupport(gf16, frozenset({1, 2}), 18, extended=True))
     assert is_min_weight(CodewordSupport(gf16, frozenset(range(16)), 16, extended=True)).member
+
+
+# -- the check polynomial and its products ------------------------------------
+
+
+def test_min_polys_match_oracle():
+    # every coset leader at m = 2..12 against one elimination per leader
+    for m in range(2, 13):
+        ctx = default_field(m)
+        lead = np.concatenate(list(_coset_leaders(m, 1, ctx.n)))
+        assert _min_polys(ctx, lead).tolist() == [min_poly(ctx, r) for r in lead.tolist()], m
+
+
+def test_check_poly_matches_oracle_product():
+    # every L at m <= 10: h against the bit-serial product of the oracle
+    # minimal polynomials of the leaders above L, from the top down
+    for m in range(2, 11):
+        ctx = default_field(m)
+        leaders = set(_leaders(m, 1, ctx.n))
+        h = 0b11
+        for j_limit in range(ctx.n - 1, -1, -1):
+            if j_limit + 1 in leaders:
+                h = ref_clmul(h, min_poly(ctx, j_limit + 1))
+            assert _check_poly(ctx, j_limit) == h, (m, j_limit)
+
+
+def _near_blocks(k: int):
+    """Coefficient counts near 1..k blocks, and a few small or anywhere."""
+    edges = [st.integers(q * _BLOCK - 2, q * _BLOCK + 2) for q in range(1, k + 1)]
+    return st.one_of(st.integers(1, 64), st.integers(1, k * _BLOCK), *edges)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_fft_product_matches_shift_xor(data):
+    # random 0/1 polynomials, dense or sparse, whose lengths straddle the
+    # block size: the rounded FFT product against the shift-XOR one
+    rand = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    a_len, b_len = data.draw(_near_blocks(3), label="a"), data.draw(_near_blocks(2), label="b")
+    density = data.draw(st.sampled_from([0.5, 0.01]), label="density")
+    a, b = (
+        sum(1 << t for t in range(length - 1) if rand.random() < density) | 1 << (length - 1)
+        for length in (a_len, b_len)
+    )
+    assert _fft_mul(a, b) == _shift_xor_mul(a, b)
+
+
+def test_fft_products_of_zero_and_one():
+    x = rng(7).getrandbits(3 * _BLOCK)
+    assert _fft_mul(x, 0) == _fft_mul(0, x) == 0
+    assert _fft_mul(x, 1) == _fft_mul(1, x) == x
+
+
+def test_exact_fallback_keeps_verdicts(monkeypatch):
+    # with the residue bound at 0 every rounded block is refused and
+    # recomputed by shift-XOR: verdicts and first failing syndromes of
+    # members and mutants on the FFT check route are unchanged
+    ctx, rand = default_field(16), rng(11)
+    claims = []
+    for i, s in ((2, 1), (2, 2), (3, 2)):
+        cw, _, _ = generate(ctx, i, s, seed=0)
+        claims.append(cw)
+        for kind in ("p1swap", "swap"):
+            bad = _mutate(ctx, cw.elems, kind, rand)
+            claims.append(CodewordSupport(ctx, bad, cw.claimed_distance, cw.extended))
+    verdicts = [is_min_weight(cw) for cw in claims]
+    assert all(v.route == "check" for v in verdicts)
+    assert [v.is_min_weight for v in verdicts] == [True, False, False] * 3
+    exact_blocks = []
+
+    def counted(a, b):
+        exact_blocks.append(1)
+        return _shift_xor_mul(a, b)
+
+    monkeypatch.setattr(verify, "_MAX_RESIDUE", 0.0)
+    monkeypatch.setattr(verify, "_shift_xor_mul", counted)
+    fft_calls = []
+    monkeypatch.setattr(verify, "_fft_mul", lambda a, b: fft_calls.append(1) or _fft_mul(a, b))
+    assert [is_min_weight(cw) for cw in claims] == verdicts
+    assert len(fft_calls) == 3 * 2 and exact_blocks  # the p1swap mutants reach the check too
+    # strips of two blocks: each output block is recomputed from two pairs
+    a, b = rand.getrandbits(6 * _BLOCK), rand.getrandbits(3 * _BLOCK)
+    assert _fft_mul(a, b) == ref_clmul(a, b)
