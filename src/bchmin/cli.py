@@ -213,9 +213,8 @@ def generate(
     except ValueError as exc:  # unparsable, wrong degree, not primitive
         raise ParseError(f"bad --poly {poly!r}: {exc}") from exc
     cw, meta, spec = construct.generate(ctx, i, s, seed, method, max_retries)
-    if spec is not None:
-        meta["X"] = _sorted_out(ctx, spec.x_set)
-        meta["B"] = [_elem_out(ctx, x) for x in spec.basis]
+    meta["X"] = _sorted_out(ctx, spec.x_set)
+    meta["B"] = [_elem_out(ctx, x) for x in spec.basis]
     return cw, meta
 
 

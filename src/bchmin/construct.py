@@ -4,8 +4,8 @@ and Grigorescu-Kaufman special supports.  `METHODS` registers every way of
 building a support, and `generate` runs one of them behind the range check
 and the self-verification gate.
 
-A support is kept compressed as X + span(B) (a small set plus a subspace
-basis) until expanded to an explicit element set.
+Every method builds its support compressed as X + span(B) (a small set plus
+a subspace basis); `generate` expands it to an explicit element set.
 """
 
 from __future__ import annotations
@@ -28,16 +28,13 @@ class DegenerateY(ValueError):
 
 @dataclass(frozen=True)
 class SupportSpec:
-    """Compressed support X + span(B) of a distance-d(m, s, i) codeword.
-
-    x_generators are the 2i independent elements whose bit-combinations
-    listed by the quadratic-form rows make up x_set.
-    """
+    """Compressed support X + span(B) of a distance-d(m, s, i) codeword:
+    |X| = 2^(2i-1) - 2^(i-1) elements, one per coset of span(B), and an
+    independent basis B of m - 2i - s elements."""
 
     ctx: object
     x_set: frozenset
     basis: tuple[int, ...]
-    x_generators: tuple[int, ...]
 
     @property
     def weight(self) -> int:
@@ -97,7 +94,7 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
     sums = gflinalg.span(gens)
     x_set = {sums[row] for row in quadform_rows(i)}
     assert len(x_set) == (1 << (2 * i - 1)) - (1 << (i - 1))
-    return SupportSpec(ctx, frozenset(x_set), tail, gens)
+    return SupportSpec(ctx, frozenset(x_set), tail)
 
 
 def expand(spec: SupportSpec) -> CodewordSupport:
@@ -132,29 +129,31 @@ def down_convert(cw: CodewordSupport, V_basis) -> CodewordSupport:
     return CodewordSupport(ctx, frozenset(image), new_d, extended=True)
 
 
-def up_convert(cw: CodewordSupport, U_basis) -> CodewordSupport:
-    """Preimage of the support under the image polynomial of span(U_basis):
-    blows each point up to a kernel coset and multiplies the distance by
-    2^(m-k)."""
+def _lift(cw: CodewordSupport, U_basis) -> SupportSpec:
+    """Preimage of the support under the image polynomial of span(U_basis),
+    k = len(U_basis), as a SupportSpec: one preimage per point for X, and
+    the m - k vectors of the polynomial's kernel for the basis."""
     if not cw.extended:
         raise ValueError("up-conversion applies to extended supports")
-    ctx = cw.ctx
-    U_basis = list(U_basis)
-    bpoly = linearized.image_poly(ctx, U_basis)
+    bpoly = linearized.image_poly(cw.ctx, list(U_basis))
     bmap = gflinalg.LinearMap(linearized.matrix_cols(bpoly))
-    kernel = gflinalg.span(bmap.kernel)
-    preimage = set()
+    x_set = set()
     for x in cw.elems:
         # the image of B is exactly span(U)
         x0 = bmap.preimage(x)
         if x0 is None:
             raise ValueError(f"support element {x} outside span(U)")
-        preimage.update(x0 ^ v for v in kernel)
-    factor = 1 << (ctx.m - len(U_basis))
-    assert len(preimage) == len(cw.elems) * factor
-    return CodewordSupport(
-        ctx, frozenset(preimage), cw.claimed_distance * factor, extended=True
-    )
+        x_set.add(x0)
+    return SupportSpec(cw.ctx, frozenset(x_set), tuple(bmap.kernel))
+
+
+def up_convert(cw: CodewordSupport, U_basis) -> CodewordSupport:
+    """Preimage of the support under the image polynomial of span(U_basis):
+    blows each point up to a kernel coset and multiplies the distance by
+    2^(m-k)."""
+    spec = _lift(cw, U_basis)
+    d = cw.claimed_distance << len(spec.basis)
+    return CodewordSupport(cw.ctx, expand(spec).elems, d, extended=True)
 
 
 def gold_support(ctx, i: int) -> CodewordSupport:
@@ -209,28 +208,23 @@ def puncture(cw: CodewordSupport, x: int) -> CodewordSupport:
 class Method(NamedTuple):
     """A `--method`, named by its key in METHODS: the i it builds (None:
     any i), whether `auto` routes m to it, whether its support depends on
-    the seed, and the call (ctx, i, s, seed, **retry cap) -> (support, the
-    SupportSpec it was expanded from or None)."""
+    the seed, and the call (ctx, i, s, seed, **retry cap) -> the support's
+    SupportSpec."""
 
     i: int | None
     auto: Callable[[int], bool]
     seeded: bool
-    call: Callable[..., tuple]
+    call: Callable[..., SupportSpec]
 
 
-def _solved(report: solvers.SolverReport, s: int) -> tuple:
-    """The support assembled at s from a solver's solution."""
-    spec = build_support(report.solution, s)
-    return expand(spec), spec
-
-
-def _lifted(cw: CodewordSupport, i: int, s: int) -> tuple:
-    """A support built at s = m - 2i, up-converted to s over its span
-    completed by unit vectors to dimension 2i + s."""
-    if s < cw.ctx.m - 2 * i:
-        span = gflinalg.LinearMap(sorted(cw.elems)).image
-        cw = up_convert(cw, gflinalg.complete_to_basis(cw.ctx, span)[: 2 * i + s])
-    return cw, None
+def _lifted(cw: CodewordSupport, i: int, s: int) -> SupportSpec:
+    """A support built at s = m - 2i, as X + span(B) at s: at that s it is X,
+    with no basis; below it, it is lifted over its span completed by unit
+    vectors to dimension 2i + s."""
+    if s == cw.ctx.m - 2 * i:
+        return SupportSpec(cw.ctx, cw.elems, ())
+    span = gflinalg.LinearMap(sorted(cw.elems)).image
+    return _lift(cw, gflinalg.complete_to_basis(cw.ctx, span)[: 2 * i + s])
 
 
 def _gk_drawn(ctx, seed: int) -> CodewordSupport:
@@ -249,29 +243,31 @@ def _gk_drawn(ctx, seed: int) -> CodewordSupport:
 METHODS: dict[str, Method] = {
     "i2even": Method(
         2, lambda m: m >= 4 and m % 2 == 0, False,
-        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i2_even(ctx), s),
+        lambda ctx, i, s, seed, **kw: build_support(solvers.solve_i2_even(ctx).solution, s),
     ),
     "i2odd": Method(
         2, lambda m: m >= 5, True,
-        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i2_odd(ctx, seed, **kw), s),
+        lambda ctx, i, s, seed, **kw: build_support(
+            solvers.solve_i2_odd(ctx, seed, **kw).solution, s),
     ),
     "i2composite": Method(
         2, lambda m: False, False,
-        lambda ctx, i, s, seed, **kw: _solved(
-            solvers.solve_i2_composite(ctx, *solvers.coprime_split(ctx.m)), s
-        ),
+        lambda ctx, i, s, seed, **kw: build_support(
+            solvers.solve_i2_composite(ctx, *solvers.coprime_split(ctx.m)).solution, s),
     ),
     "i3even": Method(
         3, lambda m: m >= 6 and m % 2 == 0, True,
-        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i3_even(ctx, seed, **kw), s),
+        lambda ctx, i, s, seed, **kw: build_support(
+            solvers.solve_i3_even(ctx, seed, **kw).solution, s),
     ),
     "i3heuristic": Method(
         3, lambda m: m >= 7, True,
-        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i3_heuristic(ctx, seed, **kw), s),
+        lambda ctx, i, s, seed, **kw: build_support(
+            solvers.solve_i3_heuristic(ctx, seed, **kw).solution, s),
     ),
     "i4": Method(
         4, lambda m: m >= 8 and m % 4 == 0, False,
-        lambda ctx, i, s, seed, **kw: _solved(solvers.solve_i4(ctx), s),
+        lambda ctx, i, s, seed, **kw: build_support(solvers.solve_i4(ctx).solution, s),
     ),
     "gold": Method(
         None, lambda m: False, False,
@@ -286,10 +282,10 @@ METHODS: dict[str, Method] = {
 
 def generate(
     ctx, i: int, s: int, seed: int = 0, method: str = "auto", max_retries: int | None = None
-) -> tuple[CodewordSupport, dict, SupportSpec | None]:
+) -> tuple[CodewordSupport, dict, SupportSpec]:
     """A verified d(m, s, i) support built by `method` (`auto`: the first
-    that covers (m, i)), its metadata and its SupportSpec (None for gold
-    and gk).  Uncovered cases raise UncoveredCase before any method runs; a
+    that covers (m, i)), its metadata and the SupportSpec it was expanded
+    from.  Uncovered cases raise UncoveredCase before any method runs; a
     support the verifier refuses raises UnverifiedSupport."""
     m = ctx.m
     if method == "auto":
@@ -300,7 +296,8 @@ def generate(
     if i < 0 or not 0 <= s <= m - 2 * i or verify.designed_distance(m, s, i) < 2:
         raise UncoveredCase(f"need s in 0..{m - 2 * i} and d({m}, {s}, {i}) >= 2, got s={s}")
     kw = {} if max_retries is None else {"max_retries": max_retries}
-    cw, spec = entry.call(ctx, i, s, seed, **kw)
+    spec = entry.call(ctx, i, s, seed, **kw)
+    cw = expand(spec)
     verdict = verify.is_min_weight(cw)
     if not verdict.is_min_weight:
         raise UnverifiedSupport(f"refusing to emit unverified support: {verdict}")

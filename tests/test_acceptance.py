@@ -210,7 +210,11 @@ def _boolean_enum_check(ctx, sol, i, s, spec, cw):
                 enumerated.add(x)
         assert enumerated == set(cw.elems)
         return
-    gens, tail = list(spec.x_generators), list(spec.basis)
+    # the 2i quadratic-form generators, by the steps of build_support
+    dual = gflinalg.dual_basis(ctx, gflinalg.complete_to_basis(ctx, list(sol.b)))
+    ann = linearized.annihilator(ctx, dual[2 * i : 2 * i + s])
+    gens = [linearized.lin_eval(ann, bp) for bp in dual[: 2 * i]]
+    tail = list(spec.basis)
     completion = gflinalg.complete_to_basis(ctx, gens + tail)[len(gens) + len(tail):]
     D = gens + completion + tail
     inv_t = transpose(invert(D, m), m)

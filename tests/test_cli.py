@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bchmin
-from bchmin import cli, construct
+from bchmin import cli, construct, gflinalg
 from bchmin.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -29,7 +29,7 @@ from bchmin.cli import (
     render_logsupport,
 )
 from bchmin.fixtures import BCH27_FIXTURES
-from bchmin.gf2m import GF2m
+from bchmin.gf2m import GF2m, default_field
 
 
 def _run(capsys, argv):
@@ -120,6 +120,28 @@ def test_generate_records_the_seed_iff_it_is_used(method):
 
 def test_seed_cells_cover_the_registry():
     assert set(SEED_CELLS) == set(construct.METHODS)
+
+
+# per method, the cell at s = m - 2i and the SEED_CELLS one below it, if any
+SPEC_CELLS = [
+    (method, m, i, s)
+    for method, (m, i, s_low, _) in sorted(SEED_CELLS.items())
+    for s in sorted({s_low, m - 2 * i})
+]
+
+
+@pytest.mark.parametrize("method,m,i,s", SPEC_CELLS)
+def test_generate_json_support_is_x_plus_span_b(capsys, method, m, i, s):
+    argv = ["generate", "--m", str(m), "--i", str(i), "--s", str(s), "--method", method]
+    code, out = _run(capsys, argv + ["--seed", "5"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    ctx = default_field(m)
+    X, B, support = ([0 if v == -1 else ctx.exp(v) for v in doc[k]] for k in ("X", "B", "support"))
+    assert len(X) == (1 << (2 * i - 1)) - (1 << (i - 1))
+    assert len(B) == m - 2 * i - s
+    assert len(support) == len(X) << len(B)
+    assert {x ^ v for x in X for v in gflinalg.span(B)} == set(support)
 
 
 def test_generate_gk_route(capsys):
@@ -668,11 +690,34 @@ PINNED = [
 ]
 
 
+# The gold and gk cells of PINNED were recorded before their JSON carried X
+# and B, which `generate` now writes for every method: PINNED holds their
+# stdout with those two keys dropped, and this their full stdout.
+PINNED_SPEC = {
+    "generate --m 8 --i 2 --s 1 --seed 0 --method gold": "3f3651d1a0d1736cd6d1d250ae3b33d5ec9783401f8ce881af03138e47417402",
+    "generate --m 8 --i 2 --s 3 --seed 2 --method gk": "d33868ada43b860b615cc1d5aa6e5b394421b0cdc75f9afb703e513c1d8abafc",
+    "generate --m 8 --i 1 --s 2 --seed 0 --method gold": "9d4a3bb6db3c18c9b20eb737bf334c67c8f73cd0469622395d6cfc4714cf8941",
+    "generate --m 12 --i 3 --s 0 --seed 0 --method gold": "27fce9bcea1a0b969a073835ee4446ad0b002e682b7e58cb1c8215c139742ba6",
+    "generate --m 16 --i 4 --s 0 --seed 0 --method gold": "333e2c3e1b31cedc5ad587e2f344ddaf08789ca1490095f44df3caa9288f2d97",
+    "generate --m 30 --i 2 --s 26 --seed 3 --method gk": "96e522632f12a998231d9cb8ce5d8e06dc59002d7ef7fe691914b9d35adb1a08",
+    "generate --m 28 --i 2 --s 24 --method gold": "2400de2ac65450eec08bd2b2432cc243e521571d49394daa40263d5d18ba4e64",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("argv,digest", PINNED)
 def test_pinned_output(capsys, argv, digest):
     code, out = _run(capsys, argv.split())
     assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if argv in PINNED_SPEC:
+        assert _sha256(out) == PINNED_SPEC[argv]
+        doc = json.loads(out)
+        del doc["X"], doc["B"]
+        out = json.dumps(doc, indent=2) + "\n"
+    assert _sha256(out) == digest
 
 
 def test_method_choices_are_the_registry():

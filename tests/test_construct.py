@@ -5,6 +5,7 @@ from bchmin.construct import (
     CodewordSupport,
     DegenerateY,
     SupportSpec,
+    _lift,
     build_support,
     down_convert,
     expand,
@@ -71,7 +72,6 @@ def test_expand_detects_collisions():
         ctx=ctx,
         x_set=frozenset({1, 3}),
         basis=(2,),  # 1 ^ 2 = 3 collides with the X part
-        x_generators=(),
     )
     with pytest.raises(ValueError, match="X \\+ span\\(B\\) is smaller than"):
         expand(bogus)
@@ -219,6 +219,30 @@ def test_up_convert_rejects_outside_support():
         up_convert(cw, [1, 2])
     with pytest.raises(ValueError, match="annihilator generators are dependent"):
         up_convert(cw, [3, 5, 6])
+
+
+@pytest.mark.parametrize("m,k", [(5, 2), (6, 4), (8, 3), (9, 6), (10, 5)])
+def test_lift_is_the_brute_force_preimage(m, k):
+    # {y : B(y) in S} by evaluating the image polynomial B at every element
+    ctx = default_field(m)
+    r = rng(m * 16 + k)
+    U = []
+    while len(U) < k:
+        x = r.getrandbits(m)
+        if rank(U + [x]) > len(U):
+            U.append(x)
+    S = frozenset(r.sample(gflinalg.span(U), min(6, 1 << k)))
+    bpoly = linearized.image_poly(ctx, U)
+    image = {y: linearized.lin_eval(bpoly, y) for y in range(1 << m)}
+    preimage = {y for y, b in image.items() if b in S}
+    cw = CodewordSupport(ctx, S, 4, extended=True)
+    up = up_convert(cw, U)
+    assert up.elems == preimage and up.claimed_distance == 4 << (m - k)
+    spec = _lift(cw, U)
+    assert sorted(image[x] for x in spec.x_set) == sorted(S)  # one X element per point
+    assert len(spec.basis) == m - k and all(image[v] == 0 for v in spec.basis)
+    assert rank(list(spec.basis)) == m - k
+    assert expand(spec).elems == preimage
 
 
 # -- special supports -----------------------------------------------------------------
