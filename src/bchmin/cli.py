@@ -191,40 +191,28 @@ def parse_support_file(text: str) -> CodewordSupport:
         raise ParseError(f"bad log-support file: {exc}") from exc
 
 
-# -- generation --------------------------------------------------------------
+# -- subcommands -------------------------------------------------------------
 
 
-def generate(
-    m: int,
-    i: int,
-    s: int,
-    seed: int = 0,
-    poly: int | str | None = None,
-    method: str = "auto",
-    max_retries: int | None = None,
-) -> tuple[CodewordSupport, dict]:
-    """`construct.generate` on GF(2^m), with the X and B of the support's
-    spec in the metadata.  An m outside 2..32 raises UncoveredCase, a bad
-    poly ParseError."""
+def _field(m: int, poly: str | None):
+    """GF(2^m), under the --poly modulus if one is given.  An m outside
+    2..32 raises UncoveredCase, a bad modulus ParseError."""
     try:
-        ctx = default_field(m, parse_poly(poly) if poly is not None else None)
+        return default_field(m, parse_poly(poly) if poly is not None else None)
     except UnsupportedDegree as exc:
         raise UncoveredCase(str(exc)) from exc
     except ValueError as exc:  # unparsable, wrong degree, not primitive
         raise ParseError(f"bad --poly {poly!r}: {exc}") from exc
-    cw, meta, spec = construct.generate(ctx, i, s, seed, method, max_retries)
-    meta["X"] = _sorted_out(ctx, spec.x_set)
-    meta["B"] = [_elem_out(ctx, x) for x in spec.basis]
-    return cw, meta
-
-
-# -- subcommands -------------------------------------------------------------
 
 
 def _cmd_generate(args) -> int:
-    cw, meta = generate(args.m, args.i, args.s, args.seed, args.poly, args.method, args.retries)
-    ctx = cw.ctx
+    if args.retries is not None and args.retries < 0:
+        raise ParseError(f"--retries must be >= 0, got {args.retries}")
+    ctx = _field(args.m, args.poly)
+    cw, meta, spec = construct.generate(ctx, args.i, args.s, args.seed, args.method, args.retries)
     if args.format == "json":
+        meta["X"] = _sorted_out(ctx, spec.x_set)
+        meta["B"] = [_elem_out(ctx, x) for x in spec.basis]
         print(render_json(ctx, cw, meta))
     elif args.format == "logsupport":
         print(render_logsupport(ctx, cw), end="")
@@ -250,13 +238,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if verdict.is_min_weight else EXIT_VERIFY_FAIL
 
 
-def _fixture_support(m: int, poly: int, exps) -> CodewordSupport:
-    ctx = default_field(m, poly)
-    elems = frozenset(ctx.exp(e) for e in exps)
-    d = len(exps)
-    return CodewordSupport(ctx, elems, d, extended=False)
-
-
 def _cmd_table(args) -> int:
     ok = True
     seed = args.seed
@@ -266,10 +247,11 @@ def _cmd_table(args) -> int:
         m, poly, exps = BCH23_FIXTURE
         rows = [(m, poly, exps, 2, 10)]
     for m, poly, exps, i, s in rows:
-        fix = _fixture_support(m, poly, exps)
+        ctx = default_field(m, poly)
+        fix = CodewordSupport(ctx, _elements(ctx, list(exps), True), len(exps), extended=False)
         v_fix = verify.is_min_weight(fix)
         try:
-            cw, _ = generate(m, i, s, seed=seed)
+            cw, _, _ = construct.generate(default_field(m), i, s, seed)
         except UnverifiedSupport as exc:
             fresh_ok, fresh_text = False, f"verified=False ({exc})"
         else:

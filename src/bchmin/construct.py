@@ -10,6 +10,7 @@ a subspace basis); `generate` expands it to an explicit element set.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -57,6 +58,7 @@ class CodewordSupport:
         return len(self.elems)
 
 
+@functools.lru_cache(maxsize=None)
 def quadform_rows(i: int) -> tuple[int, ...]:
     """Rows are all (x_1, ..., x_2i) with x_1 x_2 + ... + x_{2i-1} x_{2i} = 1,
     in lexicographic order; bit j-1 of a row int holds x_j."""

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from bchmin import cli, gflinalg, linearized, solvers
+from bchmin import construct, gflinalg, linearized, solvers
 from bchmin.construct import (
     CodewordSupport,
     DegenerateY,
@@ -95,7 +95,7 @@ def test_criterion_03_generation_coverage():
         cells = _covered_cells()
         assert len(cells) == 187
         for m, i, s, method in cells:
-            cw, meta = cli.generate(m, i, s, seed=1, method=method)
+            cw, _, _ = construct.generate(default_field(m), i, s, 1, method)
             d = designed_distance(m, s, i)
             assert cw.weight == d == cw.claimed_distance, (m, i, s)
             assert is_min_weight(cw).is_min_weight, (m, i, s)

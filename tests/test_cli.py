@@ -23,7 +23,6 @@ from bchmin.cli import (
     EXIT_VERIFY_FAIL,
     ParseError,
     UncoveredCase,
-    generate,
     parse_support_file,
     render_json,
     render_logsupport,
@@ -35,6 +34,10 @@ from bchmin.gf2m import GF2m, default_field
 def _run(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_generate_json_roundtrip(tmp_path, capsys):
@@ -113,7 +116,7 @@ SEED_CELLS = {
 @pytest.mark.parametrize("method", sorted(SEED_CELLS))
 def test_generate_records_the_seed_iff_it_is_used(method):
     m, i, s, seeded = SEED_CELLS[method]
-    _, meta = generate(m, i, s, seed=5, method=method)
+    _, meta, _ = construct.generate(default_field(m), i, s, 5, method)
     assert meta["method"] == method
     assert meta["seed"] == (5 if seeded else None)
 
@@ -188,20 +191,31 @@ def test_verify_parse_error(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+# SHA-256 of the stdout of `table`, per (which, seed)
+TABLE_DIGESTS = {
+    ("t27", "0"): "7f1c55bc23d7a2c87c0ce92e178397991c07a5edca250fe7dedcbb7266d4ec47",
+    ("t23", "0"): "c39a9e85d351a5427cd9a4214585c0bd964c169f2006b565c1855321c8e1e2a2",
+    ("t23", "1"): "c39a9e85d351a5427cd9a4214585c0bd964c169f2006b565c1855321c8e1e2a2",
+}
+
+
 def test_table_t23(capsys):
-    code, out = _run(capsys, ["table", "t23"])
-    assert code == EXIT_OK
-    assert "verified=True" in out and "m=16" in out
+    for seed in ("0", "1"):
+        code, out = _run(capsys, ["table", "t23", "--seed", seed])
+        assert code == EXIT_OK
+        assert "verified=True" in out and "m=16" in out
+        assert _sha256(out) == TABLE_DIGESTS["t23", seed]
 
 
 def test_table_t27(capsys):
-    code, out = _run(capsys, ["table", "t27"])
+    code, out = _run(capsys, ["table", "t27", "--seed", "0"])
     assert code == EXIT_OK
     lines = [ln for ln in out.splitlines() if ln.startswith("m=")]
     assert len(lines) == 9
     for ln in lines:
         assert ln.count("verified=True") == 2  # fixture and fresh generation
         assert "match=" in ln
+    assert _sha256(out) == TABLE_DIGESTS["t27", "0"]
 
 
 def test_seed_env_var(monkeypatch):
@@ -225,7 +239,7 @@ def test_seed_env_var_read_per_command(monkeypatch, capsys):
 
 
 def test_parse_support_file_accepts_generated_forms():
-    cw, meta = generate(9, 2, 2, seed=4)
+    cw, meta, _ = construct.generate(default_field(9), 2, 2, 4)
     ctx = cw.ctx
     # with and without the zero element, which is written as the log -1
     for shown in (cw, type(cw)(ctx, cw.elems ^ {0}, cw.claimed_distance, cw.extended)):
@@ -352,6 +366,11 @@ _ODD_EXTENDED_CLAIM = b"m=8 poly=0x11d d=25 extended=1\n0x1,0x2\n"
             id="generate-retries-0",
         ),
         pytest.param(
+            ["generate", "--m", "8", "--i", "2", "--retries", "-1"], {}, False,
+            EXIT_PARSE, "--retries must be >= 0, got -1",
+            id="generate-retries-negative",
+        ),
+        pytest.param(
             ["generate", "--m", "8", "--i", "2", "--s", "2"], {}, True,
             EXIT_VERIFY_FAIL, "refusing to emit unverified support: Verdict(",
             id="generate-refused",
@@ -407,7 +426,7 @@ def _refused(tmp_path, capsys, text):
 
 
 def _json_doc(m, i, s):
-    cw, meta = generate(m, i, s, seed=0)
+    cw, meta, _ = construct.generate(default_field(m), i, s)
     return json.loads(render_json(cw.ctx, cw, meta))
 
 
@@ -415,13 +434,13 @@ def test_verify_rejects_hex_element_out_of_range(tmp_path, capsys):
     doc = _json_doc(8, 2, 3)
     doc["support"][0] = "0x1ff"
     _refused(tmp_path, capsys, json.dumps(doc))
-    cw, _ = generate(8, 2, 3, seed=0)
+    cw, _, _ = construct.generate(default_field(8), 2, 3)
     bits = cli.render_bits(cw.ctx, cw).replace(hex(max(cw.elems)), "0x1ff")
     _refused(tmp_path, capsys, bits)
 
 
 def test_verify_rejects_exponent_out_of_range(tmp_path, capsys):
-    cw, _ = generate(8, 2, 3, seed=0)
+    cw, _, _ = construct.generate(default_field(8), 2, 3)
     head, body = render_logsupport(cw.ctx, cw).split("\n", 1)
     logs = [int(v) for v in body.split(",")]
     for bad in (logs[-1] + 255, -2):
@@ -451,7 +470,7 @@ def test_verify_rejects_non_integer_fields(tmp_path, capsys):
     assert doc["d"] == 12
     for key, bad in (("d", 12.7), ("d", "12"), ("d", True), ("m", 8.0), ("m", "8")):
         _refused(tmp_path, capsys, json.dumps({**doc, key: bad}))
-    cw, _ = generate(8, 2, 3, seed=0)
+    cw, _, _ = construct.generate(default_field(8), 2, 3)
     text = render_logsupport(cw.ctx, cw)
     for bad in ("d=12.0", "d=+12", "d=1_2", "d=\u0661\u0662", "d=-12"):
         _refused(tmp_path, capsys, text.replace("d=12", bad))
@@ -483,7 +502,7 @@ def test_verify_rejects_mixed_and_foreign_entry_forms(tmp_path, capsys):
 
 def test_verify_rejects_repeated_header_names(tmp_path, capsys):
     # the last value of a repeated name used to win: d=99 ... d=24 read as d=24
-    cw, _ = generate(6, 2, 0, seed=0)
+    cw, _, _ = construct.generate(default_field(6), 2, 0)
     text = render_logsupport(cw.ctx, cw)
     assert text.startswith("m=6 poly=0x43 d=24 extended=1\n")
     assert parse_support_file(text).claimed_distance == 24
@@ -507,7 +526,7 @@ def test_repeated_modulus_exponent_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_PARSE and captured.out == "" and "repeated" in captured.err
     _refused(tmp_path, capsys, json.dumps({**_json_doc(8, 2, 3), "poly": "8,8,4,3,2,0"}))
-    cw, _ = generate(8, 2, 3, seed=0)
+    cw, _, _ = construct.generate(default_field(8), 2, 3)
     _refused(tmp_path, capsys, render_logsupport(cw.ctx, cw).replace("0x11d", "8,8,4,3,2,0"))
 
 def test_verify_stream_of_moduli_pins_few_fields(tmp_path, capsys):
@@ -524,7 +543,7 @@ def test_verify_stream_of_moduli_pins_few_fields(tmp_path, capsys):
     assert len(polys) == 16
     path = tmp_path / "support.json"
     for poly in polys:
-        cw, meta = generate(8, 2, 0, seed=0, poly=poly)
+        cw, meta, _ = construct.generate(default_field(8, poly), 2, 0)
         whole = construct.CodewordSupport(cw.ctx, frozenset(range(256)), 256, True)
         path.write_text(render_json(cw.ctx, whole, meta))
         code, out = _run(capsys, ["verify", str(path)])
@@ -609,7 +628,7 @@ FUZZ_VALUES = st.one_of(
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    cw, meta = generate(6, 2, 1, seed=0)  # d = 12
+    cw, meta, _ = construct.generate(default_field(6), 2, 1)  # d = 12
     ctx = cw.ctx
     texts = [render_json(ctx, cw, meta), render_logsupport(ctx, cw), cli.render_bits(ctx, cw)]
     return texts, tmp_path_factory.mktemp("fuzz") / "support"
@@ -663,60 +682,39 @@ def test_verify_fuzzed_files(fuzz_files, data):
 # The gold cell was recorded again when its "seed" became null.  The cells
 # from m = 28 on were recorded before the table-free arithmetic moved from
 # bit-serial loops to windowed products and fold tables: one per method at
-# m = 27..32, one with a non-default primitive modulus.
+# m = 27..32, one with a non-default primitive modulus.  The gold and gk
+# cells were recorded again when their JSON gained X and B.  A test id is
+# its argv alone, so recording a digest again keeps the test's name.
 PINNED = [
     ("generate --m 10 --i 2 --s 3 --seed 1", "c5e8f7e1fcef6f3361087b5170b1dc3d6d0334b05ac41d78c725ac29817d4030"),
     ("generate --m 9 --i 3 --s 1 --seed 2", "90ad178483a5ec00d1a288d67199acbd032c25ebbaaf3383855b8f48deaaa557"),
     ("generate --m 12 --i 4 --s 2 --seed 0", "2a636e5b69da809edae95dafdd4db99b3d912369a4c58dbd181efb498a8120da"),
     ("generate --m 9 --i 2 --s 3 --seed 4 --method i2odd", "e3776ad14159990d1a48b79172e36fa7173ce728a4316f2f1da33e47c434538a"),
     ("generate --m 15 --i 2 --s 9 --seed 0 --method i2composite", "e5374fb3d27af8f0f783d35b0fdd6085355961b293bdf6d19ee6d023214df7e8"),
-    ("generate --m 8 --i 2 --s 1 --seed 0 --method gold", "c46cbcee5982d96d8e9ece12b192ad043f11168f41620a3194e0e403c0d164ce"),
-    ("generate --m 8 --i 2 --s 3 --seed 2 --method gk", "b8d734b32b699d787239a290c8b065fc745716c5c4cf6afaccdfe4b9fa58a017"),
+    ("generate --m 8 --i 2 --s 1 --seed 0 --method gold", "3f3651d1a0d1736cd6d1d250ae3b33d5ec9783401f8ce881af03138e47417402"),
+    ("generate --m 8 --i 2 --s 3 --seed 2 --method gk", "d33868ada43b860b615cc1d5aa6e5b394421b0cdc75f9afb703e513c1d8abafc"),
     ("generate --m 8 --i 3 --s 2 --seed 3 --format json", "65b489fc9a4ad1f8ecf2f380bc5958d54f14766b2415f9838a24718b99609f8e"),
     ("generate --m 10 --i 2 --s 3 --seed 1 --format logsupport", "edd2bbd1d4b348ff9ae11b11d291672bf3a31df7994e3823c4b422703fe16b6e"),
     ("generate --m 7 --i 3 --s 1 --seed 5 --format bits", "76309d140982f74024810c15989281478c7d43a9be3ec46a5841e0ca3b0b9a6d"),
     ("generate --m 25 --i 2 --s 21 --seed 0", "de66e4f6046d14ea7bda5694844f69730b96d6054c1ab345cff33f8a2604ed9f"),
-    ("generate --m 8 --i 1 --s 2 --seed 0 --method gold", "967b9d2f2a843c086ad68b7a58986f8d0a4a0929f2bd711f3eba57352db3aace"),
-    ("generate --m 12 --i 3 --s 0 --seed 0 --method gold", "54c522a5bb27101d7edd6b0895c97aa86c1d36abc4bf3a96903f7c38aa4dc5fb"),
-    ("generate --m 16 --i 4 --s 0 --seed 0 --method gold", "5fa966ad8b27858b0b847ef805444044c6d17375165cf49850b45f71b132827d"),
+    ("generate --m 8 --i 1 --s 2 --seed 0 --method gold", "9d4a3bb6db3c18c9b20eb737bf334c67c8f73cd0469622395d6cfc4714cf8941"),
+    ("generate --m 12 --i 3 --s 0 --seed 0 --method gold", "27fce9bcea1a0b969a073835ee4446ad0b002e682b7e58cb1c8215c139742ba6"),
+    ("generate --m 16 --i 4 --s 0 --seed 0 --method gold", "333e2c3e1b31cedc5ad587e2f344ddaf08789ca1490095f44df3caa9288f2d97"),
     ("generate --m 16 --i 3 --s 4 --seed 1", "c8c5166666b1498dde57d8fa7c3163ddeac8b732d4d4efc7552f223967b569bc"),
     ("generate --m 16 --i 4 --s 3 --seed 0", "97fa677cac8d4cef8235c7f7d7154201ff86bf1e465b0378e3e0816a8622fa5c"),
     ("generate --m 28 --i 4 --s 20 --seed 0", "c23e25c4b103cec45c26d79c89e272e538dab7e32157674d99fac5060eb5496c"),
     ("generate --m 32 --i 3 --s 26 --seed 1", "b43e484bde95b625678ac9f8ff4f62162557920d9b6a1e35dddac9eda35208bd"),
     ("generate --m 31 --i 3 --s 25 --seed 2", "2be80bd673544d044d8547d9141559e879c3408a2b5336f7f859bf374b0dce6e"),
-    ("generate --m 30 --i 2 --s 26 --seed 3 --method gk", "8445df56ad7ceb1f8138907872570be141662bcd3dcf37ef94f1c879fe7ced8c"),
-    ("generate --m 28 --i 2 --s 24 --method gold", "dfbcc5bdf3e8630527bfe9993559b40e270712fef211cbd62b90e64ef0e7148d"),
+    ("generate --m 30 --i 2 --s 26 --seed 3 --method gk", "96e522632f12a998231d9cb8ce5d8e06dc59002d7ef7fe691914b9d35adb1a08"),
+    ("generate --m 28 --i 2 --s 24 --method gold", "2400de2ac65450eec08bd2b2432cc243e521571d49394daa40263d5d18ba4e64"),
     ("generate --m 27 --i 2 --s 23 --seed 0 --poly 0x80000d1", "3406f852b07337af76a00a0c0381cb562fbd38bb64e2fd718e029c8fa7e16bc5"),
 ]
 
 
-# The gold and gk cells of PINNED were recorded before their JSON carried X
-# and B, which `generate` now writes for every method: PINNED holds their
-# stdout with those two keys dropped, and this their full stdout.
-PINNED_SPEC = {
-    "generate --m 8 --i 2 --s 1 --seed 0 --method gold": "3f3651d1a0d1736cd6d1d250ae3b33d5ec9783401f8ce881af03138e47417402",
-    "generate --m 8 --i 2 --s 3 --seed 2 --method gk": "d33868ada43b860b615cc1d5aa6e5b394421b0cdc75f9afb703e513c1d8abafc",
-    "generate --m 8 --i 1 --s 2 --seed 0 --method gold": "9d4a3bb6db3c18c9b20eb737bf334c67c8f73cd0469622395d6cfc4714cf8941",
-    "generate --m 12 --i 3 --s 0 --seed 0 --method gold": "27fce9bcea1a0b969a073835ee4446ad0b002e682b7e58cb1c8215c139742ba6",
-    "generate --m 16 --i 4 --s 0 --seed 0 --method gold": "333e2c3e1b31cedc5ad587e2f344ddaf08789ca1490095f44df3caa9288f2d97",
-    "generate --m 30 --i 2 --s 26 --seed 3 --method gk": "96e522632f12a998231d9cb8ce5d8e06dc59002d7ef7fe691914b9d35adb1a08",
-    "generate --m 28 --i 2 --s 24 --method gold": "2400de2ac65450eec08bd2b2432cc243e521571d49394daa40263d5d18ba4e64",
-}
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-@pytest.mark.parametrize("argv,digest", PINNED)
+@pytest.mark.parametrize("argv,digest", PINNED, ids=[argv for argv, _ in PINNED])
 def test_pinned_output(capsys, argv, digest):
     code, out = _run(capsys, argv.split())
     assert code == EXIT_OK
-    if argv in PINNED_SPEC:
-        assert _sha256(out) == PINNED_SPEC[argv]
-        doc = json.loads(out)
-        del doc["X"], doc["B"]
-        out = json.dumps(doc, indent=2) + "\n"
     assert _sha256(out) == digest
 
 
@@ -740,7 +738,7 @@ def test_auto_routes_grid(i):
         expected = AUTO_ROUTES[i].get(m)
         if expected is None:
             with pytest.raises(UncoveredCase):
-                generate(m, i, max(m - 2 * i, 0), seed=1)
+                construct.generate(default_field(m), i, max(m - 2 * i, 0), 1)
             continue
-        _, meta = generate(m, i, m - 2 * i, seed=1)
+        _, meta, _ = construct.generate(default_field(m), i, m - 2 * i, 1)
         assert meta["method"] == expected
