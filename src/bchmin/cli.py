@@ -3,9 +3,10 @@ re-verify serialized supports, and reproduce the bundled golden tables.
 
 Exit codes: 0 success / verified, 2 verification failure (also a generated
 support that fails its self-verification), 3 uncovered parameter
-combination, 4 solver retries exhausted, 5 parse error.  Commands report
-a refusal by raising; `_REFUSALS` maps each refusal to its exit code and
-message prefix, and `main` is the one place that applies it.
+combination, 4 solver retries exhausted, 5 parse error (also a command line
+the parser refuses).  Commands and the parser report a refusal by raising;
+`_REFUSALS` maps each refusal to its exit code and message prefix, and
+`main` is the one place that applies it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ EXIT_PARSE = 5
 
 
 class ParseError(ValueError):
-    """Unreadable support file or field modulus."""
+    """Unreadable support file, field modulus or command line."""
 
 
 # -- serialization -----------------------------------------------------------
@@ -271,16 +272,28 @@ def _cmd_table(args) -> int:
 def _seed(text: str) -> int:
     """--seed value; the default stands for $BCHMIN_SEED (else 0), read
     when the command line is parsed, so a parser built once stays current."""
+    source = ""
     if text is _SEED_FROM_ENV:
-        text = os.environ.get(SEED_ENV_VAR, "0")
-    return int(text)
+        source, text = f" in ${SEED_ENV_VAR}", os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value{source}: {text!r}") from None
 
 
 _SEED_FROM_ENV = f"${SEED_ENV_VAR}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ParseError (exit 5, one line) instead of
+    printing the usage and exiting 2, the code of a verification failure."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bchmin",
         description=(
             "Construct and verify supports of minimum-weight codewords of "
@@ -332,8 +345,8 @@ _REFUSALS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except tuple(_REFUSALS) as exc:
         code, prefix = _REFUSALS[type(exc)]

@@ -10,8 +10,8 @@ a subspace basis); `generate` expands it to an explicit element set.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -209,9 +209,9 @@ def puncture(cw: CodewordSupport, x: int) -> CodewordSupport:
 
 class Method(NamedTuple):
     """A `--method`, named by its key in METHODS: the i it builds (None:
-    any i), whether `auto` routes m to it, whether its support depends on
-    the seed, and the call (ctx, i, s, seed, **retry cap) -> the support's
-    SupportSpec."""
+    any i), whether `auto` routes m to it, whether it draws from the seed
+    (through `solvers.draws`, capped by the `max_retries` keyword of the call),
+    and the call (ctx, i, s, seed, **max_retries) -> the support's SupportSpec."""
 
     i: int | None
     auto: Callable[[int], bool]
@@ -229,14 +229,11 @@ def _lifted(cw: CodewordSupport, i: int, s: int) -> SupportSpec:
     return _lift(cw, gflinalg.complete_to_basis(cw.ctx, span)[: 2 * i + s])
 
 
-def _gk_drawn(ctx, seed: int) -> CodewordSupport:
-    """`gk_support` at the first nondegenerate y drawn from the seed."""
-    rng = random.Random(seed)
-    while True:
-        try:
+def _gk_drawn(ctx, seed: int, max_retries: int = 64) -> CodewordSupport:
+    """`gk_support` at the first nondegenerate y; at most 1/4 of y are degenerate."""
+    for _, rng in solvers.draws(seed, max_retries, "no nondegenerate y in {} draws"):
+        with contextlib.suppress(DegenerateY):
             return gk_support(ctx, rng.getrandbits(ctx.m))
-        except DegenerateY:
-            continue
 
 
 # In auto-routing order: `auto` takes the first method for i whose predicate
@@ -277,7 +274,7 @@ METHODS: dict[str, Method] = {
     ),
     "gk": Method(
         2, lambda m: False, True,
-        lambda ctx, i, s, seed, **kw: _lifted(_gk_drawn(ctx, seed), i, s),
+        lambda ctx, i, s, seed, **kw: _lifted(_gk_drawn(ctx, seed, **kw), i, s),
     ),
 }
 

@@ -26,6 +26,15 @@ class RetriesExhausted(RuntimeError):
     """Probabilistic solver hit its retry cap."""
 
 
+def draws(rng_seed: int, max_retries: int, message: str):
+    """(attempt, rng) for attempts 1..max_retries, all from one generator
+    seeded with rng_seed; then RetriesExhausted(message.format(max_retries))."""
+    rng = random.Random(rng_seed)
+    for attempt in range(1, max_retries + 1):
+        yield attempt, rng
+    raise RetriesExhausted(message.format(max_retries))
+
+
 def f_j(ctx, j: int, x1: int, x2: int) -> int:
     """x1^(2^j) * x2 + x1 * x2^(2^j); homogeneous of degree 2^j + 1."""
     return ctx.mul(ctx.frobenius(x1, j), x2) ^ ctx.mul(x1, ctx.frobenius(x2, j))
@@ -95,14 +104,13 @@ def solve_i2_odd(ctx, rng_seed: int, max_retries: int = 64) -> SolverReport:
     """
     if ctx.m % 2 == 0 or ctx.m < 5:
         raise UncoveredCase(f"odd m >= 5 required, got m={ctx.m}")
-    rng = random.Random(rng_seed)
     v, vp = 1, ctx.alpha
     inv3 = pow(3, -1, ctx.n)
 
     def cbrt(x):
         return ctx.pow(x, inv3)
 
-    for attempt in range(1, max_retries + 1):
+    for attempt, rng in draws(rng_seed, max_retries, "no independent i=2 solution in {} draws"):
         while True:
             c = rng.getrandbits(ctx.m)
             if c not in (0, v, vp):
@@ -115,7 +123,6 @@ def solve_i2_odd(ctx, rng_seed: int, max_retries: int = 64) -> SolverReport:
         )
         if gflinalg.independent(ctx, b):
             return SolverReport(SolutionVector(ctx, b), attempt)
-    raise RetriesExhausted(f"no independent i=2 solution in {max_retries} draws")
 
 
 def solve_i2_composite(ctx, ell: int, t: int) -> SolverReport:
@@ -151,10 +158,9 @@ def solve_i3_even(ctx, rng_seed: int, max_retries: int = 256) -> SolverReport:
     """
     if ctx.m % 2 or ctx.m < 6:
         raise UncoveredCase(f"even m >= 6 required, got m={ctx.m}")
-    rng = random.Random(rng_seed)
     f4, c = linearized.subfield(ctx, 2)
     c2 = ctx.mul(c, c)
-    for attempt in range(1, max_retries + 1):
+    for attempt, rng in draws(rng_seed, max_retries, "no cube-root hit in {} draws"):
         y = rng.getrandbits(ctx.m)
         if y in f4:
             continue
@@ -172,7 +178,6 @@ def solve_i3_even(ctx, rng_seed: int, max_retries: int = 256) -> SolverReport:
             ctx.mul(d, ctx.mul(c2, y)),
         )
         return SolverReport(SolutionVector(ctx, b), attempt)
-    raise RetriesExhausted(f"no cube-root hit in {max_retries} draws")
 
 
 def solve_i3_heuristic(ctx, rng_seed: int, max_retries: int = 4096) -> SolverReport:
@@ -187,8 +192,7 @@ def solve_i3_heuristic(ctx, rng_seed: int, max_retries: int = 4096) -> SolverRep
     """
     if ctx.m < 6:
         raise UncoveredCase(f"m >= 6 required, got m={ctx.m}")
-    rng = random.Random(rng_seed)
-    for attempt in range(1, max_retries + 1):
+    for attempt, rng in draws(rng_seed, max_retries, "heuristic failed within {} iterations"):
         draw = []
         while len(draw) < 4:
             x = rng.getrandbits(ctx.m)
@@ -208,7 +212,6 @@ def solve_i3_heuristic(ctx, rng_seed: int, max_retries: int = 4096) -> SolverRep
         b = (b1, b2, b3, b4, b5, b6)
         if gflinalg.independent(ctx, b):
             return SolverReport(SolutionVector(ctx, b), attempt)
-    raise RetriesExhausted(f"heuristic failed within {max_retries} iterations")
 
 
 def solve_i4(ctx) -> SolverReport:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -125,12 +126,13 @@ def test_seed_cells_cover_the_registry():
     assert set(SEED_CELLS) == set(construct.METHODS)
 
 
-# per method, the cell at s = m - 2i and the SEED_CELLS one below it, if any
+# per method, the cell at s = m - 2i and the SEED_CELLS one below it, if any,
+# and one cell of a field without log tables, whose JSON holds hex strings
 SPEC_CELLS = [
     (method, m, i, s)
     for method, (m, i, s_low, _) in sorted(SEED_CELLS.items())
     for s in sorted({s_low, m - 2 * i})
-]
+] + [("i2even", 28, 2, 20)]
 
 
 @pytest.mark.parametrize("method,m,i,s", SPEC_CELLS)
@@ -140,7 +142,11 @@ def test_generate_json_support_is_x_plus_span_b(capsys, method, m, i, s):
     assert code == EXIT_OK
     doc = json.loads(out)
     ctx = default_field(m)
-    X, B, support = ([0 if v == -1 else ctx.exp(v) for v in doc[k]] for k in ("X", "B", "support"))
+
+    def element(v):
+        return int(v, 16) if isinstance(v, str) else 0 if v == -1 else ctx.exp(v)
+
+    X, B, support = ([element(v) for v in doc[k]] for k in ("X", "B", "support"))
     assert len(X) == (1 << (2 * i - 1)) - (1 << (i - 1))
     assert len(B) == m - 2 * i - s
     assert len(support) == len(X) << len(B)
@@ -170,6 +176,32 @@ def test_uncovered_case_exit_code(capsys):
 def test_exhausted_exit_code(capsys):
     code, _ = _run(capsys, ["generate", "--m", "7", "--i", "3", "--retries", "0"])
     assert code == EXIT_EXHAUSTED
+
+
+@pytest.mark.parametrize("method", sorted(construct.METHODS))
+def test_retries_cap_every_seeded_method(capsys, method):
+    # a seeded method draws only within --retries; the others draw nothing,
+    # so a cap of 0 is met
+    m, i, s, seeded = SEED_CELLS[method]
+    argv = ["generate", "--m", str(m), "--i", str(i), "--s", str(s), "--method", method]
+    code = cli.main(argv + ["--retries", "0"])
+    captured = capsys.readouterr()
+    if seeded:
+        assert code == EXIT_EXHAUSTED and captured.out == ""
+        assert captured.err.startswith("solver exhausted: ") and captured.err.count("\n") == 1
+    else:
+        assert code == EXIT_OK and captured.err == ""
+
+
+def test_gk_redraws_a_degenerate_y(capsys):
+    # the first 8-bit draw of seed 139 is y = 0, where the six elements collapse
+    assert random.Random(139).getrandbits(8) == 0
+    argv = ["generate", "--m", "8", "--i", "2", "--s", "4", "--method", "gk", "--seed", "139"]
+    code, out = _run(capsys, argv)
+    assert code == EXIT_OK
+    assert _sha256(out) == "dccd0f4976d016a61d68b99ca6df1ce5effe45302ff20f2c54d204d1c44c6b9d"
+    assert cli.main(argv + ["--retries", "1"]) == EXIT_EXHAUSTED
+    assert capsys.readouterr().err == "solver exhausted: no nondegenerate y in 1 draws\n"
 
 
 def test_verify_mutated_fixture(tmp_path, capsys):
@@ -218,6 +250,12 @@ def test_table_t27(capsys):
     assert _sha256(out) == TABLE_DIGESTS["t27", "0"]
 
 
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--help"])
+    assert exc.value.code == 0 and "--retries" in capsys.readouterr().out
+
+
 def test_seed_env_var(monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "777")
     parser = cli.build_parser()
@@ -248,6 +286,19 @@ def test_parse_support_file_accepts_generated_forms():
             assert back.elems == shown.elems
             assert back.claimed_distance == cw.claimed_distance
             assert back.extended == cw.extended
+
+
+def test_log_and_hex_files_agree_without_log_tables():
+    # at m = 25 the field has no log tables, so logs are decoded one by one;
+    # the twin lists alpha^e for the same e, worked out without ctx.exp
+    ctx = default_field(25)
+    assert not ctx.has_logs
+    logs = [-1, 0, 1, 24, 25, ctx.n - 1]
+    elems = [0, 1, 2, 1 << 24, ctx.poly ^ 1 << 25, (ctx.poly ^ 1) >> 1]
+    head = f"m=25 poly={hex(ctx.poly)} d=6 extended=1\n"
+    from_logs = parse_support_file(head + ",".join(map(str, logs)))
+    from_hex = parse_support_file(head + ",".join(map(hex, elems)))
+    assert from_logs.elems == from_hex.elems == frozenset(elems)
 
 
 def test_generate_i3heuristic_needs_m6(capsys):
@@ -395,10 +446,36 @@ _ODD_EXTENDED_CLAIM = b"m=8 poly=0x11d d=25 extended=1\n0x1,0x2\n"
             EXIT_PARSE, "bad JSON support file: Expecting property name",
             id="verify-malformed-file",
         ),
+        pytest.param(
+            ["verify", "{dir}/blank.log"], {"blank.log": b" \n\t\n"}, False,
+            EXIT_PARSE, "empty input",
+            id="verify-blank-file",
+        ),
         pytest.param(["table", "t23"], {}, True, EXIT_VERIFY_FAIL, "", id="table-row-refused"),
+        # usage errors: exit 5, not argparse's 2, which means a failed verification
+        pytest.param(
+            ["generate", "--m", "abc", "--i", "2"], {}, False,
+            EXIT_PARSE, "bchmin generate: argument --m: invalid int value: 'abc'",
+            id="usage-bad-int",
+        ),
+        pytest.param(
+            ["BCHMIN_SEED=abc", "generate", "--m", "9", "--i", "2"], {}, False,
+            EXIT_PARSE, "bchmin generate: argument --seed: invalid int value in $BCHMIN_SEED: 'abc'",
+            id="usage-bad-seed-variable",
+        ),
+        pytest.param(
+            ["verify"], {}, False,
+            EXIT_PARSE, "bchmin verify: the following arguments are required: input",
+            id="usage-verify-no-file",
+        ),
     ],
 )
 def test_refusal_exit_code_and_message(tmp_path, monkeypatch, capsys, argv, files, swap, code, err):
+    # a leading NAME=value sets an environment variable, as in a shell
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     if swap:
