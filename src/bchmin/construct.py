@@ -5,7 +5,8 @@ building a support, and `generate` runs one of them behind the range check
 and the self-verification gate.
 
 Every method builds its support compressed as X + span(B) (a small set plus
-a subspace basis); `generate` expands it to an explicit element set.
+a subspace basis); `generate` expands it to an explicit element set and
+certifies it through X + span(B) (`verify.is_min_weight_affine`).
 """
 
 from __future__ import annotations
@@ -284,8 +285,11 @@ def generate(
 ) -> tuple[CodewordSupport, dict, SupportSpec]:
     """A verified d(m, s, i) support built by `method` (`auto`: the first
     that covers (m, i)), its metadata and the SupportSpec it was expanded
-    from.  Uncovered cases raise UncoveredCase before any method runs; a
-    support the verifier refuses raises UnverifiedSupport."""
+    from.  The gate certifies the spec through Y = A_V(X) when B is not
+    empty, and otherwise the support itself; either way the support must be
+    exactly X + span(B).  Uncovered cases raise UncoveredCase before any
+    method runs; a spec or support the verifier refuses raises
+    UnverifiedSupport."""
     m = ctx.m
     if method == "auto":
         method = next((k for k, e in METHODS.items() if e.i == i and e.auto(m)), method)
@@ -296,8 +300,18 @@ def generate(
         raise UncoveredCase(f"need s in 0..{m - 2 * i} and d({m}, {s}, {i}) >= 2, got s={s}")
     kw = {} if max_retries is None else {"max_retries": max_retries}
     spec = entry.call(ctx, i, s, seed, **kw)
-    cw = expand(spec)
-    verdict = verify.is_min_weight(cw)
-    if not verdict.is_min_weight:
+    try:
+        cw = expand(spec)
+        if spec.basis:
+            verdict = verify.is_min_weight_affine(
+                ctx, spec.x_set, spec.basis, cw.claimed_distance, cw.elems
+            )
+        else:
+            verdict = verify.is_min_weight(cw)
+    except ValueError as exc:  # a spec or an expansion the verifier refuses
+        raise UnverifiedSupport(f"refusing to emit unverified support: {exc}") from exc
+    # what is emitted, the support and the spec, must be one set X + span(B)
+    exact = verdict.route == "affine" if spec.basis else cw.elems == spec.x_set
+    if not (verdict.is_min_weight and exact):
         raise UnverifiedSupport(f"refusing to emit unverified support: {verdict}")
     return cw, {"i": i, "s": s, "method": method, "seed": seed if entry.seeded else None}, spec

@@ -8,7 +8,9 @@ X^(2^ell) + X.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import gflinalg
@@ -111,13 +113,21 @@ def artin_schreier_solve(ctx, w: int) -> set[int]:
     return set() if x0 is None else {x0, x0 ^ 1}
 
 
-def subfield(ctx, ell: int) -> tuple[list[int], int]:
+def subfield(ctx, ell: int) -> tuple[tuple[int, ...], int]:
     """All 2^ell elements of the subfield GF(2^ell), the kernel of
     X^(2^ell) + X, sorted, plus the first generator: the first element
-    not fixed by x -> x^(2^d) for any d < ell."""
+    not fixed by x -> x^(2^d) for any d < ell.  Derived from the field and
+    ell alone, and cached per (field, ell) under a weak reference, so the
+    cache keeps no field alive."""
     if ell < 1 or ctx.m % ell != 0:
         raise ValueError(f"{ell} does not divide m={ctx.m}")
+    return _subfield_cached(weakref.ref(ctx), ell)
+
+
+@lru_cache(maxsize=256)
+def _subfield_cached(field_ref, ell: int) -> tuple[tuple[int, ...], int]:
+    ctx = field_ref()
     fixed = LinearizedPoly(ctx, (1,) + (0,) * (ell - 1) + (1,))  # X^(2^ell) + X
-    elems = sorted(gflinalg.span(lin_kernel(fixed)))
+    elems = tuple(sorted(gflinalg.span(lin_kernel(fixed))))
     gen = next(x for x in elems if x and all(ctx.frobenius(x, d) != x for d in range(1, ell)))
     return elems, gen

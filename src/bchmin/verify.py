@@ -24,9 +24,23 @@ needs discrete logs, so it exists only on fields with log tables
 (`GF2m.has_logs`); on the others the scan runs alone, stepping the powers
 of the whole support as numpy uint64 products (`_power_walk`).
 
+A third route, `is_min_weight_affine`, certifies an extended claim given
+as S = X + V, V = span(B) of dimension k and q = 2^k, without expanding
+it.  The subspace polynomial A_V = prod over v in V of (T + v) is
+GF(2)-linear with kernel V and coefficient a_0 != 0 of T (Ore 1933; Lidl
+and Niederreiter, Finite Fields, ch. 3), and the logarithmic derivative
+gives sum over s in S of 1/(T + s) = a_0 sum over y in Y of 1/(A_V(T) + y)
+for Y = A_V(X).  Expanding both sides in 1/T: if E is the first e >= 0
+with p_e(Y) != 0 (p_0 the parity of |Y|), the first nonzero power sum of S
+is p_J(S) = a_0 p_E(Y) at J = q(E + 1) - 1.  So when |Y| = |X|, S lies in
+eBCH(d) iff Y lies in eBCH(d / q), Kasami and Lin's down-conversion (IEEE
+Trans. IT, 1972) as an iff, and a failure of Y maps back to S exactly.
+For the paper's supports d / q = |X| is 6, 28 or 120.
+
 This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element sets (anything with ctx, elems,
-claimed_distance, extended attributes).
+claimed_distance, extended attributes), or X and B as plain elements, and
+builds its own A_V.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, tee
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +86,10 @@ class Verdict:
     claimed_distance: int
     is_min_weight: bool
     failing_syndrome: tuple[int, int] | None
-    route: str  # "scan" or "check": the route the cost rule picks for the claim
+    # "scan" or "check": the route the cost rule picks for the claim; "affine":
+    # the claim was X + span(B), certified through Y = A_V(X) (Kasami and Lin,
+    # 1972; Lidl and Niederreiter, Finite Fields, ch. 3; see the module text)
+    route: str
 
 
 def designed_distance(m: int, s: int, i: int) -> int:
@@ -472,4 +490,115 @@ def is_min_weight(cw) -> Verdict:
         is_min_weight=member and weight == d,
         failing_syndrome=fail,
         route=route,
+    )
+
+
+# -- the affine route: X + span(B) through the subspace polynomial of span(B) ---
+
+
+class _Claim(NamedTuple):
+    """An element-set claim as `is_min_weight` reads it."""
+
+    ctx: object
+    elems: frozenset
+    claimed_distance: int
+    extended: bool
+
+
+def _subspace_map(ctx, basis) -> tuple[list[int], int]:
+    """The columns A_V(2^t), t < m, of the subspace polynomial A_V of
+    V = span(basis), and its coefficient a_0 of T.  Built from A = T by
+    A <- A^2 + A(v) A = A (A + A(v)) for each basis vector v, which maps the
+    columns c to c (c + A(v)) and a_0 to A(v) a_0; A(v) = 0 exactly when v
+    lies in the span so far, which refuses a dependent basis."""
+    cols, a0 = [1 << t for t in range(ctx.m)], 1
+    for v in basis:
+        w = 0
+        for t, c in enumerate(cols):
+            if v >> t & 1:
+                w ^= c
+        if not w:
+            raise ValueError("the basis B is dependent")
+        cols = [ctx.mul(c, c ^ w) for c in cols]
+        a0 = ctx.mul(a0, w)
+    return cols, a0
+
+
+# Row t holds bit t of each byte value 0..255, as 0/1 words.
+_BYTE_BITS = (np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None]) & 1
+
+
+def _map_tables(cols) -> np.ndarray:
+    """Byte tables of the GF(2)-linear map with columns cols: row k, entry b
+    is the image of b << 8k, the XOR of the columns 8k + t over the set
+    bits t of b."""
+    padded = np.zeros(-(-len(cols) // 8) * 8, dtype=np.uint64)
+    padded[:len(cols)] = cols
+    return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 8, 1), axis=1)
+
+
+def _apply(tables, x: np.ndarray) -> np.ndarray:
+    """The map of `_map_tables` on the uint64 field elements x: one gather
+    per byte."""
+    img = tables[0][x & 0xFF]
+    for k, tab in enumerate(tables[1:], 1):
+        img ^= tab[(x >> (8 * k)) & 0xFF]
+    return img
+
+
+def _spans(ctx, tables, y_sorted: np.ndarray, q: int, support) -> bool:
+    """Whether the element set `support` is exactly X + V: |S| = |X| q and
+    A_V(S) within Y = A_V(X), since the preimage of Y is X + V.  Elements
+    outside the field raise ValueError."""
+    s = np.fromiter(support, dtype=np.uint64, count=len(support))
+    if (s >> ctx.m).any():
+        raise ValueError(f"support elements must lie in GF(2^{ctx.m})")
+    if len(s) != len(y_sorted) * q:
+        return False
+    img = _apply(tables, s)
+    at = np.minimum(np.searchsorted(y_sorted, img), len(y_sorted) - 1)
+    return bool((y_sorted[at] == img).all())
+
+
+def is_min_weight_affine(ctx, x_set, basis, d: int, support=None) -> Verdict:
+    """Certify S = X + span(B), for X = x_set and B = basis, as a
+    minimum-weight codeword of eBCH(d) through Y = A_V(X) (see the module
+    text): Y is checked by `is_min_weight` at the least even distance that
+    covers ceil(d / q); at ceil(d / q) = 1 nothing is left to check.  A
+    failure of Y at (E, p_E) is reported as S's (q(E + 1) - 1, a_0 p_E),
+    and odd |Y| as p_(q-1)(S) = a_0 when q > 1.  With `support`, the
+    verdict is on that element set: through Y when it is exactly
+    X + span(B) (`_spans`), else by `is_min_weight` on the set itself, with
+    route "scan" or "check".  A dependent B, two elements of X in one coset
+    of span(B) and elements outside the field raise ValueError."""
+    if d % 2 or not 2 <= d <= ctx.n + 1:
+        raise ValueError(f"extended claim needs even d in 2..{ctx.n + 1}, got {d}")
+    if not all(0 <= x <= ctx.n for x in chain(x_set, basis)):
+        raise ValueError(f"X and B must be elements of GF(2^{ctx.m})")
+    cols, a0 = _subspace_map(ctx, basis)
+    tables = _map_tables(cols)
+    y = _apply(tables, np.fromiter(x_set, dtype=np.uint64, count=len(x_set)))
+    y_set = frozenset(y.tolist())
+    if len(y_set) != len(x_set):
+        raise ValueError("two elements of X lie in one coset of span(B)")
+    q = 1 << len(basis)
+    if support is not None and not _spans(ctx, tables, np.sort(y), q, support):
+        return is_min_weight(_Claim(ctx, frozenset(support), d, True))
+    member, fail, d_y = True, None, -(-d // q)
+    if d_y >= 2:
+        y_verdict = is_min_weight(_Claim(ctx, y_set, d_y + d_y % 2, True))
+        member = y_verdict.member
+        if y_verdict.failing_syndrome is not None:
+            e, p_e = y_verdict.failing_syndrome
+            fail = (q * (e + 1) - 1, ctx.mul(a0, p_e))
+        elif not member and q > 1:
+            fail = (q - 1, a0)
+    weight = len(x_set) * q
+    return Verdict(
+        member=member,
+        weight=weight,
+        claimed_distance=d,
+        is_min_weight=member and weight == d,
+        failing_syndrome=fail,
+        route="affine",
     )

@@ -177,3 +177,22 @@ def brute_force_solver(ctx, i: int) -> SolverReport:
     for b in iter_i2_solutions(ctx):
         return SolverReport(SolutionVector(ctx, b), 1)
     raise RetriesExhausted("no solution found by exhaustive scan")
+
+
+def covered_cells(max_m=16):
+    """The acceptance grid: every covered (m, i, s) cell up to max_m, with
+    its method; 187 cells at max_m = 16."""
+    cells = []
+    for m in range(4, max_m + 1):
+        for s in range(0, m - 3):
+            cells.append((m, 2, s, "auto"))
+    for m in (6, 15):
+        for s in range(0, m - 3):
+            cells.append((m, 2, s, "i2composite"))
+    for m in range(6, max_m + 1):
+        for s in range(0, m - 5):
+            cells.append((m, 3, s, "auto"))
+    for m in (8, 12, 16):
+        for s in range(0, m - 7):
+            cells.append((m, 4, s, "auto"))
+    return cells

@@ -25,7 +25,7 @@ from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from bchmin.gf2m import default_field
 from bchmin.verify import designed_distance, is_min_weight
 
-from conftest import dot, invert, iter_i2_solutions, rank, transpose
+from conftest import covered_cells, dot, invert, iter_i2_solutions, rank, transpose
 
 
 @contextmanager
@@ -36,23 +36,6 @@ def report(num, desc):
         print(f"[acceptance] criterion {num:2d} FAIL - {desc}")
         raise
     print(f"[acceptance] criterion {num:2d} PASS - {desc}")
-
-
-def _covered_cells(max_m=16):
-    cells = []
-    for m in range(4, max_m + 1):
-        for s in range(0, m - 3):
-            cells.append((m, 2, s, "auto"))
-    for m in (6, 15):
-        for s in range(0, m - 3):
-            cells.append((m, 2, s, "i2composite"))
-    for m in range(6, max_m + 1):
-        for s in range(0, m - 5):
-            cells.append((m, 3, s, "auto"))
-    for m in (8, 12, 16):
-        for s in range(0, m - 7):
-            cells.append((m, 4, s, "auto"))
-    return cells
 
 
 def _solution_for(ctx, i, seed):
@@ -92,7 +75,7 @@ def test_criterion_02_golden_weight23_support():
 def test_criterion_03_generation_coverage():
     with report(3, "every covered (m, i, s) cell up to m = 16 generates and verifies"):
         t0 = time.time()
-        cells = _covered_cells()
+        cells = covered_cells()
         assert len(cells) == 187
         for m, i, s, method in cells:
             cw, _, _ = construct.generate(default_field(m), i, s, 1, method)
@@ -233,7 +216,7 @@ def _boolean_enum_check(ctx, sol, i, s, spec, cw):
 
 def test_criterion_08_boolean_cross_check():
     with report(8, "enumerated Boolean product form equals every constructed support (m <= 14)"):
-        for m, i, s, method in _covered_cells(max_m=14):
+        for m, i, s, method in covered_cells(max_m=14):
             if method != "auto":
                 continue
             ctx = default_field(m)

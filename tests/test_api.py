@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -73,3 +74,18 @@ def test_exception_classes_are_pinned():
             if issubclass(obj, BaseException) and obj.__module__ == module.__name__:
                 defined[f"{info.name}.{name}"] = obj.__bases__
     assert defined == {name: (base,) for name, base in EXCEPTIONS.items()}
+
+
+def test_verify_imports_nothing_from_the_package():
+    # the verifier, the affine route included, builds everything it needs
+    # from field arithmetic: no construct, linearized or gflinalg import
+    tree = ast.parse(inspect.getsource(importlib.import_module("bchmin.verify")))
+    imported = [
+        node.module or "." for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("bchmin"))
+    ]
+    imported += [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.startswith("bchmin")
+    ]
+    assert imported == []

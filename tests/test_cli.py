@@ -366,6 +366,53 @@ def test_generate_refuses_unverified_support(monkeypatch, capsys):
     assert captured.err.startswith("refusing to emit unverified support")
 
 
+def _move_one_x_out_of_its_coset(monkeypatch):
+    # the i2even entry returns its spec with one x moved to a coset of
+    # span(B) that no x is in
+    entry = construct.METHODS["i2even"]
+
+    def moved(ctx, i, s, seed, **kw):
+        spec = entry.call(ctx, i, s, seed, **kw)
+        support = construct.expand(spec).elems
+        outsider = next(x for x in range(ctx.n + 1) if x not in support)
+        return construct.SupportSpec(ctx, spec.x_set - {max(spec.x_set)} | {outsider}, spec.basis)
+
+    monkeypatch.setitem(construct.METHODS, "i2even", entry._replace(call=moved))
+
+
+def _translate_expanded_support(monkeypatch):
+    # the expanded support moved by a constant: still a minimum-weight
+    # codeword (the extended code is affine-invariant), but not X + span(B)
+    expand = construct.expand
+
+    def translated(spec):
+        cw = expand(spec)
+        shifts = ({x ^ c for x in cw.elems} for c in range(1, cw.ctx.n + 1))
+        elems = frozenset(next(e for e in shifts if e != cw.elems))
+        return construct.CodewordSupport(cw.ctx, elems, cw.claimed_distance, cw.extended)
+
+    monkeypatch.setattr(construct, "expand", translated)
+
+
+@pytest.mark.parametrize("s", [2, 4], ids=["B-dim-2", "B-empty"])
+@pytest.mark.parametrize(
+    "fault",
+    [_swap_one_expanded_element, _move_one_x_out_of_its_coset, _translate_expanded_support],
+    ids=["swap", "move-x", "translate"],
+)
+def test_gate_refuses_a_faulty_construction(monkeypatch, capsys, fault, s):
+    # at (8, 2, s), with B of dimension 2 (s = 2) and with B empty (s = 4):
+    # the library raises, the CLI exits 2 and emits nothing, also when the
+    # emitted set verifies but is not the spec's X + span(B)
+    fault(monkeypatch)
+    with pytest.raises(construct.UnverifiedSupport, match="refusing to emit unverified support"):
+        construct.generate(default_field(8), 2, s)
+    code = cli.main(["generate", "--m", "8", "--i", "2", "--s", str(s)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFY_FAIL and captured.out == ""
+    assert captured.err.startswith("refusing to emit unverified support: Verdict(")
+
+
 def test_table_reports_unverified_row(monkeypatch, capsys):
     # a fresh row the self-verification refuses is printed as such, not
     # raised

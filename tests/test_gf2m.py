@@ -392,7 +392,7 @@ def test_artin_schreier_conjugate_product_solvable():
 
 def test_subfield_prime_field(gf256):
     elems, gen = linearized.subfield(gf256, 1)
-    assert elems == [0, 1]
+    assert elems == (0, 1)
     assert gen == 1
 
 

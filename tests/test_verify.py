@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bchmin import verify
-from bchmin.construct import CodewordSupport, generate
+from bchmin.construct import CodewordSupport, SupportSpec, expand, generate
 from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from bchmin.gf2m import default_field
 from bchmin.verify import (
@@ -23,10 +25,11 @@ from bchmin.verify import (
     _shift_xor_mul,
     designed_distance,
     is_min_weight,
+    is_min_weight_affine,
     power_sums,
 )
 
-from conftest import min_poly, ref_clmul, rng, scalar_syndromes
+from conftest import covered_cells, min_poly, ref_clmul, rng, scalar_syndromes
 
 
 def _fixture(m):
@@ -256,15 +259,19 @@ def _span(basis) -> list[int]:
     return elems
 
 
-def _subspace_member(ctx, r: int, extended: bool, rand) -> frozenset:
-    """A translate of a random r-dimensional GF(2)-subspace: a member of
-    eBCH(2^r); without its 0 the subspace itself is a member of BCH(2^r - 1)."""
+def _subspace_basis(ctx, r: int, rand) -> list[int]:
     basis = []
     while len(basis) < r:
         x = rand.getrandbits(ctx.m)
         if x and len(set(_span(basis + [x]))) == 1 << (len(basis) + 1):
             basis.append(x)
-    space = _span(basis)
+    return basis
+
+
+def _subspace_member(ctx, r: int, extended: bool, rand) -> frozenset:
+    """A translate of a random r-dimensional GF(2)-subspace: a member of
+    eBCH(2^r); without its 0 the subspace itself is a member of BCH(2^r - 1)."""
+    space = _span(_subspace_basis(ctx, r, rand))
     if not extended:
         return frozenset(space[1:])
     a = rand.getrandbits(ctx.m)
@@ -509,3 +516,109 @@ def test_exact_fallback_keeps_verdicts(monkeypatch):
     # strips of two blocks: each output block is recomputed from two pairs
     a, b = rand.getrandbits(6 * _BLOCK), rand.getrandbits(3 * _BLOCK)
     assert _fft_mul(a, b) == ref_clmul(a, b)
+
+
+# -- the affine route -------------------------------------------------------------
+
+
+def _outcome(verdict):
+    return verdict.member, verdict.is_min_weight, verdict.failing_syndrome
+
+
+def _affine(spec, d):
+    return is_min_weight_affine(spec.ctx, spec.x_set, spec.basis, d)
+
+
+def _agrees(spec, d):
+    """The affine verdict of spec at d, asserted equal to the scan's and the
+    check's on the expanded support."""
+    affine = _affine(spec, d)
+    assert affine.route == "affine" and affine.weight == spec.weight
+    cw = CodewordSupport(spec.ctx, expand(spec).elems, d, True)
+    for route in ("scan", "check"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_pick_route", lambda *args: route)
+            assert _outcome(is_min_weight(cw)) == _outcome(affine), route
+    return affine
+
+
+def _mutants_agree(spec, d, rand):
+    ctx, basis = spec.ctx, spec.basis
+    x, *rest = sorted(spec.x_set)
+    rest = frozenset(rest)
+    # one x moved inside its coset: the same S and the same verdict
+    inside = SupportSpec(ctx, rest | {x ^ basis[-1]}, basis)
+    assert expand(inside).elems == expand(spec).elems
+    assert _outcome(_affine(inside, d)) == _outcome(_affine(spec, d))
+    # one x moved to a coset no x is in: p_1(Y) becomes A(x) + A(y) != 0
+    outside = SupportSpec(ctx, rest | {_outsider(ctx, expand(spec).elems, rand)}, basis)
+    assert not _agrees(outside, d).member
+    # one basis vector replaced, redrawn until X + span(B) keeps its size
+    while True:
+        replaced = SupportSpec(ctx, spec.x_set, basis[:-1] + (rand.getrandbits(ctx.m),))
+        try:
+            expand(replaced)
+        except ValueError:
+            continue
+        break
+    _agrees(replaced, d)
+    # two x in one coset, and a dependent B, are refused
+    with pytest.raises(ValueError, match="one coset"):
+        _affine(SupportSpec(ctx, rest | {min(rest) ^ basis[0]}, basis), d)
+    with pytest.raises(ValueError, match="dependent"):
+        _affine(SupportSpec(ctx, spec.x_set, basis + (reduce(xor, basis),)), d)
+
+
+@pytest.mark.parametrize("m", range(4, 17))
+def test_affine_route_agrees_on_grid_specs(m):
+    # the spec of every acceptance-grid cell at m, and its mutants up to
+    # m = 14 where B is not empty: member, is_min_weight and the first
+    # failing syndrome equal the scan's and the check's on X + span(B)
+    rand = rng(m)
+    for _, i, s, method in (cell for cell in covered_cells() if cell[0] == m):
+        _, _, spec = generate(default_field(m), i, s, 1, method)
+        d = designed_distance(m, s, i)
+        assert _agrees(spec, d).is_min_weight, (i, s, method)
+        if m <= 14 and spec.basis:  # their scans to 2q - 1 take seconds above
+            _mutants_agree(spec, d, rand)
+
+
+def test_affine_route_agrees_on_random_claims():
+    # random X and B at random even d: odd |X| (failing at p_(q-1) = a_0
+    # when q > 1) and ceil(d / q) = 1 (as at i = 1: nothing to check on Y)
+    # both occur, among members and non-members
+    rand, seen = rng(21), set()
+    for _ in range(300):
+        ctx = default_field(rand.randint(4, 9))
+        k = rand.randint(0, ctx.m - 2)
+        basis = tuple(_subspace_basis(ctx, k, rand))
+        x_set = frozenset(rand.getrandbits(ctx.m) for _ in range(rand.randint(1, 7)))
+        spec = SupportSpec(ctx, x_set, basis)
+        try:
+            expand(spec)
+        except ValueError:  # two x in one coset
+            with pytest.raises(ValueError, match="one coset"):
+                _affine(spec, 2)
+            continue
+        d = rand.randrange(2, min(ctx.n + 1, spec.weight * 2) + 1, 2)
+        verdict = _agrees(spec, d)
+        seen.add((len(x_set) % 2, -(-d // (1 << k)) == 1, verdict.member))
+    assert seen >= {(1, False, False), (0, True, True), (1, True, True), (0, False, False)}
+
+
+def test_affine_route_checks_the_support():
+    # with the support, the verdict is through X + span(B) only if the
+    # support is exactly that set; any other set gets its own scan/check
+    # verdict, and elements outside the field are refused
+    ctx = default_field(10)
+    cw, _, spec = generate(ctx, 2, 3, 1)
+    claim = (ctx, spec.x_set, spec.basis, cw.claimed_distance)
+    assert is_min_weight_affine(*claim, cw.elems) == is_min_weight_affine(*claim)
+    for bad in (_mutate(ctx, cw.elems, "swap", rng(1)), cw.elems - {max(cw.elems)}):
+        verdict = is_min_weight_affine(*claim, bad)
+        assert verdict == is_min_weight(CodewordSupport(ctx, bad, cw.claimed_distance, True))
+        assert verdict.route in ("scan", "check") and not verdict.is_min_weight
+    with pytest.raises(ValueError, match="must lie in GF"):
+        is_min_weight_affine(*claim, cw.elems - {max(cw.elems)} | {1 << 10})
+    with pytest.raises(ValueError, match="elements of GF"):
+        is_min_weight_affine(ctx, spec.x_set | {1 << 10}, spec.basis, cw.claimed_distance)
