@@ -6,7 +6,8 @@ and the self-verification gate.
 
 Every method builds its support compressed as X + span(B) (a small set plus
 a subspace basis); `generate` expands it to an explicit element set and
-certifies it through X + span(B) (`verify.is_min_weight_affine`).
+certifies all but the smallest through X + span(B)
+(`verify.is_min_weight_affine`).
 """
 
 from __future__ import annotations
@@ -237,6 +238,15 @@ def _gk_drawn(ctx, seed: int, max_retries: int = 64) -> CodewordSupport:
             return gk_support(ctx, rng.getrandbits(ctx.m))
 
 
+# The gate certifies a support of at least this many points with a nonempty
+# B through Y = A_V(X), and scans a smaller one itself.  Building A_V and its
+# byte tables costs about 40 us, and Y is checked by the same scan, so on the
+# acceptance grid and at the smallest d the scan of the support was cheaper at
+# 12 and 24 points and in 10 of the 11 cells of 56 points, slower by 4-50 us
+# at 48 points (q = 8), and slower from 112 points on.
+_AFFINE_MIN_WEIGHT = 64
+
+
 # In auto-routing order: `auto` takes the first method for i whose predicate
 # holds, so i2even and i3even win on even m.  The calls look their steps up
 # by name when they run, so wrappers installed on the modules are honoured.
@@ -285,11 +295,11 @@ def generate(
 ) -> tuple[CodewordSupport, dict, SupportSpec]:
     """A verified d(m, s, i) support built by `method` (`auto`: the first
     that covers (m, i)), its metadata and the SupportSpec it was expanded
-    from.  The gate certifies the spec through Y = A_V(X) when B is not
-    empty, and otherwise the support itself; either way the support must be
-    exactly X + span(B).  Uncovered cases raise UncoveredCase before any
-    method runs; a spec or support the verifier refuses raises
-    UnverifiedSupport."""
+    from.  The support must be exactly X + span(B).  The gate certifies it
+    through Y = A_V(X) when B is not empty and it has at least
+    _AFFINE_MIN_WEIGHT points, and otherwise scans the support itself.
+    Uncovered cases raise UncoveredCase before any method runs; a spec or
+    support the verifier refuses raises UnverifiedSupport."""
     m = ctx.m
     if method == "auto":
         method = next((k for k, e in METHODS.items() if e.i == i and e.auto(m)), method)
@@ -300,18 +310,20 @@ def generate(
         raise UncoveredCase(f"need s in 0..{m - 2 * i} and d({m}, {s}, {i}) >= 2, got s={s}")
     kw = {} if max_retries is None else {"max_retries": max_retries}
     spec = entry.call(ctx, i, s, seed, **kw)
+    affine = bool(spec.basis) and spec.weight >= _AFFINE_MIN_WEIGHT
     try:
         cw = expand(spec)
-        if spec.basis:
+        if affine:  # refuses a support that is not X + span(B)
             verdict = verify.is_min_weight_affine(
                 ctx, spec.x_set, spec.basis, cw.claimed_distance, cw.elems
             )
         else:
             verdict = verify.is_min_weight(cw)
-    except ValueError as exc:  # a spec or an expansion the verifier refuses
+    except ValueError as exc:  # a spec, an expansion or a support the verifier refuses
         raise UnverifiedSupport(f"refusing to emit unverified support: {exc}") from exc
-    # what is emitted, the support and the spec, must be one set X + span(B)
-    exact = verdict.route == "affine" if spec.basis else cw.elems == spec.x_set
-    if not (verdict.is_min_weight and exact):
+    if not verdict.is_min_weight:
         raise UnverifiedSupport(f"refusing to emit unverified support: {verdict}")
+    # what is emitted, the support and the spec, must be one set X + span(B)
+    if not affine and cw.elems != {x ^ v for v in gflinalg.span(spec.basis) for x in spec.x_set}:
+        raise UnverifiedSupport("refusing to emit unverified support: support is not X + span(B)")
     return cw, {"i": i, "s": s, "method": method, "seed": seed if entry.seeded else None}, spec

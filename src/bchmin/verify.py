@@ -560,17 +560,16 @@ def _spans(ctx, tables, y_sorted: np.ndarray, q: int, support) -> bool:
     return bool((y_sorted[at] == img).all())
 
 
-def is_min_weight_affine(ctx, x_set, basis, d: int, support=None) -> Verdict:
-    """Certify S = X + span(B), for X = x_set and B = basis, as a
-    minimum-weight codeword of eBCH(d) through Y = A_V(X) (see the module
-    text): Y is checked by `is_min_weight` at the least even distance that
-    covers ceil(d / q); at ceil(d / q) = 1 nothing is left to check.  A
-    failure of Y at (E, p_E) is reported as S's (q(E + 1) - 1, a_0 p_E),
-    and odd |Y| as p_(q-1)(S) = a_0 when q > 1.  With `support`, the
-    verdict is on that element set: through Y when it is exactly
-    X + span(B) (`_spans`), else by `is_min_weight` on the set itself, with
-    route "scan" or "check".  A dependent B, two elements of X in one coset
-    of span(B) and elements outside the field raise ValueError."""
+def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
+    """Certify the element set `support` as S = X + span(B), for X = x_set
+    and B = basis, and as a minimum-weight codeword of eBCH(d) through
+    Y = A_V(X) (see the module text): Y is checked by `is_min_weight` at the
+    least even distance that covers ceil(d / q); at ceil(d / q) = 1 nothing
+    is left to check.  A failure of Y at (E, p_E) is reported as S's
+    (q(E + 1) - 1, a_0 p_E), and odd |Y| as p_(q-1)(S) = a_0 when q > 1.
+    A dependent B, two elements of X in one coset of span(B), elements
+    outside the field and a support other than X + span(B) raise
+    ValueError."""
     if d % 2 or not 2 <= d <= ctx.n + 1:
         raise ValueError(f"extended claim needs even d in 2..{ctx.n + 1}, got {d}")
     if not all(0 <= x <= ctx.n for x in chain(x_set, basis)):
@@ -582,8 +581,8 @@ def is_min_weight_affine(ctx, x_set, basis, d: int, support=None) -> Verdict:
     if len(y_set) != len(x_set):
         raise ValueError("two elements of X lie in one coset of span(B)")
     q = 1 << len(basis)
-    if support is not None and not _spans(ctx, tables, np.sort(y), q, support):
-        return is_min_weight(_Claim(ctx, frozenset(support), d, True))
+    if not _spans(ctx, tables, np.sort(y), q, support):
+        raise ValueError("support is not X + span(B)")
     member, fail, d_y = True, None, -(-d // q)
     if d_y >= 2:
         y_verdict = is_min_weight(_Claim(ctx, y_set, d_y + d_y % 2, True))

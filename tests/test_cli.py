@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -394,23 +395,28 @@ def _translate_expanded_support(monkeypatch):
     monkeypatch.setattr(construct, "expand", translated)
 
 
-@pytest.mark.parametrize("s", [2, 4], ids=["B-dim-2", "B-empty"])
+@pytest.mark.parametrize("s", [0, 2, 4], ids=["affine", "B-dim-2", "B-empty"])
 @pytest.mark.parametrize(
     "fault",
     [_swap_one_expanded_element, _move_one_x_out_of_its_coset, _translate_expanded_support],
     ids=["swap", "move-x", "translate"],
 )
 def test_gate_refuses_a_faulty_construction(monkeypatch, capsys, fault, s):
-    # at (8, 2, s), with B of dimension 2 (s = 2) and with B empty (s = 4):
-    # the library raises, the CLI exits 2 and emits nothing, also when the
-    # emitted set verifies but is not the spec's X + span(B)
+    # at (8, 2, s): 96 points through Y = A_V(X) (s = 0), 24 points with B
+    # of dimension 2 (s = 2) and 6 with B empty (s = 4) scanned directly.
+    # The library raises, the CLI exits 2 and emits nothing, also when the
+    # emitted set verifies but is not the spec's X + span(B).  The affine
+    # route refuses a swapped set before any verdict; a scan names its verdict
     fault(monkeypatch)
-    with pytest.raises(construct.UnverifiedSupport, match="refusing to emit unverified support"):
+    outside = fault is _translate_expanded_support or (fault, s) == (_swap_one_expanded_element, 0)
+    reason = "support is not X + span(B)" if outside else "Verdict("
+    message = "refusing to emit unverified support: " + reason
+    with pytest.raises(construct.UnverifiedSupport, match=re.escape(message)):
         construct.generate(default_field(8), 2, s)
     code = cli.main(["generate", "--m", "8", "--i", "2", "--s", str(s)])
     captured = capsys.readouterr()
     assert code == EXIT_VERIFY_FAIL and captured.out == ""
-    assert captured.err.startswith("refusing to emit unverified support: Verdict(")
+    assert captured.err.startswith(message)
 
 
 def test_table_reports_unverified_row(monkeypatch, capsys):

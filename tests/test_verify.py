@@ -526,7 +526,10 @@ def _outcome(verdict):
 
 
 def _affine(spec, d):
-    return is_min_weight_affine(spec.ctx, spec.x_set, spec.basis, d)
+    # the support is X + span(B) as a plain set, so that the route itself
+    # refuses two x in one coset
+    support = frozenset(x ^ v for v in _span(spec.basis) for x in spec.x_set)
+    return is_min_weight_affine(spec.ctx, spec.x_set, spec.basis, d, support)
 
 
 def _agrees(spec, d):
@@ -607,18 +610,20 @@ def test_affine_route_agrees_on_random_claims():
 
 
 def test_affine_route_checks_the_support():
-    # with the support, the verdict is through X + span(B) only if the
-    # support is exactly that set; any other set gets its own scan/check
-    # verdict, and elements outside the field are refused
+    # the route certifies only the set X + span(B) itself: a swapped, a
+    # dropped and a translated element set (the last still a minimum-weight
+    # codeword) are refused, and so are elements outside the field
     ctx = default_field(10)
     cw, _, spec = generate(ctx, 2, 3, 1)
     claim = (ctx, spec.x_set, spec.basis, cw.claimed_distance)
-    assert is_min_weight_affine(*claim, cw.elems) == is_min_weight_affine(*claim)
-    for bad in (_mutate(ctx, cw.elems, "swap", rng(1)), cw.elems - {max(cw.elems)}):
-        verdict = is_min_weight_affine(*claim, bad)
-        assert verdict == is_min_weight(CodewordSupport(ctx, bad, cw.claimed_distance, True))
-        assert verdict.route in ("scan", "check") and not verdict.is_min_weight
+    assert is_min_weight_affine(*claim, cw.elems).is_min_weight
+    shifts = (frozenset(x ^ c for x in cw.elems) for c in range(1, ctx.n + 1))
+    translated = next(e for e in shifts if e != cw.elems)
+    assert is_min_weight(CodewordSupport(ctx, translated, cw.claimed_distance, True)).is_min_weight
+    for bad in (_mutate(ctx, cw.elems, "swap", rng(1)), cw.elems - {max(cw.elems)}, translated):
+        with pytest.raises(ValueError, match=r"support is not X \+ span\(B\)"):
+            is_min_weight_affine(*claim, bad)
     with pytest.raises(ValueError, match="must lie in GF"):
         is_min_weight_affine(*claim, cw.elems - {max(cw.elems)} | {1 << 10})
     with pytest.raises(ValueError, match="elements of GF"):
-        is_min_weight_affine(ctx, spec.x_set | {1 << 10}, spec.basis, cw.claimed_distance)
+        is_min_weight_affine(ctx, spec.x_set | {1 << 10}, spec.basis, cw.claimed_distance, cw.elems)
