@@ -20,6 +20,7 @@ import re
 import sys
 from collections import Counter
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -46,21 +47,30 @@ class ParseError(ValueError):
 # -- serialization -----------------------------------------------------------
 
 
-def _elem_out(ctx, x: int):
-    """Log index when the field has log tables (with -1 for the zero
-    element), hex otherwise."""
-    if ctx.has_logs:
-        return -1 if x == 0 else ctx.log(x)
-    return hex(x)
+def _sorted_out(ctx, elems: np.ndarray) -> list:
+    """The sorted uint64 elements as written out, sorted: discrete logs
+    from one gather, with -1 for the zero element (first in elems) first,
+    when the field has log tables; hex otherwise."""
+    if not ctx.has_logs:
+        return list(map(hex, elems.tolist()))
+    zero = int(len(elems) > 0 and elems[0] == 0)
+    return [-1] * zero + np.sort(ctx.log_array()[elems[zero:]]).tolist()
 
 
-def _sorted_out(ctx, elems) -> list:
-    """The support as `_elem_out` writes it, sorted: the logs come from one
-    gather, with -1 (the zero element) first."""
-    if ctx.has_logs:
-        logs = np.sort(ctx.log_array()[[x for x in elems if x]]).tolist()
-        return [-1] + logs if 0 in elems else logs
-    return [hex(x) for x in sorted(elems)]
+def _json_doc(doc: dict) -> str:
+    """json.dumps(doc, indent=2) of a nonempty flat document whose lists
+    each hold ints or strings, written directly: the stdlib's indenting
+    encoder runs in pure Python, one call per value.  An int is written by
+    str(), a string by json's own ASCII encoder, as json.dumps does, and
+    anything else by json.dumps."""
+    fields = []
+    for key, value in doc.items():
+        items = value if isinstance(value, list) and value else None
+        kind = type(items[0] if items else value)
+        write = str if kind is int else _json_str if kind is str else json.dumps
+        value = "[\n    " + ",\n    ".join(map(write, items)) + "\n  ]" if items else write(value)
+        fields.append(f"{_json_str(key)}: {value}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def render_json(ctx, cw: CodewordSupport, meta: dict) -> str:
@@ -74,7 +84,7 @@ def render_json(ctx, cw: CodewordSupport, meta: dict) -> str:
         "verified": True,
     }
     doc.update(meta)
-    return json.dumps(doc, indent=2)
+    return _json_doc(doc)
 
 
 def _text_doc(ctx, cw: CodewordSupport, body: str) -> str:
@@ -87,11 +97,11 @@ def _text_doc(ctx, cw: CodewordSupport, body: str) -> str:
 
 def render_logsupport(ctx, cw: CodewordSupport) -> str:
     # falls back to hex element values when the field has no log tables
-    return _text_doc(ctx, cw, ",".join(str(e) for e in _sorted_out(ctx, cw.elems)))
+    return _text_doc(ctx, cw, ",".join(map(str, _sorted_out(ctx, cw.elems))))
 
 
 def render_bits(ctx, cw: CodewordSupport) -> str:
-    return _text_doc(ctx, cw, "\n".join(hex(x) for x in sorted(cw.elems)))
+    return _text_doc(ctx, cw, "\n".join(map(hex, cw.elems.tolist())))
 
 
 # The two forms of support entries, each matched once against all of a
@@ -103,11 +113,11 @@ _HEX_ENTRIES = re.compile(r"(?:0x[0-9a-fA-F]+,)*")
 _LOG_ENTRIES = re.compile(r"(?:[0-9]+,|-1,)*")
 
 
-def _elements(ctx, entries: list, logs: bool) -> frozenset:
+def _elements(ctx, entries: list, logs: bool):
     """Decode support entries: discrete logs (ints, -1 for zero) if `logs`,
-    else hex element values ("0x" and hex digits, anything else refused).
-    Values outside the field and repeated entries are refused, not
-    repaired."""
+    else hex element values ("0x" and hex digits, anything else refused),
+    in their order.  Values outside the field are refused, not repaired;
+    so are repeated entries, by CodewordSupport."""
     n = ctx.n
     if logs:
         if not -1 <= min(entries) <= max(entries) < n:
@@ -115,18 +125,16 @@ def _elements(ctx, entries: list, logs: bool) -> frozenset:
             raise ParseError(f"discrete log {bad} is outside -1..{n - 1}")
         if ctx.has_logs:
             logs = np.array(entries, dtype=np.int64)
-            elems = frozenset(np.where(logs < 0, 0, ctx.exp_array()[logs]).tolist())
+            elems = np.where(logs < 0, 0, ctx.exp_array()[logs])
         else:
-            elems = frozenset(0 if v == -1 else ctx.exp(v) for v in entries)
+            elems = [0 if v == -1 else ctx.exp(v) for v in entries]
     else:
         if entries and not _HEX_ENTRIES.fullmatch(",".join(entries) + ","):
             raise ParseError("support entries must be all 0x-hex values or all decimal logs")
-        elems = frozenset(map(int, entries, repeat(16)))
+        elems = list(map(int, entries, repeat(16)))
         if elems and not 0 <= min(elems) <= max(elems) <= n:
             bad = next(x for x in elems if not 0 <= x <= n)
             raise ParseError(f"element {hex(bad)} is outside GF(2^{ctx.m})")
-    if len(elems) != len(entries):
-        raise ParseError(f"{len(entries) - len(elems)} repeated support entries")
     return elems
 
 
@@ -212,8 +220,8 @@ def _cmd_generate(args) -> int:
     ctx = _field(args.m, args.poly)
     cw, meta, spec = construct.generate(ctx, args.i, args.s, args.seed, args.method, args.retries)
     if args.format == "json":
-        meta["X"] = _sorted_out(ctx, spec.x_set)
-        meta["B"] = [_elem_out(ctx, x) for x in spec.basis]
+        meta["X"] = _sorted_out(ctx, np.array(sorted(spec.x_set), dtype=np.uint64))
+        meta["B"] = [ctx.log(x) if ctx.has_logs else hex(x) for x in spec.basis]  # all nonzero
         print(render_json(ctx, cw, meta))
     elif args.format == "logsupport":
         print(render_logsupport(ctx, cw), end="")
@@ -256,9 +264,10 @@ def _cmd_table(args) -> int:
         except UnverifiedSupport as exc:
             fresh_ok, fresh_text = False, f"verified=False ({exc})"
         else:
-            fresh = construct.puncture(cw, min(cw.elems))
+            fresh = construct.puncture(cw, int(cw.elems[0]))
             v_fresh = verify.is_min_weight(fresh)
-            match = "set-equal" if fresh.elems == fix.elems else "different-but-valid"
+            same = np.array_equal(fresh.elems, fix.elems)
+            match = "set-equal" if same else "different-but-valid"
             fresh_ok = v_fresh.is_min_weight
             fresh_text = f"weight={v_fresh.weight} verified={fresh_ok} match={match}"
         print(
@@ -269,16 +278,23 @@ def _cmd_table(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+# An optional "-" and ASCII digits; int() also takes spaces, "_", "+" and
+# non-ASCII digits, which a command line would then repair silently.
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str, source: str = "") -> int:
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value{source}: {text!r}")
+    return int(text)
+
+
 def _seed(text: str) -> int:
     """--seed value; the default stands for $BCHMIN_SEED (else 0), read
     when the command line is parsed, so a parser built once stays current."""
-    source = ""
     if text is _SEED_FROM_ENV:
-        source, text = f" in ${SEED_ENV_VAR}", os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value{source}: {text!r}") from None
+        return _int(os.environ.get(SEED_ENV_VAR, "0"), f" in ${SEED_ENV_VAR}")
+    return _int(text)
 
 
 _SEED_FROM_ENV = f"${SEED_ENV_VAR}"
@@ -304,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="construct one verified support")
-    g.add_argument("--m", type=int, required=True, help="extension degree")
-    g.add_argument("--i", type=int, required=True, help="distance family index")
-    g.add_argument("--s", type=int, default=0, help="down-conversion level (default 0)")
+    g.add_argument("--m", type=_int, required=True, help="extension degree")
+    g.add_argument("--i", type=_int, required=True, help="distance family index")
+    g.add_argument("--s", type=_int, default=0, help="down-conversion level (default 0)")
     g.add_argument("--seed", type=_seed, default=_SEED_FROM_ENV)
     g.add_argument("--poly", type=str, default=None, help="primitive polynomial override")
     g.add_argument(
@@ -314,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *construct.METHODS],
         default="auto",
     )
-    g.add_argument("--retries", type=int, default=None, help="solver retry cap override")
+    g.add_argument("--retries", type=_int, default=None, help="solver retry cap override")
     g.add_argument("--format", choices=["json", "logsupport", "bits"], default="json")
     g.set_defaults(func=_cmd_generate)
 

@@ -17,6 +17,8 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import gflinalg, linearized, solvers, verify
 from .solvers import SolutionVector, UncoveredCase
 
@@ -44,16 +46,37 @@ class SupportSpec:
         return len(self.x_set) << len(self.basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodewordSupport:
     """Explicit support of a claimed codeword of eBCH(d) (coordinates are
     all of GF(2^m)) or, punctured, of BCH(d) (coordinates are the nonzero
-    elements)."""
+    elements).  `elems` is given as any iterable of ints (or an integer
+    array) and held as a sorted, duplicate-free, read-only np.uint64 array;
+    repeated elements and elements outside GF(2^m) raise ValueError.
+    Supports compare by identity: compare their `elems` with
+    np.array_equal."""
 
     ctx: object
-    elems: frozenset
+    elems: np.ndarray
     claimed_distance: int
     extended: bool
+
+    def __post_init__(self):
+        elems = self.elems
+        if not isinstance(elems, np.ndarray):
+            try:
+                elems = np.fromiter(elems, dtype=np.int64)
+            except OverflowError as exc:
+                raise ValueError(f"support elements must lie in GF(2^{self.ctx.m})") from exc
+        if np.count_nonzero(elems[1:] <= elems[:-1]):  # not sorted and distinct
+            elems = np.sort(elems)
+            if repeated := np.count_nonzero(elems[1:] == elems[:-1]):
+                raise ValueError(f"{repeated} repeated support entries")
+        if len(elems) and not 0 <= elems[0] <= elems[-1] <= self.ctx.n:
+            raise ValueError(f"support elements must lie in GF(2^{self.ctx.m})")
+        elems = elems.astype(np.uint64, copy=False).view()  # the caller's array stays writable
+        elems.flags.writeable = False
+        object.__setattr__(self, "elems", elems)
 
     @property
     def weight(self) -> int:
@@ -102,13 +125,15 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
 
 
 def expand(spec: SupportSpec) -> CodewordSupport:
-    """Explicit element set X + span(B); collision-free by construction."""
-    elems = set()
-    for v in gflinalg.span(spec.basis):
-        elems.update(x ^ v for x in spec.x_set)
-    if len(elems) != spec.weight:
+    """Explicit element set X + span(B), sorted; collision-free by
+    construction."""
+    elems = np.fromiter(spec.x_set, dtype=np.uint64, count=len(spec.x_set))
+    for b in spec.basis:  # X + the span of the basis vectors so far
+        elems = np.concatenate((elems, elems ^ np.uint64(b)))
+    elems = np.sort(elems)
+    if np.count_nonzero(elems[1:] == elems[:-1]):
         raise ValueError("X + span(B) is smaller than |X| * 2^|B|")
-    return CodewordSupport(spec.ctx, frozenset(elems), spec.weight, extended=True)
+    return CodewordSupport(spec.ctx, elems, spec.weight, extended=True)
 
 
 def down_convert(cw: CodewordSupport, V_basis) -> CodewordSupport:
@@ -123,14 +148,13 @@ def down_convert(cw: CodewordSupport, V_basis) -> CodewordSupport:
     new_d = (cw.claimed_distance + (1 << s) - 1) >> s
     if new_d % 2:
         raise ValueError(f"ceil(d / 2^s) = {new_d} must be even")
-    for v in V_basis:
-        for x in cw.elems:
-            if x ^ v not in cw.elems:
-                raise ValueError("support is not a union of cosets of span(V)")
+    for v in V_basis:  # S + v, sorted, is S again
+        if not np.array_equal(np.sort(cw.elems ^ np.uint64(v)), cw.elems):
+            raise ValueError("support is not a union of cosets of span(V)")
     ann = linearized.annihilator(ctx, V_basis)
-    image = {linearized.lin_eval(ann, x) for x in cw.elems}
+    image = {linearized.lin_eval(ann, x) for x in cw.elems.tolist()}
     assert len(image) == len(cw.elems) >> s
-    return CodewordSupport(ctx, frozenset(image), new_d, extended=True)
+    return CodewordSupport(ctx, image, new_d, extended=True)
 
 
 def _lift(cw: CodewordSupport, U_basis) -> SupportSpec:
@@ -142,7 +166,7 @@ def _lift(cw: CodewordSupport, U_basis) -> SupportSpec:
     bpoly = linearized.image_poly(cw.ctx, list(U_basis))
     bmap = gflinalg.LinearMap(linearized.matrix_cols(bpoly))
     x_set = set()
-    for x in cw.elems:
+    for x in cw.elems.tolist():
         # the image of B is exactly span(U)
         x0 = bmap.preimage(x)
         if x0 is None:
@@ -172,9 +196,9 @@ def gold_support(ctx, i: int) -> CodewordSupport:
     beta = next(x for x in elems if x not in half)
     tr = linearized.LinearizedPoly(ctx, (1,) * (2 * i))  # trace of GF(2^2i) onto GF(2)
     d = 1 << i
-    support = frozenset(
+    support = [
         x for x in elems if linearized.lin_eval(tr, ctx.mul(beta, ctx.pow(x, d + 1))) == 0
-    )
+    ]
     weight = (1 << (2 * i - 1)) - (1 << (i - 1))
     assert len(support) == weight
     return CodewordSupport(ctx, support, weight, extended=True)
@@ -191,7 +215,7 @@ def gk_support(ctx, y: int) -> CodewordSupport:
     elems = {0, 1, 1 ^ y4, y ^ y2 ^ y4, y2 ^ y3 ^ y4, y ^ y3 ^ y4}
     if len(elems) != 6:
         raise DegenerateY(f"six elements collapse for y={y}")
-    return CodewordSupport(ctx, frozenset(elems), 6, extended=True)
+    return CodewordSupport(ctx, elems, 6, extended=True)
 
 
 def puncture(cw: CodewordSupport, x: int) -> CodewordSupport:
@@ -202,11 +226,8 @@ def puncture(cw: CodewordSupport, x: int) -> CodewordSupport:
         raise ValueError("puncturing applies to extended supports")
     if x not in cw.elems:
         raise ValueError(f"{x} is not in the support")
-    elems = {x ^ e for e in cw.elems}
-    elems.discard(0)
-    return CodewordSupport(
-        cw.ctx, frozenset(elems), cw.claimed_distance - 1, extended=False
-    )
+    elems = cw.elems ^ np.uint64(x)
+    return CodewordSupport(cw.ctx, elems[elems != 0], cw.claimed_distance - 1, extended=False)
 
 
 class Method(NamedTuple):
@@ -225,9 +246,10 @@ def _lifted(cw: CodewordSupport, i: int, s: int) -> SupportSpec:
     """A support built at s = m - 2i, as X + span(B) at s: at that s it is X,
     with no basis; below it, it is lifted over its span completed by unit
     vectors to dimension 2i + s."""
+    elems = cw.elems.tolist()
     if s == cw.ctx.m - 2 * i:
-        return SupportSpec(cw.ctx, cw.elems, ())
-    span = gflinalg.LinearMap(sorted(cw.elems)).image
+        return SupportSpec(cw.ctx, frozenset(elems), ())
+    span = gflinalg.LinearMap(elems).image
     return _lift(cw, gflinalg.complete_to_basis(cw.ctx, span)[: 2 * i + s])
 
 
@@ -324,6 +346,10 @@ def generate(
     if not verdict.is_min_weight:
         raise UnverifiedSupport(f"refusing to emit unverified support: {verdict}")
     # what is emitted, the support and the spec, must be one set X + span(B)
-    if not affine and cw.elems != {x ^ v for v in gflinalg.span(spec.basis) for x in spec.x_set}:
-        raise UnverifiedSupport("refusing to emit unverified support: support is not X + span(B)")
+    if not affine:
+        enumerated = [x ^ v for v in gflinalg.span(spec.basis) for x in spec.x_set]
+        if not np.array_equal(cw.elems, sorted(enumerated)):
+            raise UnverifiedSupport(
+                "refusing to emit unverified support: support is not X + span(B)"
+            )
     return cw, {"i": i, "s": s, "method": method, "seed": seed if entry.seeded else None}, spec

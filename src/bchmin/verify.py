@@ -38,9 +38,10 @@ Trans. IT, 1972) as an iff, and a failure of Y maps back to S exactly.
 For the paper's supports d / q = |X| is 6, 28 or 120.
 
 This module deliberately shares nothing with the construction code beyond
-field arithmetic: it consumes plain element sets (anything with ctx, elems,
-claimed_distance, extended attributes), or X and B as plain elements, and
-builds its own A_V.
+field arithmetic: it consumes plain element arrays (anything with ctx,
+claimed_distance, extended attributes and elems, the distinct support
+elements as a np.uint64 array), or X and B as plain elements, and builds
+its own A_V.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, tee
 from math import gcd
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,10 +105,10 @@ def _nonzero(ctx, elems) -> np.ndarray:
     as int64 when the field has log tables, else the elements as uint64.
     The logs are taken once per claim, in one gather from the log table, and
     shared by both routes."""
-    nonzero = [x for x in elems if x]
+    nonzero = elems[elems != 0]
     if ctx.has_logs:
         return ctx.log_array()[nonzero].astype(np.int64)
-    return np.array(nonzero, dtype=np.uint64)
+    return nonzero
 
 
 def _syndromes(ctx, nonzero, js):
@@ -496,15 +497,6 @@ def is_min_weight(cw) -> Verdict:
 # -- the affine route: X + span(B) through the subspace polynomial of span(B) ---
 
 
-class _Claim(NamedTuple):
-    """An element-set claim as `is_min_weight` reads it."""
-
-    ctx: object
-    elems: frozenset
-    claimed_distance: int
-    extended: bool
-
-
 def _subspace_map(ctx, basis) -> tuple[list[int], int]:
     """The columns A_V(2^t), t < m, of the subspace polynomial A_V of
     V = span(basis), and its coefficient a_0 of T.  Built from A = T by
@@ -546,11 +538,10 @@ def _apply(tables, x: np.ndarray) -> np.ndarray:
     return img
 
 
-def _spans(ctx, tables, y_sorted: np.ndarray, q: int, support) -> bool:
-    """Whether the element set `support` is exactly X + V: |S| = |X| q and
-    A_V(S) within Y = A_V(X), since the preimage of Y is X + V.  Elements
-    outside the field raise ValueError."""
-    s = np.fromiter(support, dtype=np.uint64, count=len(support))
+def _spans(ctx, tables, y_sorted: np.ndarray, q: int, s: np.ndarray) -> bool:
+    """Whether the distinct uint64 elements s are exactly X + V: |S| = |X| q
+    and A_V(S) within Y = A_V(X), since the preimage of Y is X + V.
+    Elements outside the field raise ValueError."""
     if (s >> ctx.m).any():
         raise ValueError(f"support elements must lie in GF(2^{ctx.m})")
     if len(s) != len(y_sorted) * q:
@@ -561,31 +552,31 @@ def _spans(ctx, tables, y_sorted: np.ndarray, q: int, support) -> bool:
 
 
 def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
-    """Certify the element set `support` as S = X + span(B), for X = x_set
-    and B = basis, and as a minimum-weight codeword of eBCH(d) through
-    Y = A_V(X) (see the module text): Y is checked by `is_min_weight` at the
-    least even distance that covers ceil(d / q); at ceil(d / q) = 1 nothing
-    is left to check.  A failure of Y at (E, p_E) is reported as S's
-    (q(E + 1) - 1, a_0 p_E), and odd |Y| as p_(q-1)(S) = a_0 when q > 1.
-    A dependent B, two elements of X in one coset of span(B), elements
-    outside the field and a support other than X + span(B) raise
-    ValueError."""
+    """Certify the distinct elements `support`, a np.uint64 array, as
+    S = X + span(B), for X = x_set and B = basis, and as a minimum-weight
+    codeword of eBCH(d) through Y = A_V(X) (see the module text): Y is
+    checked by `is_min_weight` at the least even distance that covers
+    ceil(d / q); at ceil(d / q) = 1 nothing is left to check.  A failure
+    of Y at (E, p_E) is reported as S's (q(E + 1) - 1, a_0 p_E), and odd
+    |Y| as p_(q-1)(S) = a_0 when q > 1.  A dependent B, two elements of X
+    in one coset of span(B), elements outside the field and a support
+    other than X + span(B) raise ValueError."""
     if d % 2 or not 2 <= d <= ctx.n + 1:
         raise ValueError(f"extended claim needs even d in 2..{ctx.n + 1}, got {d}")
     if not all(0 <= x <= ctx.n for x in chain(x_set, basis)):
         raise ValueError(f"X and B must be elements of GF(2^{ctx.m})")
     cols, a0 = _subspace_map(ctx, basis)
     tables = _map_tables(cols)
-    y = _apply(tables, np.fromiter(x_set, dtype=np.uint64, count=len(x_set)))
-    y_set = frozenset(y.tolist())
-    if len(y_set) != len(x_set):
+    y = np.sort(_apply(tables, np.fromiter(x_set, dtype=np.uint64, count=len(x_set))))
+    if (y[1:] == y[:-1]).any():
         raise ValueError("two elements of X lie in one coset of span(B)")
     q = 1 << len(basis)
-    if not _spans(ctx, tables, np.sort(y), q, support):
+    if not _spans(ctx, tables, y, q, support):
         raise ValueError("support is not X + span(B)")
     member, fail, d_y = True, None, -(-d // q)
     if d_y >= 2:
-        y_verdict = is_min_weight(_Claim(ctx, y_set, d_y + d_y % 2, True))
+        claim = SimpleNamespace(ctx=ctx, elems=y, claimed_distance=d_y + d_y % 2, extended=True)
+        y_verdict = is_min_weight(claim)
         member = y_verdict.member
         if y_verdict.failing_syndrome is not None:
             e, p_e = y_verdict.failing_syndrome

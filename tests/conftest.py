@@ -1,6 +1,7 @@
 import random
 from itertools import count
 
+import numpy as np
 import pytest
 
 from bchmin import gflinalg
@@ -20,6 +21,16 @@ def gf256():
 
 def rng(seed: int = 1234) -> random.Random:
     return random.Random(seed)
+
+
+def elem_set(cw) -> frozenset:
+    """The support of cw as a frozenset of ints, for set algebra in tests."""
+    return frozenset(cw.elems.tolist())
+
+
+def elem_array(elems) -> np.ndarray:
+    """Distinct field elements as the sorted uint64 array the verifier takes."""
+    return np.array(sorted(elems), dtype=np.uint64)
 
 
 def random_nonzero(ctx, r: random.Random) -> int:

@@ -8,6 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from bchmin import construct, gflinalg, linearized, solvers
@@ -160,15 +161,15 @@ def test_criterion_07_conversion_roundtrips():
                 assert low.weight * (1 << rdim) == cw.weight  # exact halving per dim
                 ann = linearized.annihilator(ctx, v)
                 u = _span_basis(ctx, linearized.matrix_cols(ann))
-                assert up_convert(low, u).elems == cw.elems
+                assert np.array_equal(up_convert(low, u).elems, cw.elems)
 
                 # up then down over the same pair
                 udim = r.randint(m - s, m)
-                ub = _span_basis(ctx, cw.elems, target_dim=udim)
+                ub = _span_basis(ctx, cw.elems.tolist(), target_dim=udim)
                 high = up_convert(cw, ub)
                 assert high.weight == cw.weight * (1 << (m - len(ub)))
                 kb = linearized.lin_kernel(linearized.image_poly(ctx, ub))
-                assert down_convert(high, kb).elems == cw.elems
+                assert np.array_equal(down_convert(high, kb).elems, cw.elems)
 
 
 def _boolean_enum_check(ctx, sol, i, s, spec, cw):

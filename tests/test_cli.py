@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,8 @@ from bchmin.cli import (
 )
 from bchmin.fixtures import BCH27_FIXTURES
 from bchmin.gf2m import GF2m, default_field
+
+from conftest import elem_set
 
 
 def _run(capsys, argv):
@@ -281,10 +284,10 @@ def test_parse_support_file_accepts_generated_forms():
     cw, meta, _ = construct.generate(default_field(9), 2, 2, 4)
     ctx = cw.ctx
     # with and without the zero element, which is written as the log -1
-    for shown in (cw, type(cw)(ctx, cw.elems ^ {0}, cw.claimed_distance, cw.extended)):
+    for shown in (cw, type(cw)(ctx, elem_set(cw) ^ {0}, cw.claimed_distance, cw.extended)):
         for text in (render_json(ctx, shown, meta), render_logsupport(ctx, shown)):
             back = parse_support_file(text)
-            assert back.elems == shown.elems
+            assert np.array_equal(back.elems, shown.elems)
             assert back.claimed_distance == cw.claimed_distance
             assert back.extended == cw.extended
 
@@ -299,7 +302,7 @@ def test_log_and_hex_files_agree_without_log_tables():
     head = f"m=25 poly={hex(ctx.poly)} d=6 extended=1\n"
     from_logs = parse_support_file(head + ",".join(map(str, logs)))
     from_hex = parse_support_file(head + ",".join(map(hex, elems)))
-    assert from_logs.elems == from_hex.elems == frozenset(elems)
+    assert elem_set(from_logs) == elem_set(from_hex) == frozenset(elems)
 
 
 def test_generate_i3heuristic_needs_m6(capsys):
@@ -353,7 +356,7 @@ def _swap_one_expanded_element(monkeypatch):
     def swapped(spec):
         cw = expand(spec)
         outsider = next(x for x in range(cw.ctx.n + 1) if x not in cw.elems)
-        elems = cw.elems - {max(cw.elems)} | {outsider}
+        elems = elem_set(cw) - {max(cw.elems)} | {outsider}
         return construct.CodewordSupport(cw.ctx, elems, cw.claimed_distance, cw.extended)
 
     monkeypatch.setattr(construct, "expand", swapped)
@@ -388,8 +391,8 @@ def _translate_expanded_support(monkeypatch):
 
     def translated(spec):
         cw = expand(spec)
-        shifts = ({x ^ c for x in cw.elems} for c in range(1, cw.ctx.n + 1))
-        elems = frozenset(next(e for e in shifts if e != cw.elems))
+        shifts = ({x ^ c for x in elem_set(cw)} for c in range(1, cw.ctx.n + 1))
+        elems = frozenset(next(e for e in shifts if e != elem_set(cw)))
         return construct.CodewordSupport(cw.ctx, elems, cw.claimed_distance, cw.extended)
 
     monkeypatch.setattr(construct, "expand", translated)
@@ -515,6 +518,37 @@ _ODD_EXTENDED_CLAIM = b"m=8 poly=0x11d d=25 extended=1\n0x1,0x2\n"
             ["BCHMIN_SEED=abc", "generate", "--m", "9", "--i", "2"], {}, False,
             EXIT_PARSE, "bchmin generate: argument --seed: invalid int value in $BCHMIN_SEED: 'abc'",
             id="usage-bad-seed-variable",
+        ),
+        # ints are an optional "-" and ASCII digits: what int() would repair is refused
+        pytest.param(
+            ["generate", "--m", " 9", "--i", "2", "--s", "5"], {}, False,
+            EXIT_PARSE, "bchmin generate: argument --m: invalid int value: ' 9'",
+            id="usage-int-space",
+        ),
+        pytest.param(
+            ["generate", "--m", "9", "--i", "1_0"], {}, False,
+            EXIT_PARSE, "bchmin generate: argument --i: invalid int value: '1_0'",
+            id="usage-int-underscore",
+        ),
+        pytest.param(
+            ["generate", "--m", "9", "--i", "2", "--s", "+3"], {}, False,
+            EXIT_PARSE, "bchmin generate: argument --s: invalid int value: '+3'",
+            id="usage-int-plus",
+        ),
+        pytest.param(
+            ["generate", "--m", "9", "--i", "2", "--seed", "\u0663"], {}, False,
+            EXIT_PARSE, "bchmin generate: argument --seed: invalid int value: '\u0663'",
+            id="usage-int-non-ascii-digit",
+        ),
+        pytest.param(
+            ["generate", "--m", "9", "--i", "2", "--retries", "+3"], {}, False,
+            EXIT_PARSE, "bchmin generate: argument --retries: invalid int value: '+3'",
+            id="usage-retries-plus",
+        ),
+        pytest.param(
+            ["BCHMIN_SEED= 1_0 ", "generate", "--m", "9", "--i", "2", "--s", "5"], {}, False,
+            EXIT_PARSE, "bchmin generate: argument --seed: invalid int value in $BCHMIN_SEED: ' 1_0 '",
+            id="usage-seed-variable-space-underscore",
         ),
         pytest.param(
             ["verify"], {}, False,
@@ -805,6 +839,43 @@ def test_verify_fuzzed_files(fuzz_files, data):
     assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_PARSE)
 
 
+# -- the JSON writer ------------------------------------------------------------
+
+# Support, X and B entries as emitted: sorted logs, -1 (the zero element)
+# first, up to m = 24; hex element values above.
+_LOG_ENTRIES = st.builds(
+    lambda zero, logs: [-1] * zero + sorted(logs),
+    st.booleans(),
+    st.sets(st.integers(0, (1 << 24) - 2), max_size=40),
+)
+_HEX_ENTRIES = st.sets(st.integers(0, (1 << 32) - 1), max_size=40).map(
+    lambda elems: [hex(x) for x in sorted(elems)]
+)
+_ENTRIES = _LOG_ENTRIES | _HEX_ENTRIES
+
+
+@given(
+    doc=st.fixed_dictionaries({
+        "spec_version": st.just(cli.SPEC_VERSION),
+        "m": st.integers(2, 32),
+        "poly": st.integers(0, 1 << 33).map(hex),
+        "d": st.integers(2, 1 << 32),
+        "extended": st.booleans(),
+        "support": _ENTRIES,
+        "verified": st.just(True),
+        "i": st.integers(1, 16),
+        "s": st.integers(0, 30),
+        "method": st.sampled_from(["auto", *construct.METHODS]),
+        "seed": st.none() | st.integers(-(1 << 80), 1 << 80),
+        "X": _ENTRIES,
+        "B": _ENTRIES,
+    })
+)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json_doc(doc) == json.dumps(doc, indent=2)
+
+
 # -- pinned outputs and the solver registry -----------------------------------
 
 # SHA-256 of stdout, recorded before the solver registry replaced the CLI's
@@ -813,8 +884,12 @@ def test_verify_fuzzed_files(fuzz_files, data):
 # from m = 28 on were recorded before the table-free arithmetic moved from
 # bit-serial loops to windowed products and fold tables: one per method at
 # m = 27..32, one with a non-default primitive modulus.  The gold and gk
-# cells were recorded again when their JSON gained X and B.  A test id is
-# its argv alone, so recording a digest again keeps the test's name.
+# cells were recorded again when their JSON gained X and B.  The m = 16,
+# 17 and 26 cells were recorded before supports became sorted arrays and
+# JSON was written without json.dumps(indent=2): the affine gate at 24,576
+# points in every format, a table-built field above 16, and the hex path
+# with a nonempty B.  A test id is its argv alone, so recording a digest
+# again keeps the test's name.
 PINNED = [
     ("generate --m 10 --i 2 --s 3 --seed 1", "c5e8f7e1fcef6f3361087b5170b1dc3d6d0334b05ac41d78c725ac29817d4030"),
     ("generate --m 9 --i 3 --s 1 --seed 2", "90ad178483a5ec00d1a288d67199acbd032c25ebbaaf3383855b8f48deaaa557"),
@@ -838,6 +913,12 @@ PINNED = [
     ("generate --m 30 --i 2 --s 26 --seed 3 --method gk", "96e522632f12a998231d9cb8ce5d8e06dc59002d7ef7fe691914b9d35adb1a08"),
     ("generate --m 28 --i 2 --s 24 --method gold", "2400de2ac65450eec08bd2b2432cc243e521571d49394daa40263d5d18ba4e64"),
     ("generate --m 27 --i 2 --s 23 --seed 0 --poly 0x80000d1", "3406f852b07337af76a00a0c0381cb562fbd38bb64e2fd718e029c8fa7e16bc5"),
+    ("generate --m 16 --i 2 --s 0 --seed 0", "802c6647fc310bce5aed3e3f6f15af4ad5e014a39467fdb2b33ce83bdaaffa56"),
+    ("generate --m 16 --i 2 --s 0 --seed 0 --format logsupport", "cbdc1e04c6a4cca8e27e23190cab5969ea1e1abafc8291153f6a9d0603cf9428"),
+    ("generate --m 16 --i 2 --s 0 --seed 0 --format bits", "5fade366b09b6fdd181184a4de817e175fb19d99f808d4d97978fa900dee29e4"),
+    ("generate --m 17 --i 2 --s 5 --seed 0", "401725040823fe4511119f91367e9b992436e24ea770626e6d1531821c8c6687"),
+    ("generate --m 26 --i 2 --s 18 --seed 0 --format logsupport", "b170cc56438bc61ef86232184ed27499844166d5177930c4870abba3cb829a9a"),
+    ("generate --m 26 --i 2 --s 18 --seed 0 --format bits", "2618dc31abb9a503f4aa32bb78fc9e831c50045a547071e29038d98846c6f57e"),
 ]
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bchmin import gflinalg, linearized, verify
@@ -18,7 +19,7 @@ from bchmin.construct import (
 from bchmin.gf2m import default_field
 from bchmin.solvers import UncoveredCase, solve_i2_even, solve_i3_even
 
-from conftest import rank, rng, trace_rel
+from conftest import elem_set, rank, rng, trace_rel
 
 
 def _row_tuple(row: int, width: int):
@@ -61,7 +62,7 @@ def test_build_support_m4_weight6():
     spec = build_support(solve_i2_even(ctx).solution, 0)
     assert len(spec.x_set) == 6 and len(spec.basis) == 0
     cw = expand(spec)
-    assert cw.elems == spec.x_set  # empty basis: expansion is X itself
+    assert elem_set(cw) == spec.x_set  # empty basis: expansion is X itself
     assert cw.weight == 6 and cw.extended
     assert verify.is_min_weight(cw).is_min_weight
 
@@ -75,6 +76,29 @@ def test_expand_detects_collisions():
     )
     with pytest.raises(ValueError, match="X \\+ span\\(B\\) is smaller than"):
         expand(bogus)
+
+
+def test_support_elems_are_a_sorted_read_only_array():
+    # any iterable of ints, or an integer array, becomes one sorted uint64
+    # array; the caller's array is neither copied into nor frozen
+    ctx = default_field(4)
+    given = np.array([0, 3, 9], dtype=np.uint64)
+    for elems in ([9, 0, 3], {3, 9, 0}, (x for x in (3, 0, 9)), np.array([9, 3, 0]), given):
+        cw = CodewordSupport(ctx, elems, 4, extended=True)
+        assert cw.elems.dtype == np.uint64 and cw.elems.tolist() == [0, 3, 9]
+        assert not cw.elems.flags.writeable
+    assert given.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cw.elems[0] = 1
+    # supports compare by identity, so comparing two never raises
+    assert cw == cw and cw != CodewordSupport(ctx, [0, 3, 9], 4, extended=True)
+    assert len({cw, cw}) == 1
+    too_big = np.array([1, (1 << 64) - 1], dtype=np.uint64)
+    for bad in ([16], [-1, 2], [1 << 70], too_big):
+        with pytest.raises(ValueError, match=r"must lie in GF\(2\^4\)"):
+            CodewordSupport(ctx, bad, 4, extended=True)
+    with pytest.raises(ValueError, match="2 repeated support entries"):
+        CodewordSupport(ctx, [1, 2, 1, 1], 4, extended=True)
 
 
 def test_build_support_m8_i3():
@@ -124,7 +148,7 @@ def test_expand_weight_ledger():
 def test_down_convert_empty_v_is_identity():
     ctx = default_field(8)
     cw = expand(build_support(solve_i2_even(ctx).solution, 1))
-    assert down_convert(cw, []).elems == cw.elems
+    assert np.array_equal(down_convert(cw, []).elems, cw.elems)
 
 
 def test_down_convert_one_dim():
@@ -145,7 +169,7 @@ def test_down_convert_chain_matches_direct():
     ann1 = linearized.annihilator(ctx, [spec0.basis[0]])
     step2 = down_convert(step1, [linearized.lin_eval(ann1, spec0.basis[1])])
     direct = expand(build_support(sol, 2))
-    assert step2.elems == direct.elems
+    assert np.array_equal(step2.elems, direct.elems)
 
 
 def test_down_convert_rejects_non_coset_union():
@@ -167,7 +191,7 @@ def test_up_convert_full_space_identity():
     ctx = default_field(8)
     cw = gold_support(ctx, 2)
     out = up_convert(cw, [1 << k for k in range(8)])
-    assert out.elems == cw.elems
+    assert np.array_equal(out.elems, cw.elems)
 
 
 def test_up_then_down_roundtrip():
@@ -175,14 +199,14 @@ def test_up_then_down_roundtrip():
     spec = build_support(solve_i3_even(ctx, rng_seed=4).solution, 2)
     cw = expand(spec)
     ub = []
-    for x in sorted(cw.elems):
+    for x in cw.elems.tolist():
         if x and rank(ub + [x]) > len(ub):
             ub.append(x)
     up = up_convert(cw, ub)
     assert up.weight == cw.weight * (1 << (10 - len(ub)))
     assert verify.is_min_weight(up).is_min_weight
     v = linearized.lin_kernel(linearized.image_poly(ctx, ub))
-    assert down_convert(up, v).elems == cw.elems
+    assert np.array_equal(down_convert(up, v).elems, cw.elems)
 
 
 def test_down_then_up_roundtrip():
@@ -197,7 +221,7 @@ def test_down_then_up_roundtrip():
         if rank(u + [col]) > len(u):
             u.append(col)
     back = up_convert(down, u)
-    assert back.elems == cw.elems
+    assert np.array_equal(back.elems, cw.elems)
 
 
 def test_up_convert_gold_over_f16():
@@ -237,12 +261,12 @@ def test_lift_is_the_brute_force_preimage(m, k):
     preimage = {y for y, b in image.items() if b in S}
     cw = CodewordSupport(ctx, S, 4, extended=True)
     up = up_convert(cw, U)
-    assert up.elems == preimage and up.claimed_distance == 4 << (m - k)
+    assert elem_set(up) == preimage and up.claimed_distance == 4 << (m - k)
     spec = _lift(cw, U)
     assert sorted(image[x] for x in spec.x_set) == sorted(S)  # one X element per point
     assert len(spec.basis) == m - k and all(image[v] == 0 for v in spec.basis)
     assert rank(list(spec.basis)) == m - k
-    assert expand(spec).elems == preimage
+    assert elem_set(expand(spec)) == preimage
 
 
 # -- special supports -----------------------------------------------------------------
@@ -281,7 +305,7 @@ def test_gold_support_matches_enumeration(m):
         d = 1 << i
         expect = {x for x in big if trace_rel(ctx, ctx.mul(beta, ctx.pow(x, d + 1)), 1, 2 * i) == 0}
         cw = gold_support(ctx, i)
-        assert cw.elems == expect
+        assert elem_set(cw) == expect
         assert cw.weight == cw.claimed_distance == (1 << (2 * i - 1)) - (1 << (i - 1))
         assert cw.extended
 

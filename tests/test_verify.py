@@ -29,7 +29,15 @@ from bchmin.verify import (
     power_sums,
 )
 
-from conftest import covered_cells, min_poly, ref_clmul, rng, scalar_syndromes
+from conftest import (
+    covered_cells,
+    elem_array,
+    elem_set,
+    min_poly,
+    ref_clmul,
+    rng,
+    scalar_syndromes,
+)
 
 
 def _fixture(m):
@@ -110,7 +118,7 @@ def _table_free_claims(m):
         cw, _, _ = generate(ctx, i, m - 2 * i, seed=0)
         yield "valid", cw
         for _ in range(2):
-            bad = _mutate(ctx, cw.elems, "p1swap", rand)
+            bad = _mutate(ctx, elem_set(cw), "p1swap", rand)
             yield "p1", CodewordSupport(ctx, bad, cw.claimed_distance, cw.extended)
         if i == 3:
             yield "past3", CodewordSupport(ctx, cw.elems, 120, cw.extended)
@@ -137,7 +145,7 @@ def test_table_free_kernel_matches_scalar_reference(m, monkeypatch):
 def test_table_free_verification_uses_no_scalar_arithmetic(m, i, monkeypatch):
     ctx = default_field(m)
     cw, _, _ = generate(ctx, i, m - 2 * i, seed=0)
-    bad = _mutate(ctx, cw.elems, "p1swap", rng(m))
+    bad = _mutate(ctx, elem_set(cw), "p1swap", rng(m))
     bad = CodewordSupport(ctx, bad, cw.claimed_distance, cw.extended)
 
     def scalar(*args):
@@ -196,7 +204,7 @@ def test_mutated_fixture_fails_with_syndrome():
         swap = r.getrandbits(8)
         if swap and swap not in cw.elems:
             break
-    bad = CodewordSupport(ctx, (cw.elems - {dropped}) | {swap}, 27, False)
+    bad = CodewordSupport(ctx, (elem_set(cw) - {dropped}) | {swap}, 27, False)
     verdict = is_min_weight(bad)
     assert not verdict.member and not verdict.is_min_weight
     assert verdict.failing_syndrome is not None
@@ -209,8 +217,8 @@ def test_mutation_sensitivity_exhaustive(m):
     # every single-element swap must break membership
     ctx, cw = _fixture(m)
     outsider = next(x for x in range(1, 1 << m) if x not in cw.elems)
-    for x in cw.elems:
-        bad = CodewordSupport(ctx, (cw.elems - {x}) | {outsider}, 27, False)
+    for x in elem_set(cw):
+        bad = CodewordSupport(ctx, (elem_set(cw) - {x}) | {outsider}, 27, False)
         assert not is_min_weight(bad).member
 
 
@@ -324,7 +332,7 @@ def test_routes_agree(data):
     reps, k = _coset_counts(ctx.n, j_limit)
     assume(reps << r <= MAX_SCAN_GATHERS and k * -(-ctx.n // 64) <= MAX_CHECK_WORDS)
     elems = _mutate(ctx, _subspace_member(ctx, r, extended, rand), kind, rand)
-    nonzero = _nonzero(ctx, elems)
+    nonzero = _nonzero(ctx, elem_array(elems))
     event(_pick_route(ctx, j_limit, len(nonzero)))
     scanned = _first_failure(ctx, nonzero, j_limit, "scan")
     for product in (_shift_xor_mul, _fft_mul):  # the check with each product
@@ -424,7 +432,7 @@ def test_verdict_names_the_route():
     verdict = is_min_weight(CodewordSupport(ctx, bad, 1 << 10, True))
     assert verdict.route == "check" and not verdict.member
     assert verdict.failing_syndrome == _first_failure(
-        ctx, _nonzero(ctx, bad), (1 << 10) - 2, "scan"
+        ctx, _nonzero(ctx, elem_array(bad)), (1 << 10) - 2, "scan"
     )
 
 
@@ -496,7 +504,7 @@ def test_exact_fallback_keeps_verdicts(monkeypatch):
         cw, _, _ = generate(ctx, i, s, seed=0)
         claims.append(cw)
         for kind in ("p1swap", "swap"):
-            bad = _mutate(ctx, cw.elems, kind, rand)
+            bad = _mutate(ctx, elem_set(cw), kind, rand)
             claims.append(CodewordSupport(ctx, bad, cw.claimed_distance, cw.extended))
     verdicts = [is_min_weight(cw) for cw in claims]
     assert all(v.route == "check" for v in verdicts)
@@ -528,7 +536,7 @@ def _outcome(verdict):
 def _affine(spec, d):
     # the support is X + span(B) as a plain set, so that the route itself
     # refuses two x in one coset
-    support = frozenset(x ^ v for v in _span(spec.basis) for x in spec.x_set)
+    support = elem_array({x ^ v for v in _span(spec.basis) for x in spec.x_set})
     return is_min_weight_affine(spec.ctx, spec.x_set, spec.basis, d, support)
 
 
@@ -551,7 +559,7 @@ def _mutants_agree(spec, d, rand):
     rest = frozenset(rest)
     # one x moved inside its coset: the same S and the same verdict
     inside = SupportSpec(ctx, rest | {x ^ basis[-1]}, basis)
-    assert expand(inside).elems == expand(spec).elems
+    assert np.array_equal(expand(inside).elems, expand(spec).elems)
     assert _outcome(_affine(inside, d)) == _outcome(_affine(spec, d))
     # one x moved to a coset no x is in: p_1(Y) becomes A(x) + A(y) != 0
     outside = SupportSpec(ctx, rest | {_outsider(ctx, expand(spec).elems, rand)}, basis)
@@ -617,13 +625,14 @@ def test_affine_route_checks_the_support():
     cw, _, spec = generate(ctx, 2, 3, 1)
     claim = (ctx, spec.x_set, spec.basis, cw.claimed_distance)
     assert is_min_weight_affine(*claim, cw.elems).is_min_weight
-    shifts = (frozenset(x ^ c for x in cw.elems) for c in range(1, ctx.n + 1))
-    translated = next(e for e in shifts if e != cw.elems)
+    support = elem_set(cw)
+    shifts = (frozenset(x ^ c for x in support) for c in range(1, ctx.n + 1))
+    translated = next(e for e in shifts if e != support)
     assert is_min_weight(CodewordSupport(ctx, translated, cw.claimed_distance, True)).is_min_weight
-    for bad in (_mutate(ctx, cw.elems, "swap", rng(1)), cw.elems - {max(cw.elems)}, translated):
+    for bad in (_mutate(ctx, support, "swap", rng(1)), support - {max(support)}, translated):
         with pytest.raises(ValueError, match=r"support is not X \+ span\(B\)"):
-            is_min_weight_affine(*claim, bad)
+            is_min_weight_affine(*claim, elem_array(bad))
     with pytest.raises(ValueError, match="must lie in GF"):
-        is_min_weight_affine(*claim, cw.elems - {max(cw.elems)} | {1 << 10})
+        is_min_weight_affine(*claim, elem_array(support - {max(support)} | {1 << 10}))
     with pytest.raises(ValueError, match="elements of GF"):
         is_min_weight_affine(ctx, spec.x_set | {1 << 10}, spec.basis, cw.claimed_distance, cw.elems)
