@@ -62,12 +62,8 @@ class CodewordSupport:
     extended: bool
 
     def __post_init__(self):
-        elems = self.elems
-        if not isinstance(elems, np.ndarray):
-            try:
-                elems = np.fromiter(elems, dtype=np.int64)
-            except OverflowError as exc:
-                raise ValueError(f"support elements must lie in GF(2^{self.ctx.m})") from exc
+        # ints beyond int64 make an object (or float) array, refused below
+        elems = self.elems if isinstance(self.elems, np.ndarray) else np.array(list(self.elems))
         if np.count_nonzero(elems[1:] <= elems[:-1]):  # not sorted and distinct
             elems = np.sort(elems)
             if repeated := np.count_nonzero(elems[1:] == elems[:-1]):
