@@ -129,25 +129,33 @@ def _syndromes(ctx, nonzero, js):
 _MUL_BLOCK = 4096
 
 
+# Row t holds bit t of each byte value 0..255, as 0/1 words.
+_BYTE_BITS = (np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None]) & 1
+
+
+def _map_tables(cols) -> np.ndarray:
+    """Byte tables of the GF(2)-linear map with columns cols: row k, entry b
+    is the image of b << 8k, the XOR of the columns 8k + t over the set
+    bits t of b."""
+    padded = np.zeros(-(-len(cols) // 8) * 8, dtype=np.uint64)
+    padded[:len(cols)] = cols
+    return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 8, 1), axis=1)
+
+
 @lru_cache(maxsize=64)
 def _fold_tables(m: int, poly: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Constants of `_mul` in GF(2)[X] / poly, derived from (m, poly) alone:
     the bit shifts 0..m-1 as a column, the byte shifts 8k of the high half
-    of a product as a column, and the flat table whose entry 256k + b is
-    (b X^(m+8k)) mod poly, for the ceil((m-1)/8) bytes of that half."""
-    rows = -(-(m - 1) // 8)
-    table = np.zeros((rows, 256), dtype=np.uint64)
-    img = poly ^ (1 << m)  # X^m mod poly
-    for k in range(rows):
-        tab = np.zeros(1, dtype=np.uint64)
-        for _ in range(8):  # doubling: bit t of b adds X^(m+8k+t) mod poly
-            tab = np.concatenate((tab, tab ^ np.uint64(img)))
-            img <<= 1
-            if img >> m:
-                img ^= poly
-        table[k] = tab
+    of a product as a column, and the flat byte tables (`_map_tables`) of
+    the fold t -> X^(m+t) mod poly, t < m - 1, entry 256k + b for byte k of
+    that half."""
+    cols = [poly ^ (1 << m)]  # X^m mod poly, then times X up to X^(2m-2)
+    for _ in range(m - 2):
+        col = cols[-1] << 1
+        cols.append(col ^ poly if col >> m else col)
+    table = _map_tables(cols)
     bits = np.arange(m, dtype=np.uint64)[:, None]
-    shifts = np.arange(0, 8 * rows, 8, dtype=np.uint64)[:, None]
+    shifts = np.arange(0, 8 * len(table), 8, dtype=np.uint64)[:, None]
     return bits, shifts, table.ravel()
 
 
@@ -516,22 +524,11 @@ def _subspace_map(ctx, basis) -> tuple[list[int], int]:
     return cols, a0
 
 
-# Row t holds bit t of each byte value 0..255, as 0/1 words.
-_BYTE_BITS = (np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None]) & 1
-
-
-def _map_tables(cols) -> np.ndarray:
-    """Byte tables of the GF(2)-linear map with columns cols: row k, entry b
-    is the image of b << 8k, the XOR of the columns 8k + t over the set
-    bits t of b."""
-    padded = np.zeros(-(-len(cols) // 8) * 8, dtype=np.uint64)
-    padded[:len(cols)] = cols
-    return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 8, 1), axis=1)
-
-
 def _apply(tables, x: np.ndarray) -> np.ndarray:
     """The map of `_map_tables` on the uint64 field elements x: one gather
-    per byte."""
+    per byte; tables None is the identity, x itself."""
+    if tables is None:
+        return x
     img = tables[0][x & 0xFF]
     for k, tab in enumerate(tables[1:], 1):
         img ^= tab[(x >> (8 * k)) & 0xFF]
@@ -556,9 +553,11 @@ def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
     S = X + span(B), for X = x_set and B = basis, and as a minimum-weight
     codeword of eBCH(d) through Y = A_V(X) (see the module text): Y is
     checked by `is_min_weight` at the least even distance that covers
-    ceil(d / q); at ceil(d / q) = 1 nothing is left to check.  A failure
-    of Y at (E, p_E) is reported as S's (q(E + 1) - 1, a_0 p_E), and odd
-    |Y| as p_(q-1)(S) = a_0 when q > 1.  A dependent B, two elements of X
+    ceil(d / q); at ceil(d / q) = 1 nothing is left to check.  An empty B
+    is q = 1: A_V = T, applied as no map at all, so Y = X, the support must
+    be X itself, and Y is checked at d.  A failure of Y at (E, p_E) is
+    reported as S's (q(E + 1) - 1, a_0 p_E), and odd |Y| as
+    p_(q-1)(S) = a_0 when q > 1.  A dependent B, two elements of X
     in one coset of span(B), elements outside the field and a support
     other than X + span(B) raise ValueError."""
     if d % 2 or not 2 <= d <= ctx.n + 1:
@@ -566,7 +565,7 @@ def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
     if not all(0 <= x <= ctx.n for x in chain(x_set, basis)):
         raise ValueError(f"X and B must be elements of GF(2^{ctx.m})")
     cols, a0 = _subspace_map(ctx, basis)
-    tables = _map_tables(cols)
+    tables = _map_tables(cols) if basis else None  # A_V = T for an empty B
     y = np.sort(_apply(tables, np.fromiter(x_set, dtype=np.uint64, count=len(x_set))))
     if (y[1:] == y[:-1]).any():
         raise ValueError("two elements of X lie in one coset of span(B)")

@@ -405,13 +405,14 @@ def _translate_expanded_support(monkeypatch):
     ids=["swap", "move-x", "translate"],
 )
 def test_gate_refuses_a_faulty_construction(monkeypatch, capsys, fault, s):
-    # at (8, 2, s): 96 points through Y = A_V(X) (s = 0), 24 points with B
-    # of dimension 2 (s = 2) and 6 with B empty (s = 4) scanned directly.
+    # at (8, 2, s), each through Y = A_V(X): 96 points with B of dimension 4
+    # (s = 0), 24 with B of dimension 2 (s = 2) and 6 with B empty (s = 4).
     # The library raises, the CLI exits 2 and emits nothing, also when the
-    # emitted set verifies but is not the spec's X + span(B).  The affine
-    # route refuses a swapped set before any verdict; a scan names its verdict
+    # emitted set verifies but is not the spec's X + span(B).  The route
+    # refuses a swapped or translated set before any verdict, and names the
+    # verdict of Y when an x is moved out of its coset
     fault(monkeypatch)
-    outside = fault is _translate_expanded_support or (fault, s) == (_swap_one_expanded_element, 0)
+    outside = fault is not _move_one_x_out_of_its_coset
     reason = "support is not X + span(B)" if outside else "Verdict("
     message = "refusing to emit unverified support: " + reason
     with pytest.raises(construct.UnverifiedSupport, match=re.escape(message)):
@@ -479,7 +480,7 @@ _ODD_EXTENDED_CLAIM = b"m=8 poly=0x11d d=25 extended=1\n0x1,0x2\n"
         ),
         pytest.param(
             ["generate", "--m", "8", "--i", "2", "--s", "2"], {}, True,
-            EXIT_VERIFY_FAIL, "refusing to emit unverified support: Verdict(",
+            EXIT_VERIFY_FAIL, "refusing to emit unverified support: support is not X + span(B)",
             id="generate-refused",
         ),
         pytest.param(

@@ -620,19 +620,25 @@ def test_affine_route_agrees_on_random_claims():
 def test_affine_route_checks_the_support():
     # the route certifies only the set X + span(B) itself: a swapped, a
     # dropped and a translated element set (the last still a minimum-weight
-    # codeword) are refused, and so are elements outside the field
+    # codeword) are refused, and so are elements outside the field; at
+    # s = 6, B is empty (q = 1) and the set must be X itself
     ctx = default_field(10)
-    cw, _, spec = generate(ctx, 2, 3, 1)
-    claim = (ctx, spec.x_set, spec.basis, cw.claimed_distance)
-    assert is_min_weight_affine(*claim, cw.elems).is_min_weight
-    support = elem_set(cw)
-    shifts = (frozenset(x ^ c for x in support) for c in range(1, ctx.n + 1))
-    translated = next(e for e in shifts if e != support)
-    assert is_min_weight(CodewordSupport(ctx, translated, cw.claimed_distance, True)).is_min_weight
-    for bad in (_mutate(ctx, support, "swap", rng(1)), support - {max(support)}, translated):
-        with pytest.raises(ValueError, match=r"support is not X \+ span\(B\)"):
-            is_min_weight_affine(*claim, elem_array(bad))
-    with pytest.raises(ValueError, match="must lie in GF"):
-        is_min_weight_affine(*claim, elem_array(support - {max(support)} | {1 << 10}))
-    with pytest.raises(ValueError, match="elements of GF"):
-        is_min_weight_affine(ctx, spec.x_set | {1 << 10}, spec.basis, cw.claimed_distance, cw.elems)
+    for s in (3, 6):
+        cw, _, spec = generate(ctx, 2, s, 1)
+        assert len(spec.basis) == 6 - s
+        claim = (ctx, spec.x_set, spec.basis, cw.claimed_distance)
+        assert is_min_weight_affine(*claim, cw.elems).is_min_weight
+        support = elem_set(cw)
+        shifts = (frozenset(x ^ c for x in support) for c in range(1, ctx.n + 1))
+        translated = next(e for e in shifts if e != support)
+        translated_cw = CodewordSupport(ctx, translated, cw.claimed_distance, True)
+        assert is_min_weight(translated_cw).is_min_weight
+        for bad in (_mutate(ctx, support, "swap", rng(1)), support - {max(support)}, translated):
+            with pytest.raises(ValueError, match=r"support is not X \+ span\(B\)"):
+                is_min_weight_affine(*claim, elem_array(bad))
+        with pytest.raises(ValueError, match="must lie in GF"):
+            is_min_weight_affine(*claim, elem_array(support - {max(support)} | {1 << 10}))
+        with pytest.raises(ValueError, match="elements of GF"):
+            is_min_weight_affine(
+                ctx, spec.x_set | {1 << 10}, spec.basis, cw.claimed_distance, cw.elems
+            )
