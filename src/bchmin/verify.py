@@ -37,6 +37,22 @@ eBCH(d) iff Y lies in eBCH(d / q), Kasami and Lin's down-conversion (IEEE
 Trans. IT, 1972) as an iff, and a failure of Y maps back to S exactly.
 For the paper's supports d / q = |X| is 6, 28 or 120.
 
+`is_min_weight` takes that route for a plain extended support too, when
+the cost rule prices it below the scan and the check and the claim passes
+p_1: it searches the translation stabilizer {v : S + v = S} of S, a
+subspace, for a basis B (`_stabilizer`).  Every v in it lies in S + s_0;
+those candidates are kept only if they move _PROBES elements of S into S,
+and a kept one, reduced by the basis so far, is checked on one element x
+of each coset of span(B) in S: x + v in S for all of them.  A failed check
+names an x with x + v outside S, which filters the candidates again, and
+the search stops after 2m failed checks.  Successes halve the elements
+checked, so the search makes at most (_PROBES + 2 + 4m) |S| lookups, and
+is priced at (_PROBES + m) |S|.  With B found, X is the elements of S
+whose bits at the top bits of B are 0, and the affine route certifies
+(X, B, d, S), re-checking S = X + span(B) itself; a claim whose search
+finds no B takes the scan or the check, whichever is cheaper.  The affine
+route's own check of Y never searches.
+
 This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element arrays (anything with ctx,
 claimed_distance, extended attributes and elems, the distinct support
@@ -70,6 +86,17 @@ _SHIFT_XOR_NS_PER_WORD = 3.1
 _FFT_NS_PER_TRANSFORM = 300e3
 _FFT_NS_PER_PAIR = 24e3
 _CHECK_POLY_NS_PER_LEADER = 13.4e3
+# Measured later on a 2-vCPU Xeon, where the scan's gather took 7.8 ns, and
+# scaled by 7.2 / 7.8: one lookup of the stabilizer search (a sorted search,
+# a gather and a compare per element; 35-55 ns at 256..10^6 points), and
+# one element of one array product of the power walk (`_mul`, 80-130 ns at
+# m = 25..32).
+_LOOKUP_NS = 40
+_WALK_NS_PER_ELEMENT = 90
+
+# The stabilizer search tries every candidate on this many elements of S
+# before any full check.
+_PROBES = 4
 
 # The FFT product cuts both operands into blocks of _BLOCK coefficients, so
 # every block product has under _FFT_LEN coefficients and every transform
@@ -211,15 +238,16 @@ def _coset_leaders(m: int, lo: int, hi: int):
     rotations, 2j mod n being j rotated left in m bits (int64 holds the
     shifted j for every m <= 32).  A leader is odd, since an even j has j / 2
     in its coset, and below 2^(m-1), since a larger j has 2j - n; a coset
-    meets [1, L] iff its leader does.  Blocks grow from 32 odd j, so a scan
-    that fails at p_3 builds one small block, up to 2048 odd j, whose m - 1
+    meets [1, L] iff its leader does.  Blocks grow from 64 odd j, so a scan
+    that fails at p_3 builds one small block, and so does the scan of the
+    leaders to 118 that a 120-point Y passes; up to 2048 odd j, whose m - 1
     rotations take under 0.5 MB (larger blocks measured slower)."""
-    n, size, t = (1 << m) - 1, 32, np.arange(1, m)[:, None]
+    n, size, t = (1 << m) - 1, 64, np.arange(1, m)[:, None]
     lo, hi = lo | 1, min(hi, 1 << (m - 1))
     while lo < hi:
         j = np.arange(lo, min(lo + 2 * size, hi), 2, dtype=np.int64)
         rot = ((j << t) | (j >> (m - t))) & n  # row t - 1 holds 2^t j mod n
-        yield j[(rot >= j).all(axis=0)]
+        yield j[rot.min(axis=0) >= j]
         lo, size = lo + 2 * size, min(2 * size, 2048)
 
 
@@ -276,25 +304,37 @@ def _fft_ns(len_a: int, len_b: int) -> float:
     return transforms * _FFT_NS_PER_TRANSFORM + na * nb * _FFT_NS_PER_PAIR
 
 
-def _pick_route(ctx, j_limit: int, size: int) -> str:
-    """The cheaper route past p_1, from (n, L, |S|) alone; with L < 3
-    there is nothing past p_1, and without logs no check route.  The check
-    is priced as the cheaper product of c (|S| terms, n coefficients) and
-    h (k + 1 coefficients, about half of them terms), plus building h from
-    the leaders above L: h is cached per (field, L), but a route that
-    depended on the cache would differ between two calls on one claim."""
-    if not ctx.has_logs or j_limit < 3:
+def _pick_route(ctx, j_limit: int, size: int, searchable: bool) -> str:
+    """The cheapest route past p_1, from (n, L, |S|) alone; with L < 3
+    there is nothing past p_1, and without logs no check route.  The scan
+    is one gather per leader and element with logs, and one array product
+    per odd j and element without.  The check is priced as the cheaper
+    product of c (|S| terms, n coefficients) and h (k + 1 coefficients,
+    about half of them terms), plus building h from the leaders above L: h
+    is cached per (field, L), but a route that depended on the cache would
+    differ between two calls on one claim.  A searchable claim (extended,
+    of even weight, with syndromes to check) may take "affine", the
+    stabilizer search priced at (_PROBES + m) |S| lookups; ties go to the
+    scan, then the check."""
+    if j_limit < 3:
         return "scan"
-    n = ctx.n
-    reps, k = _coset_counts(n, j_limit)
-    scan_ns = (reps - 1) * size * _SCAN_NS_PER_GATHER
-    build_ns = (_necklaces(ctx.m) - 2 - reps) * _CHECK_POLY_NS_PER_LEADER
-    if size <= k // 2 + 1:  # c is the sparser operand
-        terms, dense_len = size, k + 1
+    if ctx.has_logs:
+        n = ctx.n
+        reps, k = _coset_counts(n, j_limit)
+        build_ns = (_necklaces(ctx.m) - 2 - reps) * _CHECK_POLY_NS_PER_LEADER
+        if size <= k // 2 + 1:  # c is the sparser operand
+            terms, dense_len = size, k + 1
+        else:
+            terms, dense_len = k // 2 + 1, n
+        costs = {
+            "scan": (reps - 1) * size * _SCAN_NS_PER_GATHER,
+            "check": build_ns + min(_shift_xor_ns(terms, dense_len), _fft_ns(n, k + 1)),
+        }
     else:
-        terms, dense_len = k // 2 + 1, n
-    check_ns = build_ns + min(_shift_xor_ns(terms, dense_len), _fft_ns(n, k + 1))
-    return "check" if check_ns < scan_ns else "scan"
+        costs = {"scan": j_limit // 2 * size * _WALK_NS_PER_ELEMENT}
+    if searchable:
+        costs["affine"] = (_PROBES + ctx.m) * size * _LOOKUP_NS
+    return min(costs, key=costs.get)
 
 
 def _scan(ctx, nonzero, js) -> tuple[int, int] | None:
@@ -471,7 +511,14 @@ def _first_failure(ctx, nonzero, j_limit: int, route: str) -> tuple[int, int] | 
 
 def is_min_weight(cw) -> Verdict:
     """Certify the support as a minimum-weight codeword: membership plus
-    weight exactly equal to the claimed designed distance."""
+    weight exactly equal to the claimed designed distance.  An extended
+    claim may be certified through the translation stabilizer of its
+    support and the affine route (see the module text)."""
+    return _verdict(cw, search=True)
+
+
+def _verdict(cw, search: bool) -> Verdict:
+    """`is_min_weight`, with the stabilizer search only if search is set."""
     ctx, d = cw.ctx, cw.claimed_distance
     if not 2 <= d <= ctx.n + 1:
         raise ValueError(f"claimed distance must be in 2..{ctx.n + 1}, got {d}")
@@ -486,10 +533,17 @@ def is_min_weight(cw) -> Verdict:
         refused = 0 in cw.elems
         j_limit = d - 1
     nonzero = _nonzero(ctx, cw.elems)
-    route = _pick_route(ctx, j_limit, len(nonzero))
+    checked = not refused and len(nonzero) > 0 and j_limit > 0
+    route = _pick_route(ctx, j_limit, len(nonzero), search and cw.extended and checked)
     fail = None
-    if not refused and len(nonzero) and j_limit:
-        fail = _first_failure(ctx, nonzero, j_limit, route)
+    if route == "affine":  # a searchable claim, so a checked one
+        fail = _scan(ctx, nonzero, (1,))
+        basis, x_set = _stabilizer(cw.elems, ctx.m) if fail is None else ([], None)
+        if basis:
+            return is_min_weight_affine(ctx, x_set.tolist(), basis, d, cw.elems)
+        route = _pick_route(ctx, j_limit, len(nonzero), False)
+    if checked:
+        fail = fail or _first_failure(ctx, nonzero, j_limit, route)
     member = not refused and fail is None
     weight = len(cw.elems)
     return Verdict(
@@ -500,6 +554,43 @@ def is_min_weight(cw) -> Verdict:
         failing_syndrome=fail,
         route=route,
     )
+
+
+def _inside(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each uint64 element of y lies in the sorted array s."""
+    return s[np.minimum(np.searchsorted(s, y), len(s) - 1)] == y
+
+
+def _witness(s: np.ndarray, x_set: np.ndarray, v):
+    """The first x in x_set with x + v outside S, or None if there is none:
+    the full check of a candidate v of the stabilizer search."""
+    kept = _inside(s, x_set ^ v)
+    return None if kept.all() else x_set[np.argmin(kept)]
+
+
+def _stabilizer(s: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
+    """(B, X) for the sorted distinct uint64 elements s, at least two: B a
+    basis, with distinct top bits, of a subspace V of {v : S + v = S}, and
+    X the elements of S whose bits at those top bits are 0, one per coset
+    of V, so S = X + V.  V is the whole stabilizer unless 2m full checks
+    failed first (see the module text)."""
+    cand = s[1:] ^ s[0]  # S + s_0, 0 left out
+    for p in s[len(s) * np.arange(1, _PROBES + 1) // (_PROBES + 1)]:
+        cand = cand[_inside(s, cand ^ p)]
+    basis, x_set, failed = [], s, 0
+    while len(cand) and failed < 2 * m:
+        v = cand[0]
+        x = _witness(s, x_set, v)
+        if x is None:  # S + v lies in S, since S = X + span(basis)
+            basis.append(int(v))
+            top = np.uint64(1 << (int(v).bit_length() - 1))
+            cand = np.where(cand & top, cand ^ v, cand)  # reduced by v: 0 when in the span
+            cand = cand[cand != 0]
+            x_set = x_set[(x_set & top) == 0]
+        else:
+            failed += 1
+            cand = cand[_inside(s, cand ^ x)]  # v goes, and every c with x + c outside S
+    return basis, x_set
 
 
 # -- the affine route: X + span(B) through the subspace polynomial of span(B) ---
@@ -543,9 +634,7 @@ def _spans(ctx, tables, y_sorted: np.ndarray, q: int, s: np.ndarray) -> bool:
         raise ValueError(f"support elements must lie in GF(2^{ctx.m})")
     if len(s) != len(y_sorted) * q:
         return False
-    img = _apply(tables, s)
-    at = np.minimum(np.searchsorted(y_sorted, img), len(y_sorted) - 1)
-    return bool((y_sorted[at] == img).all())
+    return bool(_inside(y_sorted, _apply(tables, s)).all())
 
 
 def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
@@ -575,7 +664,7 @@ def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
     member, fail, d_y = True, None, -(-d // q)
     if d_y >= 2:
         claim = SimpleNamespace(ctx=ctx, elems=y, claimed_distance=d_y + d_y % 2, extended=True)
-        y_verdict = is_min_weight(claim)
+        y_verdict = _verdict(claim, search=False)
         member = y_verdict.member
         if y_verdict.failing_syndrome is not None:
             e, p_e = y_verdict.failing_syndrome

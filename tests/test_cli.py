@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bchmin
-from bchmin import cli, construct, gflinalg
+from bchmin import cli, construct, gflinalg, verify
 from bchmin.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -776,6 +776,30 @@ def test_verify_prints_the_route(tmp_path, capsys):
     path.write_text(out)
     code, out = _run(capsys, ["verify", str(path)])
     assert code == EXIT_OK and json.loads(out)["route"] == "scan"
+    # in between, the stabilizer search: stdout differs from the scan's and
+    # the check's only in the route
+    code, out = _run(capsys, ["generate", "--m", "12", "--i", "4", "--s", "2"])
+    path.write_text(out)
+    code, out = _run(capsys, ["verify", str(path)])
+    assert code == EXIT_OK and json.loads(out)["route"] == "affine"
+    for route in ("scan", "check"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_pick_route", lambda *args: route)
+            forced = _run(capsys, ["verify", str(path)])
+        assert forced == (code, out.replace('"affine"', f'"{route}"')), route
+
+
+def test_verify_of_a_large_generated_file_is_fast(tmp_path):
+    # the (25, 2, 6) support, 196,608 points on a field without log tables:
+    # the scan walks about 98,000 array products of the whole support, and
+    # took over 150 s; its stabilizer, of dimension 15, leaves 6 points
+    path = tmp_path / "m25.bits"
+    child = _cli_child(["generate", "--m", "25", "--i", "2", "--s", "6", "--format", "bits"], 60)
+    assert child.returncode == EXIT_OK, child.stderr
+    path.write_text(child.stdout)
+    child = _cli_child(["verify", str(path)], timeout=10)
+    assert child.returncode == EXIT_OK, child.stderr
+    assert json.loads(child.stdout)["route"] == "affine"
 
 
 # -- verify: fuzzed files ---------------------------------------------------------

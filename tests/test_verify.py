@@ -8,7 +8,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bchmin import verify
-from bchmin.construct import CodewordSupport, SupportSpec, expand, generate
+from bchmin.construct import CodewordSupport, SupportSpec, expand, generate, puncture
 from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from bchmin.gf2m import default_field
 from bchmin.verify import (
@@ -23,6 +23,7 @@ from bchmin.verify import (
     _nonzero,
     _pick_route,
     _shift_xor_mul,
+    _witness,
     designed_distance,
     is_min_weight,
     is_min_weight_affine,
@@ -333,7 +334,7 @@ def test_routes_agree(data):
     assume(reps << r <= MAX_SCAN_GATHERS and k * -(-ctx.n // 64) <= MAX_CHECK_WORDS)
     elems = _mutate(ctx, _subspace_member(ctx, r, extended, rand), kind, rand)
     nonzero = _nonzero(ctx, elem_array(elems))
-    event(_pick_route(ctx, j_limit, len(nonzero)))
+    event(_pick_route(ctx, j_limit, len(nonzero), extended and len(elems) % 2 == 0))
     scanned = _first_failure(ctx, nonzero, j_limit, "scan")
     for product in (_shift_xor_mul, _fft_mul):  # the check with each product
         with pytest.MonkeyPatch.context() as patch:
@@ -410,13 +411,21 @@ def test_coset_leaders_windows_match_brute_force(m):
 def test_route_pick_follows_cost():
     # m = 16 extended claims of d(16, s, i): the check route below the
     # crossover at s = 2 / 3 for i = 2 and s = 3 / 4 for i = 3, 4, the scan
-    # above it and for small d
+    # above it and for small d; a searchable claim takes the stabilizer
+    # search from s = 2 to s = 6 (7 at i = 4), where (4 + 16) d lookups
+    # undercut both
     ctx = default_field(16)
-    for i, last_check in ((2, 2), (3, 3), (4, 3)):
+    for i, last_check, last_affine in ((2, 2, 6), (3, 3, 6), (4, 3, 7)):
         for s in range(17 - 2 * i):
             d = designed_distance(16, s, i)
-            assert _pick_route(ctx, d - 2, d) == ("check" if s <= last_check else "scan"), (i, s)
-    assert _pick_route(default_field(25), (1 << 20) - 2, 1 << 20) == "scan"  # no logs
+            unsearched = _pick_route(ctx, d - 2, d, False)
+            assert unsearched == ("check" if s <= last_check else "scan"), (i, s)
+            expect = "affine" if 2 <= s <= last_affine else unsearched
+            assert _pick_route(ctx, d - 2, d, True) == expect, (i, s)
+    # no logs: the power walk, or the search when it is searchable
+    assert _pick_route(default_field(25), (1 << 20) - 2, 1 << 20, False) == "scan"
+    assert _pick_route(default_field(25), (1 << 20) - 2, 1 << 20, True) == "affine"
+    assert _pick_route(default_field(25), 4, 6, True) == "scan"
 
 
 def test_verdict_names_the_route():
@@ -426,6 +435,12 @@ def test_verdict_names_the_route():
     assert big.is_min_weight and big.route == "check"
     small = is_min_weight(CodewordSupport(ctx, frozenset(_span([1, 2, 4])), 8, True))
     assert small.is_min_weight and small.route == "scan"
+    # between them, an extended claim is certified through its stabilizer,
+    # and with the search priced out it takes the cheaper of the other two
+    cw, _, _ = generate(ctx, 4, 2, seed=0)
+    assert is_min_weight(cw).is_min_weight and is_min_weight(cw).route == "affine"
+    assert _forced(cw, "scan").route == "scan" and _forced(cw, "check").route == "check"
+    assert _pick_route(ctx, cw.claimed_distance - 2, len(cw.elems), False) == "scan"
     # a rejection through the check route still names the first failing
     # syndrome the scan finds
     bad = _mutate(ctx, space, "swap", rng(5))
@@ -497,7 +512,8 @@ def test_fft_products_of_zero_and_one():
 def test_exact_fallback_keeps_verdicts(monkeypatch):
     # with the residue bound at 0 every rounded block is refused and
     # recomputed by shift-XOR: verdicts and first failing syndromes of
-    # members and mutants on the FFT check route are unchanged
+    # members and mutants on the FFT check route are unchanged.  The members
+    # at s = 2 take the affine route by default, so the check is forced.
     ctx, rand = default_field(16), rng(11)
     claims = []
     for i, s in ((2, 1), (2, 2), (3, 2)):
@@ -506,7 +522,11 @@ def test_exact_fallback_keeps_verdicts(monkeypatch):
         for kind in ("p1swap", "swap"):
             bad = _mutate(ctx, elem_set(cw), kind, rand)
             claims.append(CodewordSupport(ctx, bad, cw.claimed_distance, cw.extended))
+    default = [is_min_weight(cw) for cw in claims]
+    assert [v.route for v in default] == ["check"] * 3 + ["affine", "check", "check"] * 2
+    monkeypatch.setattr(verify, "_pick_route", lambda *args: "check")
     verdicts = [is_min_weight(cw) for cw in claims]
+    assert [_outcome(v) for v in verdicts] == [_outcome(v) for v in default]
     assert all(v.route == "check" for v in verdicts)
     assert [v.is_min_weight for v in verdicts] == [True, False, False] * 3
     exact_blocks = []
@@ -530,7 +550,32 @@ def test_exact_fallback_keeps_verdicts(monkeypatch):
 
 
 def _outcome(verdict):
-    return verdict.member, verdict.is_min_weight, verdict.failing_syndrome
+    return verdict.member, verdict.is_min_weight, verdict.failing_syndrome, verdict.weight
+
+
+def _forced(cw, route):
+    """is_min_weight(cw) with the route forced; "affine" forces the
+    stabilizer search on every searchable claim, and the cost rule picks the
+    route of a claim whose search finds nothing."""
+    pick = verify._pick_route
+
+    def forced(ctx, j_limit, size, searchable):
+        if route != "affine":
+            return route
+        return "affine" if searchable else pick(ctx, j_limit, size, False)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_pick_route", forced)
+        return is_min_weight(cw)
+
+
+def _routes_agree(cw):
+    """The default verdict of cw, asserted equal to the verdicts with the
+    search, the scan and the check forced, but for the route."""
+    default = is_min_weight(cw)
+    for route in ("affine", "scan", "check"):
+        assert _outcome(_forced(cw, route)) == _outcome(default), route
+    return default
 
 
 def _affine(spec, d):
@@ -542,14 +587,12 @@ def _affine(spec, d):
 
 def _agrees(spec, d):
     """The affine verdict of spec at d, asserted equal to the scan's and the
-    check's on the expanded support."""
+    check's on the expanded support, and to its default verdict and the
+    one through the stabilizer search."""
     affine = _affine(spec, d)
     assert affine.route == "affine" and affine.weight == spec.weight
     cw = CodewordSupport(spec.ctx, expand(spec).elems, d, True)
-    for route in ("scan", "check"):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verify, "_pick_route", lambda *args: route)
-            assert _outcome(is_min_weight(cw)) == _outcome(affine), route
+    assert _outcome(_routes_agree(cw)) == _outcome(affine)
     return affine
 
 
@@ -642,3 +685,105 @@ def test_affine_route_checks_the_support():
             is_min_weight_affine(
                 ctx, spec.x_set | {1 << 10}, spec.basis, cw.claimed_distance, cw.elems
             )
+
+
+# -- the stabilizer search ------------------------------------------------------
+
+
+def _stabilizer_dim(elems) -> int:
+    """log2 of |{v : S + v = S}|, by trying every v in S + s_0."""
+    s = elem_array(elems)
+    count = sum(bool(np.array_equal(np.sort(s ^ v), s)) for v in (s ^ s[0]).tolist())
+    return count.bit_length() - 1
+
+
+@pytest.mark.parametrize("m", range(4, 14))
+def test_default_verdict_agrees_on_mutants(m):
+    # every grid support at m (its spec's moved-coset mutants are in
+    # `_mutants_agree`), one p_1-preserving swap of it and its claim at
+    # d + 2: the default verdict equals the forced search's, scan's and
+    # check's; up to 512 points the search finds the whole stabilizer.  The
+    # punctured claim keeps the route of the cost rule and never searches.
+    rand = rng(100 + m)
+    for _, i, s, method in (cell for cell in covered_cells() if cell[0] == m):
+        cw, _, _ = generate(default_field(m), i, s, 1, method)
+        ctx, d, support = cw.ctx, cw.claimed_distance, elem_set(cw)
+        swapped = _mutate(ctx, support, "p1swap", rand)
+        for elems, claimed in ((support, d), (swapped, d), (support, d + 2)):
+            verdict = _routes_agree(CodewordSupport(ctx, elems, claimed, True))
+            assert verdict.is_min_weight == (elems is support and claimed == d), (i, s)
+            if len(elems) <= 512:
+                basis, _ = verify._stabilizer(elem_array(elems), m)
+                assert len(basis) == _stabilizer_dim(elems), (i, s)
+        punctured = puncture(cw, int(cw.elems[0]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_stabilizer", None)  # a search would raise
+            verdict = _routes_agree(punctured)
+        assert verdict.is_min_weight
+        expect = _pick_route(ctx, d - 2, len(_nonzero(ctx, punctured.elems)), False)
+        assert verdict.route == expect, (i, s)
+
+
+def test_search_finds_a_stabilizer_larger_than_b():
+    # a translate of an r-dimensional subspace, given as X + span(B) with
+    # |X| = 2 and r - 1 basis vectors: the search finds all r dimensions,
+    # so Y is one point, and the verdicts at d = 2^r (a member) and 2^r + 2
+    # (failing at p_(2^r - 1)) agree with the scan's and the check's
+    rand = rng(31)
+    for m in (6, 9, 12):
+        ctx = default_field(m)
+        for r in (2, m // 2, m - 1):
+            basis = _subspace_basis(ctx, r, rand)
+            a = rand.getrandbits(m)
+            spec = SupportSpec(ctx, frozenset({a, a ^ basis[-1]}), tuple(basis[:-1]))
+            elems = expand(spec).elems
+            assert len(verify._stabilizer(elems, m)[0]) == r
+            for d in (1 << r, (1 << r) + 2):
+                verdict = _routes_agree(CodewordSupport(ctx, elems, d, True))
+                assert verdict.member == (d == 1 << r), (m, r, d)
+                if d > 1 << r:
+                    assert verdict.failing_syndrome[0] == (1 << r) - 1
+
+
+def test_search_without_symmetry_falls_back():
+    # Gold supports at their own s and gk supports have no translation
+    # symmetry: the forced search finds none, and the claim, its
+    # p_1-preserving swap and its claim at d + 2 take the scan or the check
+    rand = rng(41)
+    for m, i, s, method in (
+        (8, 2, 4, "gold"), (12, 3, 6, "gold"), (16, 4, 8, "gold"),
+        (8, 2, 4, "gk"), (12, 2, 8, "gk"), (16, 2, 12, "gk"),
+    ):
+        cw, _, spec = generate(default_field(m), i, s, 1, method)
+        assert not spec.basis and _stabilizer_dim(elem_set(cw)) == 0
+        assert verify._stabilizer(cw.elems, m)[0] == []
+        ctx, d = cw.ctx, cw.claimed_distance
+        swapped = _mutate(ctx, elem_set(cw), "p1swap", rand)
+        for elems, claimed in ((cw.elems, d), (swapped, d), (cw.elems, d + 2)):
+            claim = CodewordSupport(ctx, elems, claimed, True)
+            _routes_agree(claim)
+            searched = _forced(claim, "affine")
+            size = len(_nonzero(ctx, claim.elems))
+            assert searched.route == _pick_route(ctx, claimed - 2, size, False)
+
+
+def test_stabilizer_search_caps_failed_checks(monkeypatch):
+    # S = W + (h + W less e1, e2) + {z, z + e1 + e2}, with W the 256
+    # elements below 2^8, at m = 12: p_1 = 0 and |S| is even; every nonzero
+    # w in W but four passes the probes, and only e1 + e2 = 0xff, the last
+    # of them, stabilizes S.  Each failed check's witness removes about two
+    # candidates, so the search gives up after 2m = 24 failed checks.
+    ctx = default_field(12)
+    e1, e2, h, z = 0x80, 0x7F, 0x100, 0x200
+    low = set(range(256))
+    elems = low | {h ^ w for w in low - {e1, e2}} | {z, z ^ e1 ^ e2}
+    assert reduce(xor, elems) == 0 and len(elems) % 2 == 0
+    assert _stabilizer_dim(elems) == 1
+    checks = []
+    monkeypatch.setattr(verify, "_witness", lambda *args: checks.append(1) or _witness(*args))
+    assert verify._stabilizer(elem_array(elems), 12)[0] == []
+    assert len(checks) == 2 * 12
+    checks.clear()
+    verdict = _forced(CodewordSupport(ctx, elems, len(elems), True), "affine")
+    assert len(checks) == 2 * 12 and verdict.route != "affine"
+    _routes_agree(CodewordSupport(ctx, elems, len(elems), True))
