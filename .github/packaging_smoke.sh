@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Packaging smoke test: generate and verify one support per method, format
+# and arithmetic path, and check the exit codes of the refusals.  Runs in
+# the current directory, which it fills with the files it writes.  The
+# command is ${BCHMIN:-bchmin}: the installed entry point by default, or,
+# from a checkout,
+#   PYTHONPATH=src BCHMIN="python -m bchmin.cli" bash .github/packaging_smoke.sh
+set -e
+bchmin() { command ${BCHMIN:-bchmin} "$@"; }
+bchmin generate --m 8 --i 3 --s 2 > s.json
+bchmin verify s.json
+bchmin table t23
+bchmin generate --m 32 --i 4 --s 22 > big.json
+bchmin verify big.json
+bchmin generate --m 29 --i 3 --s 23 --poly 0x20000017 > foreign.json
+bchmin verify foreign.json
+bchmin generate --m 16 --i 4 --s 0 --method gold > gold.json
+bchmin verify gold.json
+grep -q '"B"' gold.json
+bchmin generate --m 8 --i 2 --s 1 --method gk > gk.json
+bchmin verify gk.json
+grep -q '"B"' gk.json
+bchmin generate --m 15 --i 2 --s 3 --method i2composite > composite.json
+bchmin verify composite.json
+bchmin generate --m 8 --i 3 --s 1 --method i3heuristic > heuristic.json
+bchmin verify heuristic.json
+bchmin generate --m 10 --i 2 --s 3 --format logsupport > s.log
+bchmin verify s.log
+bchmin generate --m 16 --i 3 --s 3 > dense.json
+bchmin verify dense.json > dense_verdict.json
+grep -q '"route": "affine"' dense_verdict.json
+bchmin generate --m 16 --i 3 --s 2 > fft.json
+bchmin verify fft.json > fft_verdict.json
+grep -q '"route": "affine"' fft_verdict.json
+# punctured claims never search: the same supports, punctured at
+# their least element, keep the check route and its FFT product
+puncture='import sys; from bchmin import cli, construct; cw = cli.parse_support_file(sys.stdin.read()); print(cli.render_logsupport(cw.ctx, construct.puncture(cw, int(cw.elems[0]))), end="")'
+python -c "$puncture" < dense.json > dense_punctured.log
+bchmin verify dense_punctured.log > dense_punctured_verdict.json
+grep -q '"route": "check"' dense_punctured_verdict.json
+python -c "$puncture" < fft.json > fft_punctured.log
+bchmin verify fft_punctured.log > fft_punctured_verdict.json
+grep -q '"route": "check"' fft_punctured_verdict.json
+bchmin generate --m 25 --i 2 --s 6 --format bits > m25.bits
+bchmin verify m25.bits
+bchmin generate --m 16 --i 2 --s 0 > wide.json
+bchmin verify wide.json
+bchmin generate --m 16 --i 2 --s 0 --format bits > wide.bits
+bchmin verify wide.bits
+bchmin generate --m 26 --i 2 --s 18 --format logsupport > hex.log
+bchmin verify hex.log
+bchmin generate --m 32 --i 2 --s 28 --seed 0 > chain.json
+bchmin verify chain.json
+bchmin generate --m 30 --i 2 --s 24 --seed 3 --method gk > lift.json
+bchmin verify lift.json
+code=0; bchmin generate --m 9 --i 4 || code=$?; test "$code" = 3
+code=0; bchmin generate --m 7 --i 3 --retries 0 || code=$?; test "$code" = 4
+code=0; bchmin generate --m 9 --i 2 --retries -1 || code=$?; test "$code" = 5
+code=0; bchmin generate --m 8 --i 2 --s 1 --method gk --retries 0 || code=$?; test "$code" = 4
+code=0; bchmin generate --m x --i 2 || code=$?; test "$code" = 5
+printf '{' > brace.json
+code=0; bchmin verify brace.json || code=$?; test "$code" = 5

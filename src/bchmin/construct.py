@@ -99,7 +99,8 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
     The solution entries are completed to a basis, whose trace-dual basis
     b'_1..b'_m splits into quadratic-form generators (first 2i), the
     annihilated directions (next s), and the free subspace part.  With A
-    the annihilator of span(b'_{2i+1}, ..., b'_{2i+s}), the support is
+    the annihilator of span(b'_{2i+1}, ..., b'_{2i+s}), evaluated only at
+    the m - s other dual vectors (about m*s - s^2/2 products), the support is
       { row-combinations of A(b'_1), ..., A(b'_2i) } + span of the A-images
     of the remaining dual vectors.
     """
@@ -109,9 +110,9 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
         raise UncoveredCase(f"s must be in 0..{m - 2 * i}, got {s}")
     basis = gflinalg.complete_to_basis(ctx, list(sol.b))
     dual = gflinalg.dual_basis(ctx, basis)
-    ann = linearized.annihilator(ctx, dual[2 * i : 2 * i + s])
-    gens = tuple(linearized.lin_eval(ann, bp) for bp in dual[: 2 * i])
-    tail = tuple(linearized.lin_eval(ann, bp) for bp in dual[2 * i + s :])
+    collapsed = dual[2 * i : 2 * i + s]
+    images = linearized.subspace_images(ctx, collapsed, dual[: 2 * i] + dual[2 * i + s :])
+    gens, tail = tuple(images[: 2 * i]), tuple(images[2 * i :])
     assert gflinalg.independent(ctx, gens + tail)
     sums = gflinalg.span(gens)
     x_set = {sums[row] for row in quadform_rows(i)}
@@ -132,9 +133,9 @@ def expand(spec: SupportSpec) -> CodewordSupport:
 
 
 def down_convert(cw: CodewordSupport, V_basis) -> CodewordSupport:
-    """Image A(S) of the support under the annihilator A of span(V_basis):
-    collapses each coset of the subspace to a point and divides the
-    distance by 2^s."""
+    """Image A(S) of the support under the annihilator A of span(V_basis),
+    evaluated at its points only, s products each: collapses each coset of
+    the subspace to a point and divides the distance by 2^s."""
     if not cw.extended:
         raise ValueError("down-conversion applies to extended supports")
     ctx = cw.ctx
@@ -146,20 +147,20 @@ def down_convert(cw: CodewordSupport, V_basis) -> CodewordSupport:
     for v in V_basis:  # S + v, sorted, is S again
         if not np.array_equal(np.sort(cw.elems ^ np.uint64(v)), cw.elems):
             raise ValueError("support is not a union of cosets of span(V)")
-    ann = linearized.annihilator(ctx, V_basis)
-    image = {linearized.lin_eval(ann, x) for x in cw.elems.tolist()}
+    image = set(linearized.subspace_images(ctx, V_basis, cw.elems.tolist()))
     assert len(image) == len(cw.elems) >> s
     return CodewordSupport(ctx, image, new_d, extended=True)
 
 
 def _lift(cw: CodewordSupport, U_basis) -> SupportSpec:
-    """Preimage of the support under the image polynomial of span(U_basis),
-    k = len(U_basis), as a SupportSpec: one preimage per point for X, and
-    the m - k vectors of the polynomial's kernel for the basis."""
+    """Preimage of the support under the image polynomial B of span(U_basis),
+    k = len(U_basis), as X + span(B's m - k kernel vectors), one preimage
+    per point in X; A_U and B are evaluated at the m unit vectors only."""
     if not cw.extended:
         raise ValueError("up-conversion applies to extended supports")
-    bpoly = linearized.image_poly(cw.ctx, list(U_basis))
-    bmap = gflinalg.LinearMap(linearized.matrix_cols(bpoly))
+    units = [1 << k for k in range(cw.ctx.m)]
+    image = gflinalg.LinearMap(linearized.subspace_images(cw.ctx, list(U_basis), units)).image
+    bmap = gflinalg.LinearMap(linearized.subspace_images(cw.ctx, image, units))
     x_set = set()
     for x in cw.elems.tolist():
         # the image of B is exactly span(U)

@@ -3,7 +3,9 @@ subspaces by the recursion A <- A^2 + A(v) * A, image polynomials as
 annihilators of images, and the field equations the solvers need, each a
 kernel or a preimage of such a map: affine cubics and cube roots by the
 quartic trick, Artin-Schreier x^2 + x = w, and subfields as the kernel of
-X^(2^ell) + X.
+X^(2^ell) + X.  The coefficient form is the public API; construction runs
+the recursion on the values at the points it needs (`subspace_images`,
+about m*s - s^2/2 products, not 2s^2), and `verify` keeps its own copy.
 """
 
 from __future__ import annotations
@@ -62,6 +64,18 @@ def annihilator(ctx, gens: Sequence[int]) -> LinearizedPoly:
             for lo, hi in zip(coeffs + (0,), (0,) + coeffs)
         )
     return LinearizedPoly(ctx, coeffs)
+
+
+def subspace_images(ctx, gens: Sequence[int], points: Sequence[int]) -> list[int]:
+    """A_V(x) for each x in points, V = span(gens), by the recursion of
+    `annihilator` on values: from A = X, each generator v maps every tracked
+    value a (the points, the generators not yet used) to a * (a + A(v))."""
+    vals = [*points, *reversed(gens)]
+    for _ in gens:
+        if not (w := vals.pop()):
+            raise ValueError("annihilator generators are dependent")
+        vals = [ctx.mul(a, a ^ w) for a in vals]
+    return vals
 
 
 def matrix_cols(poly: LinearizedPoly) -> list[int]:

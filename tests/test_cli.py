@@ -913,8 +913,11 @@ def test_json_writer_matches_json_dumps(doc):
 # 17 and 26 cells were recorded before supports became sorted arrays and
 # JSON was written without json.dumps(indent=2): the affine gate at 24,576
 # points in every format, a table-built field above 16, and the hex path
-# with a nonempty B.  A test id is its argv alone, so recording a digest
-# again keeps the test's name.
+# with a nonempty B.  The m = 32 chain of 28 generators and the m = 30 gk
+# lift were recorded before construction evaluated its subspace polynomials
+# through `linearized.subspace_images` in place of their coefficients.  A
+# test id is its argv alone, so recording a digest again keeps the test's
+# name.
 PINNED = [
     ("generate --m 10 --i 2 --s 3 --seed 1", "c5e8f7e1fcef6f3361087b5170b1dc3d6d0334b05ac41d78c725ac29817d4030"),
     ("generate --m 9 --i 3 --s 1 --seed 2", "90ad178483a5ec00d1a288d67199acbd032c25ebbaaf3383855b8f48deaaa557"),
@@ -944,6 +947,8 @@ PINNED = [
     ("generate --m 17 --i 2 --s 5 --seed 0", "401725040823fe4511119f91367e9b992436e24ea770626e6d1531821c8c6687"),
     ("generate --m 26 --i 2 --s 18 --seed 0 --format logsupport", "b170cc56438bc61ef86232184ed27499844166d5177930c4870abba3cb829a9a"),
     ("generate --m 26 --i 2 --s 18 --seed 0 --format bits", "2618dc31abb9a503f4aa32bb78fc9e831c50045a547071e29038d98846c6f57e"),
+    ("generate --m 32 --i 2 --s 28 --seed 0", "0077de5cc93987bb91ecb5468dec0feedccb00f585fa4a0b055cc982a37574e7"),
+    ("generate --m 30 --i 2 --s 24 --seed 3 --method gk", "64249ccde6bab095973e43c689fe8574287f2695965d314299e1c136d2451a1d"),
 ]
 
 

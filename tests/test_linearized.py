@@ -1,9 +1,12 @@
+from functools import reduce
+from operator import xor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchmin import gflinalg
-from bchmin.construct import CodewordSupport, up_convert
+from bchmin.construct import CodewordSupport, _lift, up_convert
 from bchmin.gf2m import default_field
 from bchmin.linearized import (
     LinearizedPoly,
@@ -16,6 +19,7 @@ from bchmin.linearized import (
     lin_kernel,
     matrix_cols,
     subfield,
+    subspace_images,
 )
 from bchmin.solvers import f_j
 
@@ -187,7 +191,7 @@ def _compose(ctx, a, b):
     return out
 
 
-@pytest.mark.parametrize("m", [*range(2, 17), 29])  # m = 29 has no log tables
+@pytest.mark.parametrize("m", [*range(2, 17), 29, 32])  # m = 29, 32 have no log tables
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_subspace_polynomials(m, data):
@@ -201,6 +205,13 @@ def test_subspace_polynomials(m, data):
     assert all(lin_eval(ann, g) == 0 for g in gens)
     assert len(lin_kernel(ann)) == s
 
+    # the values construction uses equal the coefficient form's; no
+    # generators is the identity, a whole basis maps everything to 0
+    points = [r.getrandbits(m) for _ in range(8)] + gens
+    assert subspace_images(ctx, gens, points) == [lin_eval(ann, x) for x in points]
+    assert subspace_images(ctx, [], points) == points
+    assert subspace_images(ctx, [1 << k for k in range(m)], points) == [0] * len(points)
+
     bad = [0]
     if s >= 1:
         bad.append(r.choice(gens))  # repeated
@@ -211,6 +222,8 @@ def test_subspace_polynomials(m, data):
         r.shuffle(dependent)
         with pytest.raises(ValueError, match="annihilator generators are dependent"):
             annihilator(ctx, dependent)
+        with pytest.raises(ValueError, match="annihilator generators are dependent"):
+            subspace_images(ctx, dependent, points)
 
     bpoly = image_poly(ctx, gens)
     assert bpoly.coeffs[-1] == 1 and len(bpoly.coeffs) - 1 == m - s
@@ -218,6 +231,17 @@ def test_subspace_polynomials(m, data):
     assert rank(cols) == s and rank(cols + gens) == s
     # A_U(B(X)) = X^(2^m) + X
     assert _compose(ctx, ann.coeffs, bpoly.coeffs) == [1] + [0] * (m - 1) + [1]
+
+    # the lift reads B's columns off the values of A_U and of B at the unit
+    # vectors, never expanding either: its kernel and preimages are B's
+    units = [1 << k for k in range(m)]
+    image = gflinalg.LinearMap(subspace_images(ctx, gens, units)).image
+    assert subspace_images(ctx, image, units) == cols
+    bmap = gflinalg.LinearMap(cols)
+    in_span = {reduce(xor, [g for g in gens if r.getrandbits(1)], 0) for _ in range(4)}
+    spec = _lift(CodewordSupport(ctx, in_span, 2, extended=True), gens)
+    assert spec.basis == tuple(bmap.kernel)
+    assert spec.x_set == {bmap.preimage(x) for x in in_span}
 
 
 # -- affine cubics ------------------------------------------------------------------
