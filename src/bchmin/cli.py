@@ -19,7 +19,6 @@ import os
 import re
 import sys
 from collections import Counter
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -104,38 +103,58 @@ def render_bits(ctx, cw: CodewordSupport) -> str:
     return _text_doc(ctx, cw, "\n".join(map(hex, cw.elems.tolist())))
 
 
-# The two forms of support entries, each matched once against all of a
-# file's entries with a comma after each: element values, "0x" and hex
-# digits (JSON strings), and discrete logs, decimal digits or -1 (JSON
-# integers).  Joining fails on a JSON value that is not a string, and a
-# JSON string holding a comma passes the match but fails int().
-_HEX_ENTRIES = re.compile(r"(?:0x[0-9a-fA-F]+,)*")
-_LOG_ENTRIES = re.compile(r"(?:[0-9]+,|-1,)*")
+# Byte classes 0-4: separators, blanks, entry bytes, hex letters, all other bytes.
+_GROUPS = (b",\n\r\v\f\x1c\x1d\x1e", b" \t\x1f", b"-x0123456789", b"abcdefABCDEF")
+_TEXT_BYTES = bytes(next((k for k, g in enumerate(_GROUPS) if c in g), 4) for c in range(256))
+_JSON_BYTES = bytes(4 if k < 2 and c != ord(",") else k for c, k in enumerate(_TEXT_BYTES))
+_DIGITS = bytes(int(c, 16) if c in "0123456789abcdefABCDEF" else 0 for c in map(chr, range(256)))
+_SPACES = {c: " \n"[c in (0x85, 0x2028, 0x2029)] for c in range(0x80, 0x3001) if chr(c).isspace()}
+_BREAK = re.compile("[\n\r\v\f\x1c-\x1e][,\n\r\v\f\x1c-\x1e \t\x1f]*")  # and the separators after
 
 
-def _elements(ctx, entries: list, logs: bool):
-    """Decode support entries: discrete logs (ints, -1 for zero) if `logs`,
-    else hex element values ("0x" and hex digits, anything else refused),
-    in their order.  Values outside the field are refused, not repaired;
-    so are repeated entries, by CodewordSupport."""
-    n = ctx.n
-    if logs:
-        if not -1 <= min(entries) <= max(entries) < n:
-            bad = next(v for v in entries if not -1 <= v < n)
-            raise ParseError(f"discrete log {bad} is outside -1..{n - 1}")
-        if ctx.has_logs:
-            logs = np.array(entries, dtype=np.int64)
-            elems = np.where(logs < 0, 0, ctx.exp_array()[logs])
-        else:
-            elems = [0 if v == -1 else ctx.exp(v) for v in entries]
-    else:
-        if entries and not _HEX_ENTRIES.fullmatch(",".join(entries) + ","):
-            raise ParseError("support entries must be all 0x-hex values or all decimal logs")
-        elems = list(map(int, entries, repeat(16)))
-        if elems and not 0 <= min(elems) <= max(elems) <= n:
-            bad = next(x for x in elems if not 0 <= x <= n)
-            raise ParseError(f"element {hex(bad)} is outside GF(2^{ctx.m})")
-    return elems
+def _decode(ctx, data: bytes, start: int, classes: bytes = _TEXT_BYTES, count=None):
+    """Field elements of the support data[start:], entries all hex (`count` of them if given) or
+    all logs; "?" stands for non-ASCII, data[:start] has 16 bytes and ends in a separator."""
+    raw = np.frombuffer(data, dtype=np.uint8, offset=start)
+    cls = np.frombuffer(data.translate(classes), dtype=np.uint8, offset=start - 1)
+    edges = np.flatnonzero(np.diff(cls >= 2))
+    starts, ends = edges[::2], edges[1::2]  # of the entries
+    lengths, neg = ends - starts, raw[starts] == ord("-")  # "-" only in the entry -1
+    if logs := not (cls == 3).any() and data.find(b"x", start) < 0:
+        form = (lengths[neg] == 2).all() and (raw[ends[neg] - 1] == ord("1")).all()
+    else:  # "0x" and hex digits
+        form = (lengths > 2).all() and data.count(b"x", start) == len(starts)
+        form = form and (raw[starts] == ord("0")).all() and (raw[1:][starts] == ord("x")).all()
+    gap = (cls == 1).any() and not np.logical_or.reduceat(cls[1:] == 0, edges[1:-1])[::2].all()
+    bad = gap or (cls == 4).any() or count not in (None, len(starts) * (not logs))  # blank: no gap
+    if bad or not form or data.count(b"-", start) != np.count_nonzero(neg) * logs:
+        raise ParseError("support entries must be all 0x-hex values or all decimal logs")
+    if logs and (long := lengths > 4300).any():  # beyond int()'s default limit: always refused
+        j = start + int(starts[np.argmax(long)])
+        raise ParseError(f"discrete log {data[j:j + 12].decode()}... has over 4300 digits")
+    base, skip, width = (10, 0, 16 if lengths.max(initial=0) > 8 else 8) if logs else (16, 2, 8)
+    del cls  # the `width` digit values that end each entry, summed by their weights:
+    win = np.ndarray((len(data) - width + 1,), f"V{width}", data.translate(_DIGITS), 0, (1,))
+    win = win[ends + start - width].view(np.uint8).reshape(-1, width)
+    values = np.einsum("ij,j->i", win, base ** np.arange(width - 1, -1, -1))
+    values %= np.array([base**k for k in range(width + 1)])[np.minimum(lengths - skip, width)]
+    if len(long := np.flatnonzero(lengths - skip > width)):  # digits before the window: zeros
+        cuts = np.stack([starts[long] + skip, ends[long] - width], axis=1).ravel()
+        values[long[np.logical_or.reduceat(raw > 48, cuts)[::2]]] = ctx.n + 1  # not all "0"
+    values[neg] = -1
+    return _elements(ctx, values, logs, lambda j: int(raw[starts[j]:ends[j]].tobytes(), base))
+
+
+def _elements(ctx, values: np.ndarray, logs: bool, entry):
+    """Field elements of decoded entries: discrete logs (-1 for zero) if `logs`,
+    else element values; the first outside the field, entry(j), is refused."""
+    if (bad := (values < -logs) | (values > ctx.n - logs)).any():
+        bad = entry(int(np.argmax(bad)))
+        raise ParseError(f"discrete log {bad} is outside -1..{ctx.n - 1}" if logs else
+                         f"element {hex(bad)} is outside GF(2^{ctx.m})")
+    if logs and ctx.has_logs:
+        return np.where(values < 0, 0, ctx.exp_array()[values])
+    return [0 if v == -1 else ctx.exp(v) for v in values.tolist()] if logs else values
 
 
 def _json_int(doc: dict, key: str) -> int:
@@ -181,23 +200,33 @@ def parse_support_file(text: str) -> CodewordSupport:
             if type(doc["poly"]) not in (int, str):
                 raise ParseError(f"poly must be a string or an integer, got {doc['poly']!r}")
             ctx = default_field(_json_int(doc, "m"), parse_poly(doc["poly"]))
-            support = doc["support"]
-            elems = _elements(ctx, support, bool(support) and all(type(v) is int for v in support))
+            if (kinds := set(map(type, support := doc["support"]))) == {int}:  # logs, or hex
+                elems = _elements(ctx, np.array(support), True, support.__getitem__)
+            elif kinds <= {str}:
+                data = ("," * 16 + ",".join(support) + ",").encode("ascii", "replace")
+                elems = _decode(ctx, data, 16, _JSON_BYTES, len(support))
+            else:
+                bad = next(v for v in support if type(v) not in {int, str} & {type(support[0])})
+                raise ParseError(f"support entries must be ints or 0x-hex strings, got {bad!r}")
             return CodewordSupport(ctx, elems, _json_int(doc, "d"), doc["extended"])
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
-            raise ParseError(f"bad JSON support file: {exc}") from exc
+            missing = "missing field " * isinstance(exc, KeyError)
+            raise ParseError(f"bad JSON support file: {missing}{exc}") from exc
     try:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        fields = _unique_names([part.split("=", 1) for part in lines[0].split()])
+        text = (text if text.isascii() else text.translate(_SPACES)) + "\n"
+        head, start = text[:(brk := _BREAK.search(text)).start()], brk.end()
+        fields = [part.split("=", 1) for part in head.split()]
+        if bad := next((name for name, *value in fields if not value), None):
+            raise ParseError(f"header entry {bad!r} is not name=value")
+        fields = _unique_names(fields)
         ctx = default_field(_text_int(fields, "m"), parse_poly(fields["poly"]))
-        body = [e for ln in lines[1:] for v in ln.split(",") if (e := v.strip())]
-        if not body or fields["extended"] not in ("0", "1"):
+        if start == len(text) or fields["extended"] not in ("0", "1"):
             raise ParseError("need support entries and extended=0 or 1")
-        logs = _LOG_ENTRIES.fullmatch(",".join(body) + ",") is not None
-        elems = _elements(ctx, list(map(int, body)) if logs else body, logs)
+        elems = _decode(ctx, (text := text.encode("ascii", "replace")), start)  # the str goes
         return CodewordSupport(ctx, elems, _text_int(fields, "d"), fields["extended"] == "1")
     except (KeyError, ValueError, IndexError) as exc:
-        raise ParseError(f"bad log-support file: {exc}") from exc
+        missing = "missing field " * isinstance(exc, KeyError)
+        raise ParseError(f"bad log-support file: {missing}{exc}") from exc
 
 
 # -- subcommands -------------------------------------------------------------
@@ -257,7 +286,7 @@ def _cmd_table(args) -> int:
         rows = [(m, poly, exps, 2, 10)]
     for m, poly, exps, i, s in rows:
         ctx = default_field(m, poly)
-        fix = CodewordSupport(ctx, _elements(ctx, list(exps), True), len(exps), extended=False)
+        fix = CodewordSupport(ctx, [ctx.exp(e) for e in exps], len(exps), extended=False)
         v_fix = verify.is_min_weight(fix)
         try:
             cw, _, _ = construct.generate(default_field(m), i, s, seed)

@@ -72,6 +72,8 @@ def parse_poly(spec: int | str) -> int:
     if isinstance(spec, int):
         return spec
     s = spec.strip()
+    if not s:
+        raise ValueError("the modulus is empty")
     if s.lower().startswith("0x"):
         return int(s, 16)
     if "," in s:
@@ -210,11 +212,7 @@ class GF2m:
                 raise ValueError(f"X has order < 2^{m}-1 modulo {hex(poly)}")
 
         # bit k set iff Tr(alpha^k) = 1; makes trace a masked parity
-        tmask = 0
-        for k in range(m):
-            if self._trace_direct(1 << k):
-                tmask |= 1 << k
-        self._trace_mask = tmask
+        self._trace_mask = sum(self._trace_direct(1 << k) << k for k in range(m))
 
         self.has_logs = m <= _LOG_TABLE_MAX_M
         if self.has_logs:

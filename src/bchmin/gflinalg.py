@@ -79,14 +79,12 @@ def dual_basis(ctx, basis: Sequence[int]) -> list[int]:
 
     b'_j is the preimage of e_j under the map x -> sum of Tr(b_i x) 2^i,
     which is invertible iff the b_i form a basis."""
-    m, poly = ctx.m, ctx.poly
-    images = [0] * m  # bit i of images[k] is Tr(b_i alpha^k)
-    for i, x in enumerate(basis):
-        for k in range(m):
-            images[k] |= ctx.trace(x) << i
-            x <<= 1  # x * alpha: alpha is the class of X
-            if x >> m:
-                x ^= poly
+    m = ctx.m
+    row = sum(ctx.trace(1 << t) << t for t in range(m))  # bit t: Tr(alpha^t), to t = 2m - 2
+    for t in range(m, 2 * m - 1):  # alpha^t is alpha^(t - m) times the modulus' lower terms
+        row |= ((row >> t - m & ctx.poly).bit_count() & 1) << t
+    images = [sum(((x & row >> k).bit_count() & 1) << i for i, x in enumerate(basis))
+              for k in range(m)]  # bit i of images[k]: Tr(b_i alpha^k), linear in b_i
     fmap = LinearMap(images)
     if len(basis) != m or fmap.kernel:
         raise ValueError("dual basis requires a full basis")

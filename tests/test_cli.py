@@ -443,6 +443,8 @@ def test_method_must_match_i(capsys):
 # -- one exit code and stderr prefix per refusal, all through main ---------
 
 _ODD_EXTENDED_CLAIM = b"m=8 poly=0x11d d=25 extended=1\n0x1,0x2\n"
+_HEAD = b"m=8 poly=0x11d d=4 extended=1\n"
+_JSON_CLAIM = b'{"spec_version": 1, "m": 8, "poly": "0x11d", "d": 4, "extended": true, "support": [1, 2]}'
 
 
 @pytest.mark.parametrize(
@@ -507,6 +509,49 @@ _ODD_EXTENDED_CLAIM = b"m=8 poly=0x11d d=25 extended=1\n0x1,0x2\n"
             ["verify", "{dir}/blank.log"], {"blank.log": b" \n\t\n"}, False,
             EXIT_PARSE, "empty input",
             id="verify-blank-file",
+        ),
+        # each refusal names the field or the first bad entry, not a Python internal
+        pytest.param(
+            ["verify", "{dir}/float.json"], {"float.json": _JSON_CLAIM.replace(b"[1, 2]", b"[1.5, 2]")},
+            False, EXIT_PARSE,
+            "bad JSON support file: support entries must be ints or 0x-hex strings, got 1.5",
+            id="verify-json-float-entry",
+        ),
+        pytest.param(
+            ["verify", "{dir}/true.json"], {"true.json": _JSON_CLAIM.replace(b"[1, 2]", b"[true, 2]")},
+            False, EXIT_PARSE,
+            "bad JSON support file: support entries must be ints or 0x-hex strings, got True",
+            id="verify-json-bool-entry",
+        ),
+        pytest.param(
+            ["verify", "{dir}/token.log"], {"token.log": b"m=8 poly=0x11d d=4 extended=1 x\n0x1\n"},
+            False, EXIT_PARSE, "bad log-support file: header entry 'x' is not name=value",
+            id="verify-header-token-without-equals",
+        ),
+        pytest.param(
+            ["verify", "{dir}/array.json"], {"array.json": b"[1,2]"}, False,
+            EXIT_PARSE, "bad log-support file: header entry '[1,2]' is not name=value",
+            id="verify-top-level-json-array",
+        ),
+        pytest.param(
+            ["verify", "{dir}/bom.log"], {"bom.log": "\ufeffm=8 poly=0x11d d=4 extended=1\n1\n".encode()},
+            False, EXIT_PARSE, "bad log-support file: missing field 'm'",
+            id="verify-header-behind-bom",
+        ),
+        pytest.param(
+            ["verify", "{dir}/nod.json"], {"nod.json": _JSON_CLAIM.replace(b'"d": 4, ', b"")}, False,
+            EXIT_PARSE, "bad JSON support file: missing field 'd'",
+            id="verify-json-missing-field",
+        ),
+        pytest.param(
+            ["verify", "{dir}/poly.log"], {"poly.log": b"m=8 poly= d=4 extended=1\n1\n"}, False,
+            EXIT_PARSE, "bad log-support file: the modulus is empty",
+            id="verify-empty-poly",
+        ),
+        pytest.param(
+            ["verify", "{dir}/long.log"], {"long.log": _HEAD + b"0" * 4999 + b"5\n"}, False,
+            EXIT_PARSE, "bad log-support file: discrete log 000000000000... has over 4300 digits",
+            id="verify-5000-digit-log",
         ),
         pytest.param(["table", "t23"], {}, True, EXIT_VERIFY_FAIL, "", id="table-row-refused"),
         # usage errors: exit 5, not argparse's 2, which means a failed verification
@@ -862,6 +907,97 @@ def test_verify_fuzzed_files(fuzz_files, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["verify", str(path)])
     assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_PARSE)
+
+
+# -- verify: the parser against a frozen copy of its predecessor -------------
+
+# The characters of drawn text bodies, and entries that each once took a
+# path of their own: leading zeros, "-0", a blank inside an entry, 20 and
+# 5,000 digits (int() refuses over 4,300 decimal digits, never hex ones).
+_BODY_CHARS = list("0123456789abcdefABCDEFxX-+_, \t") + [
+    "0x", "0X", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+]
+_BODY_ENTRIES = [
+    "0", "1", "-1", "-0", "007", "0x0", "0x1", "0x01", "0X1", "0x", "1 2", "0x1 0x2", "+1", "1_0",
+    "9" * 20, "0" * 19 + "3", "0x" + "f" * 20, "0x" + "0" * 19 + "3",
+    "0" * 4999 + "5", "7" * 5000, "0x" + "0" * 4999 + "5",
+]
+_FIELDS = [(8, "0x11d"), (16, "0x1100b"), (24, "0x100001b"), (25, "0x2000009")]
+
+
+@st.composite
+def _text_files(draw):
+    m, poly = draw(st.sampled_from(_FIELDS))
+    n = (1 << m) - 1
+    logs = st.integers(-1, n - 1).map(str) | st.integers(0, n - 1).map("{:012d}".format)
+    hexes = st.integers(0, n).map(hex) | st.integers(0, n).map("0x{:09x}".format)
+    special = st.sampled_from(_BODY_ENTRIES) | st.lists(st.sampled_from(_BODY_CHARS), max_size=4).map("".join)
+    entry = draw(st.sampled_from([logs, hexes, logs | special, hexes | special, logs | hexes]))
+    sep = st.lists(st.sampled_from(list(",,, \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028")), min_size=1, max_size=3)
+    parts = draw(st.lists(st.tuples(entry, sep.map("".join)), max_size=12))
+    body = "".join(e + s for e, s in parts)
+    valid = f"m={m} poly={poly} d={{d}} extended={{e}}"
+    head = draw(st.sampled_from([valid] * 6 + [
+        f"m={m}\xa0poly={poly}\x1fd={{d}} extended={{e}}", f"\ufeffm={m} poly={poly} d={{d}} extended={{e}}",
+        f"m={m} poly= d={{d}} extended={{e}}", f"m={m} poly={poly} d={{d}} extended={{e}} x",
+        f"m={m} poly={poly} extended={{e}}", "[1,2]",
+    ]))
+    head = head.format(d=draw(st.integers(1, 40)), e=draw(st.sampled_from(["0", "1", "1", "2"])))
+    return head + draw(st.sampled_from(["\n", "\n", "\r\n", "\x85", "\u2028", " "])) + body
+
+
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 300), st.integers(-(2**65), 2**65), st.sampled_from([2**63, 2**64, -(2**63) - 1]),
+    st.booleans(), st.none(), st.floats(allow_nan=False), st.lists(st.integers(0, 9), max_size=2),
+    st.integers(0, 300).map(hex), st.sampled_from(["12", " 0x1", "0x1,0x2", "", "0X1", "0x", "-1", "0x1\n"]),
+)
+
+
+@st.composite
+def _json_files(draw):
+    m, poly = draw(st.sampled_from(_FIELDS[:1] + _FIELDS[3:]))
+    support = draw(
+        st.lists(st.integers(-1, 254), max_size=8, unique=True)
+        | st.lists(st.integers(0, 255).map(hex), max_size=8, unique=True)
+        | st.lists(_JSON_VALUES, max_size=6)
+    )
+    doc = {"spec_version": 1, "m": m, "poly": poly, "d": draw(st.integers(1, 12)),
+           "extended": draw(st.booleans()), "support": support}
+    change = draw(st.sampled_from([None] * 6 + ["m", "poly", "d", "extended", "support", "", "  "]))
+    if change in doc:
+        del doc[change]
+    elif change is not None:
+        doc["poly"] = change
+    return json.dumps(doc)
+
+
+# Messages of the predecessor that were Python internals; every other
+# refusal keeps its message.
+_INTERNAL = re.compile(
+    r"sequence item|dictionary update sequence|Exceeds the limit|"
+    r"invalid literal for int\(\) with base (0: ''|16: '0x[^']*,)|file: '[^']*'$"
+)
+
+
+def _parse(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(text=st.one_of(_text_files(), _json_files()))
+@settings(max_examples=600, deadline=None)
+def test_parser_matches_its_predecessor(text):
+    from _parser_oracle import parse_support_file as predecessor
+
+    old, new = _parse(predecessor, text), _parse(parse_support_file, text)
+    if isinstance(old, str) or isinstance(new, str):
+        assert isinstance(old, str) and isinstance(new, str), (old, new)
+        assert old == new or _INTERNAL.search(old), (old, new)
+    else:
+        assert np.array_equal(old.elems, new.elems) and old.ctx.poly == new.ctx.poly
+        assert (old.claimed_distance, old.extended) == (new.claimed_distance, new.extended)
 
 
 # -- the JSON writer ------------------------------------------------------------
