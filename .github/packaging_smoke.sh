@@ -60,3 +60,13 @@ code=0; bchmin generate --m 8 --i 2 --s 1 --method gk --retries 0 || code=$?; te
 code=0; bchmin generate --m x --i 2 || code=$?; test "$code" = 5
 printf '{' > brace.json
 code=0; bchmin verify brace.json || code=$?; test "$code" = 5
+# the text grammar: CRLF line breaks are separators; a blank alone is not,
+# a JSON support holds no booleans, and no entry is beyond the field
+sed 's/$/\r/' s.log > crlf.log
+bchmin verify crlf.log
+printf 'm=8 poly=0x11d d=4 extended=1\n1 2\n' > gap.log
+code=0; bchmin verify gap.log || code=$?; test "$code" = 5
+printf '{"spec_version": 1, "m": 8, "poly": "0x11d", "d": 4, "extended": true, "support": [true, 2]}' > true.json
+code=0; bchmin verify true.json || code=$?; test "$code" = 5
+printf 'm=8 poly=0x11d d=4 extended=1\n0x1\n0x10000000000000000\n' > wide_hex.bits
+code=0; bchmin verify wide_hex.bits || code=$?; test "$code" = 5

@@ -113,8 +113,9 @@ _BREAK = re.compile("[\n\r\v\f\x1c-\x1e][,\n\r\v\f\x1c-\x1e \t\x1f]*")  # and th
 
 
 def _decode(ctx, data: bytes, start: int, classes: bytes = _TEXT_BYTES, count=None):
-    """Field elements of the support data[start:], entries all hex (`count` of them if given) or
-    all logs; "?" stands for non-ASCII, data[:start] has 16 bytes and ends in a separator."""
+    """Field elements of the support data[start:] ("?" for a non-ASCII character): entries
+    all hex (`count` of them if given) or all logs.  data and data[:start] (16 bytes or more)
+    end in a separator."""
     raw = np.frombuffer(data, dtype=np.uint8, offset=start)
     cls = np.frombuffer(data.translate(classes), dtype=np.uint8, offset=start - 1)
     edges = np.flatnonzero(np.diff(cls >= 2))
@@ -140,7 +141,7 @@ def _decode(ctx, data: bytes, start: int, classes: bytes = _TEXT_BYTES, count=No
     values %= np.array([base**k for k in range(width + 1)])[np.minimum(lengths - skip, width)]
     if len(long := np.flatnonzero(lengths - skip > width)):  # digits before the window: zeros
         cuts = np.stack([starts[long] + skip, ends[long] - width], axis=1).ravel()
-        values[long[np.logical_or.reduceat(raw > 48, cuts)[::2]]] = ctx.n + 1  # not all "0"
+        values[long[np.logical_or.reduceat(raw > ord("0"), cuts)[::2]]] = ctx.n + 1  # out of range
     values[neg] = -1
     return _elements(ctx, values, logs, lambda j: int(raw[starts[j]:ends[j]].tobytes(), base))
 
@@ -166,8 +167,7 @@ def _json_int(doc: dict, key: str) -> int:
 
 
 def _text_int(fields: dict, key: str) -> int:
-    """A header field of decimal digits; signs, spaces and the rest are
-    refused."""
+    """A header field of decimal digits; signs, spaces and the rest are refused."""
     value = fields[key]
     if not (value.isascii() and value.isdigit()):
         raise ParseError(f"{key} must be decimal digits, got {value!r}")
