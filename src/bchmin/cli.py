@@ -127,14 +127,14 @@ def _decode(ctx, data: bytes, start: int, classes: bytes = _TEXT_BYTES, count=No
         form = (lengths > 2).all() and data.count(b"x", start) == len(starts)
         form = form and (raw[starts] == ord("0")).all() and (raw[1:][starts] == ord("x")).all()
     gap = (cls == 1).any() and not np.logical_or.reduceat(cls[1:] == 0, edges[1:-1])[::2].all()
-    bad = gap or (cls == 4).any() or count not in (None, len(starts) * (not logs))  # blank: no gap
+    bad = gap or (cls == 4).any() or count not in (None, len(starts) * (not logs))  # blanks only
     if bad or not form or data.count(b"-", start) != np.count_nonzero(neg) * logs:
         raise ParseError("support entries must be all 0x-hex values or all decimal logs")
     if logs and (long := lengths > 4300).any():  # beyond int()'s default limit: always refused
         j = start + int(starts[np.argmax(long)])
         raise ParseError(f"discrete log {data[j:j + 12].decode()}... has over 4300 digits")
     base, skip, width = (10, 0, 16 if lengths.max(initial=0) > 8 else 8) if logs else (16, 2, 8)
-    del cls  # the `width` digit values that end each entry, summed by their weights:
+    del cls  # an entry's last `width` bytes as digits, by weights; the mod drops bytes before it
     win = np.ndarray((len(data) - width + 1,), f"V{width}", data.translate(_DIGITS), 0, (1,))
     win = win[ends + start - width].view(np.uint8).reshape(-1, width)
     values = np.einsum("ij,j->i", win, base ** np.arange(width - 1, -1, -1))
