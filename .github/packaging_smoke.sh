@@ -26,6 +26,12 @@ bchmin generate --m 8 --i 3 --s 1 --method i3heuristic > heuristic.json
 bchmin verify heuristic.json
 bchmin generate --m 10 --i 2 --s 3 --format logsupport > s.log
 bchmin verify s.log
+bchmin generate --m 18 --i 2 --s 0 --format logsupport > multi.log
+bchmin verify multi.log
+# a reader that closes stdout early: no traceback on stderr (set -e
+# ignores a command negated by "!", so the grep is tested by "if")
+bchmin generate --m 20 --i 2 --s 0 2> pipe.err | head -c 16 > /dev/null
+if grep -q Traceback pipe.err; then cat pipe.err; exit 1; fi
 bchmin generate --m 16 --i 3 --s 3 > dense.json
 bchmin verify dense.json > dense_verdict.json
 grep -q '"route": "affine"' dense_verdict.json

@@ -1,10 +1,11 @@
 """Command-line interface: generate verified minimum-weight supports,
 re-verify serialized supports, and reproduce the bundled golden tables.
 
-Exit codes: 0 success / verified, 2 verification failure (also a generated
-support that fails its self-verification), 3 uncovered parameter
-combination, 4 solver retries exhausted, 5 parse error (also a command line
-the parser refuses).  Commands and the parser report a refusal by raising;
+Exit codes: 0 success / verified, 1 stdout closed by its reader before
+the output was written, 2 verification failure (also a generated support
+that fails its self-verification), 3 uncovered parameter combination, 4
+solver retries exhausted, 5 parse error (also a command line the parser
+refuses).  Commands and the parser report a refusal by raising;
 `_REFUSALS` maps each refusal to its exit code and message prefix, and
 `main` is the one place that applies it.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import re
@@ -33,6 +35,7 @@ SPEC_VERSION = 1
 SEED_ENV_VAR = "BCHMIN_SEED"
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_UNCOVERED = 3
 EXIT_EXHAUSTED = 4
@@ -45,34 +48,103 @@ class ParseError(ValueError):
 
 # -- serialization -----------------------------------------------------------
 
+# Entry lists this long or longer are written as byte records by numpy; a
+# shorter one by str() and join.  numpy's fixed cost, about 20 us per run of
+# equal digit count, is repaid near 450 entries of the grid's supports.
+_VECTOR_MIN = 512
+_CHUNK = 1 << 16  # entries per piece written, which bounds the memory of a large support
+_CHARS = np.frombuffer(b"0123456789abcdef", np.uint8)
+# the least value of each digit count past 1: decimal int32 logs, hex uint64 elements
+_LIMITS = {10: 10 ** np.arange(1, 10, dtype=np.int32), 16: 16 ** np.arange(1, 16, dtype=np.uint64)}
 
-def _sorted_out(ctx, elems: np.ndarray) -> list:
-    """The sorted uint64 elements as written out, sorted: discrete logs
-    from one gather, with -1 for the zero element (first in elems) first,
-    when the field has log tables; hex otherwise."""
+
+def _sorted_out(ctx, elems: np.ndarray) -> np.ndarray:
+    """The support entries as written, sorted: int32 discrete logs from one
+    gather, with -1 for the zero element (first in elems) first, when the
+    field has log tables; otherwise elems itself, written in hex."""
     if not ctx.has_logs:
-        return list(map(hex, elems.tolist()))
+        return elems
     zero = int(len(elems) > 0 and elems[0] == 0)
-    return [-1] * zero + np.sort(ctx.log_array()[elems[zero:]]).tolist()
+    logs = np.empty(len(elems), np.int32)
+    logs[:zero] = -1
+    logs[zero:] = ctx.log_array()[elems[zero:]]
+    logs[zero:].sort()
+    return logs
 
 
-def _json_doc(doc: dict) -> str:
+def _write_entries(write, values: np.ndarray, sep: str, quoted: bool = False) -> None:
+    """write(sep.join(...)) of the ascending entries `values`: int32 ones in
+    decimal (a -1 only first), uint64 ones as hex(v), a JSON string if
+    `quoted`.  A long list goes as fixed-width byte records, one run of equal
+    digit count at a time (the list is sorted, so each run is contiguous),
+    with its digits by scalar divide and remainder, in pieces of at most
+    _CHUNK entries."""
+    base = 10 if values.dtype == np.int32 else 16
+    quote = '"' if quoted and base == 16 else ""
+    if len(values) < _VECTOR_MIN:
+        write(sep.join(map(str if base == 10 else f"{quote}{{:#x}}{quote}".format, values.tolist())))
+        return
+    drop = len(sep)  # no separator before the first entry
+    if values[0] < 0:
+        write("-1")
+        values, drop = values[1:], 0
+    head = np.frombuffer((sep + quote + "0x" * (base == 16)).encode(), np.uint8)
+    tail = np.frombuffer(quote.encode(), np.uint8)
+    h = len(head)
+    for start in range(0, len(values), _CHUNK):
+        block = values[start:start + _CHUNK]
+        cuts = [0, *np.searchsorted(block, _LIMITS[base]).tolist(), len(block)]
+        for digits, (lo, hi) in enumerate(itertools.pairwise(cuts), 1):
+            if lo == hi:
+                continue
+            rec = np.empty((hi - lo, h + digits + len(tail)), np.uint8)
+            rec[:, :h] = head
+            rec[:, h + digits:] = tail
+            x = block[lo:hi]
+            for col in range(h + digits - 1, h - 1, -1):
+                q = x // base
+                rec[:, col] = x - q * base
+                x = q
+            rec[:, h:h + digits] = _CHARS[rec[:, h:h + digits]]
+            write(str(rec.reshape(-1)[drop:], "ascii"))
+            drop = 0
+
+
+def _written(write, body, *args):
+    """body(*args, write): through `write` if given, else the pieces joined
+    into the str returned."""
+    if write is not None:
+        return body(*args, write)
+    pieces = []
+    body(*args, pieces.append)
+    return "".join(pieces)
+
+
+def _json_doc(doc: dict, write) -> None:
     """json.dumps(doc, indent=2) of a nonempty flat document whose lists
-    each hold ints or strings, written directly: the stdlib's indenting
-    encoder runs in pure Python, one call per value.  An int is written by
-    str(), a string by json's own ASCII encoder, as json.dumps does, and
-    anything else by json.dumps."""
-    fields = []
-    for key, value in doc.items():
-        items = value if isinstance(value, list) and value else None
-        kind = type(items[0] if items else value)
-        write = str if kind is int else _json_str if kind is str else json.dumps
-        value = "[\n    " + ",\n    ".join(map(write, items)) + "\n  ]" if items else write(value)
-        fields.append(f"{_json_str(key)}: {value}")
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+    each hold ints or strings, written piece by piece: the stdlib's
+    indenting encoder runs in pure Python, one call per value.  An int is
+    written by str(), a string by json's own ASCII encoder, as json.dumps
+    does, a nonempty array by `_write_entries` as a list of ints or hex
+    strings, and anything else by json.dumps."""
+    write("{\n  ")
+    for n, (key, value) in enumerate(doc.items()):
+        write(",\n  " * (n > 0) + _json_str(key) + ": ")
+        if isinstance(value, np.ndarray):
+            write("[\n    ")
+            _write_entries(write, value, ",\n    ", quoted=True)
+            write("\n  ]")
+        else:
+            items = value if isinstance(value, list) and value else None
+            kind = type(items[0] if items else value)
+            put = str if kind is int else _json_str if kind is str else json.dumps
+            write("[\n    " + ",\n    ".join(map(put, items)) + "\n  ]" if items else put(value))
+    write("\n}")
 
 
-def render_json(ctx, cw: CodewordSupport, meta: dict) -> str:
+def render_json(ctx, cw: CodewordSupport, meta: dict, write=None) -> str | None:
+    """The JSON document of a support: written piece by piece through
+    write(str) if given, else returned."""
     doc = {
         "spec_version": SPEC_VERSION,
         "m": ctx.m,
@@ -83,24 +155,28 @@ def render_json(ctx, cw: CodewordSupport, meta: dict) -> str:
         "verified": True,
     }
     doc.update(meta)
-    return _json_doc(doc)
+    return _written(write, _json_doc, doc)
 
 
-def _text_doc(ctx, cw: CodewordSupport, body: str) -> str:
-    """The header line of the two text formats, then `body`."""
-    return (
+def _text_doc(ctx, cw: CodewordSupport, values: np.ndarray, sep: str, write) -> None:
+    """The header line of the two text formats, then the entries."""
+    write(
         f"m={ctx.m} poly={hex(ctx.poly)} d={cw.claimed_distance} "
-        f"extended={1 if cw.extended else 0}\n{body}\n"
+        f"extended={1 if cw.extended else 0}\n"
     )
+    _write_entries(write, values, sep)
+    write("\n")
 
 
-def render_logsupport(ctx, cw: CodewordSupport) -> str:
-    # falls back to hex element values when the field has no log tables
-    return _text_doc(ctx, cw, ",".join(map(str, _sorted_out(ctx, cw.elems))))
+def render_logsupport(ctx, cw: CodewordSupport, write=None) -> str | None:
+    """The log-support text of a support, written or returned as by
+    `render_json`; hex element values when the field has no log tables."""
+    return _written(write, _text_doc, ctx, cw, _sorted_out(ctx, cw.elems), ",")
 
 
-def render_bits(ctx, cw: CodewordSupport) -> str:
-    return _text_doc(ctx, cw, "\n".join(map(hex, cw.elems.tolist())))
+def render_bits(ctx, cw: CodewordSupport, write=None) -> str | None:
+    """The bits text of a support, written or returned as by `render_json`."""
+    return _written(write, _text_doc, ctx, cw, cw.elems, "\n")
 
 
 # Byte classes 0-4: separators, blanks, entry bytes, hex letters, all other bytes.
@@ -171,6 +247,8 @@ def _text_int(fields: dict, key: str) -> int:
     value = fields[key]
     if not (value.isascii() and value.isdigit()):
         raise ParseError(f"{key} must be decimal digits, got {value!r}")
+    if len(value) > 4300:  # beyond int()'s default limit: always refused
+        raise ParseError(f"{key}={value[:12]}... has over 4300 digits")
     return int(value)
 
 
@@ -192,7 +270,12 @@ def parse_support_file(text: str) -> CodewordSupport:
         raise ParseError("empty input")
     if text.startswith("{"):
         try:
-            doc = json.loads(text, object_pairs_hook=_unique_names)
+            try:
+                doc = json.loads(text, object_pairs_hook=_unique_names)
+            except ValueError as exc:  # not a JSONDecodeError: an int past int()'s digit limit
+                if type(exc) is ValueError and (long := re.search(r"\d{4301,}", text)):
+                    raise ParseError(f"number {long[0][:12]}... has over 4300 digits") from exc
+                raise
             if doc.get("spec_version") != SPEC_VERSION:
                 raise ParseError(f"unsupported spec_version {doc.get('spec_version')!r}")
             if not isinstance(doc["support"], list) or not isinstance(doc["extended"], bool):
@@ -248,14 +331,16 @@ def _cmd_generate(args) -> int:
         raise ParseError(f"--retries must be >= 0, got {args.retries}")
     ctx = _field(args.m, args.poly)
     cw, meta, spec = construct.generate(ctx, args.i, args.s, args.seed, args.method, args.retries)
+    write = sys.stdout.write  # in pieces of at most _CHUNK entries
     if args.format == "json":
         meta["X"] = _sorted_out(ctx, np.array(sorted(spec.x_set), dtype=np.uint64))
         meta["B"] = [ctx.log(x) if ctx.has_logs else hex(x) for x in spec.basis]  # all nonzero
-        print(render_json(ctx, cw, meta))
+        render_json(ctx, cw, meta, write)
+        write("\n")
     elif args.format == "logsupport":
-        print(render_logsupport(ctx, cw), end="")
+        render_logsupport(ctx, cw, write)
     else:
-        print(render_bits(ctx, cw), end="")
+        render_bits(ctx, cw, write)
     return EXIT_OK
 
 
@@ -392,11 +477,17 @@ _REFUSALS = {
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except tuple(_REFUSALS) as exc:
         code, prefix = _REFUSALS[type(exc)]
         print(f"{prefix}{exc}", file=sys.stderr)
         return code
+    except BrokenPipeError:  # the reader closed stdout early
+        # what is left in the buffer goes to devnull when Python flushes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
 
 
 if __name__ == "__main__":

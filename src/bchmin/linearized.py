@@ -109,8 +109,28 @@ def affine_cubic_roots(ctx, c1: int, c2: int) -> set[int]:
     c1^2).  The root set has size 0, 1, or 3."""
     if c1 == 0:
         raise ValueError("leading cubic coefficient is zero")
-    quartic = LinearizedPoly(ctx, (ctx.mul(c1, c1), c2, c1))
-    return set(gflinalg.span(lin_kernel(quartic))) - {0}
+    return set(gflinalg.span(gflinalg.LinearMap(_quartic_cols(ctx, c1, c2)).kernel)) - {0}
+
+
+def _quartic_cols(ctx, c1: int, c2: int) -> list[int]:
+    """matrix_cols of x -> c1*x^4 + c2*x^2 + c1^2*x with one product: column
+    k is c1*alpha^(4k) + c2*alpha^(2k) + c1^2*alpha^k, and each of the three
+    terms steps to the next column by shifts and reductions."""
+    return [a ^ b ^ c for a, b, c in zip(
+        _alpha_steps(ctx, c1, 4), _alpha_steps(ctx, c2, 2), _alpha_steps(ctx, ctx.mul(c1, c1), 1)
+    )]
+
+
+def _alpha_steps(ctx, v: int, t: int) -> list[int]:
+    """v * alpha^(t*k) for k < m, each from the last by t times alpha."""
+    out = []
+    for _ in range(ctx.m):
+        out.append(v)
+        for _ in range(t):
+            v <<= 1
+            if v >> ctx.m:
+                v ^= ctx.poly
+    return out
 
 
 def cube_roots(ctx, z: int) -> set[int]:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -554,6 +555,21 @@ _JSON_CLAIM = b'{"spec_version": 1, "m": 8, "poly": "0x11d", "d": 4, "extended":
             EXIT_PARSE, "bad log-support file: discrete log 000000000000... has over 4300 digits",
             id="verify-5000-digit-log",
         ),
+        pytest.param(
+            ["verify", "{dir}/m.log"], {"m.log": b"m=" + b"1" * 5000 + _HEAD[3:] + b"1,2\n"}, False,
+            EXIT_PARSE, "bad log-support file: m=111111111111... has over 4300 digits",
+            id="verify-5000-digit-header-m",
+        ),
+        pytest.param(
+            ["verify", "{dir}/long.json"], {"long.json": _JSON_CLAIM.replace(b"[1,", b"[" + b"7" * 5000 + b",")},
+            False, EXIT_PARSE, "bad JSON support file: number 777777777777... has over 4300 digits",
+            id="verify-5000-digit-json-entry",
+        ),
+        pytest.param(
+            ["verify", "{dir}/m.json"], {"m.json": _JSON_CLAIM.replace(b'"m": 8', b'"m": ' + b"8" * 5000)},
+            False, EXIT_PARSE, "bad JSON support file: number 888888888888... has over 4300 digits",
+            id="verify-5000-digit-json-m",
+        ),
         pytest.param(["table", "t23"], {}, True, EXIT_VERIFY_FAIL, "", id="table-row-refused"),
         # usage errors: exit 5, not argparse's 2, which means a failed verification
         pytest.param(
@@ -775,6 +791,19 @@ def _cli_child(argv, timeout):
         [sys.executable, "-c", _CLI_CHILD, *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_generate_into_closed_pipe_exits_quietly():
+    # the reader takes 16 bytes of 4.7 MB and closes the pipe: exit 1 and
+    # nothing on stderr, not a BrokenPipeError traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(bchmin.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", _CLI_CHILD, "generate", "--m", "20", "--i", "2", "--s", "0"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(16) == b'{\n  "spec_versio'
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == cli.EXIT_CLOSED
+    assert "Traceback" not in err and err == ""
 
 
 @pytest.mark.parametrize("m, poly", [(24, "0x100001B"), (26, "0x4000047"), (32, "0x1000000af")])
@@ -1048,7 +1077,49 @@ _ENTRIES = _LOG_ENTRIES | _HEX_ENTRIES
 )
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_json_dumps(doc):
-    assert cli._json_doc(doc) == json.dumps(doc, indent=2)
+    pieces = []
+    cli._json_doc(doc, pieces.append)
+    assert "".join(pieces) == json.dumps(doc, indent=2)
+
+
+# Entries on both sides of every digit-count boundary: 9/10 up to the
+# 8-digit logs of m = 24, and 0xf/0x10 up to 2^32 - 1.
+_DIGIT_EDGES = {
+    np.int32: [10**k + d for k in range(1, 8) for d in (-1, 0)],
+    np.uint64: [16**k + d for k in range(1, 8) for d in (-1, 0)] + [(1 << 32) - 1],
+}
+
+
+@given(
+    dtype=st.sampled_from([np.int32, np.uint64]),
+    zero=st.booleans(),
+    edges=st.lists(st.integers(0, 14)),
+    fill=st.integers(0, 2 * cli._VECTOR_MIN + 100),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 7, 64, cli._CHUNK]),
+    sep=st.sampled_from([",", "\n", ",\n    "]),
+    quoted=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_entry_writer_matches_str_join(dtype, zero, edges, fill, seed, chunk, sep, quoted):
+    # the writer against the join it replaced, on lists on both sides of
+    # _VECTOR_MIN and across the piece size, patched small here
+    rng = np.random.default_rng(seed)
+    top = (1 << 24) - 1 if dtype is np.int32 else 1 << 32
+    spread = rng.integers(0, top >> rng.integers(0, 24, fill), dtype=np.int64) if fill else []
+    picked = [_DIGIT_EDGES[dtype][k] for k in edges if k < len(_DIGIT_EDGES[dtype])]
+    values = np.unique(np.concatenate([picked, spread]).astype(dtype))
+    if dtype is np.int32:
+        values = np.concatenate([[-1] * zero, values]).astype(dtype)
+        expected = sep.join(map(str, values.tolist()))
+    else:
+        expected = sep.join(f'"{x:#x}"' if quoted else hex(x) for x in values.tolist())
+    pieces = []
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        cli._write_entries(pieces.append, values, sep, quoted)
+    assert "".join(pieces) == expected
+    if len(values) >= cli._VECTOR_MIN:  # bounded pieces: at most `chunk` entries each
+        assert max(piece.count(sep) for piece in pieces) <= chunk
 
 
 # -- pinned outputs and the solver registry -----------------------------------
@@ -1065,9 +1136,11 @@ def test_json_writer_matches_json_dumps(doc):
 # points in every format, a table-built field above 16, and the hex path
 # with a nonempty B.  The m = 32 chain of 28 generators and the m = 30 gk
 # lift were recorded before construction evaluated its subspace polynomials
-# through `linearized.subspace_images` in place of their coefficients.  A
-# test id is its argv alone, so recording a digest again keeps the test's
-# name.
+# through `linearized.subspace_images` in place of their coefficients.  The
+# m = 18 cells (98,304 entries) and the m = 25 cell at s = 6 (196,608 quoted
+# hex entries) were recorded before entries were written as numpy digit
+# runs in pieces of 2^16 entries.  A test id is its argv alone, so
+# recording a digest again keeps the test's name.
 PINNED = [
     ("generate --m 10 --i 2 --s 3 --seed 1", "c5e8f7e1fcef6f3361087b5170b1dc3d6d0334b05ac41d78c725ac29817d4030"),
     ("generate --m 9 --i 3 --s 1 --seed 2", "90ad178483a5ec00d1a288d67199acbd032c25ebbaaf3383855b8f48deaaa557"),
@@ -1099,6 +1172,10 @@ PINNED = [
     ("generate --m 26 --i 2 --s 18 --seed 0 --format bits", "2618dc31abb9a503f4aa32bb78fc9e831c50045a547071e29038d98846c6f57e"),
     ("generate --m 32 --i 2 --s 28 --seed 0", "0077de5cc93987bb91ecb5468dec0feedccb00f585fa4a0b055cc982a37574e7"),
     ("generate --m 30 --i 2 --s 24 --seed 3 --method gk", "64249ccde6bab095973e43c689fe8574287f2695965d314299e1c136d2451a1d"),
+    ("generate --m 18 --i 2 --s 0 --seed 0", "17ab493d7a8431e1506f085904bc8dccb5c854974e7fc066cefba1ecb3a1ccd2"),
+    ("generate --m 18 --i 2 --s 0 --seed 0 --format logsupport", "5915b8fe6d155139f1c0fbb16f4a50e0329cc47c4446202deae8fafbb540452d"),
+    ("generate --m 18 --i 2 --s 0 --seed 0 --format bits", "157b5de0d9a08568165d65871f0de7457ca90d800f2a2dc233e3a83027b33440"),
+    ("generate --m 25 --i 2 --s 6 --seed 0", "473f9630eab436dba3b0e9afbefa2deaa542968d0950c1e54027d1dccb669064"),
 ]
 
 

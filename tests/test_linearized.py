@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchmin import gflinalg
+from bchmin import gflinalg, linearized
 from bchmin.construct import CodewordSupport, _lift, up_convert
 from bchmin.gf2m import default_field
 from bchmin.linearized import (
@@ -286,6 +286,16 @@ def test_affine_cubic_census_exhaustive(m):
             }
             assert affine_cubic_roots(ctx, c1, c2) == brute
             assert len(brute) in (0, 1, 3)
+
+
+@pytest.mark.parametrize("m", range(4, 33))
+def test_quartic_columns_are_its_matrix(m):
+    # the stepped columns of c1*x^4 + c2*x^2 + c1^2*x against lin_eval's
+    ctx, r = default_field(m), rng(m)
+    for c2 in (0, *(r.getrandbits(m) for _ in range(3))):
+        c1 = random_nonzero(ctx, r)
+        quartic = LinearizedPoly(ctx, (ctx.mul(c1, c1), c2, c1))
+        assert linearized._quartic_cols(ctx, c1, c2) == matrix_cols(quartic)
 
 
 def test_affine_cubic_rejects_zero_leading(gf256):
