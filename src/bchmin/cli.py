@@ -323,7 +323,8 @@ def _field(m: int, poly: str | None):
     except UnsupportedDegree as exc:
         raise UncoveredCase(str(exc)) from exc
     except ValueError as exc:  # unparsable, wrong degree, not primitive
-        raise ParseError(f"bad --poly {poly!r}: {exc}") from exc
+        shown = poly if len(poly) <= 12 else poly[:12] + "..."
+        raise ParseError(f"bad --poly {shown!r}: {exc}") from exc
 
 
 def _cmd_generate(args) -> int:

@@ -15,6 +15,8 @@ one lookup per byte into tables of (b X^(m+8k)) mod poly.
 
 from __future__ import annotations
 
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -60,6 +62,7 @@ _DEFAULT_POLYS = {
 }
 
 _LOG_TABLE_MAX_M = 24  # larger fields have no log tables: windowed arithmetic
+_BLOCK = 1 << 16  # entries per row of the log tables; m <= 16 is one row
 
 # _SPREAD[v] is the carry-less square of the byte v: its bits moved to the
 # even positions, i.e. the binary digits of v read in base 4.
@@ -79,14 +82,30 @@ def parse_poly(spec: int | str) -> int:
     if "," in s:
         poly = 0
         for part in s.split(","):
-            e = int(part.strip())
+            e = _int(part.strip(), 10, "exponent")
             if not 0 <= e <= 32:  # no supported modulus has a larger term
                 raise ValueError(f"exponent {e} is outside 0..32")
             if poly >> e & 1:  # X^e + X^e cancels: no silent repair
                 raise ValueError(f"exponent {e} is repeated")
             poly |= 1 << e
         return poly
-    return int(s, 0)
+    return _int(s, 0, "modulus")
+
+
+def _int(s: str, base: int, what: str) -> int:
+    """int(s, base), but a string of over 4300 digits (int()'s default limit
+    in base 10) is refused by name: no modulus or exponent is that long."""
+    if len(s) > 4300 and sum(map(str.isdigit, s)) > 4300:
+        raise ValueError(f"{what} {s[:12]}... has over 4300 digits")
+    return int(s, base)
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _clmul(a: int, b: int) -> int:
@@ -302,17 +321,24 @@ class GF2m:
     # -- logs ---------------------------------------------------------------
 
     def _build_tables(self) -> None:
-        """exp[k] = alpha^k for k < n, filled by doubling: x -> c*x with
-        c = alpha^size is GF(2)-linear, so each doubling XORs one gather
-        per byte of x from a 256-entry table of c times that byte.  Then
-        log[exp] = arange(n); log[0] is unused.  Scalar arithmetic indexes
-        zero-copy memoryviews of both."""
+        """exp[k] = alpha^k for k < n and log[exp[k]] = k; log[0] is unused.
+        Both are built in rows of w = min(n, _BLOCK) entries.  Row 0 of exp
+        is filled by doubling: x -> c*x with c = alpha^size is GF(2)-linear,
+        so each doubling XORs one gather per byte of x from a 256-entry
+        table of c times that byte.  Row q is alpha^(qw) times row 0, the
+        same kind of map: one gather per byte of row 0, whose bytes are
+        indexed once.  Each row writes its own logs, log[row] = qw + j.
+        The rows are split over the cores this process may run on, one
+        thread each (numpy releases the GIL in the gathers and the
+        scatter); a field of one row, any m <= 16, starts no thread.
+        Scalar arithmetic indexes zero-copy memoryviews of both tables."""
         n, m = self.n, self.m
+        w = min(n, _BLOCK)
         exp = np.empty(n, dtype=np.uint32)
         exp[0] = 1
         size = 1
-        while size < n:
-            top = min(size, n - size)
+        while size < w:
+            top = min(size, w - size)
             src, out = exp[:top], exp[size:size + top]
             out.fill(0)
             c = self._mul_free(int(exp[size - 1]), 2)  # alpha^size
@@ -324,12 +350,55 @@ class GF2m:
                 out ^= np.array(tab, dtype=np.uint32)[byte]
             size += top
         log = np.zeros(n + 1, dtype=np.uint32)
-        log[exp] = np.arange(n, dtype=np.uint32)
+        rows = -(-n // w)
+        if rows == 1:
+            log[exp] = np.arange(n, dtype=np.uint32)
+        else:
+            self._fill_rows(exp, log, w, rows)
         # alpha has order n iff exp hits 1..n once each: an entry above n
         # raised in the scatter, and only k = 0 wrote a 0, to log[1]
         assert log[2:].all()
         self._exp_arr, self._log_arr = exp, log
         self._exp, self._log = memoryview(exp), memoryview(log)
+
+    def _fill_rows(self, exp: np.ndarray, log: np.ndarray, w: int, rows: int) -> None:
+        """Rows 1.. of exp from row 0, and the logs of every row, in
+        contiguous runs of rows, one per worker; the calling thread takes
+        the first run.  A worker's exception is raised here."""
+        base = exp[:w]
+        idx = [(base >> 8 * k & 0xFF).astype(np.intp) for k in range(-(-self.m // 8))]
+        step = self._mul_free(int(base[-1]), 2)  # alpha^w
+        errors = []
+
+        def fill(lo: int, hi: int) -> None:
+            try:
+                tmp = np.empty(w, dtype=np.uint32)
+                c = self._pow_nontable(step, lo)  # alpha^(lo w)
+                for q in range(lo, hi):
+                    row = exp[q * w:(q + 1) * w]
+                    r = len(row)
+                    if q:  # "wrap" gathers unbuffered; byte indices never wrap
+                        row.fill(0)
+                        for k, tab in enumerate(_byte_tables(c, self.m, self.poly, self.m)):
+                            tab = np.array(tab, dtype=np.uint32)
+                            row ^= np.take(tab, idx[k][:r], out=tmp[:r], mode="wrap")
+                    log[row] = np.arange(q * w, q * w + r, dtype=np.uint32)
+                    c = self._mul_free(c, step)
+            except BaseException as exc:  # raised again by the calling thread
+                errors.append(exc)
+
+        workers = min(rows, _cores())
+        cuts = [rows * t // workers for t in range(workers + 1)]
+        threads = [
+            threading.Thread(target=fill, args=(cuts[t], cuts[t + 1])) for t in range(1, workers)
+        ]
+        for t in threads:
+            t.start()
+        fill(cuts[0], cuts[1])
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
 
     def _require_tables(self) -> None:
         if not self.has_logs:

@@ -570,6 +570,21 @@ _JSON_CLAIM = b'{"spec_version": 1, "m": 8, "poly": "0x11d", "d": 4, "extended":
             False, EXIT_PARSE, "bad JSON support file: number 888888888888... has over 4300 digits",
             id="verify-5000-digit-json-m",
         ),
+        pytest.param(
+            ["verify", "{dir}/poly.log"], {"poly.log": _HEAD.replace(b"0x11d", b"7" * 5000) + b"1,2\n"},
+            False, EXIT_PARSE, "bad log-support file: modulus 777777777777... has over 4300 digits",
+            id="verify-5000-digit-header-poly",
+        ),
+        pytest.param(
+            ["verify", "{dir}/poly.json"], {"poly.json": _JSON_CLAIM.replace(b"0x11d", b"7" * 5000)},
+            False, EXIT_PARSE, "bad JSON support file: modulus 777777777777... has over 4300 digits",
+            id="verify-5000-digit-json-poly",
+        ),
+        pytest.param(
+            ["generate", "--m", "8", "--i", "2", "--poly", "7" * 5000], {}, False, EXIT_PARSE,
+            "bad --poly '777777777777...': modulus 777777777777... has over 4300 digits\n",
+            id="generate-5000-digit-poly",
+        ),
         pytest.param(["table", "t23"], {}, True, EXIT_VERIFY_FAIL, "", id="table-row-refused"),
         # usage errors: exit 5, not argparse's 2, which means a failed verification
         pytest.param(

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import time
 from math import gcd
 from pathlib import Path
@@ -469,6 +470,68 @@ def test_tables_match_reference_walk(m, poly):
     assert ctx.log_array()[1:].tolist() == log[1:]
 
 
+@pytest.mark.parametrize(
+    "m, poly", [(m, _DEFAULT_POLYS[m]) for m in range(5, 13)] + [(8, 0x12B), (10, 0x481)]
+)
+def test_row_layout_matches_reference_walk(monkeypatch, m, poly):
+    # small rows give a partial last row, more rows than workers, and (at
+    # n <= block) the single row, which starts no thread
+    exp, log = _reference_tables(m, poly)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: interleave the rows' writes
+    try:
+        for block in (16, 100, 128):
+            monkeypatch.setattr(gf2m, "_BLOCK", block)
+            rows = -(-len(exp) // block)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(gf2m, "_cores", lambda: workers)
+                started.clear()
+                ctx = GF2m(m, poly)
+                assert ctx.exp_array().tolist() == exp
+                assert ctx.log_array()[1:].tolist() == log[1:]
+                assert len(started) == (min(rows, workers) - 1 if rows > 1 else 0)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_row_worker_exception_reaches_the_caller(monkeypatch):
+    # an error in a row built by another thread is raised by the constructor
+    orig = gf2m._byte_tables
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("row table")
+        return orig(*args)
+
+    monkeypatch.setattr(gf2m, "_byte_tables", failing)
+    monkeypatch.setattr(gf2m, "_BLOCK", 16)
+    monkeypatch.setattr(gf2m, "_cores", lambda: 3)
+    with pytest.raises(MemoryError, match="row table"):
+        GF2m(8)
+
+
+def test_m24_tables_whole():
+    # the reference walk stops at m = 20: check the whole m = 24 tables by
+    # the doubling step, alpha's order and log o exp, over all n entries
+    ctx = default_field(24)
+    exp, log, n = ctx.exp_array(), ctx.log_array(), ctx.n
+    nxt = exp[:-1] << 1
+    nxt ^= (nxt >> 24) * np.uint32(ctx.poly)
+    assert np.array_equal(exp[1:], nxt)
+    assert exp[0] == 1 and ref_mul(ctx, int(exp[-1]), 2) == 1
+    for lo in range(0, n, 1 << 22):
+        part = exp[lo:lo + (1 << 22)]
+        assert np.array_equal(log[part], np.arange(lo, lo + len(part), dtype=np.uint32))
+
+
 @pytest.mark.parametrize("m", [8, 17])
 def test_table_arrays_are_stored_uint32(m):
     ctx = default_field(m)
@@ -500,17 +563,25 @@ def test_memoryview_path_matches_polynomial_arithmetic(m):
         assert ctx.exp(ctx.log(a)) == a
 
 
-# A fresh interpreter building the m = 24 tables: 2 x 64 MB of uint32 arrays
-# plus the temporaries of the log scatter (~252 MB and ~0.9 s measured on a
-# 2-vCPU x86-64 machine).  The Python-list tables took 1.38 GB and ~8 s.
-_M24_RSS_CEILING_MB = 600
+# A fresh interpreter building the m = 24 tables: 2 x 64 MB of uint32 arrays,
+# built and scattered in rows of 2^16 entries (~160 MB and 0.3-0.5 s with two
+# threads, 0.5-0.6 s with one, measured on a 2-vCPU x86-64 machine).  The
+# whole-array log scatter peaked at 252-254 MB (~0.9 s); the Python-list
+# tables took 1.38 GB and ~8 s.
+_M24_RSS_CEILING_MB = 250
 _M24_WALL_CEILING_S = 10.0
+# On Linux ru_maxrss also holds the parent's peak at exec, so the child reads
+# the peak of its own address space, VmHWM, where /proc has it.
 _M24_CHILD = """
 import resource, sys
 from bchmin.gf2m import GF2m
 GF2m(24).log(3)
-kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(kib / 1024 if sys.platform != "darwin" else kib / 2**20)
+try:
+    with open("/proc/self/status") as f:
+        print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024)
+except OSError:
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(kib / 1024 if sys.platform != "darwin" else kib / 2**20)
 """
 
 
@@ -527,10 +598,11 @@ def test_m24_tables_memory_and_time_ceiling():
     assert wall < _M24_WALL_CEILING_S
 
 
-@pytest.mark.parametrize("m", [8, 12, 16])
+@pytest.mark.parametrize("m", [8, 12, 16, 17])
 def test_build_tables_refuses_a_non_bijective_exp(monkeypatch, m):
-    # one flipped entry in a doubling table of _build_tables (the only caller
-    # with bits == m) makes exp miss some element of 1..n
+    # one flipped entry in each byte table of the log build (the only callers
+    # with bits == m; at m = 17 also the row tables) makes exp miss some
+    # element of 1..n
     orig = gf2m._byte_tables
 
     def flipped(img, deg, poly, bits):
