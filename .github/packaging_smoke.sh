@@ -14,6 +14,10 @@ bchmin generate --m 32 --i 4 --s 22 > big.json
 bchmin verify big.json
 bchmin generate --m 29 --i 3 --s 23 --poly 0x20000017 > foreign.json
 bchmin verify foreign.json
+# the Euclid inverse and the array subspace images, under a modulus that
+# is not built in
+bchmin generate --m 31 --i 2 --s 27 --poly 0xC000005B > foreign31.json
+bchmin verify foreign31.json
 bchmin generate --m 16 --i 4 --s 0 --method gold > gold.json
 bchmin verify gold.json
 grep -q '"B"' gold.json

@@ -10,14 +10,17 @@ residue class of X modulo the primitive polynomial.
 Fields with m <= 24 multiply through log/antilog tables.  Larger fields
 multiply without them: a 4-bit windowed carry-less product, or for a square
 one bit-spread lookup per byte, whose high m - 1 bits are folded back with
-one lookup per byte into tables of (b X^(m+8k)) mod poly.
+one lookup per byte into tables of (b X^(m+8k)) mod poly.  `mul_array`
+multiplies uint64 arrays elementwise the same way, one shift-XOR per bit
+and one gather per byte of the fold, for any m; and the inverse is the
+extended Euclidean algorithm on the polynomials themselves.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,6 +66,9 @@ _DEFAULT_POLYS = {
 
 _LOG_TABLE_MAX_M = 24  # larger fields have no log tables: windowed arithmetic
 _BLOCK = 1 << 16  # entries per row of the log tables; m <= 16 is one row
+# Elements per block of `mul_array`: its m x block transients stay under
+# 1 MB whatever the array size.
+_MUL_BLOCK = 4096
 
 # _SPREAD[v] is the carry-less square of the byte v: its bits moved to the
 # even positions, i.e. the binary digits of v read in base 4.
@@ -90,6 +96,12 @@ def parse_poly(spec: int | str) -> int:
             poly |= 1 << e
         return poly
     return _int(s, 0, "modulus")
+
+
+def _quote(s: str) -> str:
+    """s for a message, cut to its first 12 characters and "..." when
+    longer: a refusal does not echo a value of unbounded length."""
+    return s if len(s) <= 12 else s[:12] + "..."
 
 
 def _int(s: str, base: int, what: str) -> int:
@@ -175,11 +187,13 @@ class GF2m:
     element alpha (the class of X): arithmetic, Frobenius, the absolute
     trace and discrete logs.  `has_logs` is True iff m <= 24: the field
     then holds log/antilog tables from construction on; otherwise `log`,
-    `exp_array` and `log_array` raise RuntimeError, and `mul` is a windowed
+    `exp_array` and `log_array` raise RuntimeError, `mul` is a windowed
     carry-less product (a spread-table square when both operands are
     equal) reduced through the per-byte fold tables `_fold`, which every
-    field builds from (m, poly).  Operands of `mul` are field elements,
-    ints below 2^m; the CLI's parsers refuse anything else.
+    field builds from (m, poly), and `inv` is Euclid's.  `mul_array`, the
+    elementwise product of uint64 arrays, folds through the same tables
+    on every field.  Operands of `mul` are field elements, ints below
+    2^m; the CLI's parsers refuse anything else.
 
     Parameters
     ----------
@@ -204,15 +218,15 @@ class GF2m:
 
     def __init__(self, m: int, poly: int | str | None = None):
         if not 2 <= m <= 32:
-            raise UnsupportedDegree(f"m must be in 2..32, got {m}")
+            raise UnsupportedDegree(f"m must be in 2..32, got {_quote(str(m))}")
         if poly is None:
             poly = _DEFAULT_POLYS[m]
         else:
             poly = parse_poly(poly)
         if poly < 0:  # _clmul would never finish on a negative multiplier
-            raise ValueError(f"modulus {hex(poly)} is negative")
+            raise ValueError(f"modulus {_quote(hex(poly))} is negative")
         if poly.bit_length() != m + 1:
-            raise ValueError(f"modulus {hex(poly)} does not have degree {m}")
+            raise ValueError(f"modulus {_quote(hex(poly))} does not have degree {m}")
         self.m = m
         self.poly = poly
         self.n = (1 << m) - 1
@@ -225,10 +239,10 @@ class GF2m:
         # of X are then n distinct units, so every nonzero residue is a unit
         # and poly is irreducible.  X^n = 1 modulo every irreducible poly.
         if self._pow_nontable(2, self.n) != 1:
-            raise ValueError(f"{hex(poly)} is reducible over GF(2)")
+            raise ValueError(f"{_quote(hex(poly))} is reducible over GF(2)")
         for p in _factorize(self.n):
             if self._pow_nontable(2, self.n // p) == 1:
-                raise ValueError(f"X has order < 2^{m}-1 modulo {hex(poly)}")
+                raise ValueError(f"X has order < 2^{m}-1 modulo {_quote(hex(poly))}")
 
         # bit k set iff Tr(alpha^k) = 1; makes trace a masked parity
         self._trace_mask = sum(self._trace_direct(1 << k) << k for k in range(m))
@@ -266,11 +280,56 @@ class GF2m:
             high >>= 8
         return p
 
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise a * b for uint64 arrays of field elements: the
+        carry-less product is the XOR of b << t over the set bits t of a,
+        which fits in 2m - 1 <= 63 bits; its high m - 1 bits are folded
+        back with one gather per byte from the `_fold` tables (Lopez and
+        Dahab, INDOCRYPT 2000).  Any m; arrays past _MUL_BLOCK elements
+        go in blocks of that many."""
+        if len(a) > _MUL_BLOCK:
+            return np.concatenate([
+                self.mul_array(a[lo:lo + _MUL_BLOCK], b[lo:lo + _MUL_BLOCK])
+                for lo in range(0, len(a), _MUL_BLOCK)
+            ])
+        bits, shifts, offsets, table = self._fold_arrays
+        prod = np.bitwise_xor.reduce((b << bits) * ((a >> bits) & 1), axis=0)
+        high = prod >> self.m
+        folded = table[((high >> shifts) & 0xFF) | offsets]  # entry 256k + byte k
+        return (prod & self.n) ^ np.bitwise_xor.reduce(folded, axis=0)
+
+    @cached_property
+    def _fold_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Constants of `mul_array`: the bit shifts 0..m-1 and the byte
+        shifts 8k of the high half of a product, as columns; the offsets
+        256k; and the `_fold` tables as one flat array, each padded to 256
+        entries."""
+        table = np.zeros((len(self._fold), 256), dtype=np.uint64)
+        for k, tab in enumerate(self._fold):
+            table[k, :len(tab)] = tab
+        shifts = np.arange(0, 8 * len(self._fold), 8, dtype=np.uint64)[:, None]
+        return np.arange(self.m, dtype=np.uint64)[:, None], shifts, shifts << 5, table.ravel()
+
     def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises ZeroDivisionError for 0."""
+        """Multiplicative inverse; raises ZeroDivisionError for 0.  With
+        log tables one lookup; without, the extended Euclidean algorithm
+        in GF(2)[X] on u = a and v = poly (Hankerson, Menezes and
+        Vanstone, Guide to Elliptic Curve Cryptography, Alg. 2.48): while
+        u != 1, the one of higher degree loses its top term to the other
+        shifted, and g1, g2 with g1 a = u, g2 a = v mod poly follow the
+        same steps; their degrees stay below m, so g1 needs no reduction."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^m)")
-        return self.pow(a, -1)
+        if self.has_logs:
+            return self.pow(a, -1)
+        u, v, g1, g2 = a, self.poly, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def pow(self, a: int, e: int) -> int:
         """a^e with the exponent reduced mod 2^m - 1 for nonzero a."""

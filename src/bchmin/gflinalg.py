@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 
 class LinearMap:
     """A GF(2)-linear map f given by the images f(e_k) of the unit vectors
@@ -80,12 +82,15 @@ def dual_basis(ctx, basis: Sequence[int]) -> list[int]:
     b'_j is the preimage of e_j under the map x -> sum of Tr(b_i x) 2^i,
     which is invertible iff the b_i form a basis."""
     m = ctx.m
+    if len(basis) != m:
+        raise ValueError("dual basis requires a full basis")
     row = sum(ctx.trace(1 << t) << t for t in range(m))  # bit t: Tr(alpha^t), to t = 2m - 2
     for t in range(m, 2 * m - 1):  # alpha^t is alpha^(t - m) times the modulus' lower terms
         row |= ((row >> t - m & ctx.poly).bit_count() & 1) << t
-    images = [sum(((x & row >> k).bit_count() & 1) << i for i, x in enumerate(basis))
-              for k in range(m)]  # bit i of images[k]: Tr(b_i alpha^k), linear in b_i
-    fmap = LinearMap(images)
-    if len(basis) != m or fmap.kernel:
+    k = np.arange(m, dtype=np.uint64)
+    # entry [k, i]: Tr(b_i alpha^k), the parity of b_i & (row >> k); linear in b_i
+    traces = np.bitwise_count((np.uint64(row) >> k)[:, None] & np.array(basis, dtype=np.uint64)) & 1
+    fmap = LinearMap(np.bitwise_or.reduce(traces.astype(np.uint64) << k, axis=1).tolist())
+    if fmap.kernel:
         raise ValueError("dual basis requires a full basis")
     return [fmap.preimage(1 << j) for j in range(m)]

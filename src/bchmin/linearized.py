@@ -5,7 +5,8 @@ kernel or a preimage of such a map: affine cubics and cube roots by the
 quartic trick, Artin-Schreier x^2 + x = w, and subfields as the kernel of
 X^(2^ell) + X.  The coefficient form is the public API; construction runs
 the recursion on the values at the points it needs (`subspace_images`,
-about m*s - s^2/2 products, not 2s^2), and `verify` keeps its own copy.
+about m*s - s^2/2 products, not 2s^2; on a field without log tables, one
+array product per generator), and `verify` keeps its own copy.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from . import gflinalg
 
@@ -69,13 +72,19 @@ def annihilator(ctx, gens: Sequence[int]) -> LinearizedPoly:
 def subspace_images(ctx, gens: Sequence[int], points: Sequence[int]) -> list[int]:
     """A_V(x) for each x in points, V = span(gens), by the recursion of
     `annihilator` on values: from A = X, each generator v maps every tracked
-    value a (the points, the generators not yet used) to a * (a + A(v))."""
+    value a (the points, the generators not yet used) to a * (a + A(v)).
+    Without log tables the tracked values are one uint64 array and each
+    generator one `mul_array`; with them, scalar products are cheaper."""
     vals = [*points, *reversed(gens)]
+    arrays = not ctx.has_logs
+    if arrays:
+        vals = np.array(vals, dtype=np.uint64)
     for _ in gens:
-        if not (w := vals.pop()):
+        w, vals = vals[-1], vals[:-1]
+        if not w:
             raise ValueError("annihilator generators are dependent")
-        vals = [ctx.mul(a, a ^ w) for a in vals]
-    return vals
+        vals = ctx.mul_array(vals, vals ^ w) if arrays else [ctx.mul(a, a ^ w) for a in vals]
+    return vals.tolist() if arrays else vals
 
 
 def matrix_cols(poly: LinearizedPoly) -> list[int]:

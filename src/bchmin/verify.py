@@ -89,8 +89,8 @@ _CHECK_POLY_NS_PER_LEADER = 13.4e3
 # Measured later on a 2-vCPU Xeon, where the scan's gather took 7.8 ns, and
 # scaled by 7.2 / 7.8: one lookup of the stabilizer search (a sorted search,
 # a gather and a compare per element; 35-55 ns at 256..10^6 points), and
-# one element of one array product of the power walk (`_mul`, 80-130 ns at
-# m = 25..32).
+# one element of one array product of the power walk (`GF2m.mul_array`,
+# 80-130 ns at m = 25..32).
 _LOOKUP_NS = 40
 _WALK_NS_PER_ELEMENT = 90
 
@@ -148,62 +148,10 @@ def _syndromes(ctx, nonzero, js):
         for j in js:
             yield int(np.bitwise_xor.reduce(exp[(nonzero * j) % n]))
         return
-    yield from _power_walk(ctx.m, ctx.poly, nonzero, js)
+    yield from _power_walk(ctx, nonzero, js)
 
 
-# Elements per block of an array product: its m x block transients stay
-# under 1 MB whatever the support size.
-_MUL_BLOCK = 4096
-
-
-# Row t holds bit t of each byte value 0..255, as 0/1 words.
-_BYTE_BITS = (np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None]) & 1
-
-
-def _map_tables(cols) -> np.ndarray:
-    """Byte tables of the GF(2)-linear map with columns cols: row k, entry b
-    is the image of b << 8k, the XOR of the columns 8k + t over the set
-    bits t of b."""
-    padded = np.zeros(-(-len(cols) // 8) * 8, dtype=np.uint64)
-    padded[:len(cols)] = cols
-    return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 8, 1), axis=1)
-
-
-@lru_cache(maxsize=64)
-def _fold_tables(m: int, poly: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constants of `_mul` in GF(2)[X] / poly, derived from (m, poly) alone:
-    the bit shifts 0..m-1 as a column, the byte shifts 8k of the high half
-    of a product as a column, and the flat byte tables (`_map_tables`) of
-    the fold t -> X^(m+t) mod poly, t < m - 1, entry 256k + b for byte k of
-    that half."""
-    cols = [poly ^ (1 << m)]  # X^m mod poly, then times X up to X^(2m-2)
-    for _ in range(m - 2):
-        col = cols[-1] << 1
-        cols.append(col ^ poly if col >> m else col)
-    table = _map_tables(cols)
-    bits = np.arange(m, dtype=np.uint64)[:, None]
-    shifts = np.arange(0, 8 * len(table), 8, dtype=np.uint64)[:, None]
-    return bits, shifts, table.ravel()
-
-
-def _mul(a: np.ndarray, b: np.ndarray, m: int, poly: int) -> np.ndarray:
-    """Elementwise a * b mod poly for uint64 arrays of m-bit elements: the
-    carry-less product is the XOR of b << t over the set bits t of a, which
-    fits in 2m - 1 <= 63 bits; its high m - 1 bits are folded back with one
-    table gather per byte (Lopez and Dahab, INDOCRYPT 2000)."""
-    if len(a) > _MUL_BLOCK:
-        return np.concatenate([
-            _mul(a[lo:lo + _MUL_BLOCK], b[lo:lo + _MUL_BLOCK], m, poly)
-            for lo in range(0, len(a), _MUL_BLOCK)
-        ])
-    bits, shifts, table = _fold_tables(m, poly)
-    prod = np.bitwise_xor.reduce((b << bits) * ((a >> bits) & 1), axis=0)
-    high = prod >> m
-    folded = table[((high >> shifts) & 0xFF) | (shifts << 5)]  # 256k + byte k
-    return (prod & ((1 << m) - 1)) ^ np.bitwise_xor.reduce(folded, axis=0)
-
-
-def _power_walk(m: int, poly: int, x: np.ndarray, js):
+def _power_walk(ctx, x: np.ndarray, js):
     """Yield the XOR of x^j over the uint64 elements x for each j >= 1 of
     the ascending js.  y = x^j is kept for the whole array and stepped up by
     y * x^2 while j is two or more ahead, and by y * x for an odd gap, so
@@ -214,10 +162,10 @@ def _power_walk(m: int, poly: int, x: np.ndarray, js):
         while at < j:
             if j - at >= 2:
                 if x2 is None:
-                    x2 = _mul(x, x, m, poly)
-                y, at = _mul(y, x2, m, poly), at + 2
+                    x2 = ctx.mul_array(x, x)
+                y, at = ctx.mul_array(y, x2), at + 2
             else:
-                y, at = _mul(y, x, m, poly), at + 1
+                y, at = ctx.mul_array(y, x), at + 1
         yield int(np.bitwise_xor.reduce(y))
 
 
@@ -613,6 +561,19 @@ def _subspace_map(ctx, basis) -> tuple[list[int], int]:
         cols = [ctx.mul(c, c ^ w) for c in cols]
         a0 = ctx.mul(a0, w)
     return cols, a0
+
+
+# Row t holds bit t of each byte value 0..255, as 0/1 words.
+_BYTE_BITS = (np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None]) & 1
+
+
+def _map_tables(cols) -> np.ndarray:
+    """Byte tables of the GF(2)-linear map with columns cols: row k, entry b
+    is the image of b << 8k, the XOR of the columns 8k + t over the set
+    bits t of b."""
+    padded = np.zeros(-(-len(cols) // 8) * 8, dtype=np.uint64)
+    padded[:len(cols)] = cols
+    return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 8, 1), axis=1)
 
 
 def _apply(tables, x: np.ndarray) -> np.ndarray:

@@ -19,6 +19,21 @@ def gf256():
     return default_field(8)
 
 
+# A second primitive modulus per table-free degree.  Each has an X^(m-1)
+# term, so X^m mod poly has its top bit set and every doubling step of the
+# fold tables wraps around the modulus.
+OTHER_MODULI = {
+    25: 0x3000043,
+    26: 0x6000023,
+    27: 0xC00000D,
+    28: 0x18000031,
+    29: 0x30000075,
+    30: 0x60000073,
+    31: 0xC000005B,
+    32: 0x18000000B,
+}
+
+
 def rng(seed: int = 1234) -> random.Random:
     return random.Random(seed)
 

@@ -585,6 +585,27 @@ _JSON_CLAIM = b'{"spec_version": 1, "m": 8, "poly": "0x11d", "d": 4, "extended":
             "bad --poly '777777777777...': modulus 777777777777... has over 4300 digits\n",
             id="generate-5000-digit-poly",
         ),
+        # a refused degree or modulus is quoted to at most 12 characters
+        pytest.param(
+            ["generate", "--m", "9" * 4000, "--i", "2"], {}, False, EXIT_UNCOVERED,
+            "uncovered case: m must be in 2..32, got 999999999999...\n",
+            id="generate-4000-digit-m",
+        ),
+        pytest.param(
+            ["verify", "{dir}/m.log"], {"m.log": b"m=" + b"9" * 4000 + _HEAD[3:] + b"1,2\n"}, False,
+            EXIT_PARSE, "bad log-support file: m must be in 2..32, got 999999999999...\n",
+            id="verify-4000-digit-header-m",
+        ),
+        pytest.param(
+            ["generate", "--m", "8", "--i", "2", "--poly", "0x" + "f" * 3000], {}, False, EXIT_PARSE,
+            "bad --poly '0xffffffffff...': modulus 0xffffffffff... does not have degree 8\n",
+            id="generate-3000-digit-hex-poly",
+        ),
+        pytest.param(
+            ["verify", "{dir}/poly.log"], {"poly.log": _HEAD.replace(b"0x11d", b"0x" + b"f" * 3000) + b"1,2\n"},
+            False, EXIT_PARSE, "bad log-support file: modulus 0xffffffffff... does not have degree 8\n",
+            id="verify-3000-digit-header-hex-poly",
+        ),
         pytest.param(["table", "t23"], {}, True, EXIT_VERIFY_FAIL, "", id="table-row-refused"),
         # usage errors: exit 5, not argparse's 2, which means a failed verification
         pytest.param(

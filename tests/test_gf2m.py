@@ -23,7 +23,7 @@ from bchmin.gf2m import (
 )
 from bchmin.linearized import LinearizedPoly, lin_eval
 
-from conftest import norm_rel, random_nonzero, ref_clmul, ref_mul, rng, trace_rel
+from conftest import OTHER_MODULI, norm_rel, random_nonzero, ref_clmul, ref_mul, rng, trace_rel
 
 
 # -- construction ------------------------------------------------------------
@@ -159,21 +159,6 @@ def test_pow_edge_cases(gf256):
     assert gf256.pow(x, gf256.n) == 1
 
 
-# A second primitive modulus per table-free degree.  Each has an X^(m-1)
-# term, so X^m mod poly has its top bit set and every doubling step of the
-# fold tables wraps around the modulus.
-_OTHER_MODULI = {
-    25: 0x3000043,
-    26: 0x6000023,
-    27: 0xC00000D,
-    28: 0x18000031,
-    29: 0x30000075,
-    30: 0x60000073,
-    31: 0xC000005B,
-    32: 0x18000000B,
-}
-
-
 def _ref_pow(ctx, a, e):
     r = 1
     for bit in bin(e)[2:]:
@@ -197,7 +182,7 @@ def test_nontable_path_matches_table_path():
         a, b = r.getrandbits(8), r.getrandbits(8)
         assert small.mul(a, b) == ref_mul(small, a, b)
     # every table-free degree, with the built-in and one other modulus
-    for m, other in _OTHER_MODULI.items():
+    for m, other in OTHER_MODULI.items():
         for ctx in (default_field(m), GF2m(m, other)):
             edge = [0, 1, 1 << (m - 1), ctx.n]
             pairs = [(a, b) for a in edge for b in edge]
@@ -210,6 +195,35 @@ def test_nontable_path_matches_table_path():
                     assert ctx._pow_nontable(a, ctx.n) == 1
                     e = r.randrange(1, ctx.n)
                     assert ctx.pow(a, e) == _ref_pow(ctx, a, e)
+
+
+@pytest.mark.parametrize("m", [*range(2, 17), *range(25, 33)])
+def test_mul_array_matches_field_mul(m):
+    # with both moduli of a table-free degree; 5000 elements pass one
+    # block of the product, so the blocks are stitched too
+    r = rng(m)
+    fields = [default_field(m)] + ([GF2m(m, OTHER_MODULI[m])] if m in OTHER_MODULI else [])
+    for ctx in fields:
+        edge = [0, 1, 1 << (m - 1), ctx.n]
+        a = edge * 4 + [r.getrandbits(m) for _ in range(5000)]
+        b = [x for x in edge for _ in edge] + [r.getrandbits(m) for _ in range(5000)]
+        got = ctx.mul_array(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
+    assert ctx.mul_array(np.array([], dtype=np.uint64), np.array([], dtype=np.uint64)).tolist() == []
+
+
+@pytest.mark.parametrize("m", range(25, 33))
+def test_euclid_inverse_matches_power(m):
+    # the table-free inverse is the extended Euclidean algorithm; a^(n-1)
+    # is its reference, with both moduli of each degree
+    r = rng(m)
+    for ctx in (default_field(m), GF2m(m, OTHER_MODULI[m])):
+        for a in [1, ctx.alpha, 1 << (m - 1), ctx.n] + [random_nonzero(ctx, r) for _ in range(40)]:
+            inv = ctx.inv(a)
+            assert type(inv) is int and inv == ctx._pow_nontable(a, ctx.n - 1)
+        with pytest.raises(ZeroDivisionError, match="0 has no inverse"):
+            ctx.inv(0)
 
 
 def test_windowed_clmul_matches_bit_serial():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bchmin import gflinalg, linearized
 from bchmin.construct import CodewordSupport, _lift, up_convert
-from bchmin.gf2m import default_field
+from bchmin.gf2m import GF2m, default_field
 from bchmin.linearized import (
     LinearizedPoly,
     affine_cubic_roots,
@@ -23,7 +23,7 @@ from bchmin.linearized import (
 )
 from bchmin.solvers import f_j
 
-from conftest import random_nonzero, rank, rng
+from conftest import OTHER_MODULI, random_nonzero, rank, rng
 
 
 def _random_independent(ctx, k, r):
@@ -189,6 +189,24 @@ def _compose(ctx, a, b):
         for j, bj in enumerate(b):
             out[i + j] ^= ctx.mul(ai, ctx.frobenius(bj, i))
     return out
+
+
+@pytest.mark.parametrize("m", range(25, 33))
+def test_array_subspace_images_match_annihilator(m):
+    # the table-free fields' array recursion against the coefficient form,
+    # with both moduli of each degree, and its refusal of dependent gens
+    r = rng(m)
+    for ctx in (default_field(m), GF2m(m, OTHER_MODULI[m])):
+        for s in (0, 1, m // 2, m - 2, m):
+            gens = _random_independent(ctx, s, r)
+            points = [0, 1, 1 << (m - 1), ctx.n] + [r.getrandbits(m) for _ in range(8)] + gens
+            images = subspace_images(ctx, gens, points)
+            assert all(type(y) is int for y in images)
+            assert images == [lin_eval(annihilator(ctx, gens), x) for x in points]
+        for dependent in ([*gens[:3], 0], [*gens[:3], gens[1]], [*gens[:3], gens[0] ^ gens[2]]):
+            with pytest.raises(ValueError, match="annihilator generators are dependent"):
+                subspace_images(ctx, dependent, points)
+    assert subspace_images(ctx, [], []) == []
 
 
 @pytest.mark.parametrize("m", [*range(2, 17), 29, 32])  # m = 29, 32 have no log tables

@@ -19,9 +19,9 @@ from bchmin.verify import (
     _fft_mul,
     _first_failure,
     _min_polys,
-    _mul,
     _nonzero,
     _pick_route,
+    _power_walk,
     _shift_xor_mul,
     _witness,
     designed_distance,
@@ -100,13 +100,13 @@ def test_power_sums_match_direct_path():
 
 @pytest.mark.parametrize("m", [*range(2, 17), *range(25, 33)])
 def test_array_product_matches_field_mul(m):
-    # 5000 elements pass one block of the product, so the blocks are
-    # stitched too
+    # the power walk's array products (GF2m.mul_array, tested elementwise
+    # in test_gf2m) against scalar powers: j = 3 steps by x^2, j = 4 by x,
+    # and 5000 elements pass one block of the product
     ctx, r = default_field(m), rng(m)
-    a = [r.getrandbits(m) for _ in range(5000)]
-    b = [r.getrandbits(m) for _ in range(5000)]
-    got = _mul(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64), m, ctx.poly)
-    assert got.tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
+    x = [r.getrandbits(m) for _ in range(5000)]
+    got = list(_power_walk(ctx, np.array(x, dtype=np.uint64), [1, 3, 4]))
+    assert got == [reduce(xor, (ctx.pow(v, j) for v in x)) for j in (1, 3, 4)]
 
 
 def _table_free_claims(m):
