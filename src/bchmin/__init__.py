@@ -15,14 +15,7 @@ from .construct import (
     up_convert,
 )
 from .gf2m import GF2m, default_field, parse_poly
-from .linearized import (
-    LinearizedPoly,
-    affine_cubic_roots,
-    annihilator,
-    image_poly,
-    lin_eval,
-    lin_kernel,
-)
+from .linearized import affine_cubic_roots
 from .solvers import (
     SolutionVector,
     SolverReport,
@@ -43,11 +36,6 @@ __all__ = [
     "GF2m",
     "default_field",
     "parse_poly",
-    "LinearizedPoly",
-    "annihilator",
-    "lin_eval",
-    "lin_kernel",
-    "image_poly",
     "affine_cubic_roots",
     "SolutionVector",
     "SolverReport",

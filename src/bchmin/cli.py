@@ -28,7 +28,7 @@ import numpy as np
 from . import construct, verify
 from .construct import CodewordSupport, UnverifiedSupport
 from .fixtures import BCH23_FIXTURE, BCH27_FIXTURES
-from .gf2m import UnsupportedDegree, default_field, parse_poly
+from .gf2m import UnsupportedDegree, _quote, default_field, parse_poly
 from .solvers import RetriesExhausted, UncoveredCase
 
 SPEC_VERSION = 1
@@ -234,11 +234,17 @@ def _elements(ctx, values: np.ndarray, logs: bool, entry):
     return [0 if v == -1 else ctx.exp(v) for v in values.tolist()] if logs else values
 
 
+def _echo(value) -> str:
+    """The repr of a refused value, cut by `_quote`: a string before it is
+    quoted, anything else after."""
+    return repr(_quote(value)) if isinstance(value, str) else _quote(repr(value))
+
+
 def _json_int(doc: dict, key: str) -> int:
     """A JSON integer field; floats, strings and booleans are refused."""
     value = doc[key]
     if type(value) is not int:
-        raise ParseError(f"{key} must be a JSON integer, got {value!r}")
+        raise ParseError(f"{key} must be a JSON integer, got {_echo(value)}")
     return value
 
 
@@ -246,9 +252,9 @@ def _text_int(fields: dict, key: str) -> int:
     """A header field of decimal digits; signs, spaces and the rest are refused."""
     value = fields[key]
     if not (value.isascii() and value.isdigit()):
-        raise ParseError(f"{key} must be decimal digits, got {value!r}")
+        raise ParseError(f"{key} must be decimal digits, got {_echo(value)}")
     if len(value) > 4300:  # beyond int()'s default limit: always refused
-        raise ParseError(f"{key}={value[:12]}... has over 4300 digits")
+        raise ParseError(f"{key}={_quote(value)} has over 4300 digits")
     return int(value)
 
 
@@ -277,11 +283,11 @@ def parse_support_file(text: str) -> CodewordSupport:
                     raise ParseError(f"number {long[0][:12]}... has over 4300 digits") from exc
                 raise
             if doc.get("spec_version") != SPEC_VERSION:
-                raise ParseError(f"unsupported spec_version {doc.get('spec_version')!r}")
+                raise ParseError(f"unsupported spec_version {_echo(doc.get('spec_version'))}")
             if not isinstance(doc["support"], list) or not isinstance(doc["extended"], bool):
                 raise ParseError("support must be a list and extended a boolean")
             if type(doc["poly"]) not in (int, str):
-                raise ParseError(f"poly must be a string or an integer, got {doc['poly']!r}")
+                raise ParseError(f"poly must be a string or an integer, got {_echo(doc['poly'])}")
             ctx = default_field(_json_int(doc, "m"), parse_poly(doc["poly"]))
             if (kinds := set(map(type, support := doc["support"]))) == {int}:  # logs, or hex
                 elems = _elements(ctx, np.array(support), True, support.__getitem__)
@@ -290,7 +296,7 @@ def parse_support_file(text: str) -> CodewordSupport:
                 elems = _decode(ctx, data, 16, _JSON_BYTES, len(support))
             else:
                 bad = next(v for v in support if type(v) not in {int, str} & {type(support[0])})
-                raise ParseError(f"support entries must be ints or 0x-hex strings, got {bad!r}")
+                raise ParseError(f"support entries must be ints or 0x-hex strings, got {_echo(bad)}")
             return CodewordSupport(ctx, elems, _json_int(doc, "d"), doc["extended"])
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
             missing = "missing field " * isinstance(exc, KeyError)
@@ -300,7 +306,7 @@ def parse_support_file(text: str) -> CodewordSupport:
         head, start = text[:(brk := _BREAK.search(text)).start()], brk.end()
         fields = [part.split("=", 1) for part in head.split()]
         if bad := next((name for name, *value in fields if not value), None):
-            raise ParseError(f"header entry {bad!r} is not name=value")
+            raise ParseError(f"header entry {_echo(bad)} is not name=value")
         fields = _unique_names(fields)
         ctx = default_field(_text_int(fields, "m"), parse_poly(fields["poly"]))
         if start == len(text) or fields["extended"] not in ("0", "1"):
@@ -323,8 +329,7 @@ def _field(m: int, poly: str | None):
     except UnsupportedDegree as exc:
         raise UncoveredCase(str(exc)) from exc
     except ValueError as exc:  # unparsable, wrong degree, not primitive
-        shown = poly if len(poly) <= 12 else poly[:12] + "..."
-        raise ParseError(f"bad --poly {shown!r}: {exc}") from exc
+        raise ParseError(f"bad --poly {_echo(poly)}: {exc}") from exc
 
 
 def _cmd_generate(args) -> int:
@@ -400,7 +405,7 @@ _INT = re.compile(r"-?[0-9]+")
 
 def _int(text: str, source: str = "") -> int:
     if not _INT.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value{source}: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value{source}: {_echo(text)}")
     return int(text)
 
 
@@ -415,12 +420,20 @@ def _seed(text: str) -> int:
 _SEED_FROM_ENV = f"${SEED_ENV_VAR}"
 
 
+# A value argparse quotes in a usage error: an invalid choice or int
+_QUOTED = re.compile(r"""(['"])((?:(?!\1)[^\\]|\\.)*)\1""")
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as a ParseError (exit 5, one line) instead of
-    printing the usage and exiting 2, the code of a verification failure."""
+    printing the usage and exiting 2, the code of a verification failure.
+    Each value it echoes, quoted or an unrecognized argument, is cut by
+    `_quote`."""
 
     def error(self, message):
-        raise ParseError(f"{self.prog}: {message}")
+        head, sep, extra = message.partition("unrecognized arguments: ")
+        head = _QUOTED.sub(lambda v: v[1] + _quote(v[2]) + v[1], head)
+        raise ParseError(f"{self.prog}: {head}{sep}{' '.join(map(_quote, extra.split(' ')))}")
 
 
 def build_parser() -> argparse.ArgumentParser:

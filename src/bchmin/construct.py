@@ -111,7 +111,7 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
     basis = gflinalg.complete_to_basis(ctx, list(sol.b))
     dual = gflinalg.dual_basis(ctx, basis)
     collapsed = dual[2 * i : 2 * i + s]
-    images = linearized.subspace_images(ctx, collapsed, dual[: 2 * i] + dual[2 * i + s :])
+    images = linearized.annihilator(ctx, collapsed, dual[: 2 * i] + dual[2 * i + s :])
     gens, tail = tuple(images[: 2 * i]), tuple(images[2 * i :])
     assert gflinalg.independent(ctx, gens + tail)
     sums = gflinalg.span(gens)
@@ -147,7 +147,7 @@ def down_convert(cw: CodewordSupport, V_basis) -> CodewordSupport:
     for v in V_basis:  # S + v, sorted, is S again
         if not np.array_equal(np.sort(cw.elems ^ np.uint64(v)), cw.elems):
             raise ValueError("support is not a union of cosets of span(V)")
-    image = set(linearized.subspace_images(ctx, V_basis, cw.elems.tolist()))
+    image = set(linearized.annihilator(ctx, V_basis, cw.elems.tolist()))
     assert len(image) == len(cw.elems) >> s
     return CodewordSupport(ctx, image, new_d, extended=True)
 
@@ -159,8 +159,8 @@ def _lift(cw: CodewordSupport, U_basis) -> SupportSpec:
     if not cw.extended:
         raise ValueError("up-conversion applies to extended supports")
     units = [1 << k for k in range(cw.ctx.m)]
-    image = gflinalg.LinearMap(linearized.subspace_images(cw.ctx, list(U_basis), units)).image
-    bmap = gflinalg.LinearMap(linearized.subspace_images(cw.ctx, image, units))
+    image = gflinalg.LinearMap(linearized.annihilator(cw.ctx, list(U_basis), units)).image
+    bmap = gflinalg.LinearMap(linearized.annihilator(cw.ctx, image, units))
     x_set = set()
     for x in cw.elems.tolist():
         # the image of B is exactly span(U)
@@ -190,11 +190,9 @@ def gold_support(ctx, i: int) -> CodewordSupport:
     elems, _ = linearized.subfield(ctx, 2 * i)
     half, _ = linearized.subfield(ctx, i)
     beta = next(x for x in elems if x not in half)
-    tr = linearized.LinearizedPoly(ctx, (1,) * (2 * i))  # trace of GF(2^2i) onto GF(2)
+    mask = ctx.trace_mask(2 * i)  # the trace of GF(2^2i) onto GF(2)
     d = 1 << i
-    support = [
-        x for x in elems if linearized.lin_eval(tr, ctx.mul(beta, ctx.pow(x, d + 1))) == 0
-    ]
+    support = [x for x in elems if not (ctx.mul(beta, ctx.pow(x, d + 1)) & mask).bit_count() & 1]
     weight = (1 << (2 * i - 1)) - (1 << (i - 1))
     assert len(support) == weight
     return CodewordSupport(ctx, support, weight, extended=True)

@@ -1,7 +1,7 @@
 """Arithmetic in GF(2^m): field construction, Frobenius, the absolute
-trace, discrete logs.  Subfields, relative traces and equations over the
-field (cube roots, Artin-Schreier) are linearized polynomials, in
-`linearized`.
+trace and the trace masks of subfields, discrete logs.  Subfields and
+equations over the field (cube roots, Artin-Schreier) are linearized
+polynomials, in `linearized`.
 
 Field elements are plain Python ints: bit k is the coefficient of alpha^k
 in the polynomial basis {1, alpha, ..., alpha^(m-1)}, where alpha is the
@@ -185,15 +185,15 @@ def _factorize(x: int) -> list[int]:
 class GF2m:
     """A concrete representation of GF(2^m) with a designated primitive
     element alpha (the class of X): arithmetic, Frobenius, the absolute
-    trace and discrete logs.  `has_logs` is True iff m <= 24: the field
-    then holds log/antilog tables from construction on; otherwise `log`,
-    `exp_array` and `log_array` raise RuntimeError, `mul` is a windowed
-    carry-less product (a spread-table square when both operands are
-    equal) reduced through the per-byte fold tables `_fold`, which every
-    field builds from (m, poly), and `inv` is Euclid's.  `mul_array`, the
-    elementwise product of uint64 arrays, folds through the same tables
-    on every field.  Operands of `mul` are field elements, ints below
-    2^m; the CLI's parsers refuse anything else.
+    trace, the trace masks of subfields and discrete logs.  `has_logs` is
+    True iff m <= 24: the field then holds log/antilog tables from
+    construction on; otherwise `log`, `exp_array` and `log_array` raise
+    RuntimeError, `mul` is a windowed carry-less product (a spread-table
+    square when both operands are equal) reduced through the per-byte fold
+    tables `_fold`, which every field builds from (m, poly), and `inv` is
+    Euclid's.  `mul_array`, the elementwise product of uint64 arrays, folds
+    through the same tables on every field.  Operands of `mul` are field
+    elements, ints below 2^m; the CLI's parsers refuse anything else.
 
     Parameters
     ----------
@@ -244,8 +244,7 @@ class GF2m:
             if self._pow_nontable(2, self.n // p) == 1:
                 raise ValueError(f"X has order < 2^{m}-1 modulo {_quote(hex(poly))}")
 
-        # bit k set iff Tr(alpha^k) = 1; makes trace a masked parity
-        self._trace_mask = sum(self._trace_direct(1 << k) << k for k in range(m))
+        self._trace_mask = self.trace_mask(m)  # makes `trace` a masked parity
 
         self.has_logs = m <= _LOG_TABLE_MAX_M
         if self.has_logs:
@@ -365,13 +364,19 @@ class GF2m:
             x = self.mul(x, x)
         return x
 
-    def _trace_direct(self, x: int) -> int:
-        t = 0
-        cur = x
-        for _ in range(self.m):
-            t ^= cur
-            cur = self._mul_free(cur, cur)
-        return t
+    def trace_mask(self, ell: int) -> int:
+        """The mask whose parity with y is T(y) = y + y^2 + ... + y^(2^(ell-1))
+        for y in the subfield GF(2^ell), ell | m, where T is the trace onto
+        GF(2): bit k is bit 0 of T(alpha^k).  T is GF(2)-linear and takes
+        only the values 0 and 1 there; ell = m gives the absolute trace."""
+        mask = 0
+        for k in range(self.m):
+            t = cur = 1 << k
+            for _ in range(ell - 1):
+                cur = self._mul_free(cur, cur)
+                t ^= cur
+            mask |= (t & 1) << k
+        return mask
 
     def trace(self, x: int) -> int:
         """Absolute trace GF(2^m) -> GF(2), as an int in {0, 1}."""

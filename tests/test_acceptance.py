@@ -26,6 +26,7 @@ from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
 from bchmin.gf2m import default_field
 from bchmin.verify import designed_distance, is_min_weight
 
+import _linearized_oracle as oracle
 from conftest import covered_cells, dot, invert, iter_i2_solutions, rank, transpose
 
 
@@ -159,8 +160,8 @@ def test_criterion_07_conversion_roundtrips():
                 v = list(spec.basis[:rdim])
                 low = down_convert(cw, v)
                 assert low.weight * (1 << rdim) == cw.weight  # exact halving per dim
-                ann = linearized.annihilator(ctx, v)
-                u = _span_basis(ctx, linearized.matrix_cols(ann))
+                ann = oracle.annihilator(ctx, v)
+                u = _span_basis(ctx, oracle.matrix_cols(ann))
                 assert np.array_equal(up_convert(low, u).elems, cw.elems)
 
                 # up then down over the same pair
@@ -168,7 +169,7 @@ def test_criterion_07_conversion_roundtrips():
                 ub = _span_basis(ctx, cw.elems.tolist(), target_dim=udim)
                 high = up_convert(cw, ub)
                 assert high.weight == cw.weight * (1 << (m - len(ub)))
-                kb = linearized.lin_kernel(linearized.image_poly(ctx, ub))
+                kb = oracle.lin_kernel(oracle.image_poly(ctx, ub))
                 assert np.array_equal(down_convert(high, kb).elems, cw.elems)
 
 
@@ -196,8 +197,8 @@ def _boolean_enum_check(ctx, sol, i, s, spec, cw):
         return
     # the 2i quadratic-form generators, by the steps of build_support
     dual = gflinalg.dual_basis(ctx, gflinalg.complete_to_basis(ctx, list(sol.b)))
-    ann = linearized.annihilator(ctx, dual[2 * i : 2 * i + s])
-    gens = [linearized.lin_eval(ann, bp) for bp in dual[: 2 * i]]
+    ann = oracle.annihilator(ctx, dual[2 * i : 2 * i + s])
+    gens = [oracle.lin_eval(ann, bp) for bp in dual[: 2 * i]]
     tail = list(spec.basis)
     completion = gflinalg.complete_to_basis(ctx, gens + tail)[len(gens) + len(tail):]
     D = gens + completion + tail

@@ -606,6 +606,44 @@ _JSON_CLAIM = b'{"spec_version": 1, "m": 8, "poly": "0x11d", "d": 4, "extended":
             False, EXIT_PARSE, "bad log-support file: modulus 0xffffffffff... does not have degree 8\n",
             id="verify-3000-digit-header-hex-poly",
         ),
+        # every other value a refusal echoes is cut the same way
+        pytest.param(
+            ["verify", "{dir}/m.log"], {"m.log": b"m=" + b"9" * 4000 + b"x" + _HEAD[3:] + b"1,2\n"},
+            False, EXIT_PARSE, "bad log-support file: m must be decimal digits, got '999999999999...'\n",
+            id="verify-4000-char-header-m",
+        ),
+        pytest.param(
+            ["verify", "{dir}/d.log"], {"d.log": _HEAD.replace(b"d=4", b"d=" + b"4" * 4000 + b"x") + b"1,2\n"},
+            False, EXIT_PARSE, "bad log-support file: d must be decimal digits, got '444444444444...'\n",
+            id="verify-4000-char-header-d",
+        ),
+        pytest.param(
+            ["verify", "{dir}/q.log"], {"q.log": b"q" * 4000 + b" " + _HEAD + b"1,2\n"}, False,
+            EXIT_PARSE, "bad log-support file: header entry 'qqqqqqqqqqqq...' is not name=value\n",
+            id="verify-4000-char-header-entry",
+        ),
+        pytest.param(
+            ["verify", "{dir}/m.json"], {"m.json": _JSON_CLAIM.replace(b'"m": 8', b'"m": "' + b"9" * 4000 + b'"')},
+            False, EXIT_PARSE, "bad JSON support file: m must be a JSON integer, got '999999999999...'\n",
+            id="verify-4000-char-json-m",
+        ),
+        pytest.param(
+            ["verify", "{dir}/v.json"],
+            {"v.json": _JSON_CLAIM.replace(b'"spec_version": 1', b'"spec_version": "' + b"1" * 4000 + b'"')},
+            False, EXIT_PARSE, "bad JSON support file: unsupported spec_version '111111111111...'\n",
+            id="verify-4000-char-spec-version",
+        ),
+        pytest.param(
+            ["verify", "{dir}/e.json"], {"e.json": _JSON_CLAIM.replace(b"[1, 2]", b'[1, "' + b"2" * 4000 + b'"]')},
+            False, EXIT_PARSE,
+            "bad JSON support file: support entries must be ints or 0x-hex strings, got '222222222222...'\n",
+            id="verify-4000-char-json-entry",
+        ),
+        pytest.param(
+            ["verify", "{dir}/p.json"], {"p.json": _JSON_CLAIM.replace(b'"0x11d"', b"[" + b"1, " * 1333 + b"1]")},
+            False, EXIT_PARSE, "bad JSON support file: poly must be a string or an integer, got [1, 1, 1, 1,...\n",
+            id="verify-4000-char-poly-list",
+        ),
         pytest.param(["table", "t23"], {}, True, EXIT_VERIFY_FAIL, "", id="table-row-refused"),
         # usage errors: exit 5, not argparse's 2, which means a failed verification
         pytest.param(
@@ -654,6 +692,32 @@ _JSON_CLAIM = b'{"spec_version": 1, "m": 8, "poly": "0x11d", "d": 4, "extended":
             EXIT_PARSE, "bchmin verify: the following arguments are required: input",
             id="usage-verify-no-file",
         ),
+        # a value the parser echoes is cut to 12 characters and "..."
+        pytest.param(
+            ["generate", "--m", "8", "--i", "2", "--method", "a" * 4000], {}, False, EXIT_PARSE,
+            "bchmin generate: argument --method: invalid choice: 'aaaaaaaaaaaa...' (choose from 'auto',",
+            id="usage-4000-char-method",
+        ),
+        pytest.param(
+            ["generate", "--m", "9" * 4000 + "x", "--i", "2"], {}, False, EXIT_PARSE,
+            "bchmin generate: argument --m: invalid int value: '999999999999...'\n",
+            id="usage-4000-char-int",
+        ),
+        pytest.param(
+            ["BCHMIN_SEED=" + "7" * 4000 + "x", "generate", "--m", "9", "--i", "2"], {}, False, EXIT_PARSE,
+            "bchmin generate: argument --seed: invalid int value in $BCHMIN_SEED: '777777777777...'\n",
+            id="usage-4000-char-seed-variable",
+        ),
+        pytest.param(
+            ["t" * 4000], {}, False, EXIT_PARSE,
+            "bchmin: argument command: invalid choice: 'tttttttttttt...' (choose from 'generate',",
+            id="usage-4000-char-command",
+        ),
+        pytest.param(
+            ["generate", "--m", "8", "--i", "2", "b" * 4000], {}, False, EXIT_PARSE,
+            "bchmin: unrecognized arguments: bbbbbbbbbbbb...\n",
+            id="usage-4000-char-unrecognized",
+        ),
     ],
 )
 def test_refusal_exit_code_and_message(tmp_path, monkeypatch, capsys, argv, files, swap, code, err):
@@ -673,6 +737,7 @@ def test_refusal_exit_code_and_message(tmp_path, monkeypatch, capsys, argv, file
     else:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(err.format(dir=tmp_path))
+        assert len(captured.err.replace(str(tmp_path), "").encode()) < 200  # no value echoed whole
 
 
 # -- verify: malformed files are refused with exit 5 ------------------------
@@ -1172,7 +1237,7 @@ def test_entry_writer_matches_str_join(dtype, zero, edges, fill, seed, chunk, se
 # points in every format, a table-built field above 16, and the hex path
 # with a nonempty B.  The m = 32 chain of 28 generators and the m = 30 gk
 # lift were recorded before construction evaluated its subspace polynomials
-# through `linearized.subspace_images` in place of their coefficients.  The
+# on values (now `linearized.annihilator`) in place of their coefficients.  The
 # m = 18 cells (98,304 entries) and the m = 25 cell at s = 6 (196,608 quoted
 # hex entries) were recorded before entries were written as numpy digit
 # runs in pieces of 2^16 entries.  A test id is its argv alone, so

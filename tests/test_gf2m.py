@@ -21,8 +21,8 @@ from bchmin.gf2m import (
     default_field,
     parse_poly,
 )
-from bchmin.linearized import LinearizedPoly, lin_eval
 
+import _linearized_oracle as oracle
 from conftest import OTHER_MODULI, norm_rel, random_nonzero, ref_clmul, ref_mul, rng, trace_rel
 
 
@@ -287,22 +287,22 @@ def test_trace_balanced(m):
     assert ones == 1 << (m - 1)
 
 
-def _trace_poly(ctx, a: int, b: int) -> LinearizedPoly:
+def _trace_poly(ctx, a: int, b: int) -> oracle.LinearizedPoly:
     """The relative trace from GF(2^b) onto GF(2^a): sum of X^(2^(a k)), k < b/a."""
-    return LinearizedPoly(ctx, tuple(int(j % a == 0) for j in range(b - a + 1)))
+    return oracle.LinearizedPoly(ctx, tuple(int(j % a == 0) for j in range(b - a + 1)))
 
 
 def test_trace_rel_constants():
     for m in (4, 6, 9):
         ctx = default_field(m)
-        tr = LinearizedPoly(ctx, (1,) * m)  # the sum of the m conjugates
-        assert lin_eval(tr, 0) == 0
-        assert lin_eval(tr, 1) == m % 2
+        tr = oracle.LinearizedPoly(ctx, (1,) * m)  # the sum of the m conjugates
+        assert oracle.lin_eval(tr, 0) == 0
+        assert oracle.lin_eval(tr, 1) == m % 2
         # absolute trace agrees with the masked-parity implementation
         r = rng(5)
         for _ in range(50):
             x = r.getrandbits(m)
-            assert lin_eval(tr, x) == ctx.trace(x)
+            assert oracle.lin_eval(tr, x) == ctx.trace(x)
 
 
 def test_trace_tower_transitivity():
@@ -323,9 +323,24 @@ def test_trace_tower_transitivity():
             for _ in range(10):
                 # sample x inside GF(2^c)
                 x = norm_rel(ctx, r.getrandbits(m), c, m) if c < m else r.getrandbits(m)
-                t_ac = lin_eval(_trace_poly(ctx, a, c), x)
-                t_bc = lin_eval(_trace_poly(ctx, b, c), x)
-                assert lin_eval(_trace_poly(ctx, a, b), t_bc) == t_ac == trace_rel(ctx, x, a, c)
+                t_ac = oracle.lin_eval(_trace_poly(ctx, a, c), x)
+                t_bc = oracle.lin_eval(_trace_poly(ctx, b, c), x)
+                assert oracle.lin_eval(_trace_poly(ctx, a, b), t_bc) == t_ac == trace_rel(ctx, x, a, c)
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_trace_mask_is_the_subfield_trace(m):
+    # bit k of the mask is bit 0 of T(alpha^k), T = X + X^2 + ... +
+    # X^(2^(ell-1)); on GF(2^ell), T is 0 or 1 and is the mask's parity
+    r = rng(m)
+    for ctx in [default_field(m)] + ([GF2m(m, OTHER_MODULI[m])] if m in OTHER_MODULI else []):
+        for ell in (e for e in range(1, min(m, 16) + 1) if m % e == 0):
+            tr = oracle.LinearizedPoly(ctx, (1,) * ell)
+            mask = ctx.trace_mask(ell)
+            assert mask == sum((oracle.lin_eval(tr, 1 << k) & 1) << k for k in range(m))
+            elems = linearized.subfield(ctx, ell)[0]
+            for y in elems if ell <= 8 else r.sample(elems, 256):
+                assert oracle.lin_eval(tr, y) == (y & mask).bit_count() & 1
 
 
 def test_norm_rel_basics(gf256):

@@ -6,23 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchmin import gflinalg, linearized
-from bchmin.construct import CodewordSupport, _lift, up_convert
+from bchmin.construct import CodewordSupport, _lift, expand, up_convert
 from bchmin.gf2m import GF2m, default_field
 from bchmin.linearized import (
-    LinearizedPoly,
     affine_cubic_roots,
     annihilator,
     artin_schreier_solve,
     cube_roots,
-    image_poly,
-    lin_eval,
-    lin_kernel,
-    matrix_cols,
     subfield,
-    subspace_images,
 )
 from bchmin.solvers import f_j
 
+import _linearized_oracle as oracle
 from conftest import OTHER_MODULI, random_nonzero, rank, rng
 
 
@@ -35,40 +30,35 @@ def _random_independent(ctx, k, r):
     return elems
 
 
-# -- annihilators ---------------------------------------------------------------
+def _fields(m):
+    """GF(2^m) under its built-in modulus, and under a second one where
+    OTHER_MODULI has it."""
+    return [default_field(m)] + ([GF2m(m, OTHER_MODULI[m])] if m in OTHER_MODULI else [])
+
+
+# -- annihilators, on values ------------------------------------------------------
 
 
 def test_annihilator_of_zero_space(gf256):
-    ann = annihilator(gf256, [])
-    assert ann.coeffs == (1,)
-    assert lin_eval(ann, 0xA7) == 0xA7
+    assert annihilator(gf256, [], [0xA7, 0]) == [0xA7, 0]
 
 
 def test_annihilator_of_prime_field(gf256):
-    ann = annihilator(gf256, [1])
-    assert ann.coeffs == (1, 1)  # X^2 + X
-    assert lin_eval(ann, 1) == 0
+    xs = list(range(256))
+    assert annihilator(gf256, [1], xs) == [gf256.mul(x, x) ^ x for x in xs]  # X^2 + X
 
 
 def test_annihilator_vanishes_exactly_on_span(gf256):
     r = rng(23)
     gens = _random_independent(gf256, 3, r)
-    ann = annihilator(gf256, gens)
-    assert ann.coeffs[-1] == 1 and len(ann.coeffs) - 1 == 3
     members = set(gflinalg.span(gens))
-    for x in members:
-        assert lin_eval(ann, x) == 0
-    outside = 0
-    while outside < 50:
-        x = r.getrandbits(8)
-        if x not in members:
-            assert lin_eval(ann, x) != 0
-            outside += 1
+    values = annihilator(gf256, gens, range(256))
+    assert {x for x, y in enumerate(values) if y == 0} == members
 
 
 def test_annihilator_rejects_dependent(gf256):
     with pytest.raises(ValueError, match="annihilator generators are dependent"):
-        annihilator(gf256, [3, 5, 6])
+        annihilator(gf256, [3, 5, 6], [1])
 
 
 def test_annihilator_injective_on_coset_transversal(gf256):
@@ -76,23 +66,25 @@ def test_annihilator_injective_on_coset_transversal(gf256):
     # union of cosets
     r = rng(29)
     gens = _random_independent(gf256, 2, r)
-    ann = annihilator(gf256, gens)
-    cosets = set()
     reps = [r.getrandbits(8) for _ in range(10)]
     S = {rep ^ v for rep in reps for v in gflinalg.span(gens)}
-    image = {lin_eval(ann, x) for x in S}
+    image = set(annihilator(gf256, gens, list(S)))
     assert len(image) == len(S) // 4
 
 
-# -- evaluation and kernels ------------------------------------------------------
+# -- the oracle's coefficient form against its definitions ------------------------
+#
+# The value form, the maps of the field equations and the subfield trace
+# masks (in test_gf2m) are checked against the frozen coefficient form;
+# here that form is checked against the definitions.
 
 
 def test_lin_eval_additive(gf256):
     r = rng(31)
-    poly = LinearizedPoly(gf256, (0x1D, 0, 0x03, 1))
+    poly = oracle.LinearizedPoly(gf256, (0x1D, 0, 0x03, 1))
     for _ in range(100):
         x, y = r.getrandbits(8), r.getrandbits(8)
-        assert lin_eval(poly, x ^ y) == lin_eval(poly, x) ^ lin_eval(poly, y)
+        assert oracle.lin_eval(poly, x ^ y) == oracle.lin_eval(poly, x) ^ oracle.lin_eval(poly, y)
 
 
 @pytest.mark.parametrize("m", [8, 29])  # m = 29 has no log tables
@@ -103,80 +95,89 @@ def test_lin_eval_matches_definition(m):
     for _ in range(50):
         coeffs = [r.choice([0, 1, r.getrandbits(m)]) for _ in range(r.randint(0, m))]
         coeffs.append(r.choice([1, random_nonzero(ctx, r)]))
-        poly = LinearizedPoly(ctx, tuple(coeffs))
+        poly = oracle.LinearizedPoly(ctx, tuple(coeffs))
         x = r.getrandbits(m)
         expected = 0
         for j, a in enumerate(coeffs):
             expected ^= ctx.mul(a, ctx.pow(x, 1 << j))
-        assert lin_eval(poly, x) == expected
+        assert oracle.lin_eval(poly, x) == expected
 
 
 def test_lin_kernel_prime_cases(gf256):
-    assert lin_kernel(LinearizedPoly(gf256, (1,))) == []
-    kern = lin_kernel(LinearizedPoly(gf256, (1, 1)))
-    assert kern == [1]
+    assert oracle.lin_kernel(oracle.LinearizedPoly(gf256, (1,))) == []
+    assert oracle.lin_kernel(oracle.LinearizedPoly(gf256, (1, 1))) == [1]
 
 
 def test_lin_kernel_matches_span(gf256):
     r = rng(37)
     gens = _random_independent(gf256, 4, r)
-    kern = lin_kernel(annihilator(gf256, gens))
+    kern = oracle.lin_kernel(oracle.annihilator(gf256, gens))
     assert len(kern) == 4
     assert set(gflinalg.span(kern)) == set(gflinalg.span(gens))
 
 
-# -- image polynomials ------------------------------------------------------------
+# -- the image map B of the lift ------------------------------------------------------
+#
+# `_lift` reads B, the monic linearized polynomial whose image is span(U),
+# off the values of A_U and of A_(image of A_U) at the unit vectors.
 
 
 def test_image_map_full_space_is_identity(gf256):
-    bpoly = image_poly(gf256, [1 << k for k in range(8)])
-    assert bpoly.coeffs == (1,)
-    for x in (0, 1, 0x35, 0xFF):
-        assert lin_eval(bpoly, x) == x
+    S = frozenset({0, 1, 0x35, 0xFF})
+    spec = _lift(CodewordSupport(gf256, S, 2, extended=True), [1 << k for k in range(8)])
+    assert spec.basis == () and spec.x_set == S
 
 
 def test_image_map_rank_and_kernel(gf256):
+    # the preimage of span(U) is the whole field: B maps onto span(U), and
+    # its kernel is the oracle's
     r = rng(41)
     for k in (2, 4, 6):
         U = _random_independent(gf256, k, r)
-        bpoly = image_poly(gf256, U)
-        assert len(lin_kernel(bpoly)) == 8 - k
-        image = {lin_eval(bpoly, x) for x in range(256)}
-        assert image == set(gflinalg.span(U))
+        spec = _lift(CodewordSupport(gf256, gflinalg.span(U), 2, extended=True), U)
+        assert len(spec.basis) == 8 - k
+        assert sorted(expand(spec).elems.tolist()) == list(range(256))
+        kernel = oracle.lin_kernel(oracle.image_poly(gf256, U))
+        assert set(gflinalg.span(spec.basis)) == set(gflinalg.span(kernel))
 
 
 def test_image_poly_is_canonical_annihilator_of_its_kernel(gf256):
+    # B is monic of degree 2^(m-k) and vanishes on its (m-k)-dimensional
+    # kernel, so it is that kernel's annihilator: A_ker(x) = B(x) at each
+    # preimage the lift chose
     r = rng(43)
     U = _random_independent(gf256, 5, r)
-    bpoly = image_poly(gf256, U)
-    assert bpoly.coeffs[-1] == 1 and len(bpoly.coeffs) - 1 == 3
-    kern = lin_kernel(bpoly)
-    assert annihilator(gf256, kern).coeffs == bpoly.coeffs
+    S = frozenset(gflinalg.span(U)[:9])
+    spec = _lift(CodewordSupport(gf256, S, 2, extended=True), U)
+    assert len(spec.basis) == 3
+    assert set(annihilator(gf256, list(spec.basis), list(spec.x_set))) == S
+    bpoly = oracle.image_poly(gf256, U)
+    assert oracle.annihilator(gf256, oracle.lin_kernel(bpoly)).coeffs == bpoly.coeffs
 
 
 def test_image_map_preimage_sizes(gf256):
     # preimages are taken by up_convert: one kernel coset per point
     r = rng(47)
     U = _random_independent(gf256, 3, r)
-    bpoly = image_poly(gf256, U)
+    bpoly = oracle.image_poly(gf256, U)
     for u in gflinalg.span(U):
         pre = up_convert(CodewordSupport(gf256, frozenset({u}), 2, extended=True), U).elems
         assert len(pre) == 1 << 5
-        assert all(lin_eval(bpoly, x) == u for x in pre)
+        assert all(oracle.lin_eval(bpoly, x) == u for x in pre.tolist())
 
 
 def test_image_map_preimage_of_image_identity(gf256):
     r = rng(53)
     U = _random_independent(gf256, 4, r)
-    bpoly = image_poly(gf256, U)
+    bpoly = oracle.image_poly(gf256, U)
     S = frozenset(gflinalg.span(U)[:7])
     pre = up_convert(CodewordSupport(gf256, S, 2, extended=True), U).elems
-    assert {lin_eval(bpoly, x) for x in pre} == S
+    assert {oracle.lin_eval(bpoly, x) for x in pre.tolist()} == S
 
 
 def test_image_map_rejects_dependent(gf256):
     with pytest.raises(ValueError, match="annihilator generators are dependent"):
-        image_poly(gf256, [3, 5, 6])
+        up_convert(CodewordSupport(gf256, frozenset({0}), 2, extended=True), [3, 5, 6])
 
 
 # -- defining properties, across field sizes ------------------------------------------
@@ -191,22 +192,23 @@ def _compose(ctx, a, b):
     return out
 
 
-@pytest.mark.parametrize("m", range(25, 33))
+@pytest.mark.parametrize("m", range(2, 33))
 def test_array_subspace_images_match_annihilator(m):
-    # the table-free fields' array recursion against the coefficient form,
-    # with both moduli of each degree, and its refusal of dependent gens
+    # the values against the oracle's coefficient form at every m, scalar
+    # products up to m = 24 and array products above, under each modulus,
+    # and the refusal of dependent gens
     r = rng(m)
-    for ctx in (default_field(m), GF2m(m, OTHER_MODULI[m])):
+    for ctx in _fields(m):
         for s in (0, 1, m // 2, m - 2, m):
             gens = _random_independent(ctx, s, r)
             points = [0, 1, 1 << (m - 1), ctx.n] + [r.getrandbits(m) for _ in range(8)] + gens
-            images = subspace_images(ctx, gens, points)
+            images = annihilator(ctx, gens, points)
             assert all(type(y) is int for y in images)
-            assert images == [lin_eval(annihilator(ctx, gens), x) for x in points]
-        for dependent in ([*gens[:3], 0], [*gens[:3], gens[1]], [*gens[:3], gens[0] ^ gens[2]]):
+            assert images == [oracle.lin_eval(oracle.annihilator(ctx, gens), x) for x in points]
+        for dependent in ([*gens[:3], 0], [*gens[:3], gens[1]], [*gens[:3], gens[0] ^ gens[1]]):
             with pytest.raises(ValueError, match="annihilator generators are dependent"):
-                subspace_images(ctx, dependent, points)
-    assert subspace_images(ctx, [], []) == []
+                annihilator(ctx, dependent, points)
+    assert annihilator(ctx, [], []) == []
 
 
 @pytest.mark.parametrize("m", [*range(2, 17), 29, 32])  # m = 29, 32 have no log tables
@@ -218,17 +220,17 @@ def test_subspace_polynomials(m, data):
     gens = _random_independent(ctx, data.draw(st.integers(0, m)), r)
     s = len(gens)
 
-    ann = annihilator(ctx, gens)
+    # the values construction uses equal the coefficient form's, which is
+    # monic of degree 2^s with an s-dimensional kernel; no generators is the
+    # identity, a whole basis maps everything to 0
+    ann = oracle.annihilator(ctx, gens)
     assert ann.coeffs[-1] == 1 and len(ann.coeffs) - 1 == s
-    assert all(lin_eval(ann, g) == 0 for g in gens)
-    assert len(lin_kernel(ann)) == s
-
-    # the values construction uses equal the coefficient form's; no
-    # generators is the identity, a whole basis maps everything to 0
+    assert len(oracle.lin_kernel(ann)) == s
     points = [r.getrandbits(m) for _ in range(8)] + gens
-    assert subspace_images(ctx, gens, points) == [lin_eval(ann, x) for x in points]
-    assert subspace_images(ctx, [], points) == points
-    assert subspace_images(ctx, [1 << k for k in range(m)], points) == [0] * len(points)
+    assert annihilator(ctx, gens, points) == [oracle.lin_eval(ann, x) for x in points]
+    assert annihilator(ctx, gens, gens) == [0] * s
+    assert annihilator(ctx, [], points) == points
+    assert annihilator(ctx, [1 << k for k in range(m)], points) == [0] * len(points)
 
     bad = [0]
     if s >= 1:
@@ -239,27 +241,45 @@ def test_subspace_polynomials(m, data):
         dependent = gens + [extra]
         r.shuffle(dependent)
         with pytest.raises(ValueError, match="annihilator generators are dependent"):
-            annihilator(ctx, dependent)
-        with pytest.raises(ValueError, match="annihilator generators are dependent"):
-            subspace_images(ctx, dependent, points)
-
-    bpoly = image_poly(ctx, gens)
-    assert bpoly.coeffs[-1] == 1 and len(bpoly.coeffs) - 1 == m - s
-    cols = matrix_cols(bpoly)  # they span the image of B, which is span(gens)
-    assert rank(cols) == s and rank(cols + gens) == s
-    # A_U(B(X)) = X^(2^m) + X
-    assert _compose(ctx, ann.coeffs, bpoly.coeffs) == [1] + [0] * (m - 1) + [1]
+            annihilator(ctx, dependent, points)
 
     # the lift reads B's columns off the values of A_U and of B at the unit
-    # vectors, never expanding either: its kernel and preimages are B's
+    # vectors, never expanding either: they are the oracle's image
+    # polynomial, with A_U(B(X)) = X^(2^m) + X, and its kernel and
+    # preimages are B's
+    bpoly = oracle.image_poly(ctx, gens)
+    assert bpoly.coeffs[-1] == 1 and len(bpoly.coeffs) - 1 == m - s
+    assert _compose(ctx, ann.coeffs, bpoly.coeffs) == [1] + [0] * (m - 1) + [1]
     units = [1 << k for k in range(m)]
-    image = gflinalg.LinearMap(subspace_images(ctx, gens, units)).image
-    assert subspace_images(ctx, image, units) == cols
+    image = gflinalg.LinearMap(annihilator(ctx, gens, units)).image
+    cols = annihilator(ctx, image, units)
+    assert cols == oracle.matrix_cols(bpoly)
+    assert rank(cols) == s and rank(cols + gens) == s  # they span span(gens)
     bmap = gflinalg.LinearMap(cols)
     in_span = {reduce(xor, [g for g in gens if r.getrandbits(1)], 0) for _ in range(4)}
     spec = _lift(CodewordSupport(ctx, in_span, 2, extended=True), gens)
     assert spec.basis == tuple(bmap.kernel)
     assert spec.x_set == {bmap.preimage(x) for x in in_span}
+
+
+# -- maps read off field arithmetic, against the oracle -------------------------------
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_field_equation_maps_match_the_oracle(m):
+    # the columns of X^2 + X (stepped by shifts) and of X^(2^ell) + X (by
+    # Frobenius), through what the solvers take from them: every
+    # Artin-Schreier preimage up to m = 10 (a sample above), and every
+    # subfield with ell <= 16
+    r = rng(m)
+    for ctx in _fields(m):
+        as_map = gflinalg.LinearMap(oracle.matrix_cols(oracle.LinearizedPoly(ctx, (1, 1))))
+        for w in range(1 << m) if m <= 10 else (0, 1, *(r.getrandbits(m) for _ in range(64))):
+            x0 = as_map.preimage(w)
+            assert artin_schreier_solve(ctx, w) == (set() if x0 is None else {x0, x0 ^ 1})
+        for ell in (e for e in range(1, 17) if m % e == 0):
+            fixed = oracle.LinearizedPoly(ctx, (1,) + (0,) * (ell - 1) + (1,))  # X^(2^ell) + X
+            assert subfield(ctx, ell)[0] == tuple(sorted(gflinalg.span(oracle.lin_kernel(fixed))))
 
 
 # -- affine cubics ------------------------------------------------------------------
@@ -308,12 +328,12 @@ def test_affine_cubic_census_exhaustive(m):
 
 @pytest.mark.parametrize("m", range(4, 33))
 def test_quartic_columns_are_its_matrix(m):
-    # the stepped columns of c1*x^4 + c2*x^2 + c1^2*x against lin_eval's
+    # the stepped columns of c1*x^4 + c2*x^2 + c1^2*x against the oracle's
     ctx, r = default_field(m), rng(m)
     for c2 in (0, *(r.getrandbits(m) for _ in range(3))):
         c1 = random_nonzero(ctx, r)
-        quartic = LinearizedPoly(ctx, (ctx.mul(c1, c1), c2, c1))
-        assert linearized._quartic_cols(ctx, c1, c2) == matrix_cols(quartic)
+        quartic = oracle.LinearizedPoly(ctx, (ctx.mul(c1, c1), c2, c1))
+        assert linearized._quartic_cols(ctx, c1, c2) == oracle.matrix_cols(quartic)
 
 
 def test_affine_cubic_rejects_zero_leading(gf256):
