@@ -21,6 +21,11 @@ bchmin verify foreign31.json
 bchmin generate --m 16 --i 4 --s 0 --method gold > gold.json
 bchmin verify gold.json
 grep -q '"B"' gold.json
+# 2i = m: X is the whole subfield zero set and the support itself, built
+# as one array; its certificate takes the check route
+bchmin generate --m 20 --i 10 --s 0 --method gold --format bits > gold20.bits
+bchmin verify gold20.bits > gold20_verdict.json
+grep -q '"route": "check"' gold20_verdict.json
 bchmin generate --m 8 --i 2 --s 1 --method gk > gk.json
 bchmin verify gk.json
 grep -q '"B"' gk.json

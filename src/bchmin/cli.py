@@ -160,10 +160,7 @@ def render_json(ctx, cw: CodewordSupport, meta: dict, write=None) -> str | None:
 
 def _text_doc(ctx, cw: CodewordSupport, values: np.ndarray, sep: str, write) -> None:
     """The header line of the two text formats, then the entries."""
-    write(
-        f"m={ctx.m} poly={hex(ctx.poly)} d={cw.claimed_distance} "
-        f"extended={1 if cw.extended else 0}\n"
-    )
+    write(f"m={ctx.m} poly={hex(ctx.poly)} d={cw.claimed_distance} extended={int(cw.extended)}\n")
     _write_entries(write, values, sep)
     write("\n")
 
@@ -224,11 +221,11 @@ def _decode(ctx, data: bytes, start: int, classes: bytes = _TEXT_BYTES, count=No
 
 def _elements(ctx, values: np.ndarray, logs: bool, entry):
     """Field elements of decoded entries: discrete logs (-1 for zero) if `logs`,
-    else element values; the first outside the field, entry(j), is refused."""
+    else element values; the first outside the field is refused, entry(j) cut by `_quote`."""
     if (bad := (values < -logs) | (values > ctx.n - logs)).any():
         bad = entry(int(np.argmax(bad)))
-        raise ParseError(f"discrete log {bad} is outside -1..{ctx.n - 1}" if logs else
-                         f"element {hex(bad)} is outside GF(2^{ctx.m})")
+        raise ParseError(f"discrete log {_quote(str(bad))} is outside -1..{ctx.n - 1}" if logs else
+                         f"element {_quote(hex(bad))} is outside GF(2^{ctx.m})")
     if logs and ctx.has_logs:
         return np.where(values < 0, 0, ctx.exp_array()[values])
     return [0 if v == -1 else ctx.exp(v) for v in values.tolist()] if logs else values
@@ -260,11 +257,11 @@ def _text_int(fields: dict, key: str) -> int:
 
 def _unique_names(pairs: list) -> dict:
     """The dict of (name, value) pairs of a JSON object or a text header; a
-    repeated name is refused, not resolved to its last value."""
+    repeated name is refused, not resolved to its last value; three at most are quoted."""
     doc = dict(pairs)
     if len(doc) != len(pairs):
-        counts = Counter(k for k, _ in pairs)
-        raise ParseError(f"repeated names {sorted(k for k, c in counts.items() if c > 1)}")
+        names = sorted(_quote(k) for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise ParseError(f"repeated names {names[:3]}" + "..." * (len(names) > 3))
     return doc
 
 
@@ -339,7 +336,7 @@ def _cmd_generate(args) -> int:
     cw, meta, spec = construct.generate(ctx, args.i, args.s, args.seed, args.method, args.retries)
     write = sys.stdout.write  # in pieces of at most _CHUNK entries
     if args.format == "json":
-        meta["X"] = _sorted_out(ctx, np.array(sorted(spec.x_set), dtype=np.uint64))
+        meta["X"] = _sorted_out(ctx, spec.x_set)
         meta["B"] = [ctx.log(x) if ctx.has_logs else hex(x) for x in spec.basis]  # all nonzero
         render_json(ctx, cw, meta, write)
         write("\n")
@@ -453,11 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--s", type=_int, default=0, help="down-conversion level (default 0)")
     g.add_argument("--seed", type=_seed, default=_SEED_FROM_ENV)
     g.add_argument("--poly", type=str, default=None, help="primitive polynomial override")
-    g.add_argument(
-        "--method",
-        choices=["auto", *construct.METHODS],
-        default="auto",
-    )
+    g.add_argument("--method", choices=["auto", *construct.METHODS], default="auto")
     g.add_argument("--retries", type=_int, default=None, help="solver retry cap override")
     g.add_argument("--format", choices=["json", "logsupport", "bits"], default="json")
     g.set_defaults(func=_cmd_generate)

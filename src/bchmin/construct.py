@@ -32,12 +32,12 @@ class DegenerateY(ValueError):
 
 @dataclass(frozen=True)
 class SupportSpec:
-    """Compressed support X + span(B) of a distance-d(m, s, i) codeword:
-    |X| = 2^(2i-1) - 2^(i-1) elements, one per coset of span(B), and an
-    independent basis B of m - 2i - s elements."""
+    """Compressed support X + span(B) of a distance-d(m, s, i) codeword: X,
+    2^(2i-1) - 2^(i-1) elements, one per coset of span(B), in a sorted,
+    read-only np.uint64 array; B, an independent basis of m - 2i - s."""
 
     ctx: object
-    x_set: frozenset
+    x_set: np.ndarray
     basis: tuple[int, ...]
 
     @property
@@ -114,19 +114,17 @@ def build_support(sol: SolutionVector, s: int) -> SupportSpec:
     images = linearized.annihilator(ctx, collapsed, dual[: 2 * i] + dual[2 * i + s :])
     gens, tail = tuple(images[: 2 * i]), tuple(images[2 * i :])
     assert gflinalg.independent(ctx, gens + tail)
-    sums = gflinalg.span(gens)
-    x_set = {sums[row] for row in quadform_rows(i)}
+    x_set = np.sort(gflinalg.span(gens)[list(quadform_rows(i))])
+    x_set.flags.writeable = False
     assert len(x_set) == (1 << (2 * i - 1)) - (1 << (i - 1))
-    return SupportSpec(ctx, frozenset(x_set), tail)
+    return SupportSpec(ctx, x_set, tail)
 
 
 def expand(spec: SupportSpec) -> CodewordSupport:
-    """Explicit element set X + span(B), sorted; collision-free by
-    construction."""
-    elems = np.fromiter(spec.x_set, dtype=np.uint64, count=len(spec.x_set))
-    for b in spec.basis:  # X + the span of the basis vectors so far
-        elems = np.concatenate((elems, elems ^ np.uint64(b)))
-    elems = np.sort(elems)
+    """Explicit element set X + span(B): one XOR of every x in X with every
+    element of span(B), sorted.  Collision-free by construction; a spec
+    whose sums collide raises ValueError."""
+    elems = np.sort((spec.x_set[:, None] ^ gflinalg.span(spec.basis)).ravel())
     if np.count_nonzero(elems[1:] == elems[:-1]):
         raise ValueError("X + span(B) is smaller than |X| * 2^|B|")
     return CodewordSupport(spec.ctx, elems, spec.weight, extended=True)
@@ -161,14 +159,12 @@ def _lift(cw: CodewordSupport, U_basis) -> SupportSpec:
     units = [1 << k for k in range(cw.ctx.m)]
     image = gflinalg.LinearMap(linearized.annihilator(cw.ctx, list(U_basis), units)).image
     bmap = gflinalg.LinearMap(linearized.annihilator(cw.ctx, image, units))
-    x_set = set()
-    for x in cw.elems.tolist():
-        # the image of B is exactly span(U)
-        x0 = bmap.preimage(x)
-        if x0 is None:
-            raise ValueError(f"support element {x} outside span(U)")
-        x_set.add(x0)
-    return SupportSpec(cw.ctx, frozenset(x_set), tuple(bmap.kernel))
+    x_set = [bmap.preimage(x) for x in cw.elems.tolist()]  # the image of B is exactly span(U)
+    if None in x_set:
+        raise ValueError(f"support element {cw.elems[x_set.index(None)]} outside span(U)")
+    x_set = np.sort(np.array(x_set, dtype=np.uint64))
+    x_set.flags.writeable = False
+    return SupportSpec(cw.ctx, x_set, tuple(bmap.kernel))
 
 
 def up_convert(cw: CodewordSupport, U_basis) -> CodewordSupport:
@@ -184,15 +180,23 @@ def gold_support(ctx, i: int) -> CodewordSupport:
     """Zero set of x -> Tr(beta * x^(2^i + 1)) on the subfield GF(2^2i),
     for the first subfield element beta outside GF(2^i); a weight
     2^(2i-1) - 2^(i-1) member of the matching extended BCH code whenever
-    2i | m."""
+    2i | m, taken over the whole subfield at once."""
     if i < 1 or ctx.m % (2 * i):
         raise UncoveredCase(f"2i = {2 * i} must divide m = {ctx.m}")
     elems, _ = linearized.subfield(ctx, 2 * i)
     half, _ = linearized.subfield(ctx, i)
-    beta = next(x for x in elems if x not in half)
-    mask = ctx.trace_mask(2 * i)  # the trace of GF(2^2i) onto GF(2)
-    d = 1 << i
-    support = [x for x in elems if not (ctx.mul(beta, ctx.pow(x, d + 1)) & mask).bit_count() & 1]
+    beta = int(elems[np.argmax(np.append(elems[:len(half)] != half, True))])  # both sorted
+    x = elems[1:]  # the units; 0, first in elems, is a zero of the map
+    if ctx.has_logs:
+        y = ctx.log(beta) + ((1 << i) + 1) * ctx.log_array()[x].astype(np.int64)
+        y = ctx.exp_array()[y % ctx.n]
+    else:  # x -> x^(2^i) is GF(2)-linear: byte k of x indexes the span of columns 8k..8k+7
+        cols, y = [ctx.frobenius(1 << t, i) for t in range(ctx.m)], np.zeros_like(x)
+        for k in range(0, ctx.m, 8):
+            y ^= gflinalg.span(cols[k:k + 8])[(x >> k) & 0xFF]
+        y = ctx.mul_array(ctx.mul_array(y, x), np.full_like(x, beta))
+    zeros = (np.bitwise_count(y & ctx.trace_mask(2 * i)) & 1) == 0
+    support = np.concatenate((elems[:1], x[zeros]))
     weight = (1 << (2 * i - 1)) - (1 << (i - 1))
     assert len(support) == weight
     return CodewordSupport(ctx, support, weight, extended=True)
@@ -240,10 +244,9 @@ def _lifted(cw: CodewordSupport, i: int, s: int) -> SupportSpec:
     """A support built at s = m - 2i, as X + span(B) at s: at that s it is X,
     with no basis; below it, it is lifted over its span completed by unit
     vectors to dimension 2i + s."""
-    elems = cw.elems.tolist()
     if s == cw.ctx.m - 2 * i:
-        return SupportSpec(cw.ctx, frozenset(elems), ())
-    span = gflinalg.LinearMap(elems).image
+        return SupportSpec(cw.ctx, cw.elems, ())
+    span = gflinalg.LinearMap(cw.elems.tolist()).image
     return _lift(cw, gflinalg.complete_to_basis(cw.ctx, span)[: 2 * i + s])
 
 

@@ -48,12 +48,12 @@ class LinearMap:
         return None if y else x
 
 
-def span(basis: Sequence[int]) -> list[int]:
-    """All 2^k combinations of k basis vectors, in bitmask order: entry r
-    is the sum of the basis[j] for the set bits j of r."""
-    out = [0]
-    for b in basis:
-        out += [v ^ b for v in out]
+def span(basis: Sequence[int]) -> np.ndarray:
+    """All 2^k combinations of k basis vectors as a uint64 array, in bitmask
+    order: entry r is the sum of the basis[j] for the set bits j of r."""
+    out = np.zeros(1 << len(basis), dtype=np.uint64)
+    for j, b in enumerate(basis):  # entries 2^j.. are the first 2^j plus b
+        np.bitwise_xor(out[:1 << j], b, out=out[1 << j:2 << j])
     return out
 
 

@@ -48,7 +48,8 @@ def affine_cubic_roots(ctx, c1: int, c2: int) -> set[int]:
     c1^2).  The root set has size 0, 1, or 3."""
     if c1 == 0:
         raise ValueError("leading cubic coefficient is zero")
-    return set(gflinalg.span(gflinalg.LinearMap(_quartic_cols(ctx, c1, c2)).kernel)) - {0}
+    kernel = gflinalg.LinearMap(_quartic_cols(ctx, c1, c2)).kernel  # at most 2 vectors: degree 4
+    return {*kernel, *(kernel[0] ^ k for k in kernel[1:])}
 
 
 def _quartic_cols(ctx, c1: int, c2: int) -> list[int]:
@@ -87,22 +88,24 @@ def artin_schreier_solve(ctx, w: int) -> set[int]:
     return set() if x0 is None else {x0, x0 ^ 1}
 
 
-def subfield(ctx, ell: int) -> tuple[tuple[int, ...], int]:
+def subfield(ctx, ell: int) -> tuple[np.ndarray, int]:
     """All 2^ell elements of the subfield GF(2^ell), the kernel of
-    X^(2^ell) + X, sorted, plus the first generator: the first element
-    not fixed by x -> x^(2^d) for any d < ell.  Derived from the field and
-    ell alone, and cached per (field, ell) under a weak reference, so the
-    cache keeps no field alive."""
+    X^(2^ell) + X, as a sorted, read-only np.uint64 array, plus the first
+    generator: the first element not fixed by x -> x^(2^d) for any d < ell.
+    Derived from the field and ell alone, and cached per (field, ell) under
+    a weak reference, so the cache keeps no field alive."""
     if ell < 1 or ctx.m % ell != 0:
         raise ValueError(f"{ell} does not divide m={ctx.m}")
     return _subfield_cached(weakref.ref(ctx), ell)
 
 
 @lru_cache(maxsize=256)
-def _subfield_cached(field_ref, ell: int) -> tuple[tuple[int, ...], int]:
+def _subfield_cached(field_ref, ell: int) -> tuple[np.ndarray, int]:
     ctx = field_ref()
     fixed = [ctx.frobenius(1 << k, ell) ^ (1 << k) for k in range(ctx.m)]  # X^(2^ell) + X
-    elems = tuple(sorted(gflinalg.span(gflinalg.LinearMap(fixed).kernel)))
-    gen = next(x for x in elems if x and all(ctx.frobenius(x, d) != x for d in range(1, ell)))
+    elems = np.sort(gflinalg.span(gflinalg.LinearMap(fixed).kernel))
+    elems.flags.writeable = False
+    gen = next(x for x in map(int, elems[1:])  # elems[0] is 0
+               if all(ctx.frobenius(x, d) != x for d in range(1, ell)))
     return elems, gen
 

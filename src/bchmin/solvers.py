@@ -159,7 +159,7 @@ def solve_i3_even(ctx, rng_seed: int, max_retries: int = 256) -> SolverReport:
     if ctx.m % 2 or ctx.m < 6:
         raise UncoveredCase(f"even m >= 6 required, got m={ctx.m}")
     f4, c = linearized.subfield(ctx, 2)
-    c2 = ctx.mul(c, c)
+    f4, c2 = f4.tolist(), ctx.mul(c, c)
     for attempt, rng in draws(rng_seed, max_retries, "no cube-root hit in {} draws"):
         y = rng.getrandbits(ctx.m)
         if y in f4:
@@ -221,7 +221,7 @@ def solve_i4(ctx) -> SolverReport:
     if ctx.m < 8 or ctx.m % 4:
         raise UncoveredCase(f"m >= 8 divisible by 4 required, got m={ctx.m}")
     _, c = linearized.subfield(ctx, 2)
-    f16, _ = linearized.subfield(ctx, 4)
+    f16 = linearized.subfield(ctx, 4)[0].tolist()
     d = next(x for x in f16 if x != 1 and ctx.pow(x, 5) == 1)
     y = next(1 << k for k in range(ctx.m) if 1 << k not in f16)
     b = (

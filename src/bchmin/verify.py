@@ -56,8 +56,8 @@ route's own check of Y never searches.
 This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element arrays (anything with ctx,
 claimed_distance, extended attributes and elems, the distinct support
-elements as a np.uint64 array), or X and B as plain elements, and builds
-its own A_V.
+elements as a np.uint64 array), or X as such an array and B as plain ints,
+and builds its own A_V.
 """
 
 from __future__ import annotations
@@ -488,7 +488,7 @@ def _verdict(cw, search: bool) -> Verdict:
         fail = _scan(ctx, nonzero, (1,))
         basis, x_set = _stabilizer(cw.elems, ctx.m) if fail is None else ([], None)
         if basis:
-            return is_min_weight_affine(ctx, x_set.tolist(), basis, d, cw.elems)
+            return is_min_weight_affine(ctx, x_set, basis, d, cw.elems)
         route = _pick_route(ctx, j_limit, len(nonzero), False)
     if checked:
         fail = fail or _first_failure(ctx, nonzero, j_limit, route)
@@ -599,24 +599,24 @@ def _spans(ctx, tables, y_sorted: np.ndarray, q: int, s: np.ndarray) -> bool:
 
 
 def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
-    """Certify the distinct elements `support`, a np.uint64 array, as
-    S = X + span(B), for X = x_set and B = basis, and as a minimum-weight
-    codeword of eBCH(d) through Y = A_V(X) (see the module text): Y is
-    checked by `is_min_weight` at the least even distance that covers
-    ceil(d / q); at ceil(d / q) = 1 nothing is left to check.  An empty B
-    is q = 1: A_V = T, applied as no map at all, so Y = X, the support must
-    be X itself, and Y is checked at d.  A failure of Y at (E, p_E) is
-    reported as S's (q(E + 1) - 1, a_0 p_E), and odd |Y| as
-    p_(q-1)(S) = a_0 when q > 1.  A dependent B, two elements of X
-    in one coset of span(B), elements outside the field and a support
-    other than X + span(B) raise ValueError."""
+    """Certify the distinct elements `support` as S = X + span(B), for X =
+    x_set, B = basis (ints), and support and X np.uint64 arrays, and as a
+    minimum-weight codeword of eBCH(d) through Y = A_V(X) (see the module
+    text): Y is checked by `is_min_weight` at the least even distance
+    that covers ceil(d / q); at ceil(d / q) = 1 nothing is left to check.
+    An empty B is q = 1: A_V = T, applied as no map at all, so Y = X, the
+    support must be X itself, and Y is checked at d.  A failure of Y at
+    (E, p_E) is reported as S's (q(E + 1) - 1, a_0 p_E), and odd |Y| as
+    p_(q-1)(S) = a_0 when q > 1.  A dependent B, two elements of X in one
+    coset of span(B), elements outside the field and a support other than
+    X + span(B) raise ValueError."""
     if d % 2 or not 2 <= d <= ctx.n + 1:
         raise ValueError(f"extended claim needs even d in 2..{ctx.n + 1}, got {d}")
-    if not all(0 <= x <= ctx.n for x in chain(x_set, basis)):
+    if (x_set >> ctx.m).any() or not all(0 <= b <= ctx.n for b in basis):
         raise ValueError(f"X and B must be elements of GF(2^{ctx.m})")
     cols, a0 = _subspace_map(ctx, basis)
     tables = _map_tables(cols) if basis else None  # A_V = T for an empty B
-    y = np.sort(_apply(tables, np.fromiter(x_set, dtype=np.uint64, count=len(x_set))))
+    y = np.sort(_apply(tables, x_set))
     if (y[1:] == y[:-1]).any():
         raise ValueError("two elements of X lie in one coset of span(B)")
     q = 1 << len(basis)

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bchmin import gflinalg, linearized, verify
 from bchmin.construct import (
+    METHODS,
     CodewordSupport,
     DegenerateY,
     SupportSpec,
@@ -10,17 +13,19 @@ from bchmin.construct import (
     build_support,
     down_convert,
     expand,
+    generate,
     gk_support,
     gold_support,
     puncture,
     quadform_rows,
     up_convert,
 )
-from bchmin.gf2m import default_field
+from bchmin.gf2m import GF2m, default_field
 from bchmin.solvers import UncoveredCase, solve_i2_even, solve_i3_even
 
+import _gold_oracle
 import _linearized_oracle as oracle
-from conftest import elem_set, rank, rng, trace_rel
+from conftest import OTHER_MODULI, elem_set, rank, rng, trace_rel
 
 
 def _row_tuple(row: int, width: int):
@@ -63,7 +68,7 @@ def test_build_support_m4_weight6():
     spec = build_support(solve_i2_even(ctx).solution, 0)
     assert len(spec.x_set) == 6 and len(spec.basis) == 0
     cw = expand(spec)
-    assert elem_set(cw) == spec.x_set  # empty basis: expansion is X itself
+    assert np.array_equal(cw.elems, spec.x_set)  # empty basis: expansion is X itself
     assert cw.weight == 6 and cw.extended
     assert verify.is_min_weight(cw).is_min_weight
 
@@ -72,7 +77,7 @@ def test_expand_detects_collisions():
     ctx = default_field(4)
     bogus = SupportSpec(
         ctx=ctx,
-        x_set=frozenset({1, 3}),
+        x_set=np.array([1, 3], dtype=np.uint64),
         basis=(2,),  # 1 ^ 2 = 3 collides with the X part
     )
     with pytest.raises(ValueError, match="X \\+ span\\(B\\) is smaller than"):
@@ -182,7 +187,7 @@ def test_down_convert_rejects_non_coset_union():
 
 def test_down_convert_rejects_odd_target():
     ctx = default_field(8)
-    elems = frozenset(gflinalg.span([1, 2]))  # any coset union would do
+    elems = gflinalg.span([1, 2])  # any coset union would do
     cw = CodewordSupport(ctx, elems, 6, extended=True)
     with pytest.raises(ValueError, match="ceil\\(d / 2\\^s\\) = 3 must be even"):
         down_convert(cw, [1])  # ceil(6/2) = 3 is odd
@@ -229,7 +234,7 @@ def test_up_convert_gold_over_f16():
     ctx = default_field(8)
     f16, _ = linearized.subfield(ctx, 4)
     basis = []
-    for x in sorted(f16):
+    for x in f16.tolist():
         if x and rank(basis + [x]) > len(basis):
             basis.append(x)
     out = up_convert(gold_support(ctx, 2), basis)
@@ -256,7 +261,7 @@ def test_lift_is_the_brute_force_preimage(m, k):
         x = r.getrandbits(m)
         if rank(U + [x]) > len(U):
             U.append(x)
-    S = frozenset(r.sample(gflinalg.span(U), min(6, 1 << k)))
+    S = frozenset(r.sample(gflinalg.span(U).tolist(), min(6, 1 << k)))
     bpoly = oracle.image_poly(ctx, U)
     image = {y: oracle.lin_eval(bpoly, y) for y in range(1 << m)}
     preimage = {y for y, b in image.items() if b in S}
@@ -264,7 +269,7 @@ def test_lift_is_the_brute_force_preimage(m, k):
     up = up_convert(cw, U)
     assert elem_set(up) == preimage and up.claimed_distance == 4 << (m - k)
     spec = _lift(cw, U)
-    assert sorted(image[x] for x in spec.x_set) == sorted(S)  # one X element per point
+    assert sorted(image[x] for x in spec.x_set.tolist()) == sorted(S)  # one X element per point
     assert len(spec.basis) == m - k and all(image[v] == 0 for v in spec.basis)
     assert rank(list(spec.basis)) == m - k
     assert elem_set(expand(spec)) == preimage
@@ -309,6 +314,34 @@ def test_gold_support_matches_enumeration(m):
         assert elem_set(cw) == expect
         assert cw.weight == cw.claimed_distance == (1 << (2 * i - 1)) - (1 << (i - 1))
         assert cw.extended
+
+
+@pytest.mark.parametrize("m", [*range(2, 19, 2), *(m for m in OTHER_MODULI if m % 2 == 0)])
+def test_gold_support_matches_its_predecessor(m):
+    # the whole-subfield construction against the frozen per-element one at
+    # every i with 2i | m, under both moduli where there are two; above
+    # m = 18, where fields have no log tables, up to i = 4
+    for ctx in [default_field(m)] + ([GF2m(m, OTHER_MODULI[m])] if m in OTHER_MODULI else []):
+        for i in (i for i in range(1, m // 2 + 1) if m % (2 * i) == 0 and (m <= 18 or i <= 4)):
+            assert gold_support(ctx, i).elems.tolist() == _gold_oracle.gold_support(ctx, i)
+
+
+@pytest.mark.parametrize("m", range(5, 17))
+def test_every_spec_holds_x_as_a_sorted_read_only_array(m):
+    # every method that covers a small_d cell of the benchmark, (m, i, s)
+    # at s = m - 2i and one below, i = 2, 3, 4
+    ctx, built = default_field(m), 0
+    cells = [(i, s) for i in (2, 3, 4) for s in (m - 2 * i, m - 2 * i - 1)]
+    for (i, s), method in itertools.product(cells, METHODS):
+        try:
+            _, _, spec = generate(ctx, i, s, 1, method)
+        except UncoveredCase:
+            continue
+        built += 1
+        x = spec.x_set
+        assert isinstance(x, np.ndarray) and x.dtype == np.uint64, method
+        assert (x[1:] > x[:-1]).all() and not x.flags.writeable, method
+    assert built >= 4  # i2even or i2odd, and gk, each at two s for i = 2
 
 
 def test_gold_support_bad_degree():

@@ -581,7 +581,7 @@ def _routes_agree(cw):
 def _affine(spec, d):
     # the support is X + span(B) as a plain set, so that the route itself
     # refuses two x in one coset
-    support = elem_array({x ^ v for v in _span(spec.basis) for x in spec.x_set})
+    support = elem_array({x ^ v for v in _span(spec.basis) for x in spec.x_set.tolist()})
     return is_min_weight_affine(spec.ctx, spec.x_set, spec.basis, d, support)
 
 
@@ -598,14 +598,14 @@ def _agrees(spec, d):
 
 def _mutants_agree(spec, d, rand):
     ctx, basis = spec.ctx, spec.basis
-    x, *rest = sorted(spec.x_set)
+    x, *rest = spec.x_set.tolist()
     rest = frozenset(rest)
     # one x moved inside its coset: the same S and the same verdict
-    inside = SupportSpec(ctx, rest | {x ^ basis[-1]}, basis)
+    inside = SupportSpec(ctx, elem_array(rest | {x ^ basis[-1]}), basis)
     assert np.array_equal(expand(inside).elems, expand(spec).elems)
     assert _outcome(_affine(inside, d)) == _outcome(_affine(spec, d))
     # one x moved to a coset no x is in: p_1(Y) becomes A(x) + A(y) != 0
-    outside = SupportSpec(ctx, rest | {_outsider(ctx, expand(spec).elems, rand)}, basis)
+    outside = SupportSpec(ctx, elem_array(rest | {_outsider(ctx, expand(spec).elems, rand)}), basis)
     assert not _agrees(outside, d).member
     # one basis vector replaced, redrawn until X + span(B) keeps its size
     while True:
@@ -618,7 +618,7 @@ def _mutants_agree(spec, d, rand):
     _agrees(replaced, d)
     # two x in one coset, and a dependent B, are refused
     with pytest.raises(ValueError, match="one coset"):
-        _affine(SupportSpec(ctx, rest | {min(rest) ^ basis[0]}, basis), d)
+        _affine(SupportSpec(ctx, elem_array(rest | {min(rest) ^ basis[0]}), basis), d)
     with pytest.raises(ValueError, match="dependent"):
         _affine(SupportSpec(ctx, spec.x_set, basis + (reduce(xor, basis),)), d)
 
@@ -647,7 +647,7 @@ def test_affine_route_agrees_on_random_claims():
         k = rand.randint(0, ctx.m - 2)
         basis = tuple(_subspace_basis(ctx, k, rand))
         x_set = frozenset(rand.getrandbits(ctx.m) for _ in range(rand.randint(1, 7)))
-        spec = SupportSpec(ctx, x_set, basis)
+        spec = SupportSpec(ctx, elem_array(x_set), basis)
         try:
             expand(spec)
         except ValueError:  # two x in one coset
@@ -683,7 +683,8 @@ def test_affine_route_checks_the_support():
             is_min_weight_affine(*claim, elem_array(support - {max(support)} | {1 << 10}))
         with pytest.raises(ValueError, match="elements of GF"):
             is_min_weight_affine(
-                ctx, spec.x_set | {1 << 10}, spec.basis, cw.claimed_distance, cw.elems
+                ctx, elem_array({*spec.x_set.tolist(), 1 << 10}), spec.basis, cw.claimed_distance,
+                cw.elems,
             )
 
 
@@ -735,7 +736,7 @@ def test_search_finds_a_stabilizer_larger_than_b():
         for r in (2, m // 2, m - 1):
             basis = _subspace_basis(ctx, r, rand)
             a = rand.getrandbits(m)
-            spec = SupportSpec(ctx, frozenset({a, a ^ basis[-1]}), tuple(basis[:-1]))
+            spec = SupportSpec(ctx, elem_array({a, a ^ basis[-1]}), tuple(basis[:-1]))
             elems = expand(spec).elems
             assert len(verify._stabilizer(elems, m)[0]) == r
             for d in (1 << r, (1 << r) + 2):
