@@ -85,3 +85,10 @@ printf '{"spec_version": 1, "m": 8, "poly": "0x11d", "d": 4, "extended": true, "
 code=0; bchmin verify true.json || code=$?; test "$code" = 5
 printf 'm=8 poly=0x11d d=4 extended=1\n0x1\n0x10000000000000000\n' > wide_hex.bits
 code=0; bchmin verify wide_hex.bits || code=$?; test "$code" = 5
+# the entry point: a command line that starts with a subcommand goes
+# straight to its parser; help, an unknown command and extras are still
+# handled by the full parser, whose messages start "bchmin:"
+bchmin -h > help.txt
+code=0; bchmin nosuch 2> nosuch.err || code=$?; test "$code" = 5
+code=0; bchmin generate --m 8 --i 2 extra 2> extra.err || code=$?; test "$code" = 5
+case "$(cat extra.err)" in "bchmin: unrecognized arguments"*) ;; *) cat extra.err; exit 1 ;; esac

@@ -103,9 +103,8 @@ def _write_entries(write, values: np.ndarray, sep: str, quoted: bool = False) ->
             x = block[lo:hi]
             for col in range(h + digits - 1, h - 1, -1):
                 q = x // base
-                rec[:, col] = x - q * base
+                rec[:, col] = _CHARS[x - q * base]
                 x = q
-            rec[:, h:h + digits] = _CHARS[rec[:, h:h + digits]]
             write(str(rec.reshape(-1)[drop:], "ascii"))
             drop = 0
 
@@ -463,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("which", choices=["t27", "t23"])
     t.add_argument("--seed", type=_seed, default=_SEED_FROM_ENV)
     t.set_defaults(func=_cmd_table)
+    parser._commands = {"generate": g, "verify": v, "table": t}  # for `_parse`
     return parser
 
 
@@ -481,9 +481,27 @@ _REFUSALS = {
 }
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with the subcommand's parse done
+    directly when argv[0] names one, as the full parser would hand argv[1:]
+    on to it; extras it leaves are refused by the full parser, so the
+    message starts "bchmin:" either way.  Anything else takes the full
+    parser."""
+    parser = _parser()
+    command = parser._commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return code

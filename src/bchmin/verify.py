@@ -8,11 +8,17 @@ p_2j is always p_j squared, only odd j are scanned.
 
 Two routes reach the same verdict.  The scan evaluates p_j at the leader
 (least member, always odd) of each 2-cyclotomic coset meeting [1, L], in
-ascending order, so it stops at the first nonzero p_j whatever L is.  The
-check route packs c(X) = sum of X^log(x) over the nonzero support and tests
-c(X) h(X) = 0 mod X^n - 1, where h is the check polynomial of the cyclic
-code with zeros alpha^j, j in [1, L], a product over the leaders in (L, n)
-of minimal polynomials read off the log tables.  The product c h is a
+ascending order, so it stops at the first nonzero p_j whatever L is.  p_1
+goes first and alone, so a corrupted support is rejected after one gather;
+past it, with log tables, a block of leaders goes in one 2-D gather of
+alpha^(j log x) of at most 2^14 (leader, element) pairs (one leader at
+least), and the first nonzero p_j of the block, in ascending leader order,
+is the first failure.  The leaders of [3, L] for L < 4096 are kept per
+(m, L), at most 2048 of them.  The check route packs c(X) = sum of
+X^log(x) over the nonzero support and tests c(X) h(X) = 0 mod X^n - 1,
+where h is the check polynomial of the cyclic code with zeros alpha^j,
+j in [1, L], a product over the leaders in (L, n) of minimal polynomials
+read off the log tables.  The product c h is a
 shift-XOR when one operand has few terms and blocked float64 FFTs with a
 checked rounding otherwise (`_polymul`), so the check wins when that code
 has small dimension k, and also for dense h when |S| and L are both large.
@@ -25,10 +31,14 @@ needs discrete logs, so it exists only on fields with log tables
 of the whole support as numpy uint64 products (`_power_walk`).
 
 A third route, `is_min_weight_affine`, certifies an extended claim given
-as S = X + V, V = span(B) of dimension k and q = 2^k, without expanding
-it.  The subspace polynomial A_V = prod over v in V of (T + v) is
-GF(2)-linear with kernel V and coefficient a_0 != 0 of T (Ore 1933; Lidl
-and Niederreiter, Finite Fields, ch. 3), and the logarithmic derivative
+as S = X + V, V = span(B) of dimension k and q = 2^k, without a syndrome
+of S.  That the support it is handed is X + V is checked by building
+X + V by XOR doubling (X, then each half so far XORed with the next basis
+vector into the next half), sorting it and comparing it with the support,
+itself sorted first unless it already ascends.  The subspace polynomial
+A_V = prod over v in V of (T + v) is GF(2)-linear with kernel V and
+coefficient a_0 != 0 of T (Ore 1933; Lidl and Niederreiter, Finite
+Fields, ch. 3), and the logarithmic derivative
 gives sum over s in S of 1/(T + s) = a_0 sum over y in Y of 1/(A_V(T) + y)
 for Y = A_V(X).  Expanding both sides in 1/T: if E is the first e >= 0
 with p_e(Y) != 0 (p_0 the parity of |Y|), the first nonzero power sum of S
@@ -97,6 +107,15 @@ _WALK_NS_PER_ELEMENT = 90
 # The stabilizer search tries every candidate on this many elements of S
 # before any full check.
 _PROBES = 4
+
+# One gather of the scan takes at most this many (leader, element) pairs,
+# so its int64 temporaries take 128 KB (at 2^16 pairs, the scan of 3,072
+# points at m = 16 ran 36 ms, against 21 ms here and 25-30 ms one leader
+# per gather); the leaders of [3, L] for L below _CACHED_LEADERS are kept
+# per (m, L).
+_GATHER_PAIRS = 1 << 14
+_CACHED_LEADERS = 1 << 12
+_ONE = np.ones(1, dtype=np.int64)  # p_1, scanned first and alone
 
 # The FFT product cuts both operands into blocks of _BLOCK coefficients, so
 # every block product has under _FFT_LEN coefficients and every transform
@@ -187,9 +206,10 @@ def _coset_leaders(m: int, lo: int, hi: int):
     shifted j for every m <= 32).  A leader is odd, since an even j has j / 2
     in its coset, and below 2^(m-1), since a larger j has 2j - n; a coset
     meets [1, L] iff its leader does.  Blocks grow from 64 odd j, so a scan
-    that fails at p_3 builds one small block, and so does the scan of the
-    leaders to 118 that a 120-point Y passes; up to 2048 odd j, whose m - 1
-    rotations take under 0.5 MB (larger blocks measured slower)."""
+    to L >= _CACHED_LEADERS that fails early builds one small block; up to
+    2048 odd j, whose m - 1 rotations take under 0.5 MB (larger blocks
+    measured slower).  A scan to a smaller L reads its leaders from
+    `_leaders` instead."""
     n, size, t = (1 << m) - 1, 64, np.arange(1, m)[:, None]
     lo, hi = lo | 1, min(hi, 1 << (m - 1))
     while lo < hi:
@@ -232,6 +252,16 @@ def _coset_counts(n: int, j_limit: int) -> tuple[int, int]:
     for lead in _coset_leaders(m, 1, j_limit + 1):
         reps, k = reps + len(lead), k - int(_coset_sizes(m, lead).sum())
     return reps, k
+
+
+@lru_cache(maxsize=256)
+def _leaders(m: int, j_limit: int) -> np.ndarray:
+    """The coset leaders in [3, j_limit] as one read-only int64 array, for
+    j_limit below _CACHED_LEADERS, so at most 2,048 of them: the scan past
+    p_1 of every claim at (m, j_limit) after the first reads them here."""
+    lead = np.concatenate([np.empty(0, np.int64), *_coset_leaders(m, 3, j_limit + 1)])
+    lead.flags.writeable = False
+    return lead
 
 
 def _shift_xor_ns(terms: int, dense_len: int) -> float:
@@ -285,10 +315,24 @@ def _pick_route(ctx, j_limit: int, size: int, searchable: bool) -> str:
     return min(costs, key=costs.get)
 
 
-def _scan(ctx, nonzero, js) -> tuple[int, int] | None:
-    """First (j, p_j) with p_j != 0 over the iterable js, or None."""
-    js, ahead = tee(js)
-    return next(((j, pj) for j, pj in zip(js, _syndromes(ctx, nonzero, ahead)) if pj), None)
+def _scan(ctx, nonzero, blocks) -> tuple[int, int] | None:
+    """First (j, p_j) with p_j != 0 over the ascending j of the int64 arrays
+    blocks, or None.  With log tables, up to _GATHER_PAIRS // |S| leaders
+    (one at least) go in one 2-D gather of alpha^(j log x) and one XOR-reduce
+    along its rows, and the first nonzero row is the first failure; without,
+    `_syndromes` walks the powers one leader at a time."""
+    if not ctx.has_logs:
+        js, ahead = tee(chain.from_iterable(b.tolist() for b in blocks))
+        return next(((j, pj) for j, pj in zip(js, _syndromes(ctx, nonzero, ahead)) if pj), None)
+    n, exp = ctx.n, ctx.exp_array()
+    rows = max(1, _GATHER_PAIRS // len(nonzero))
+    for block in blocks:
+        for lo in range(0, len(block), rows):
+            js = block[lo:lo + rows]
+            p = np.bitwise_xor.reduce(exp[js[:, None] * nonzero % n], axis=1)
+            if len(hit := np.flatnonzero(p)):
+                return int(js[hit[0]]), int(p[hit[0]])
+    return None
 
 
 # -- products in GF(2)[X], packed into ints (bit t is the coefficient of X^t) ----
@@ -446,12 +490,16 @@ def _first_failure(ctx, nonzero, j_limit: int, route: str) -> tuple[int, int] | 
     leader per 2-cyclotomic coset does.  p_1 comes first.  The check route
     then tests the check polynomial; the scan (on the scan route, or after a
     check rejection to name its first failing syndrome) walks the leaders
-    in [3, j_limit] block by block, so it stops early whatever j_limit is."""
-    fail = _scan(ctx, nonzero, (1,))
+    in [3, j_limit] block by block, so it stops early whatever j_limit is:
+    one cached array below _CACHED_LEADERS, `_coset_leaders` blocks from
+    there."""
+    fail = _scan(ctx, nonzero, (_ONE,))
     if fail is not None or (route == "check" and _in_code(ctx, nonzero, j_limit)):
         return fail
-    blocks = _coset_leaders(ctx.m, 3, j_limit + 1)
-    fail = _scan(ctx, nonzero, chain.from_iterable(b.tolist() for b in blocks))
+    if j_limit < _CACHED_LEADERS:
+        fail = _scan(ctx, nonzero, (_leaders(ctx.m, j_limit),))
+    else:
+        fail = _scan(ctx, nonzero, _coset_leaders(ctx.m, 3, j_limit + 1))
     if fail is None and route == "check":
         raise RuntimeError("check polynomial and syndrome scan disagree")
     return fail
@@ -485,7 +533,7 @@ def _verdict(cw, search: bool) -> Verdict:
     route = _pick_route(ctx, j_limit, len(nonzero), search and cw.extended and checked)
     fail = None
     if route == "affine":  # a searchable claim, so a checked one
-        fail = _scan(ctx, nonzero, (1,))
+        fail = _scan(ctx, nonzero, (_ONE,))
         basis, x_set = _stabilizer(cw.elems, ctx.m) if fail is None else ([], None)
         if basis:
             return is_min_weight_affine(ctx, x_set, basis, d, cw.elems)
@@ -547,20 +595,19 @@ def _stabilizer(s: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
 def _subspace_map(ctx, basis) -> tuple[list[int], int]:
     """The columns A_V(2^t), t < m, of the subspace polynomial A_V of
     V = span(basis), and its coefficient a_0 of T.  Built from A = T by
-    A <- A^2 + A(v) A = A (A + A(v)) for each basis vector v, which maps the
-    columns c to c (c + A(v)) and a_0 to A(v) a_0; A(v) = 0 exactly when v
-    lies in the span so far, which refuses a dependent basis."""
-    cols, a0 = [1 << t for t in range(ctx.m)], 1
-    for v in basis:
-        w = 0
-        for t, c in enumerate(cols):
-            if v >> t & 1:
-                w ^= c
+    A <- A^2 + A(v) A = A (A + A(v)) for each basis vector v, on values, as
+    `linearized.annihilator` does: the columns and the basis vectors not yet
+    used are kept as their images, so A(v) is read off, w, and each kept
+    value c maps to c (c + w), a_0 to w a_0.  w = 0 exactly when v lies in
+    the span so far, which refuses a dependent basis."""
+    vals, a0 = [*(1 << t for t in range(ctx.m)), *reversed(basis)], 1
+    for _ in basis:
+        w = vals.pop()
         if not w:
             raise ValueError("the basis B is dependent")
-        cols = [ctx.mul(c, c ^ w) for c in cols]
+        vals = [ctx.mul(c, c ^ w) for c in vals]
         a0 = ctx.mul(a0, w)
-    return cols, a0
+    return vals, a0
 
 
 # Row t holds bit t of each byte value 0..255, as 0/1 words.
@@ -587,15 +634,25 @@ def _apply(tables, x: np.ndarray) -> np.ndarray:
     return img
 
 
-def _spans(ctx, tables, y_sorted: np.ndarray, q: int, s: np.ndarray) -> bool:
-    """Whether the distinct uint64 elements s are exactly X + V: |S| = |X| q
-    and A_V(S) within Y = A_V(X), since the preimage of Y is X + V.
-    Elements outside the field raise ValueError."""
-    if (s >> ctx.m).any():
+def _spans(ctx, x_set: np.ndarray, basis, s: np.ndarray) -> bool:
+    """Whether the distinct uint64 elements s are exactly X + span(B), for X
+    with no two elements in one coset of span(B): X + span(B) is built by
+    XOR doubling, one half at a time, sorted, and compared with s, sorted
+    first unless it already ascends.  Elements outside the field raise
+    ValueError."""
+    if len(s) > 1 and not (s[1:] > s[:-1]).all():
+        s = np.sort(s)
+    if len(s) and s[-1] >> ctx.m:
         raise ValueError(f"support elements must lie in GF(2^{ctx.m})")
-    if len(s) != len(y_sorted) * q:
+    if len(s) != len(x_set) << len(basis):
         return False
-    return bool(_inside(y_sorted, _apply(tables, s)).all())
+    sums, h = np.empty(len(s), dtype=np.uint64), len(x_set)
+    sums[:h] = x_set
+    for b in basis:
+        np.bitwise_xor(sums[:h], np.uint64(b), out=sums[h:2 * h])
+        h *= 2
+    sums.sort()
+    return bool((sums == s).all())
 
 
 def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
@@ -620,7 +677,7 @@ def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
     if (y[1:] == y[:-1]).any():
         raise ValueError("two elements of X lie in one coset of span(B)")
     q = 1 << len(basis)
-    if not _spans(ctx, tables, y, q, support):
+    if not _spans(ctx, x_set, basis, support):
         raise ValueError("support is not X + span(B)")
     member, fail, d_y = True, None, -(-d // q)
     if d_y >= 2:

@@ -256,6 +256,48 @@ def test_table_t27(capsys):
     assert _sha256(out) == TABLE_DIGESTS["t27", "0"]
 
 
+def _entry(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); a help request exits."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+ENTRY_ROWS = [
+    ([], EXIT_PARSE, "bchmin: the following arguments are required: command\n"),
+    (["-h"], 0, ""),
+    (["generate", "-h"], 0, ""),
+    (["nosuch"], EXIT_PARSE, "bchmin: argument command: invalid choice: 'nosuch' (choose from "),
+    (["verify"], EXIT_PARSE, "bchmin verify: the following arguments are required: input\n"),
+    (["table", "t99"], EXIT_PARSE, "bchmin table: argument which: invalid choice: 't99' (choose from "),
+    (["generate", "--m", "8", "--i", "2", "--form", "json"], EXIT_OK, ""),
+    (["generate", "--m=8", "--i", "2"], EXIT_OK, ""),
+    (["generate", "--m", "8", "--i", "2", "extra"], EXIT_PARSE, "bchmin: unrecognized arguments: extra\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", ENTRY_ROWS, ids=[" ".join(r[0]) or "none" for r in ENTRY_ROWS])
+def test_entry_point_matches_the_full_parser(monkeypatch, capsys, argv, code, err):
+    # main hands a command line that starts with a subcommand to that
+    # subcommand's parser; exit code, stdout and stderr are the full
+    # parser's, whose own usage errors keep the "bchmin:" prefix
+    got = _entry(capsys, argv)
+    assert got[0] == code and got[2].startswith(err) and (code != 0 or got[1])
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert _entry(capsys, argv) == got
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bchmin", "generate", "--m", "8", "--i", "2", "extra"])
+    assert _entry(capsys, None) == (EXIT_PARSE, "", "bchmin: unrecognized arguments: extra\n")
+    monkeypatch.setattr(sys, "argv", ["bchmin", "generate", "--m", "8", "--i", "2"])
+    code, out, err = _entry(capsys, None)
+    assert code == EXIT_OK and json.loads(out)["m"] == 8 and err == ""
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["generate", "--help"])
@@ -401,19 +443,46 @@ def _translate_expanded_support(monkeypatch):
     monkeypatch.setattr(construct, "expand", translated)
 
 
+def _drop_one_expanded_element(monkeypatch):
+    # the expanded support less its largest element
+    expand = construct.expand
+
+    def dropped(spec):
+        cw = expand(spec)
+        return construct.CodewordSupport(cw.ctx, cw.elems[:-1], cw.claimed_distance, cw.extended)
+
+    monkeypatch.setattr(construct, "expand", dropped)
+
+
+def _add_one_expanded_element(monkeypatch):
+    # the expanded support and one outsider
+    expand = construct.expand
+
+    def added(spec):
+        cw = expand(spec)
+        outsider = next(x for x in range(cw.ctx.n + 1) if x not in cw.elems)
+        elems = elem_set(cw) | {outsider}
+        return construct.CodewordSupport(cw.ctx, elems, cw.claimed_distance, cw.extended)
+
+    monkeypatch.setattr(construct, "expand", added)
+
+
 @pytest.mark.parametrize("s", [0, 2, 4], ids=["affine", "B-dim-2", "B-empty"])
 @pytest.mark.parametrize(
     "fault",
-    [_swap_one_expanded_element, _move_one_x_out_of_its_coset, _translate_expanded_support],
-    ids=["swap", "move-x", "translate"],
+    [
+        _swap_one_expanded_element, _move_one_x_out_of_its_coset, _translate_expanded_support,
+        _drop_one_expanded_element, _add_one_expanded_element,
+    ],
+    ids=["swap", "move-x", "translate", "drop", "add"],
 )
 def test_gate_refuses_a_faulty_construction(monkeypatch, capsys, fault, s):
     # at (8, 2, s), each through Y = A_V(X): 96 points with B of dimension 4
     # (s = 0), 24 with B of dimension 2 (s = 2) and 6 with B empty (s = 4).
     # The library raises, the CLI exits 2 and emits nothing, also when the
     # emitted set verifies but is not the spec's X + span(B).  The route
-    # refuses a swapped or translated set before any verdict, and names the
-    # verdict of Y when an x is moved out of its coset
+    # refuses a swapped, translated, shortened or lengthened set before any
+    # verdict, and names the verdict of Y when an x is moved out of its coset
     fault(monkeypatch)
     outside = fault is not _move_one_x_out_of_its_coset
     reason = "support is not X + span(B)" if outside else "Verdict("
@@ -424,6 +493,27 @@ def test_gate_refuses_a_faulty_construction(monkeypatch, capsys, fault, s):
     captured = capsys.readouterr()
     assert code == EXIT_VERIFY_FAIL and captured.out == ""
     assert captured.err.startswith(message)
+
+
+def test_verify_refuses_the_faulty_supports(tmp_path, capsys):
+    # `bchmin verify` takes no X or B: it derives them from the support, so
+    # a set that is not the spec's X + span(B) cannot be named as such.  A
+    # moved, a dropped and an extra point each fail the claim (exit 2); the
+    # translate is itself a minimum-weight codeword and passes
+    code, out = _run(capsys, ["generate", "--m", "8", "--i", "2", "--s", "2", "--format", "bits"])
+    head, body = out.split("\n", 1)
+    elems = [int(v, 16) for v in body.split()]
+    out_of = next(x for x in range(1, 256) if x not in elems)
+    shift = next(c for c in range(1, 256) if {x ^ c for x in elems} != set(elems))
+    for bad, expect in (
+        (elems[:-1] + [out_of], EXIT_VERIFY_FAIL),
+        (elems[:-1], EXIT_VERIFY_FAIL),
+        (elems + [out_of], EXIT_VERIFY_FAIL),
+        ([x ^ shift for x in elems], EXIT_OK),
+    ):
+        path = tmp_path / "bad.bits"
+        path.write_text(head + "\n" + "\n".join(map(hex, sorted(bad))) + "\n")
+        assert _run(capsys, ["verify", str(path)])[0] == expect
 
 
 def test_table_reports_unverified_row(monkeypatch, capsys):

@@ -213,6 +213,18 @@ def test_mul_array_matches_field_mul(m):
     assert ctx.mul_array(np.array([], dtype=np.uint64), np.array([], dtype=np.uint64)).tolist() == []
 
 
+@pytest.mark.parametrize("m", [8, 25, 32])
+def test_mul_array_block_edges(m):
+    # lengths around the block of the product: one short of it, exactly
+    # one, one past it, and three blocks and a partial fourth
+    ctx, r, block = default_field(m), rng(m), gf2m._MUL_BLOCK
+    for length in (block - 1, block, block + 1, 3 * block + 5):
+        a = [r.getrandbits(m) for _ in range(length)]
+        b = [r.getrandbits(m) for _ in range(length)]
+        got = ctx.mul_array(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert got.tolist() == [ctx.mul(x, y) for x, y in zip(a, b)], length
+
+
 @pytest.mark.parametrize("m", range(25, 33))
 def test_euclid_inverse_matches_power(m):
     # the table-free inverse is the extended Euclidean algorithm; a^(n-1)

@@ -30,6 +30,7 @@ from bchmin.verify import (
     power_sums,
 )
 
+import _scan_oracle as scan_oracle
 from conftest import (
     covered_cells,
     elem_array,
@@ -342,6 +343,77 @@ def test_routes_agree(data):
             assert _first_failure(ctx, nonzero, j_limit, "check") == scanned, product
     if kind in ("none", "add0"):
         assert scanned is None
+
+
+# -- the block kernel against the frozen leader-by-leader scan --------------------
+
+
+def _oracle_agrees(ctx, elems, j_limit, routes=("scan",)):
+    """The first failure of elems at j_limit on each route, asserted equal
+    to the leader-by-leader scan's, which is returned."""
+    expect = scan_oracle.first_failure(ctx, elems, j_limit)
+    nonzero = _nonzero(ctx, elem_array(elems))
+    for route in routes:
+        assert _first_failure(ctx, nonzero, j_limit, route) == expect, (ctx.m, j_limit, route)
+    return expect
+
+
+@pytest.mark.parametrize("m", range(4, 17))
+def test_block_scan_matches_leader_by_leader_scan(m):
+    # translates of r-dimensional subspaces, members of eBCH(2^r), claimed
+    # at 2^r and at twice that, so the first failure falls past p_1; their
+    # one-element mutants, mutants that keep p_1, and random sets of their
+    # size; the check route too up to m = 12
+    ctx, rand = default_field(m), rng(m)
+    routes = ("scan", "check") if m <= 12 else ("scan",)
+    seen = set()
+    for r in range(2, min(m, 10)):
+        space = _subspace_member(ctx, r, True, rand)
+        for j_limit in ((1 << r) - 2, min((2 << r) - 2, ctx.n - 1)):
+            for kind in ("none", "swap", "p1swap", "random"):
+                fail = _oracle_agrees(ctx, _mutate(ctx, space, kind, rand), j_limit, routes)
+                seen.add(None if fail is None else fail[0] > 1)
+    assert seen == {None, False, True}
+
+
+def _block_of(m, j_limit, j):
+    """The leader array the scan walks that holds j, and j's place in it."""
+    if j_limit < verify._CACHED_LEADERS:
+        blocks = [verify._leaders(m, j_limit)]
+    else:
+        blocks = list(_coset_leaders(m, 3, j_limit + 1))
+    block = next(b.tolist() for b in blocks if j in b)
+    return block, block.index(j)
+
+
+@pytest.mark.parametrize("m, r", [(14, 11), (16, 12), (16, 13)])
+def test_block_scan_splits_large_supports(m, r, monkeypatch):
+    # 2^r points, 2^11 to 2^13, so one gather takes a few leaders.  The
+    # translate is a member at L = 2^r - 2 and first fails at the leader
+    # 2^r - 1 when claimed at twice that.  With the gathers cut so that the
+    # leader is the last of one and the first of the next, and to one
+    # leader each, the kernel names the same failure.  L >= 4096 at
+    # m = 16 takes the uncached leader blocks.
+    ctx = default_field(m)
+    elems = _subspace_member(ctx, r, True, rng(r))
+    assert _oracle_agrees(ctx, elems, (1 << r) - 2) is None
+    j_limit = min((2 << r) - 2, ctx.n - 1)
+    expect = _oracle_agrees(ctx, elems, j_limit)
+    assert expect is not None and expect[0] == (1 << r) - 1
+    nonzero = _nonzero(ctx, elem_array(elems))
+    block, k = _block_of(m, j_limit, expect[0])
+    assert k > 0
+    for rows in (k + 1, k, 1):
+        monkeypatch.setattr(verify, "_GATHER_PAIRS", rows * len(nonzero))
+        assert _first_failure(ctx, nonzero, j_limit, "scan") == expect, rows
+
+
+@pytest.mark.parametrize("m", [25, 29])
+def test_table_free_scan_matches_leader_by_leader_scan(m):
+    # the power walk, kept without log tables: valid claims, mutants that
+    # keep p_1, and the i = 3 support claimed at d = 120
+    for kind, cw in _table_free_claims(m):
+        _oracle_agrees(cw.ctx, cw.elems, cw.claimed_distance - 2)
 
 
 def test_coset_counts_match_brute_force():
@@ -686,6 +758,41 @@ def test_affine_route_checks_the_support():
                 ctx, elem_array({*spec.x_set.tolist(), 1 << 10}), spec.basis, cw.claimed_distance,
                 cw.elems,
             )
+
+
+@pytest.mark.parametrize("m, i, s", [(9, 2, 1), (12, 3, 2), (8, 2, 4)])
+def test_affine_route_compares_the_support_with_the_expansion(m, i, s):
+    # a moved, a dropped and an extra point, and two sets of the right size
+    # that are not X + span(B) (a translate and a swap of two points that
+    # keeps p_1), each refused in ascending and in shuffled order; a
+    # shuffled support gets the verdict of its sorted copy
+    ctx, rand = default_field(m), rng(m)
+    cw, _, spec = generate(ctx, i, s, 1)
+    claim = (ctx, spec.x_set, spec.basis, cw.claimed_distance)
+    support = elem_set(cw)
+    out = _outsider(ctx, support, rand)
+    shift = next(c for c in range(1, ctx.n + 1) if {x ^ c for x in support} != support)
+
+    def shuffled(elems):
+        elems = sorted(elems)
+        rand.shuffle(elems)
+        return np.array(elems, dtype=np.uint64)
+
+    verdict = is_min_weight_affine(*claim, cw.elems)
+    assert verdict.is_min_weight
+    assert is_min_weight_affine(*claim, shuffled(support)) == verdict
+    for bad in (
+        support - {max(support)} | {out},
+        support - {max(support)},
+        support | {out},
+        frozenset(x ^ shift for x in support),
+        _mutate(ctx, support, "p1swap", rand),
+    ):
+        for order in (elem_array, shuffled):
+            with pytest.raises(ValueError, match=r"support is not X \+ span\(B\)"):
+                is_min_weight_affine(*claim, order(bad))
+    with pytest.raises(ValueError, match="must lie in GF"):
+        is_min_weight_affine(*claim, shuffled(support | {1 << m}))
 
 
 # -- the stabilizer search ------------------------------------------------------
