@@ -47,15 +47,22 @@ grep -q '"route": "affine"' dense_verdict.json
 bchmin generate --m 16 --i 3 --s 2 > fft.json
 bchmin verify fft.json > fft_verdict.json
 grep -q '"route": "affine"' fft_verdict.json
-# punctured claims never search: the same supports, punctured at
-# their least element, keep the check route and its FFT product
+# punctured claims are decided as extended ones: the same supports,
+# punctured at their least element, reach the stabilizer search too
 puncture='import sys; from bchmin import cli, construct; cw = cli.parse_support_file(sys.stdin.read()); print(cli.render_logsupport(cw.ctx, construct.puncture(cw, int(cw.elems[0]))), end="")'
 python -c "$puncture" < dense.json > dense_punctured.log
 bchmin verify dense_punctured.log > dense_punctured_verdict.json
-grep -q '"route": "check"' dense_punctured_verdict.json
+grep -q '"route": "affine"' dense_punctured_verdict.json
 python -c "$puncture" < fft.json > fft_punctured.log
 bchmin verify fft_punctured.log > fft_punctured_verdict.json
-grep -q '"route": "check"' fft_punctured_verdict.json
+grep -q '"route": "affine"' fft_punctured_verdict.json
+# the check route and its FFT product: an extended claim the cost rule
+# prices below the scan and the stabilizer search
+bchmin generate --m 16 --i 2 --s 1 > check.json
+bchmin verify check.json > check_verdict.json
+grep -q '"route": "check"' check_verdict.json
+# the golden punctured supports for m = 8..16 and punctured fresh ones
+bchmin table t27
 bchmin generate --m 25 --i 2 --s 6 --format bits > m25.bits
 bchmin verify m25.bits
 bchmin generate --m 16 --i 2 --s 0 > wide.json

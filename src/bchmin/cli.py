@@ -3,11 +3,12 @@ re-verify serialized supports, and reproduce the bundled golden tables.
 
 Exit codes: 0 success / verified, 1 stdout closed by its reader before
 the output was written, 2 verification failure (also a generated support
-that fails its self-verification), 3 uncovered parameter combination, 4
-solver retries exhausted, 5 parse error (also a command line the parser
-refuses).  Commands and the parser report a refusal by raising;
-`_REFUSALS` maps each refusal to its exit code and message prefix, and
-`main` is the one place that applies it.
+that fails its self-verification), 3 uncovered parameter combination (also
+a command that runs out of memory), 4 solver retries exhausted, 5 parse
+error (also a command line the parser refuses).  Commands and the parser
+report a refusal by raising; `_REFUSALS` maps each refusal, or a subclass
+of it, to its exit code and message prefix, and `main` is the one place
+that applies it.
 """
 
 from __future__ import annotations
@@ -478,6 +479,7 @@ _REFUSALS = {
     RetriesExhausted: (EXIT_EXHAUSTED, "solver exhausted: "),
     UnverifiedSupport: (EXIT_VERIFY_FAIL, ""),
     ParseError: (EXIT_PARSE, ""),
+    MemoryError: (EXIT_UNCOVERED, "out of memory: "),  # numpy's _ArrayMemoryError too
 }
 
 
@@ -506,7 +508,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return code
     except tuple(_REFUSALS) as exc:
-        code, prefix = _REFUSALS[type(exc)]
+        code, prefix = next(v for kind, v in _REFUSALS.items() if isinstance(exc, kind))
         print(f"{prefix}{exc}", file=sys.stderr)
         return code
     except BrokenPipeError:  # the reader closed stdout early

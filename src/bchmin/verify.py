@@ -2,16 +2,21 @@
 
 A support S certifies membership through its syndromes p_j = sum of x^j
 over the nonzero support elements: an extended claim eBCH(d) (d even) needs
-even |S| and p_j = 0 for j = 1..L with L = d-2; a punctured claim BCH(d)
-(d odd) needs 0 outside S and p_j = 0 for j = 1..L with L = d-1.  Since
-p_2j is always p_j squared, only odd j are scanned.
+even |S| and p_j = 0 for j = 1..L with L = d-2.  Since p_2j is always p_j
+squared, only odd j are scanned.  `is_min_weight` decides a punctured claim
+BCH(d) (d odd, 0 outside S) as the extended claim at d + 1 on S with 0
+added when |S| is odd and on S otherwise, keeping its weight and d
+(MacWilliams and Sloane, ch. 1, sec. 9); one that holds 0 is refused, with
+no syndrome.
 
-Two routes reach the same verdict.  The scan evaluates p_j at the leader
-(least member, always odd) of each 2-cyclotomic coset meeting [1, L], in
-ascending order, so it stops at the first nonzero p_j whatever L is.  p_1
-goes first and alone, so a corrupted support is rejected after one gather;
-past it, with log tables, a block of leaders goes in one 2-D gather of
-alpha^(j log x) of at most 2^14 (leader, element) pairs (one leader at
+A claim is decided in one order: parity, then p_1 alone, in one gather,
+so a corrupted support is rejected there, and a claim decided by either
+reports the route "scan"; only a claim that passes p_1 with L >= 3 has its
+route priced.  Two routes then reach the same verdict.  The scan evaluates
+p_j at the leader (least member, always odd) of each 2-cyclotomic coset
+meeting [3, L], in ascending order, so it stops at the first nonzero p_j
+whatever L is; with log tables, a block of leaders goes in one 2-D gather
+of alpha^(j log x) of at most 2^14 (leader, element) pairs (one leader at
 least), and the first nonzero p_j of the block, in ascending leader order,
 is the first failure.  The leaders of [3, L] for L < 4096 are kept per
 (m, L), at most 2048 of them.  The check route packs c(X) = sum of
@@ -22,9 +27,9 @@ read off the log tables.  The product c h is a
 shift-XOR when one operand has few terms and blocked float64 FFTs with a
 checked rounding otherwise (`_polymul`), so the check wins when that code
 has small dimension k, and also for dense h when |S| and L are both large.
-Both routes start with p_1, and the cheaper one is picked from (n, L, |S|)
-alone, by counting the leaders in [1, L] and their coset sizes; the check
-is charged for building h too.  The scan, the check polynomial and that count
+The cheaper route is picked from (n, L, |S|) alone, by counting the
+leaders in [1, L] and their coset sizes; the check is charged for building
+h too.  The scan, the check polynomial and that count
 share one enumeration of the leaders, `_coset_leaders`.  The check route
 needs discrete logs, so it exists only on fields with log tables
 (`GF2m.has_logs`); on the others the scan runs alone, stepping the powers
@@ -47,37 +52,36 @@ eBCH(d) iff Y lies in eBCH(d / q), Kasami and Lin's down-conversion (IEEE
 Trans. IT, 1972) as an iff, and a failure of Y maps back to S exactly.
 For the paper's supports d / q = |X| is 6, 28 or 120.
 
-`is_min_weight` takes that route for a plain extended support too, when
-the cost rule prices it below the scan and the check and the claim passes
-p_1: it searches the translation stabilizer {v : S + v = S} of S, a
-subspace, for a basis B (`_stabilizer`).  Every v in it lies in S + s_0;
-those candidates are kept only if they move _PROBES elements of S into S,
-and a kept one, reduced by the basis so far, is checked on one element x
-of each coset of span(B) in S: x + v in S for all of them.  A failed check
-names an x with x + v outside S, which filters the candidates again, and
-the search stops after 2m failed checks.  Successes halve the elements
-checked, so the search makes at most (_PROBES + 2 + 4m) |S| lookups, and
-is priced at (_PROBES + m) |S|.  With B found, X is the elements of S
-whose bits at the top bits of B are 0, and the affine route certifies
-(X, B, d, S), re-checking S = X + span(B) itself; a claim whose search
-finds no B takes the scan or the check, whichever is cheaper.  The affine
-route's own check of Y never searches.
+`is_min_weight` takes that route for a plain support too, when the cost
+rule prices it below the scan and the check: it searches the translation
+stabilizer {v : S + v = S} of S, a subspace, for a basis B
+(`_stabilizer`).  Every v in it lies in S + s_0; those candidates are kept
+only if they move _PROBES elements of S into S, and a kept one, reduced by
+the basis so far, is checked on one element x of each coset of span(B) in
+S: x + v in S for all of them.  A failed check names an x with x + v
+outside S, which filters the candidates again, and the search stops after
+2m failed checks.  Successes halve the elements checked, so the search
+makes at most (_PROBES + 2 + 4m) |S| lookups, and is priced at
+(_PROBES + m) |S|.  With B found, X is the elements of S whose bits at the
+top bits of B are 0, and the affine route certifies (X, B, d, S),
+re-checking S = X + span(B) itself; a claim whose search finds no B takes
+the scan or the check, whichever is cheaper.  The affine route's own check
+of Y never searches.
 
 This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element arrays (anything with ctx,
-claimed_distance, extended attributes and elems, the distinct support
-elements as a np.uint64 array), or X as such an array and B as plain ints,
-and builds its own A_V.
+claimed_distance, extended attributes and elems, the sorted distinct
+support elements as a np.uint64 array), or X as such an array and B as
+plain ints, and builds its own A_V.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, tee
 from math import gcd
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -133,9 +137,10 @@ class Verdict:
     claimed_distance: int
     is_min_weight: bool
     failing_syndrome: tuple[int, int] | None
-    # "scan" or "check": the route the cost rule picks for the claim; "affine":
-    # the claim was X + span(B), certified through Y = A_V(X) (Kasami and Lin,
-    # 1972; Lidl and Niederreiter, Finite Fields, ch. 3; see the module text)
+    # the route that ran: "scan" (also for a claim decided by parity or p_1)
+    # or "check"; "affine": the claim was X + span(B), certified through
+    # Y = A_V(X) (Kasami and Lin, 1972; Lidl and Niederreiter, Finite Fields,
+    # ch. 3; see the module text)
     route: str
 
 
@@ -283,19 +288,16 @@ def _fft_ns(len_a: int, len_b: int) -> float:
 
 
 def _pick_route(ctx, j_limit: int, size: int, searchable: bool) -> str:
-    """The cheapest route past p_1, from (n, L, |S|) alone; with L < 3
-    there is nothing past p_1, and without logs no check route.  The scan
-    is one gather per leader and element with logs, and one array product
-    per odd j and element without.  The check is priced as the cheaper
-    product of c (|S| terms, n coefficients) and h (k + 1 coefficients,
-    about half of them terms), plus building h from the leaders above L: h
-    is cached per (field, L), but a route that depended on the cache would
-    differ between two calls on one claim.  A searchable claim (extended,
-    of even weight, with syndromes to check) may take "affine", the
-    stabilizer search priced at (_PROBES + m) |S| lookups; ties go to the
-    scan, then the check."""
-    if j_limit < 3:
-        return "scan"
+    """The cheapest route for a claim that passed p_1 with L >= 3, from
+    (n, L, |S|) alone; without logs there is no check route.  The scan is
+    one gather per leader and element with logs, and one array product per
+    odd j and element without.  The check is priced as the cheaper product
+    of c (|S| terms, n coefficients) and h (k + 1 coefficients, about half
+    of them terms), plus building h from the leaders above L: h is cached
+    per (field, L), but a route that depended on the cache would differ
+    between two calls on one claim.  A searchable claim may take "affine",
+    the stabilizer search priced at (_PROBES + m) |S| lookups; ties go to
+    the scan, then the check."""
     if ctx.has_logs:
         n = ctx.n
         reps, k = _coset_counts(n, j_limit)
@@ -485,17 +487,16 @@ def _in_code(ctx, nonzero, j_limit: int) -> bool:
 
 
 def _first_failure(ctx, nonzero, j_limit: int, route: str) -> tuple[int, int] | None:
-    """First (j, p_j) with p_j != 0 over the coset leaders j in [1, j_limit],
-    ascending, or None; p_(2j mod n) = p_j^2, so the range vanishes iff one
-    leader per 2-cyclotomic coset does.  p_1 comes first.  The check route
-    then tests the check polynomial; the scan (on the scan route, or after a
-    check rejection to name its first failing syndrome) walks the leaders
-    in [3, j_limit] block by block, so it stops early whatever j_limit is:
-    one cached array below _CACHED_LEADERS, `_coset_leaders` blocks from
+    """First (j, p_j) with p_j != 0 over the coset leaders j in [3, j_limit],
+    ascending, or None, for a support whose p_1 is 0; p_(2j mod n) = p_j^2,
+    so the range vanishes iff one leader per 2-cyclotomic coset does.  The
+    check route tests the check polynomial; the scan (on the scan route, or
+    after a check rejection to name its first failing syndrome) walks the
+    leaders block by block, so it stops early whatever j_limit is: one
+    cached array below _CACHED_LEADERS, `_coset_leaders` blocks from
     there."""
-    fail = _scan(ctx, nonzero, (_ONE,))
-    if fail is not None or (route == "check" and _in_code(ctx, nonzero, j_limit)):
-        return fail
+    if route == "check" and _in_code(ctx, nonzero, j_limit):
+        return None
     if j_limit < _CACHED_LEADERS:
         fail = _scan(ctx, nonzero, (_leaders(ctx.m, j_limit),))
     else:
@@ -507,49 +508,45 @@ def _first_failure(ctx, nonzero, j_limit: int, route: str) -> tuple[int, int] | 
 
 def is_min_weight(cw) -> Verdict:
     """Certify the support as a minimum-weight codeword: membership plus
-    weight exactly equal to the claimed designed distance.  An extended
-    claim may be certified through the translation stabilizer of its
-    support and the affine route (see the module text)."""
-    return _verdict(cw, search=True)
-
-
-def _verdict(cw, search: bool) -> Verdict:
-    """`is_min_weight`, with the stabilizer search only if search is set."""
-    ctx, d = cw.ctx, cw.claimed_distance
+    weight exactly equal to the claimed designed distance.  The one place
+    that maps a punctured claim to the extended one (see the module text);
+    the verdict keeps the punctured weight and d."""
+    ctx, d, elems = cw.ctx, cw.claimed_distance, cw.elems
     if not 2 <= d <= ctx.n + 1:
         raise ValueError(f"claimed distance must be in 2..{ctx.n + 1}, got {d}")
     if cw.extended:
         if d % 2:
             raise ValueError(f"extended claim needs even d, got {d}")
-        refused = len(cw.elems) % 2 == 1
-        j_limit = d - 2
-    else:
-        if d % 2 == 0:
-            raise ValueError(f"punctured claim needs odd d, got {d}")
-        refused = 0 in cw.elems
-        j_limit = d - 1
-    nonzero = _nonzero(ctx, cw.elems)
-    checked = not refused and len(nonzero) > 0 and j_limit > 0
-    route = _pick_route(ctx, j_limit, len(nonzero), search and cw.extended and checked)
-    fail = None
-    if route == "affine":  # a searchable claim, so a checked one
+        return _verdict(ctx, elems, d, search=True)
+    if d % 2 == 0:
+        raise ValueError(f"punctured claim needs odd d, got {d}")
+    if 0 in elems:
+        return Verdict(False, len(elems), d, False, None, "scan")
+    extended = np.concatenate((np.zeros(1, np.uint64), elems)) if len(elems) % 2 else elems
+    weight, verdict = len(elems), _verdict(ctx, extended, d + 1, search=True)
+    is_min = verdict.member and weight == d
+    return replace(verdict, weight=weight, claimed_distance=d, is_min_weight=is_min)
+
+
+def _verdict(ctx, elems, d: int, search: bool) -> Verdict:
+    """The verdict on the extended claim (elems, d), d even in 2..n + 1, in
+    one order: parity, then p_1 alone, then, for a claim that passes with
+    L = d - 2 >= 3, the route the cost rule picks, the stabilizer search
+    among them only if search is set."""
+    j_limit, nonzero, route, fail = d - 2, _nonzero(ctx, elems), "scan", None
+    member = len(elems) % 2 == 0
+    if member and j_limit and len(nonzero):
         fail = _scan(ctx, nonzero, (_ONE,))
-        basis, x_set = _stabilizer(cw.elems, ctx.m) if fail is None else ([], None)
-        if basis:
-            return is_min_weight_affine(ctx, x_set, basis, d, cw.elems)
-        route = _pick_route(ctx, j_limit, len(nonzero), False)
-    if checked:
-        fail = fail or _first_failure(ctx, nonzero, j_limit, route)
-    member = not refused and fail is None
-    weight = len(cw.elems)
-    return Verdict(
-        member=member,
-        weight=weight,
-        claimed_distance=d,
-        is_min_weight=member and weight == d,
-        failing_syndrome=fail,
-        route=route,
-    )
+        if fail is None and j_limit >= 3:
+            route = _pick_route(ctx, j_limit, len(nonzero), search)
+            if route == "affine":
+                basis, x_set = _stabilizer(elems, ctx.m)
+                if basis:
+                    return is_min_weight_affine(ctx, x_set, basis, d, elems)
+                route = _pick_route(ctx, j_limit, len(nonzero), False)
+            fail = _first_failure(ctx, nonzero, j_limit, route)
+        member = fail is None
+    return Verdict(member, len(elems), d, member and len(elems) == d, fail, route)
 
 
 def _inside(s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -681,8 +678,7 @@ def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
         raise ValueError("support is not X + span(B)")
     member, fail, d_y = True, None, -(-d // q)
     if d_y >= 2:
-        claim = SimpleNamespace(ctx=ctx, elems=y, claimed_distance=d_y + d_y % 2, extended=True)
-        y_verdict = _verdict(claim, search=False)
+        y_verdict = _verdict(ctx, y, d_y + d_y % 2, search=False)
         member = y_verdict.member
         if y_verdict.failing_syndrome is not None:
             e, p_e = y_verdict.failing_syndrome

@@ -1020,6 +1020,30 @@ def test_generate_into_closed_pipe_exits_quietly():
     assert "Traceback" not in err and err == ""
 
 
+class _ArrayMemoryError(MemoryError):
+    """A subclass, as numpy raises for an array it cannot allocate."""
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, monkeypatch, capsys, command):
+    # a MemoryError subclass ends the command as a refusal: exit 3 and one
+    # stderr line, no traceback
+    message = "Unable to allocate 768. MiB for an array with shape (100663296,) and data type uint64"
+
+    def allocate(*args):
+        raise _ArrayMemoryError(message)
+
+    code, out = _run(capsys, ["generate", "--m", "8", "--i", "2", "--s", "1"])
+    path = tmp_path / "s.json"
+    path.write_text(out)
+    monkeypatch.setattr(construct, "generate", allocate)
+    monkeypatch.setattr(verify, "is_min_weight", allocate)
+    argv = ["generate", "--m", "8", "--i", "2"] if command == "generate" else ["verify", str(path)]
+    assert cli.main(argv) == cli.EXIT_UNCOVERED
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"out of memory: {message}\n"
+
+
 @pytest.mark.parametrize("m, poly", [(24, "0x100001B"), (26, "0x4000047"), (32, "0x1000000af")])
 def test_verify_absurd_distance_stops_at_first_failing_syndrome(tmp_path, m, poly):
     # d = 2^m claims p_j = 0 for every j < 2^m - 1; the scan must stop at

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from functools import reduce
 from operator import xor
 
@@ -317,6 +318,13 @@ def _mutate(ctx, elems: frozenset, kind: str, rand) -> frozenset:
     return elems
 
 
+def _p1_then(ctx, nonzero, j_limit, route):
+    """p_1 alone, then, if it is 0, `_first_failure` on route, as `_verdict`
+    runs them: the first failing (j, p_j) over the leaders in [1, j_limit]."""
+    p1 = verify._scan(ctx, nonzero, (verify._ONE,))
+    return p1 or _first_failure(ctx, nonzero, j_limit, route)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_routes_agree(data):
@@ -336,11 +344,11 @@ def test_routes_agree(data):
     elems = _mutate(ctx, _subspace_member(ctx, r, extended, rand), kind, rand)
     nonzero = _nonzero(ctx, elem_array(elems))
     event(_pick_route(ctx, j_limit, len(nonzero), extended and len(elems) % 2 == 0))
-    scanned = _first_failure(ctx, nonzero, j_limit, "scan")
+    scanned = _p1_then(ctx, nonzero, j_limit, "scan")
     for product in (_shift_xor_mul, _fft_mul):  # the check with each product
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "_polymul", product)
-            assert _first_failure(ctx, nonzero, j_limit, "check") == scanned, product
+            assert _p1_then(ctx, nonzero, j_limit, "check") == scanned, product
     if kind in ("none", "add0"):
         assert scanned is None
 
@@ -354,7 +362,7 @@ def _oracle_agrees(ctx, elems, j_limit, routes=("scan",)):
     expect = scan_oracle.first_failure(ctx, elems, j_limit)
     nonzero = _nonzero(ctx, elem_array(elems))
     for route in routes:
-        assert _first_failure(ctx, nonzero, j_limit, route) == expect, (ctx.m, j_limit, route)
+        assert _p1_then(ctx, nonzero, j_limit, route) == expect, (ctx.m, j_limit, route)
     return expect
 
 
@@ -513,14 +521,18 @@ def test_verdict_names_the_route():
     assert is_min_weight(cw).is_min_weight and is_min_weight(cw).route == "affine"
     assert _forced(cw, "scan").route == "scan" and _forced(cw, "check").route == "check"
     assert _pick_route(ctx, cw.claimed_distance - 2, len(cw.elems), False) == "scan"
-    # a rejection through the check route still names the first failing
-    # syndrome the scan finds
-    bad = _mutate(ctx, space, "swap", rng(5))
+    # a rejection through the check route (of a mutant that passes p_1)
+    # still names the first failing syndrome the scan finds; a mutant that
+    # fails p_1 is decided there, before any route is priced
+    bad = _mutate(ctx, space, "p1swap", rng(5))
     verdict = is_min_weight(CodewordSupport(ctx, bad, 1 << 10, True))
     assert verdict.route == "check" and not verdict.member
     assert verdict.failing_syndrome == _first_failure(
         ctx, _nonzero(ctx, elem_array(bad)), (1 << 10) - 2, "scan"
     )
+    swapped = _mutate(ctx, space, "swap", rng(5))
+    verdict = is_min_weight(CodewordSupport(ctx, swapped, 1 << 10, True))
+    assert verdict.route == "scan" and verdict.failing_syndrome[0] == 1
 
 
 def test_claimed_distance_beyond_length_refused(gf16):
@@ -585,7 +597,8 @@ def test_exact_fallback_keeps_verdicts(monkeypatch):
     # with the residue bound at 0 every rounded block is refused and
     # recomputed by shift-XOR: verdicts and first failing syndromes of
     # members and mutants on the FFT check route are unchanged.  The members
-    # at s = 2 take the affine route by default, so the check is forced.
+    # at s = 2 take the affine route by default, so the check is forced; the
+    # swap mutants fail p_1, so they are decided before any route runs.
     ctx, rand = default_field(16), rng(11)
     claims = []
     for i, s in ((2, 1), (2, 2), (3, 2)):
@@ -595,11 +608,12 @@ def test_exact_fallback_keeps_verdicts(monkeypatch):
             bad = _mutate(ctx, elem_set(cw), kind, rand)
             claims.append(CodewordSupport(ctx, bad, cw.claimed_distance, cw.extended))
     default = [is_min_weight(cw) for cw in claims]
-    assert [v.route for v in default] == ["check"] * 3 + ["affine", "check", "check"] * 2
+    routes = ["check", "check", "scan"] + ["affine", "check", "scan"] * 2
+    assert [v.route for v in default] == routes
     monkeypatch.setattr(verify, "_pick_route", lambda *args: "check")
     verdicts = [is_min_weight(cw) for cw in claims]
     assert [_outcome(v) for v in verdicts] == [_outcome(v) for v in default]
-    assert all(v.route == "check" for v in verdicts)
+    assert [v.route for v in verdicts] == ["check", "check", "scan"] * 3
     assert [v.is_min_weight for v in verdicts] == [True, False, False] * 3
     exact_blocks = []
 
@@ -811,7 +825,8 @@ def test_default_verdict_agrees_on_mutants(m):
     # `_mutants_agree`), one p_1-preserving swap of it and its claim at
     # d + 2: the default verdict equals the forced search's, scan's and
     # check's; up to 512 points the search finds the whole stabilizer.  The
-    # punctured claim keeps the route of the cost rule and never searches.
+    # punctured claim is decided as the extended one on its support and 0,
+    # route included, so it reaches the stabilizer search too.
     rand = rng(100 + m)
     for _, i, s, method in (cell for cell in covered_cells() if cell[0] == m):
         cw, _, _ = generate(default_field(m), i, s, 1, method)
@@ -824,12 +839,76 @@ def test_default_verdict_agrees_on_mutants(m):
                 basis, _ = verify._stabilizer(elem_array(elems), m)
                 assert len(basis) == _stabilizer_dim(elems), (i, s)
         punctured = puncture(cw, int(cw.elems[0]))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verify, "_stabilizer", None)  # a search would raise
-            verdict = _routes_agree(punctured)
-        assert verdict.is_min_weight
-        expect = _pick_route(ctx, d - 2, len(_nonzero(ctx, punctured.elems)), False)
-        assert verdict.route == expect, (i, s)
+        verdict = _routes_agree(punctured)
+        assert verdict.is_min_weight and verdict.weight == verdict.claimed_distance == d - 1
+        extended = is_min_weight(CodewordSupport(ctx, elem_set(punctured) | {0}, d, True))
+        assert extended.is_min_weight and verdict.route == extended.route, (i, s)
+
+
+def _frozen_verdict(claim):
+    """(member, weight, claimed_distance, is_min_weight, failing_syndrome)
+    of claim from the frozen scan at L = d - 2 (extended) or d - 1
+    (punctured); odd weight refuses an extended claim, and 0 in the support
+    a punctured one, with no syndrome."""
+    elems, d = claim.elems.tolist(), claim.claimed_distance
+    refused = len(elems) % 2 == 1 if claim.extended else 0 in elems
+    j_limit = d - 2 if claim.extended else d - 1
+    fail = None if refused else scan_oracle.first_failure(claim.ctx, elems, j_limit)
+    member = not refused and fail is None
+    return member, len(elems), d, member and len(elems) == d, fail
+
+
+@pytest.mark.parametrize("m", range(4, 14))
+def test_punctured_claims_match_the_frozen_scan(m):
+    # every covered support at m, punctured at its least element, and the
+    # extended support itself; mutants of each: a moved element, 0 added,
+    # one element dropped (parity flips) and the claim at d - 2 and d + 2.
+    # Each verdict, on the default route and on each forced one, equals the
+    # frozen scan's
+    rand, seen = rng(200 + m), set()
+    for _, i, s, method in (cell for cell in covered_cells() if cell[0] == m):
+        cw, _, _ = generate(default_field(m), i, s, 1, method)
+        for claim in (puncture(cw, int(cw.elems[0])), cw):
+            ctx, d, support = claim.ctx, claim.claimed_distance, elem_set(claim)
+            moved = _mutate(ctx, support, "swap", rand)
+            dropped = _mutate(ctx, support, "remove", rand)
+            for elems, claimed in (
+                (support, d), (moved, d), (support | {0}, d), (dropped, d),
+                (support, d - 2), (support, d + 2),
+            ):
+                mutant = CodewordSupport(ctx, elems, claimed, claim.extended)
+                verdict = _routes_agree(mutant)
+                where = (i, s, method, claim.extended, claimed)
+                assert astuple(verdict)[:5] == _frozen_verdict(mutant), where
+                seen.add((claim.extended, verdict.member, verdict.failing_syndrome is None))
+    assert seen == {(e, False, False) for e in (False, True)} | {
+        (e, member, True) for e in (False, True) for member in (False, True)
+    }
+
+
+def test_no_route_is_priced_before_p1(monkeypatch):
+    # a claim decided by parity or p_1 reports the scan and prices no route:
+    # an odd-weight extended claim, a corrupted (16, 2, 0) support and a
+    # punctured claim that holds 0
+    ctx = default_field(16)
+    cw, _, _ = generate(ctx, 2, 0, seed=0)
+    d = cw.claimed_distance
+    claims = (
+        CodewordSupport(ctx, cw.elems[1:], d, True),
+        CodewordSupport(ctx, _mutate(ctx, elem_set(cw), "swap", rng(16)), d, True),
+        CodewordSupport(ctx, elem_set(cw) | {0}, d - 1, False),
+    )
+
+    def priced(*args):
+        raise AssertionError("a route was priced before p_1")
+
+    monkeypatch.setattr(verify, "_coset_counts", priced)
+    monkeypatch.setattr(verify, "_pick_route", priced)
+    verdicts = [is_min_weight(claim) for claim in claims]
+    assert [v.route for v in verdicts] == ["scan"] * 3
+    assert [v.member for v in verdicts] == [False] * 3
+    assert [v.failing_syndrome for v in verdicts[::2]] == [None, None]
+    assert verdicts[1].failing_syndrome[0] == 1
 
 
 def test_search_finds_a_stabilizer_larger_than_b():
