@@ -60,15 +60,15 @@ _LIMITS = {10: 10 ** np.arange(1, 10, dtype=np.int32), 16: 16 ** np.arange(1, 16
 
 
 def _sorted_out(ctx, elems: np.ndarray) -> np.ndarray:
-    """The support entries as written, sorted: int32 discrete logs from one
-    gather, with -1 for the zero element (first in elems) first, when the
-    field has log tables; otherwise elems itself, written in hex."""
+    """The support entries as written, sorted: int32 discrete logs
+    (`GF2m.logs`), with -1 for the zero element (first in elems) first, when
+    the field has logs; otherwise elems itself, written in hex."""
     if not ctx.has_logs:
         return elems
     zero = int(len(elems) > 0 and elems[0] == 0)
     logs = np.empty(len(elems), np.int32)
     logs[:zero] = -1
-    logs[zero:] = ctx.log_array()[elems[zero:]]
+    logs[zero:] = ctx.logs(elems[zero:])
     logs[zero:].sort()
     return logs
 
@@ -227,7 +227,11 @@ def _elements(ctx, values: np.ndarray, logs: bool, entry):
         raise ParseError(f"discrete log {_quote(str(bad))} is outside -1..{ctx.n - 1}" if logs else
                          f"element {_quote(hex(bad))} is outside GF(2^{ctx.m})")
     if logs and ctx.has_logs:
-        return np.where(values < 0, 0, ctx.exp_array()[values])
+        zero = values < 0
+        values[zero] = 0  # in place: values is this parse's own array
+        elems = ctx.elems(values)
+        elems[zero] = 0
+        return elems
     return [0 if v == -1 else ctx.exp(v) for v in values.tolist()] if logs else values
 
 
@@ -337,7 +341,8 @@ def _cmd_generate(args) -> int:
     write = sys.stdout.write  # in pieces of at most _CHUNK entries
     if args.format == "json":
         meta["X"] = _sorted_out(ctx, spec.x_set)
-        meta["B"] = [ctx.log(x) if ctx.has_logs else hex(x) for x in spec.basis]  # all nonzero
+        basis = np.array(spec.basis, dtype=np.uint64)  # all nonzero
+        meta["B"] = ctx.logs(basis).tolist() if ctx.has_logs else list(map(hex, spec.basis))
         render_json(ctx, cw, meta, write)
         write("\n")
     elif args.format == "logsupport":

@@ -188,13 +188,10 @@ def gold_support(ctx, i: int) -> CodewordSupport:
     beta = int(elems[np.argmax(np.append(elems[:len(half)] != half, True))])  # both sorted
     x = elems[1:]  # the units; 0, first in elems, is a zero of the map
     if ctx.has_logs:
-        y = ctx.log(beta) + ((1 << i) + 1) * ctx.log_array()[x].astype(np.int64)
-        y = ctx.exp_array()[y % ctx.n]
-    else:  # x -> x^(2^i) is GF(2)-linear: byte k of x indexes the span of columns 8k..8k+7
-        cols, y = [ctx.frobenius(1 << t, i) for t in range(ctx.m)], np.zeros_like(x)
-        for k in range(0, ctx.m, 8):
-            y ^= gflinalg.span(cols[k:k + 8])[(x >> k) & 0xFF]
-        y = ctx.mul_array(ctx.mul_array(y, x), np.full_like(x, beta))
+        y = ((1 << i) + 1) * ctx.logs(x).astype(np.int64) + ctx.log(beta)
+        y = ctx.elems(y % ctx.n)
+    else:
+        y = ctx.mul_array(ctx.mul_array(ctx.frobenius_array(x, i), x), np.full_like(x, beta))
     zeros = (np.bitwise_count(y & ctx.trace_mask(2 * i)) & 1) == 0
     support = np.concatenate((elems[:1], x[zeros]))
     weight = (1 << (2 * i - 1)) - (1 << (i - 1))

@@ -7,13 +7,20 @@ Field elements are plain Python ints: bit k is the coefficient of alpha^k
 in the polynomial basis {1, alpha, ..., alpha^(m-1)}, where alpha is the
 residue class of X modulo the primitive polynomial.
 
-Fields with m <= 24 multiply through log/antilog tables.  Larger fields
-multiply without them: a 4-bit windowed carry-less product, or for a square
-one bit-spread lookup per byte, whose high m - 1 bits are folded back with
-one lookup per byte into tables of (b X^(m+8k)) mod poly.  `mul_array`
-multiplies uint64 arrays elementwise the same way, one shift-XOR per bit
-and one gather per byte of the fold, for any m; and the inverse is the
-extended Euclidean algorithm on the polynomials themselves.
+Fields with m <= 20 build log/antilog tables at construction and multiply
+through them.  At m = 21..24 the tables (2^m entries, 129 MB at m = 24) are
+built on the first `exp_array` or `log_array` call, and until then the field
+multiplies without them, as every larger field does: a 4-bit windowed
+carry-less product, or for a square one bit-spread lookup per byte, whose
+high m - 1 bits are folded back with one lookup per byte into tables of
+(b X^(m+8k)) mod poly; the inverse is the extended Euclidean algorithm on
+the polynomials themselves.  `mul_array` multiplies uint64 arrays
+elementwise for any m: a short array by one shift-XOR per bit, a longer one
+by 16 integer products of 4-bit-spaced masks, then the same fold as one
+gather per byte.  `logs` and `elems` take discrete logs
+and powers of alpha of whole arrays, from the full tables once built, and
+for a small array at m = 21..24 through two subgroups of about sqrt(2^m)
+elements each instead (Pohlig and Hellman, IEEE Trans. IT, 1978).
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ from __future__ import annotations
 import os
 import threading
 from functools import cached_property, lru_cache
+from itertools import combinations
+from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,10 +75,28 @@ _DEFAULT_POLYS = {
 }
 
 _LOG_TABLE_MAX_M = 24  # larger fields have no log tables: windowed arithmetic
+_EAGER_TABLE_MAX_M = 20  # up to here tables come with the field (<= 25 ms, <= 8 MB)
 _BLOCK = 1 << 16  # entries per row of the log tables; m <= 16 is one row
-# Elements per block of `mul_array`: its m x block transients stay within
-# 256 KB whatever the array size (1 MB ones, at 4096, ran at half speed).
-_MUL_BLOCK = 1024
+# Elements per block of `mul_array`: its largest transient, the 8 masked
+# copies of b, takes 96 KB, under glibc's initial 128 KB mmap threshold, so
+# no block pays fresh page faults.  In a fresh process over 2^16 random
+# elements at m = 25, 28 and 32, the first call took 64-105 ns per element
+# and the second 58-105; the shift-XOR kernel alone, in blocks of 1,024,
+# took 219-530 and 100-226 ns.
+_MUL_BLOCK = 1536
+# `mul_array` shifts and XORs m rows up to this many elements in all (32 KB):
+# fewer numpy calls than the 16 products, which are faster past it (in
+# process at m = 17..32, the two met between 96 x 32 and 256 x 20).
+_SHIFT_XOR_MAX = 4096
+# The four 4-bit-spaced masks of `mul_array`, and the same four twice.
+_MASKS = np.array([0x1111111111111111 << k for k in range(4)], dtype=np.uint64)[:, None]
+_MASKS2 = np.concatenate((_MASKS, _MASKS))
+# `logs` and `elems` take the subgroup path at m = 21..24 for arrays of up
+# to 2^(m - _SUBGROUP_SHIFT) elements while the tables are unbuilt, and
+# build the tables for longer ones: about where the two cost the same (the
+# subgroup logs took 330-700 ns per element over 2^12..2^16 elements, the
+# build 12-19 ns per table entry, in process on 2 vCPUs).
+_SUBGROUP_SHIFT = 5
 
 # _SPREAD[v] is the carry-less square of the byte v: its bits moved to the
 # even positions, i.e. the binary digits of v read in base 4.
@@ -166,6 +194,28 @@ def _byte_tables(img: int, m: int, poly: int, bits: int) -> list[list[int]]:
     return tables
 
 
+# Row t holds bit t of each byte value 0..255, as 0/1 words.
+_BYTE_BITS = (np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None]) & 1
+
+
+def _linear_tables(cols) -> np.ndarray:
+    """Byte tables of the GF(2)-linear map with columns cols: row k, entry
+    b, is the image of b << 8k, the XOR of the columns 8k + t over the set
+    bits t of b."""
+    padded = np.zeros(-(-len(cols) // 8) * 8, dtype=np.uint64)
+    padded[:len(cols)] = cols
+    return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 8, 1), axis=1)
+
+
+def _apply_linear(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The map of `_linear_tables` on the uint64 array x: one gather per
+    byte."""
+    img = tables[0][x & 0xFF]
+    for k, tab in enumerate(tables[1:], 1):
+        img ^= tab[(x >> (8 * k)) & 0xFF]
+    return img
+
+
 def _factorize(x: int) -> list[int]:
     """Distinct prime factors by trial division; for 2^m - 1 with m <= 32
     any cofactor surviving division up to 2^16 + 1 is prime."""
@@ -182,13 +232,53 @@ def _factorize(x: int) -> list[int]:
     return primes
 
 
+def _subgroup_split(m: int) -> tuple[int, int]:
+    """(n1, n2) with n1 n2 = n = 2^m - 1 and gcd(n1, n2) = 1: 2^(m/2) - 1
+    and 2^(m/2) + 1 for even m, so that x^(n2) is x^(2^(m/2)) x; for odd m
+    the most balanced split of the prime powers exactly dividing n, the
+    larger part first, so x^(n2) has the smaller exponent.  (The lookups
+    of `GF2m._subgroup_logs` need only n1 n2 = n.)"""
+    n = (1 << m) - 1
+    if m % 2 == 0:
+        return (1 << m // 2) - 1, (1 << m // 2) + 1
+    powers = []
+    for p in _factorize(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        powers.append(q)
+    splits = (prod(c) for r in range(len(powers) + 1) for c in combinations(powers, r))
+    d = min(splits, key=lambda k: max(k, n // k))
+    return max(d, n // d), min(d, n // d)
+
+
+class _Subgroups(NamedTuple):
+    """The tables of `GF2m._subgroup_logs` for n = n1 n2: alpha^j and
+    alpha^(-j) for j < n1; the powers of g1 = alpha^(n2) sorted, and their
+    exponents; the powers of g2 = alpha^(n1) in order and sorted, and the
+    exponents of the sorted ones."""
+
+    n1: int
+    n2: int
+    up: np.ndarray
+    down: np.ndarray
+    sorted1: np.ndarray
+    log1: np.ndarray
+    pow2: np.ndarray
+    sorted2: np.ndarray
+    log2: np.ndarray
+
+
 class GF2m:
     """A concrete representation of GF(2^m) with a designated primitive
     element alpha (the class of X): arithmetic, Frobenius, the absolute
     trace, the trace masks of subfields and discrete logs.  `has_logs` is
-    True iff m <= 24: the field then holds log/antilog tables from
-    construction on; otherwise `log`, `exp_array` and `log_array` raise
-    RuntimeError, `mul` is a windowed carry-less product (a spread-table
+    True iff m <= 24: the field then has log/antilog tables, from
+    construction on for m <= 20, and at m = 21..24 (`lazy_logs`) from the
+    first `exp_array` or `log_array` call on, which builds them once;
+    `tables_built` says whether they exist yet.  For m > 24, `log`, `logs`,
+    `elems`, `exp_array` and `log_array` raise RuntimeError.  Without
+    built tables `mul` is a windowed carry-less product (a spread-table
     square when both operands are equal) reduced through the per-byte fold
     tables `_fold`, which every field builds from (m, poly), and `inv` is
     Euclid's.  `mul_array`, the elementwise product of uint64 arrays, folds
@@ -247,7 +337,11 @@ class GF2m:
         self._trace_mask = self.trace_mask(m)  # makes `trace` a masked parity
 
         self.has_logs = m <= _LOG_TABLE_MAX_M
-        if self.has_logs:
+        self.lazy_logs = _EAGER_TABLE_MAX_M < m <= _LOG_TABLE_MAX_M
+        self._exp = self._log = None  # memoryviews of the tables once built
+        self._tables_lock = threading.Lock()
+        self._frobenius_tables: dict[int, np.ndarray] = {}  # k -> tables of x^(2^k)
+        if self.has_logs and not self.lazy_logs:
             self._build_tables()
 
     def __repr__(self) -> str:
@@ -255,10 +349,15 @@ class GF2m:
 
     # -- core arithmetic ----------------------------------------------------
 
+    @property
+    def tables_built(self) -> bool:
+        """Whether the log/antilog tables exist (always for m <= 20)."""
+        return self._log is not None
+
     def mul(self, a: int, b: int) -> int:
         """Field multiplication modulo the primitive polynomial; a and b are
         field elements, i.e. ints below 2^m."""
-        if self.has_logs:
+        if self._log is not None:
             if a == 0 or b == 0:
                 return 0
             e = self._log[a] + self._log[b]
@@ -280,19 +379,34 @@ class GF2m:
         return p
 
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise a * b for uint64 arrays of field elements: the
-        carry-less product is the XOR of b << t over the set bits t of a,
-        which fits in 2m - 1 <= 63 bits; its high m - 1 bits are folded
-        back with one gather per byte from the `_fold` tables (Lopez and
-        Dahab, INDOCRYPT 2000).  Any m; arrays past _MUL_BLOCK elements
-        go in blocks of that many."""
+        """Elementwise a * b for 1-D uint64 arrays of field elements.  For
+        short arrays, |a| m <= _SHIFT_XOR_MAX, the carry-less product is
+        the XOR of b << t over the set bits t of a, in one m x |a| array
+        (Lopez and Dahab, INDOCRYPT 2000).  Longer ones take 16 integer
+        products, fewer operations per element: with a_i, b_i the bits of
+        a, b at positions i mod 4 (`_MASKS`), the product a_i b_j has bits
+        only at positions i + j mod 4, and each 4-bit group of it counts at
+        most 8 pairs of bits for m <= 32, so no carry crosses a group; the
+        XOR of the four products with i + j = c mod 4, kept at the
+        positions c mod 4, is the carry-less product there (T. Pornin,
+        BearSSL's bmul).  Either way the product's high m - 1 bits are
+        folded back with one gather per byte from the `_fold` tables.
+        Arrays past _MUL_BLOCK elements go in blocks of that many."""
         if len(a) > _MUL_BLOCK:
             return np.concatenate([
                 self.mul_array(a[lo:lo + _MUL_BLOCK], b[lo:lo + _MUL_BLOCK])
                 for lo in range(0, len(a), _MUL_BLOCK)
             ])
         bits, shifts, offsets, table = self._fold_arrays
-        prod = np.bitwise_xor.reduce((b << bits) * ((a >> bits) & 1), axis=0)
+        if len(a) * self.m <= _SHIFT_XOR_MAX:
+            prod = np.bitwise_xor.reduce((b << bits) * ((a >> bits) & 1), axis=0)
+        else:
+            a_i, b_j = a & _MASKS, b & _MASKS2  # row j of b_j: b_(j mod 4)
+            prod = a_i[0] * b_j[4:]  # row c collects a_i b_(c - i) for i = 0..3
+            for i in (1, 2, 3):
+                prod ^= a_i[i] * b_j[4 - i:8 - i]
+            prod &= _MASKS
+            prod = prod[0] | prod[1] | prod[2] | prod[3]
         high = prod >> self.m
         folded = table[((high >> shifts) & 0xFF) | offsets]  # entry 256k + byte k
         return (prod & self.n) ^ np.bitwise_xor.reduce(folded, axis=0)
@@ -311,7 +425,7 @@ class GF2m:
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0.  With
-        log tables one lookup; without, the extended Euclidean algorithm
+        built log tables one lookup; without, the extended Euclidean algorithm
         in GF(2)[X] on u = a and v = poly (Hankerson, Menezes and
         Vanstone, Guide to Elliptic Curve Cryptography, Alg. 2.48): while
         u != 1, the one of higher degree loses its top term to the other
@@ -319,7 +433,7 @@ class GF2m:
         same steps; their degrees stay below m, so g1 needs no reduction."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^m)")
-        if self.has_logs:
+        if self._log is not None:
             return self.pow(a, -1)
         u, v, g1, g2 = a, self.poly, 1, 0
         while u != 1:
@@ -339,7 +453,7 @@ class GF2m:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
             return 0
         e %= self.n
-        if self.has_logs:
+        if self._log is not None:
             return self._exp[(self._log[a] * e) % self.n]
         return self._pow_nontable(a, e)
 
@@ -364,6 +478,16 @@ class GF2m:
             x = self.mul(x, x)
         return x
 
+    def frobenius_array(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x^(2^k) elementwise for a uint64 array x of field elements: a
+        GF(2)-linear map, one gather per byte of x from byte tables kept
+        per k."""
+        tables = self._frobenius_tables.get(k)
+        if tables is None:
+            cols = [self.frobenius(1 << t, k) for t in range(self.m)]
+            tables = self._frobenius_tables[k] = _linear_tables(cols)
+        return _apply_linear(tables, x)
+
     def trace_mask(self, ell: int) -> int:
         """The mask whose parity with y is T(y) = y + y^2 + ... + y^(2^(ell-1))
         for y in the subfield GF(2^ell), ell | m, where T is the trace onto
@@ -387,32 +511,17 @@ class GF2m:
     def _build_tables(self) -> None:
         """exp[k] = alpha^k for k < n and log[exp[k]] = k; log[0] is unused.
         Both are built in rows of w = min(n, _BLOCK) entries.  Row 0 of exp
-        is filled by doubling: x -> c*x with c = alpha^size is GF(2)-linear,
-        so each doubling XORs one gather per byte of x from a 256-entry
-        table of c times that byte.  Row q is alpha^(qw) times row 0, the
-        same kind of map: one gather per byte of row 0, whose bytes are
+        is `_powers` of alpha.  Row q is alpha^(qw) times row 0, a
+        GF(2)-linear map: one gather per byte of row 0, whose bytes are
         indexed once.  Each row writes its own logs, log[row] = qw + j.
         The rows are split over the cores this process may run on, one
         thread each (numpy releases the GIL in the gathers and the
         scatter); a field of one row, any m <= 16, starts no thread.
         Scalar arithmetic indexes zero-copy memoryviews of both tables."""
-        n, m = self.n, self.m
+        n = self.n
         w = min(n, _BLOCK)
         exp = np.empty(n, dtype=np.uint32)
-        exp[0] = 1
-        size = 1
-        while size < w:
-            top = min(size, w - size)
-            src, out = exp[:top], exp[size:size + top]
-            out.fill(0)
-            c = self._mul_free(int(exp[size - 1]), 2)  # alpha^size
-            for k, tab in enumerate(_byte_tables(c, m, self.poly, m)):
-                # tab[v] = c * (v << 8k)
-                byte = src >> 8 * k
-                if 8 * k + 8 < m:
-                    byte &= 0xFF
-                out ^= np.array(tab, dtype=np.uint32)[byte]
-            size += top
+        exp[:w] = self._powers(self.alpha, w, np.uint32)
         log = np.zeros(n + 1, dtype=np.uint32)
         rows = -(-n // w)
         if rows == 1:
@@ -423,7 +532,28 @@ class GF2m:
         # raised in the scatter, and only k = 0 wrote a 0, to log[1]
         assert log[2:].all()
         self._exp_arr, self._log_arr = exp, log
-        self._exp, self._log = memoryview(exp), memoryview(log)
+        self._exp, self._log = memoryview(exp), memoryview(log)  # _log last: `mul` tests it
+
+    def _powers(self, g: int, count: int, dtype=np.uint64) -> np.ndarray:
+        """g^k for k < count, filled by doubling: x -> c*x with c = g^size
+        is GF(2)-linear, so each doubling XORs one gather per byte of x
+        from a 256-entry table of c times that byte."""
+        out = np.empty(count, dtype=dtype)
+        out[:1] = 1
+        size = 1
+        while size < count:
+            top = min(size, count - size)
+            src, dst = out[:top], out[size:size + top]
+            dst.fill(0)
+            c = self._mul_free(int(out[size - 1]), g)  # g^size
+            for k, tab in enumerate(_byte_tables(c, self.m, self.poly, self.m)):
+                # tab[v] = c * (v << 8k)
+                byte = src >> 8 * k
+                if 8 * k + 8 < self.m:
+                    byte &= 0xFF
+                dst ^= np.array(tab, dtype=dtype)[byte]
+            size += top
+        return out
 
     def _fill_rows(self, exp: np.ndarray, log: np.ndarray, w: int, rows: int) -> None:
         """Rows 1.. of exp from row 0, and the logs of every row, in
@@ -468,28 +598,103 @@ class GF2m:
         if not self.has_logs:
             raise RuntimeError(f"log tables are not built for m={self.m} > {_LOG_TABLE_MAX_M}")
 
+    def _ensure_tables(self) -> None:
+        """Build the tables on first use (m = 21..24), once: a second
+        thread asking meanwhile waits for the first's."""
+        self._require_tables()
+        if self._log is None:
+            with self._tables_lock:
+                if self._log is None:
+                    self._build_tables()
+
     def log(self, x: int) -> int:
-        """Discrete log base alpha (table-backed, m <= 24)."""
+        """Discrete log base alpha (m <= 24): one lookup once the tables
+        are built, else `logs` of x alone, which builds nothing."""
         if x == 0:
             raise ValueError("discrete log of 0 requested")
         self._require_tables()
-        return self._log[x]
+        if self._log is not None:
+            return self._log[x]
+        return int(self.logs(np.array([x], dtype=np.uint64))[0])
 
     def exp(self, e: int) -> int:
         """alpha^e."""
         return self.pow(self.alpha, e)
 
     def exp_array(self) -> np.ndarray:
-        """Antilog table as a uint32 numpy array (m <= 24); the stored
-        table, not a copy."""
-        self._require_tables()
+        """Antilog table as a uint32 numpy array (m <= 24), built on the
+        first call at m = 21..24; the stored table, not a copy."""
+        self._ensure_tables()
         return self._exp_arr
 
     def log_array(self) -> np.ndarray:
-        """Log table as a uint32 numpy array (m <= 24); entry 0 is unused.
-        The stored table, not a copy."""
-        self._require_tables()
+        """Log table as a uint32 numpy array (m <= 24), built on the first
+        call at m = 21..24; entry 0 is unused.  The stored table, not a
+        copy."""
+        self._ensure_tables()
         return self._log_arr
+
+    def _subgroup_path(self, count: int) -> bool:
+        """Whether `logs` or `elems` of count entries goes through the
+        subgroups: the tables are unbuilt and count is at most
+        2^(m - _SUBGROUP_SHIFT); a longer array builds the tables."""
+        return self._log is None and count <= self.n >> _SUBGROUP_SHIFT
+
+    def logs(self, elems: np.ndarray) -> np.ndarray:
+        """Discrete logs base alpha of the array elems of nonzero field
+        elements (m <= 24), as uint32: one gather from the log table, or
+        `_subgroup_logs` (see `_subgroup_path`).  A 0 raises ValueError, as
+        `log` does; an element past the field raises IndexError from the
+        gather, or ValueError before the subgroup lookups."""
+        self._require_tables()
+        if not elems.all():
+            raise ValueError("discrete log of 0 requested")
+        if not self._subgroup_path(len(elems)):
+            return self.log_array()[elems]
+        if len(elems) and elems.max() > self.n:
+            raise ValueError(f"elements must lie in GF(2^{self.m})")
+        return self._subgroup_logs(elems.astype(np.uint64, copy=False))
+
+    def elems(self, logs: np.ndarray) -> np.ndarray:
+        """alpha^e for each e of the integer array logs, 0 <= e < n
+        (m <= 24), as uint32: one gather from the antilog table, or two
+        subgroup lookups and one product (see `_subgroup_path`)."""
+        self._require_tables()
+        if not self._subgroup_path(len(logs)):
+            return self.exp_array()[logs]
+        sub, logs = self._subgroups, logs.astype(np.int64, copy=False)
+        return self.mul_array(sub.up[logs % sub.n1], sub.pow2[logs // sub.n1]).astype(np.uint32)
+
+    def _subgroup_logs(self, x: np.ndarray) -> np.ndarray:
+        """Logs of the nonzero uint64 elements x = alpha^e without the
+        full tables.  For n = n1 n2 (`_subgroup_split`), x^(n2) = g1^e with
+        g1 = alpha^(n2) of order n1, so its place among the sorted powers
+        of g1 gives e1 = e mod n1; then x alpha^(-e1) = alpha^(n1 k) is the
+        k-th power of g2 = alpha^(n1), of order n2, and e = e1 + n1 k."""
+        sub = self._subgroups
+        e1 = sub.log1[np.searchsorted(sub.sorted1, self._pow_array(x, sub.n2))]
+        k = sub.log2[np.searchsorted(sub.sorted2, self.mul_array(x, sub.down[e1]))]
+        return (e1 + sub.n1 * k).astype(np.uint32)
+
+    @cached_property
+    def _subgroups(self) -> _Subgroups:
+        """The subgroup tables, of n1 or n2 entries each."""
+        n1, n2 = _subgroup_split(self.m)
+        pow1 = self._powers(self._pow_nontable(2, n2), n1)
+        pow2 = self._powers(self._pow_nontable(2, n1), n2)
+        log1, log2 = np.argsort(pow1), np.argsort(pow2)
+        up, down = self._powers(2, n1), self._powers(self._pow_nontable(2, self.n - 1), n1)
+        return _Subgroups(n1, n2, up, down, pow1[log1], log1, pow2, pow2[log2], log2)
+
+    def _pow_array(self, x: np.ndarray, e: int) -> np.ndarray:
+        """x^e elementwise for e >= 1, over the bits of e from the top:
+        each run of squarings up to a set bit is one x -> x^(2^t) map by
+        byte tables, then one product by x."""
+        *runs, tail = bin(e)[3:].split("1")
+        y = x
+        for zeros in runs:
+            y = self.mul_array(self.frobenius_array(y, len(zeros) + 1), x)
+        return self.frobenius_array(y, len(tail)) if tail else y
 
 
 def default_field(m: int, poly: int | None = None) -> GF2m:

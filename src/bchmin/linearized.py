@@ -27,11 +27,11 @@ def annihilator(ctx, gens: Sequence[int], points: Sequence[int]) -> list[int]:
     V + v (Lidl & Niederreiter, Finite Fields, 3.4), so it is A_{V + <v>}:
     on values, each generator v maps every tracked value a (the points, the
     generators not yet used) to a * (a + A(v)).  A(v) = 0 exactly when v
-    lies in V, which refuses dependent generators on the way.  Without log
-    tables the tracked values are one uint64 array and each generator one
-    `mul_array`; with them, scalar products are cheaper."""
+    lies in V, which refuses dependent generators on the way.  Without built
+    log tables the tracked values are one uint64 array and each generator
+    one `mul_array`; with them, scalar products are cheaper."""
     vals = [*points, *reversed(gens)]
-    arrays = not ctx.has_logs
+    arrays = not ctx.tables_built
     if arrays:
         vals = np.array(vals, dtype=np.uint64)
     for _ in gens:

@@ -9,31 +9,36 @@ added when |S| is odd and on S otherwise, keeping its weight and d
 (MacWilliams and Sloane, ch. 1, sec. 9); one that holds 0 is refused, with
 no syndrome.
 
-A claim is decided in one order: parity, then p_1 alone, in one gather,
-so a corrupted support is rejected there, and a claim decided by either
-reports the route "scan"; only a claim that passes p_1 with L >= 3 has its
-route priced.  Two routes then reach the same verdict.  The scan evaluates
-p_j at the leader (least member, always odd) of each 2-cyclotomic coset
-meeting [3, L], in ascending order, so it stops at the first nonzero p_j
-whatever L is; with log tables, a block of leaders goes in one 2-D gather
-of alpha^(j log x) of at most 2^14 (leader, element) pairs (one leader at
-least), and the first nonzero p_j of the block, in ascending leader order,
-is the first failure.  The leaders of [3, L] for L < 4096 are kept per
-(m, L), at most 2048 of them.  The check route packs c(X) = sum of
-X^log(x) over the nonzero support and tests c(X) h(X) = 0 mod X^n - 1,
-where h is the check polynomial of the cyclic code with zeros alpha^j,
-j in [1, L], a product over the leaders in (L, n) of minimal polynomials
-read off the log tables.  The product c h is a
-shift-XOR when one operand has few terms and blocked float64 FFTs with a
-checked rounding otherwise (`_polymul`), so the check wins when that code
-has small dimension k, and also for dense h when |S| and L are both large.
-The cheaper route is picked from (n, L, |S|) alone, by counting the
-leaders in [1, L] and their coset sizes; the check is charged for building
-h too.  The scan, the check polynomial and that count
-share one enumeration of the leaders, `_coset_leaders`.  The check route
-needs discrete logs, so it exists only on fields with log tables
-(`GF2m.has_logs`); on the others the scan runs alone, stepping the powers
-of the whole support as numpy uint64 products (`_power_walk`).
+A claim is decided in one order: parity, then p_1 alone, the XOR of the
+support, so a corrupted support is rejected there, and a claim decided by
+either reports the route "scan"; only a claim that passes p_1 with L >= 3
+has its route priced.  Two routes then reach the same verdict.  The scan
+evaluates p_j at the leader (least member, always odd) of each
+2-cyclotomic coset meeting [3, L], in ascending order, so it stops at the
+first nonzero p_j whatever L is; with log tables, a block of leaders goes
+in one 2-D gather of alpha^(j log x) of at most 2^14 (leader, element)
+pairs (one leader at least), and the first nonzero p_j of the block, in
+ascending leader order, is the first failure.  The leaders of [3, L] for
+L < 4096 are kept per (m, L), at most 2048 of them.  The check route packs
+c(X) = sum of X^log(x) over the nonzero support and tests c(X) h(X) = 0
+mod X^n - 1, where h is the check polynomial of the cyclic code with zeros
+alpha^j, j in [1, L], a product over the leaders in (L, n) of minimal
+polynomials read off the log tables.  The product c h is a shift-XOR when
+one operand has few terms and blocked float64 FFTs with a checked rounding
+otherwise (`_polymul`), so the check wins when that code has small
+dimension k, and also for dense h when |S| and L are both large.  The
+cheaper route is picked from (n, L, |S|) alone, by counting the leaders in
+[1, L] and their coset sizes; the check is charged for building h too.
+The scan, the check polynomial and that count share one enumeration of the
+leaders, `_coset_leaders`.  The gather scan and the check need discrete
+logs, so they exist only on fields with log tables (`GF2m.has_logs`), and
+at m = 21..24, where the tables are built on first use, each is charged
+for building them, built or not.  Without tables the scan is the power
+walk (`_walk`): the odd powers x^j of the whole support, as numpy uint64
+products, in blocks of about sqrt(L / 2) exponents that the next block
+steps by one product; it is the only route on fields with m > 24, and
+competes with the other two at m = 21..24, where it reports the route
+"scan" too.
 
 A third route, `is_min_weight_affine`, certifies an extended claim given
 as S = X + V, V = span(B) of dimension k and q = 2^k, without a syndrome
@@ -80,8 +85,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, tee
-from math import gcd
+from math import gcd, log2
 
 import numpy as np
 
@@ -102,11 +106,18 @@ _FFT_NS_PER_PAIR = 24e3
 _CHECK_POLY_NS_PER_LEADER = 13.4e3
 # Measured later on a 2-vCPU Xeon, where the scan's gather took 7.8 ns, and
 # scaled by 7.2 / 7.8: one lookup of the stabilizer search (a sorted search,
-# a gather and a compare per element; 35-55 ns at 256..10^6 points), and
-# one element of one array product of the power walk (`GF2m.mul_array`,
-# 80-130 ns at m = 25..32).
+# a gather and a compare per element; 35-55 ns at 256..10^6 points).
 _LOOKUP_NS = 40
+# Measured on a 2-vCPU x86-64 host where the scan's gather took 4.7-5.5 ns
+# (m = 16, 255..4,095 points), and scaled by 7.2 / 5.1.  One element and
+# odd j of the blocked power walk (`_walk`, full walks of members at
+# m = 24..32): 57-61 ns at 511 and 2,047 points, 81-94 ns at 127, so
+# 82-134 scaled; 90 is kept, since any value in (89.2, 90] leaves every
+# route at m > 24 as it was.  One entry of the log tables built at
+# m = 21..24 in a fresh process (`GF2m._build_tables`, two threads): 12-19
+# ns, so 17-27 scaled.
 _WALK_NS_PER_ELEMENT = 90
+_TABLE_NS_PER_ENTRY = 22
 
 # The stabilizer search tries every candidate on this many elements of S
 # before any full check.
@@ -119,7 +130,8 @@ _PROBES = 4
 # per (m, L).
 _GATHER_PAIRS = 1 << 14
 _CACHED_LEADERS = 1 << 12
-_ONE = np.ones(1, dtype=np.int64)  # p_1, scanned first and alone
+# One block of the power walk holds at most this many powers (64 KB).
+_WALK_ELEMENTS = 1 << 13
 
 # The FFT product cuts both operands into blocks of _BLOCK coefficients, so
 # every block product has under _FFT_LEN coefficients and every transform
@@ -137,10 +149,10 @@ class Verdict:
     claimed_distance: int
     is_min_weight: bool
     failing_syndrome: tuple[int, int] | None
-    # the route that ran: "scan" (also for a claim decided by parity or p_1)
-    # or "check"; "affine": the claim was X + span(B), certified through
-    # Y = A_V(X) (Kasami and Lin, 1972; Lidl and Niederreiter, Finite Fields,
-    # ch. 3; see the module text)
+    # the route that ran: "scan" (also for a claim decided by parity or p_1,
+    # and for the power walk without log tables) or "check"; "affine": the
+    # claim was X + span(B), certified through Y = A_V(X) (Kasami and Lin,
+    # 1972; Lidl and Niederreiter, Finite Fields, ch. 3; see the module text)
     route: str
 
 
@@ -151,26 +163,15 @@ def designed_distance(m: int, s: int, i: int) -> int:
     return ((1 << (m - s)) - (1 << (m - i - s))) >> 1  # 0 at i = 0, s = m
 
 
-def _nonzero(ctx, elems) -> np.ndarray:
-    """The nonzero support in the form `_syndromes` takes: the discrete logs
-    as int64 when the field has log tables, else the elements as uint64.
-    The logs are taken once per claim, in one gather from the log table, and
-    shared by both routes."""
-    nonzero = elems[elems != 0]
-    if ctx.has_logs:
-        return ctx.log_array()[nonzero].astype(np.int64)
-    return nonzero
-
-
 def _syndromes(ctx, nonzero, js):
-    """Yield p_j over the nonzero support (see `_nonzero`) for each j of the
-    ascending js, lazily so a scan can stop at the first nonzero one.  With
-    log tables p_j is one gather of alpha^(j log x); without, the powers x^j
-    of the whole support are walked up by array products (`_power_walk`)."""
-    if ctx.has_logs:
-        n, exp = ctx.n, ctx.exp_array()
+    """Yield p_j over the nonzero uint64 support elements for each j of the
+    ascending js, lazily.  With built log tables p_j is one gather of
+    alpha^(j log x); without, the powers x^j of the whole support are walked
+    up by array products (`_power_walk`)."""
+    if ctx.tables_built:
+        n, exp, logs = ctx.n, ctx.exp_array(), ctx.logs(nonzero).astype(np.int64)
         for j in js:
-            yield int(np.bitwise_xor.reduce(exp[(nonzero * j) % n]))
+            yield int(np.bitwise_xor.reduce(exp[(logs * j) % n]))
         return
     yield from _power_walk(ctx, nonzero, js)
 
@@ -179,8 +180,7 @@ def _power_walk(ctx, x: np.ndarray, js):
     """Yield the XOR of x^j over the uint64 elements x for each j >= 1 of
     the ascending js.  y = x^j is kept for the whole array and stepped up by
     y * x^2 while j is two or more ahead, and by y * x for an odd gap, so
-    the scan of odd leaders takes one product per odd j it passes, and
-    power_sums one per j."""
+    power_sums takes one product per j."""
     y, at, x2 = x, 1, None
     for j in js:
         while at < j:
@@ -193,12 +193,39 @@ def _power_walk(ctx, x: np.ndarray, js):
         yield int(np.bitwise_xor.reduce(y))
 
 
+def _times(ctx, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of the 2-D uint64 array rows times y, elementwise."""
+    ys = y if len(rows) == 1 else np.tile(y, len(rows))
+    return ctx.mul_array(rows.ravel(), ys).reshape(rows.shape)
+
+
+def _odd_power_sums(ctx, x: np.ndarray, j_limit: int):
+    """Yield (lo, p) for consecutive blocks of odd exponents from lo = 1 on,
+    with p[t] the XOR of x^(lo + 2t) over the uint64 elements x.  A block
+    holds its powers as r rows, r a power of two near sqrt(L / 2), so about
+    as many blocks as rows reach L, and r |x| <= _WALK_ELEMENTS (one row at
+    least); the next block is this one times x^(2r), one array product.  The
+    first block is built by doubling: rows x^(2t + 1), t < h, times x^(2h)
+    are the rows t + h.  At r = 1, L < 6, this is the walk by x^2, one odd
+    j per product."""
+    rows = 1 << round(log2(max(1, j_limit // 2)) / 2)
+    rows = min(rows, 1 << (max(1, _WALK_ELEMENTS // len(x)).bit_length() - 1))
+    block, step = x[None, :], ctx.mul_array(x, x)  # step = x^(2 len(block))
+    while len(block) < rows:
+        block = np.concatenate((block, _times(ctx, block, step)))
+        step = ctx.mul_array(step, step)
+    lo = 1
+    while True:
+        yield lo, np.bitwise_xor.reduce(block, axis=1)
+        block, lo = _times(ctx, block, step), lo + 2 * len(block)
+
+
 def power_sums(cw, j_max: int) -> list[int]:
     """[p_1, ..., p_j_max] with p_j the sum of x^j over nonzero x in the
     support."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    nonzero = _nonzero(cw.ctx, cw.elems)
+    nonzero = cw.elems[cw.elems != 0]
     if not len(nonzero):
         return [0] * j_max
     return list(_syndromes(cw.ctx, nonzero, range(1, j_max + 1)))
@@ -289,51 +316,70 @@ def _fft_ns(len_a: int, len_b: int) -> float:
 
 def _pick_route(ctx, j_limit: int, size: int, searchable: bool) -> str:
     """The cheapest route for a claim that passed p_1 with L >= 3, from
-    (n, L, |S|) alone; without logs there is no check route.  The scan is
-    one gather per leader and element with logs, and one array product per
-    odd j and element without.  The check is priced as the cheaper product
-    of c (|S| terms, n coefficients) and h (k + 1 coefficients, about half
-    of them terms), plus building h from the leaders above L: h is cached
-    per (field, L), but a route that depended on the cache would differ
-    between two calls on one claim.  A searchable claim may take "affine",
-    the stabilizer search priced at (_PROBES + m) |S| lookups; ties go to
-    the scan, then the check."""
+    (n, L, |S|) alone.  The scan ("scan") is one gather per leader and
+    element, and needs log tables; the power walk ("walk", the scan without
+    them) one array product per odd j and element, on fields whose tables
+    are not built with the field.  The check is priced as the cheaper
+    product of c (|S| terms, n coefficients) and h (k + 1 coefficients,
+    about half of them terms), plus building h from the leaders above L: h
+    is cached per (field, L), but a route that depended on the cache would
+    differ between two calls on one claim.  For the same reason the scan
+    and the check at m = 21..24 are always charged for building the log
+    tables, built or not.  A searchable claim may take "affine", the
+    stabilizer search priced at (_PROBES + m) |S| lookups; ties go to the
+    scan, then the check, then the walk."""
+    costs = {}
     if ctx.has_logs:
         n = ctx.n
         reps, k = _coset_counts(n, j_limit)
+        tables_ns = n * _TABLE_NS_PER_ENTRY if ctx.lazy_logs else 0
         build_ns = (_necklaces(ctx.m) - 2 - reps) * _CHECK_POLY_NS_PER_LEADER
         if size <= k // 2 + 1:  # c is the sparser operand
             terms, dense_len = size, k + 1
         else:
             terms, dense_len = k // 2 + 1, n
-        costs = {
-            "scan": (reps - 1) * size * _SCAN_NS_PER_GATHER,
-            "check": build_ns + min(_shift_xor_ns(terms, dense_len), _fft_ns(n, k + 1)),
-        }
-    else:
-        costs = {"scan": j_limit // 2 * size * _WALK_NS_PER_ELEMENT}
+        costs["scan"] = tables_ns + (reps - 1) * size * _SCAN_NS_PER_GATHER
+        costs["check"] = tables_ns + build_ns + min(_shift_xor_ns(terms, dense_len), _fft_ns(n, k + 1))
+    if not ctx.has_logs or ctx.lazy_logs:
+        costs["walk"] = j_limit // 2 * size * _WALK_NS_PER_ELEMENT
     if searchable:
         costs["affine"] = (_PROBES + ctx.m) * size * _LOOKUP_NS
     return min(costs, key=costs.get)
 
 
-def _scan(ctx, nonzero, blocks) -> tuple[int, int] | None:
+def _scan(ctx, logs, blocks) -> tuple[int, int] | None:
     """First (j, p_j) with p_j != 0 over the ascending j of the int64 arrays
-    blocks, or None.  With log tables, up to _GATHER_PAIRS // |S| leaders
-    (one at least) go in one 2-D gather of alpha^(j log x) and one XOR-reduce
-    along its rows, and the first nonzero row is the first failure; without,
-    `_syndromes` walks the powers one leader at a time."""
-    if not ctx.has_logs:
-        js, ahead = tee(chain.from_iterable(b.tolist() for b in blocks))
-        return next(((j, pj) for j, pj in zip(js, _syndromes(ctx, nonzero, ahead)) if pj), None)
+    blocks, or None, for the support's nonzero discrete logs: up to
+    _GATHER_PAIRS // |S| leaders (one at least) go in one 2-D gather of
+    alpha^(j log x) and one XOR-reduce along its rows, and the first nonzero
+    row is the first failure."""
     n, exp = ctx.n, ctx.exp_array()
-    rows = max(1, _GATHER_PAIRS // len(nonzero))
+    rows = max(1, _GATHER_PAIRS // len(logs))
     for block in blocks:
         for lo in range(0, len(block), rows):
             js = block[lo:lo + rows]
-            p = np.bitwise_xor.reduce(exp[js[:, None] * nonzero % n], axis=1)
+            p = np.bitwise_xor.reduce(exp[js[:, None] * logs % n], axis=1)
             if len(hit := np.flatnonzero(p)):
                 return int(js[hit[0]]), int(p[hit[0]])
+    return None
+
+
+def _walk(ctx, x, blocks, j_limit: int) -> tuple[int, int] | None:
+    """`_scan` without log tables, on the nonzero uint64 elements x: p_j of
+    every odd j comes from `_odd_power_sums` block by block, and each block
+    of leaders is read off them, so the walk stops at the block holding the
+    first failure."""
+    sums = _odd_power_sums(ctx, x, j_limit)
+    lo, p = 1, np.empty(0, dtype=np.uint64)  # p[t] = p_(lo + 2t)
+    for lead in blocks:
+        while len(lead):
+            while lead[0] >= lo + 2 * len(p):
+                lo, p = next(sums)
+            part = lead[lead < lo + 2 * len(p)]
+            vals = p[(part - lo) // 2]
+            if len(hit := np.flatnonzero(vals)):
+                return int(part[hit[0]]), int(vals[hit[0]])
+            lead = lead[len(part):]
     return None
 
 
@@ -488,19 +534,24 @@ def _in_code(ctx, nonzero, j_limit: int) -> bool:
 
 def _first_failure(ctx, nonzero, j_limit: int, route: str) -> tuple[int, int] | None:
     """First (j, p_j) with p_j != 0 over the coset leaders j in [3, j_limit],
-    ascending, or None, for a support whose p_1 is 0; p_(2j mod n) = p_j^2,
-    so the range vanishes iff one leader per 2-cyclotomic coset does.  The
-    check route tests the check polynomial; the scan (on the scan route, or
-    after a check rejection to name its first failing syndrome) walks the
-    leaders block by block, so it stops early whatever j_limit is: one
-    cached array below _CACHED_LEADERS, `_coset_leaders` blocks from
-    there."""
-    if route == "check" and _in_code(ctx, nonzero, j_limit):
-        return None
+    ascending, or None, for the nonzero uint64 support elements of a claim
+    whose p_1 is 0; p_(2j mod n) = p_j^2, so the range vanishes iff one
+    leader per 2-cyclotomic coset does.  The walk route walks the powers;
+    the others take the discrete logs: the check route tests the check
+    polynomial, and the scan (on the scan route, or after a check rejection
+    to name its first failing syndrome) walks the leaders block by block,
+    so it stops early whatever j_limit is: one cached array below
+    _CACHED_LEADERS, `_coset_leaders` blocks from there."""
     if j_limit < _CACHED_LEADERS:
-        fail = _scan(ctx, nonzero, (_leaders(ctx.m, j_limit),))
+        blocks = (_leaders(ctx.m, j_limit),)
     else:
-        fail = _scan(ctx, nonzero, _coset_leaders(ctx.m, 3, j_limit + 1))
+        blocks = _coset_leaders(ctx.m, 3, j_limit + 1)
+    if route == "walk":
+        return _walk(ctx, nonzero, blocks, j_limit)
+    logs = ctx.logs(nonzero).astype(np.int64)
+    if route == "check" and _in_code(ctx, logs, j_limit):
+        return None
+    fail = _scan(ctx, logs, blocks)
     if fail is None and route == "check":
         raise RuntimeError("check polynomial and syndrome scan disagree")
     return fail
@@ -532,12 +583,13 @@ def _verdict(ctx, elems, d: int, search: bool) -> Verdict:
     """The verdict on the extended claim (elems, d), d even in 2..n + 1, in
     one order: parity, then p_1 alone, then, for a claim that passes with
     L = d - 2 >= 3, the route the cost rule picks, the stabilizer search
-    among them only if search is set."""
-    j_limit, nonzero, route, fail = d - 2, _nonzero(ctx, elems), "scan", None
+    among them only if search is set; the walk is reported as "scan"."""
+    j_limit, nonzero, route, fail = d - 2, elems[elems != 0], "scan", None
     member = len(elems) % 2 == 0
     if member and j_limit and len(nonzero):
-        fail = _scan(ctx, nonzero, (_ONE,))
-        if fail is None and j_limit >= 3:
+        if p_1 := int(np.bitwise_xor.reduce(nonzero)):
+            fail = (1, p_1)
+        elif j_limit >= 3:
             route = _pick_route(ctx, j_limit, len(nonzero), search)
             if route == "affine":
                 basis, x_set = _stabilizer(elems, ctx.m)
@@ -546,6 +598,7 @@ def _verdict(ctx, elems, d: int, search: bool) -> Verdict:
                 route = _pick_route(ctx, j_limit, len(nonzero), False)
             fail = _first_failure(ctx, nonzero, j_limit, route)
         member = fail is None
+    route = "scan" if route == "walk" else route
     return Verdict(member, len(elems), d, member and len(elems) == d, fail, route)
 
 

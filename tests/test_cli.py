@@ -1007,6 +1007,42 @@ def _cli_child(argv, timeout):
     )
 
 
+# `bchmin argv` in a fresh interpreter that prints the exit code, the sha256
+# of stdout and its own peak RSS in MB: VmHWM where /proc has it (ru_maxrss
+# on Linux can also hold the parent's peak at exec), else ru_maxrss.
+_CLI_PEAK_CHILD = """
+import contextlib, hashlib, io, resource, sys
+from bchmin.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as f:
+        peak = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+except OSError:
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = kib / 1024 if sys.platform != "darwin" else kib / 2**20
+print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), peak)
+"""
+
+
+def test_fresh_m24_generate_builds_no_log_tables():
+    # the 28-point (24, 3, 18) support takes subgroup logs and the power
+    # walk, so the 2 x 64 MB log tables are never built: 31 MB peak, where
+    # building them took 160 MB; stdout as when they were built
+    env = dict(os.environ, PYTHONPATH=str(Path(bchmin.__file__).resolve().parents[1]))
+    argv = ["generate", "--m", "24", "--i", "3", "--s", "18"]
+    child = subprocess.run(
+        [sys.executable, "-c", _CLI_PEAK_CHILD, *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    code, digest, peak_mb = child.stdout.split()
+    assert code == str(EXIT_OK)
+    assert digest == "1d0471a54ce68194695f4695123fbdf84d7210635b8cfada16b4b3ca9aa2bca1"
+    assert float(peak_mb) <= 80
+
+
 def test_generate_into_closed_pipe_exits_quietly():
     # the reader takes 16 bytes of 4.7 MB and closes the pipe: exit 1 and
     # nothing on stderr, not a BrokenPipeError traceback

@@ -169,8 +169,10 @@ def _ref_pow(ctx, a, e):
 
 
 def test_nontable_path_matches_table_path():
-    # the representation is fixed at construction: tables up to m = 24 only
-    assert default_field(24).has_logs and len(default_field(24)._log) == 1 << 24
+    # tables from construction up to m = 20, on first use at m = 21..24, never
+    # above; the m = 21..24 fields compute without them until then
+    assert GF2m(20).tables_built and not GF2m(20).lazy_logs
+    assert GF2m(24).has_logs and GF2m(24).lazy_logs and not GF2m(24).tables_built
     big = GF2m(25)
     assert not big.has_logs
     for table_call in (lambda: big.log(3), big.exp_array, big.log_array):
@@ -195,6 +197,24 @@ def test_nontable_path_matches_table_path():
                     assert ctx._pow_nontable(a, ctx.n) == 1
                     e = r.randrange(1, ctx.n)
                     assert ctx.pow(a, e) == _ref_pow(ctx, a, e)
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_mul_array_matches_table_free_product(m):
+    # every degree: operands 0, 1, n, 2^(m-1) against each other and random
+    # ones, at lengths 0, 1 and one block either side of _MUL_BLOCK; the
+    # reference is the scalar windowed product, table-free at every m
+    ctx, r, block = default_field(m), rng(100 + m), gf2m._MUL_BLOCK
+    edge = [0, 1, ctx.n, 1 << (m - 1)]
+    pairs = [(a, b) for a in edge for b in edge]
+    for length in (0, 1, block - 1, block + 1):
+        rand = [(r.getrandbits(m), r.getrandbits(m)) for _ in range(length)]
+        cases = rand if length <= 1 else (pairs + rand)[:length]
+        a = np.array([x for x, _ in cases], dtype=np.uint64)
+        b = np.array([y for _, y in cases], dtype=np.uint64)
+        got = ctx.mul_array(a, b)
+        assert got.dtype == np.uint64 and len(got) == length
+        assert got.tolist() == [ctx._mul_free(x, y) for x, y in cases], length
 
 
 @pytest.mark.parametrize("m", [*range(2, 17), *range(25, 33)])
@@ -479,10 +499,110 @@ def test_log_exp_roundtrip_exhaustive(m):
         assert ctx.exp(ctx.log(x)) == x
 
 
+@pytest.mark.parametrize("m", [2, 9, 24, 25, 32])
+def test_frobenius_array_matches_scalar_frobenius(m):
+    ctx, r = default_field(m), rng(200 + m)
+    x = [0, 1, ctx.n, 1 << (m - 1)] + [r.getrandbits(m) for _ in range(100)]
+    for k in (0, 1, m // 2, m - 1, m):
+        got = ctx.frobenius_array(np.array(x, dtype=np.uint64), k)
+        assert got.tolist() == [ctx.frobenius(v, k) for v in x], k
+
+
+@pytest.mark.parametrize("m", [21, 22, 23, 24])
+def test_subgroup_logs_match_the_tables(m):
+    # logs and elems before the tables exist, through the subgroups, against
+    # the tables built afterwards: random elements and logs, the ends of
+    # both ranges, round trips, and the refusal of log(0)
+    ctx, r = GF2m(m), np.random.default_rng(m)
+    x = np.concatenate(([1, 2, ctx.n, 1 << (m - 1)], r.integers(1, ctx.n + 1, 3000))).astype(np.uint64)
+    e = np.concatenate(([0, 1, ctx.n - 1], r.integers(0, ctx.n, 3000)))
+    logs, elems, one = ctx.logs(x), ctx.elems(e), ctx.log(int(x[-1]))
+    assert not ctx.tables_built
+    assert logs.dtype == elems.dtype == np.uint32
+    assert np.array_equal(ctx.elems(logs), x) and np.array_equal(ctx.logs(elems.astype(np.uint64)), e)
+    for bad in ([0], [5, 0]):
+        with pytest.raises(ValueError, match="discrete log of 0 requested"):
+            ctx.logs(np.array(bad, dtype=np.uint64))
+    with pytest.raises(ValueError, match="discrete log of 0 requested"):
+        ctx.log(0)
+    with pytest.raises(ValueError, match=f"must lie in GF\\(2\\^{m}\\)"):
+        ctx.logs(np.array([1 << m], dtype=np.uint64))
+    assert not ctx.tables_built
+    assert np.array_equal(logs, ctx.log_array()[x]) and np.array_equal(elems, ctx.exp_array()[e])
+    assert one == logs[-1] and ctx.tables_built
+    # with the tables built, the same calls gather from them
+    assert np.array_equal(ctx.logs(x), logs) and np.array_equal(ctx.elems(e), elems)
+
+
+def test_subgroup_path_builds_the_tables_for_long_arrays():
+    # up to 2^(m - _SUBGROUP_SHIFT) entries through the subgroups; one more
+    # builds the tables, then gathers
+    ctx = GF2m(21)
+    limit = ctx.n >> gf2m._SUBGROUP_SHIFT
+    e = np.arange(limit) * 3
+    ctx.elems(e)
+    assert not ctx.tables_built
+    assert np.array_equal(ctx.elems(np.arange(limit + 1) * 3)[:limit], ctx.exp_array()[e])
+    assert ctx.tables_built
+
+
+def test_lazy_tables_built_on_first_use():
+    # m = 21..24: no tables at construction; the first exp_array or
+    # log_array call builds both, and later calls return those arrays
+    for first in ("exp_array", "log_array"):
+        ctx = GF2m(22)
+        assert ctx.lazy_logs and not ctx.tables_built
+        table = getattr(ctx, first)()
+        assert ctx.tables_built
+        exp, log = ctx.exp_array(), ctx.log_array()
+        assert table is (exp if first == "exp_array" else log)
+        assert ctx.exp_array() is exp and ctx.log_array() is log
+        assert exp.dtype == log.dtype == np.uint32 and len(exp) == ctx.n and len(log) == ctx.n + 1
+        assert exp[0] == 1 and exp[1] == 2 and log[2] == 1
+
+
+def test_lazy_tables_built_once_under_threads(monkeypatch):
+    # concurrent first calls build the tables once and share them
+    ctx, builds = GF2m(21), []
+    orig = GF2m._build_tables
+
+    def counted(self):
+        builds.append(self)
+        orig(self)
+
+    monkeypatch.setattr(GF2m, "_build_tables", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(ctx.log_array())) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1 and len(results) == 4 and all(r is results[0] for r in results)
+
+
+@pytest.mark.parametrize("m", [21, 24])
+def test_lazy_field_scalar_arithmetic_matches_tables(m):
+    # mul, inv, pow and log without the tables, then with them
+    ctx, r = GF2m(m), rng(m)
+    cases = [(random_nonzero(ctx, r), r.getrandbits(m), r.randrange(-ctx.n, 2 * ctx.n)) for _ in range(50)]
+    free = [(ctx.mul(a, b), ctx.inv(a), ctx.pow(a, e), ctx.log(a)) for a, b, e in cases]
+    assert not ctx.tables_built
+    ctx.log_array()
+    assert free == [(ctx.mul(a, b), ctx.inv(a), ctx.pow(a, e), ctx.log(a)) for a, b, e in cases]
+
+
 def test_log_unsupported_for_large_m():
     ctx = GF2m(25)
-    with pytest.raises(RuntimeError, match="log tables are not built for m=25 > 24"):
-        ctx.log(3)
+    for call in (lambda: ctx.log(3), lambda: ctx.logs(np.ones(1, np.uint64)),
+                 lambda: ctx.elems(np.ones(1, np.int64))):
+        with pytest.raises(RuntimeError, match="log tables are not built for m=25 > 24"):
+            call()
 
 
 # -- table layout ----------------------------------------------------------------
@@ -617,7 +737,7 @@ _M24_WALL_CEILING_S = 10.0
 _M24_CHILD = """
 import resource, sys
 from bchmin.gf2m import GF2m
-GF2m(24).log(3)
+GF2m(24).log_array()
 try:
     with open("/proc/self/status") as f:
         print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024)

@@ -20,7 +20,6 @@ from bchmin.verify import (
     _fft_mul,
     _first_failure,
     _min_polys,
-    _nonzero,
     _pick_route,
     _power_walk,
     _shift_xor_mul,
@@ -129,13 +128,15 @@ def _table_free_claims(m):
 
 @pytest.mark.parametrize("m", range(25, 33))
 def test_table_free_kernel_matches_scalar_reference(m, monkeypatch):
-    # verdict, first failing (j, p_j) and p_1..p_40 of the array kernel
-    # against one scalar pow per element
+    # first failing (j, p_j) of the verdict against the frozen scan, one
+    # scalar pow per element, and p_1..p_40 of the array kernel against
+    # scalar syndromes
     for kind, cw in _table_free_claims(m):
         verdict, sums = is_min_weight(cw), power_sums(cw, 40)
+        j_limit = cw.claimed_distance + (not cw.extended) - 2
+        assert verdict.failing_syndrome == scan_oracle.first_failure(cw.ctx, cw.elems, j_limit)
         with monkeypatch.context() as patch:
             patch.setattr(verify, "_syndromes", scalar_syndromes)
-            assert is_min_weight(cw) == verdict, (m, kind)
             assert power_sums(cw, 40) == sums, (m, kind)
         if kind == "valid":
             assert verdict.is_min_weight
@@ -318,11 +319,18 @@ def _mutate(ctx, elems: frozenset, kind: str, rand) -> frozenset:
     return elems
 
 
+def _nonzero(elems):
+    """The nonzero elements of elems as the sorted uint64 array the routes
+    take."""
+    elems = elem_array(elems)
+    return elems[elems != 0]
+
+
 def _p1_then(ctx, nonzero, j_limit, route):
     """p_1 alone, then, if it is 0, `_first_failure` on route, as `_verdict`
     runs them: the first failing (j, p_j) over the leaders in [1, j_limit]."""
-    p1 = verify._scan(ctx, nonzero, (verify._ONE,))
-    return p1 or _first_failure(ctx, nonzero, j_limit, route)
+    p1 = int(np.bitwise_xor.reduce(nonzero))
+    return (1, p1) if p1 else _first_failure(ctx, nonzero, j_limit, route)
 
 
 @given(st.data())
@@ -342,7 +350,7 @@ def test_routes_agree(data):
     reps, k = _coset_counts(ctx.n, j_limit)
     assume(reps << r <= MAX_SCAN_GATHERS and k * -(-ctx.n // 64) <= MAX_CHECK_WORDS)
     elems = _mutate(ctx, _subspace_member(ctx, r, extended, rand), kind, rand)
-    nonzero = _nonzero(ctx, elem_array(elems))
+    nonzero = _nonzero(elems)
     event(_pick_route(ctx, j_limit, len(nonzero), extended and len(elems) % 2 == 0))
     scanned = _p1_then(ctx, nonzero, j_limit, "scan")
     for product in (_shift_xor_mul, _fft_mul):  # the check with each product
@@ -356,11 +364,13 @@ def test_routes_agree(data):
 # -- the block kernel against the frozen leader-by-leader scan --------------------
 
 
-def _oracle_agrees(ctx, elems, j_limit, routes=("scan",)):
-    """The first failure of elems at j_limit on each route, asserted equal
-    to the leader-by-leader scan's, which is returned."""
+def _oracle_agrees(ctx, elems, j_limit, routes=None):
+    """The first failure of elems at j_limit on each route (by default the
+    scan, or the walk on a field without log tables), asserted equal to the
+    leader-by-leader scan's, which is returned."""
+    routes = routes or (("scan",) if ctx.has_logs else ("walk",))
     expect = scan_oracle.first_failure(ctx, elems, j_limit)
-    nonzero = _nonzero(ctx, elem_array(elems))
+    nonzero = _nonzero(elems)
     for route in routes:
         assert _p1_then(ctx, nonzero, j_limit, route) == expect, (ctx.m, j_limit, route)
     return expect
@@ -408,7 +418,7 @@ def test_block_scan_splits_large_supports(m, r, monkeypatch):
     j_limit = min((2 << r) - 2, ctx.n - 1)
     expect = _oracle_agrees(ctx, elems, j_limit)
     assert expect is not None and expect[0] == (1 << r) - 1
-    nonzero = _nonzero(ctx, elem_array(elems))
+    nonzero = _nonzero(elems)
     block, k = _block_of(m, j_limit, expect[0])
     assert k > 0
     for rows in (k + 1, k, 1):
@@ -422,6 +432,27 @@ def test_table_free_scan_matches_leader_by_leader_scan(m):
     # keep p_1, and the i = 3 support claimed at d = 120
     for kind, cw in _table_free_claims(m):
         _oracle_agrees(cw.ctx, cw.elems, cw.claimed_distance - 2)
+
+
+@pytest.mark.parametrize("m", range(25, 33))
+def test_blocked_walk_matches_leader_by_leader_scan(m, monkeypatch):
+    # the walk in blocks of 1 to 8 rows against the frozen scan, with the
+    # rows capped by _WALK_ELEMENTS too: translates of r-dimensional
+    # subspaces, members at L = 2^r - 2 whose first failure is the leader
+    # 2^r - 1 at twice that, and mutants of them that keep p_1
+    ctx, rand = default_field(m), rng(m)
+    seen = set()
+    for r in (3, 5, 7):
+        space = _subspace_member(ctx, r, True, rand)
+        for j_limit in ((1 << r) - 2, (2 << r) - 2):
+            for kind in ("none", "p1swap"):
+                elems = _mutate(ctx, space, kind, rand)
+                expect = scan_oracle.first_failure(ctx, elems, j_limit)
+                for cap in (verify._WALK_ELEMENTS, 2 << r, 1):
+                    monkeypatch.setattr(verify, "_WALK_ELEMENTS", cap)
+                    assert _p1_then(ctx, _nonzero(elems), j_limit, "walk") == expect, (r, cap)
+                seen.add(None if expect is None else expect[0] == (1 << r) - 1)
+    assert seen == {None, True, False}
 
 
 def test_coset_counts_match_brute_force():
@@ -503,9 +534,9 @@ def test_route_pick_follows_cost():
             expect = "affine" if 2 <= s <= last_affine else unsearched
             assert _pick_route(ctx, d - 2, d, True) == expect, (i, s)
     # no logs: the power walk, or the search when it is searchable
-    assert _pick_route(default_field(25), (1 << 20) - 2, 1 << 20, False) == "scan"
+    assert _pick_route(default_field(25), (1 << 20) - 2, 1 << 20, False) == "walk"
     assert _pick_route(default_field(25), (1 << 20) - 2, 1 << 20, True) == "affine"
-    assert _pick_route(default_field(25), 4, 6, True) == "scan"
+    assert _pick_route(default_field(25), 4, 6, True) == "walk"
 
 
 def test_verdict_names_the_route():
@@ -528,7 +559,7 @@ def test_verdict_names_the_route():
     verdict = is_min_weight(CodewordSupport(ctx, bad, 1 << 10, True))
     assert verdict.route == "check" and not verdict.member
     assert verdict.failing_syndrome == _first_failure(
-        ctx, _nonzero(ctx, elem_array(bad)), (1 << 10) - 2, "scan"
+        ctx, _nonzero(bad), (1 << 10) - 2, "scan"
     )
     swapped = _mutate(ctx, space, "swap", rng(5))
     verdict = is_min_weight(CodewordSupport(ctx, swapped, 1 << 10, True))
@@ -950,7 +981,7 @@ def test_search_without_symmetry_falls_back():
             claim = CodewordSupport(ctx, elems, claimed, True)
             _routes_agree(claim)
             searched = _forced(claim, "affine")
-            size = len(_nonzero(ctx, claim.elems))
+            size = len(_nonzero(claim.elems))
             assert searched.route == _pick_route(ctx, claimed - 2, size, False)
 
 
