@@ -17,7 +17,9 @@ high m - 1 bits are folded back with one lookup per byte into tables of
 the polynomials themselves.  `mul_array` multiplies uint64 arrays
 elementwise for any m: a short array by one shift-XOR per bit, a longer one
 by 16 integer products of 4-bit-spaced masks, then the same fold as one
-gather per byte.  `logs` and `elems` take discrete logs
+gather per byte.  `frobenius_array` and `linear_array` apply GF(2)-linear
+maps to such arrays, one byte-table gather per byte.  `logs` and `elems`
+take discrete logs
 and powers of alpha of whole arrays, from the full tables once built, and
 for a small array at m = 21..24 through two subgroups of about sqrt(2^m)
 elements each instead (Pohlig and Hellman, IEEE Trans. IT, 1978).
@@ -487,6 +489,12 @@ class GF2m:
             cols = [self.frobenius(1 << t, k) for t in range(self.m)]
             tables = self._frobenius_tables[k] = _linear_tables(cols)
         return _apply_linear(tables, x)
+
+    def linear_array(self, cols, x: np.ndarray) -> np.ndarray:
+        """The GF(2)-linear map whose image of 2^t is cols[t] on the uint64
+        array x of field elements, one gather per byte of x from byte
+        tables built for this call."""
+        return _apply_linear(_linear_tables(cols), x)
 
     def trace_mask(self, ell: int) -> int:
         """The mask whose parity with y is T(y) = y + y^2 + ... + y^(2^(ell-1))

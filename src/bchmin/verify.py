@@ -163,34 +163,22 @@ def designed_distance(m: int, s: int, i: int) -> int:
     return ((1 << (m - s)) - (1 << (m - i - s))) >> 1  # 0 at i = 0, s = m
 
 
-def _syndromes(ctx, nonzero, js):
-    """Yield p_j over the nonzero uint64 support elements for each j of the
-    ascending js, lazily.  With built log tables p_j is one gather of
-    alpha^(j log x); without, the powers x^j of the whole support are walked
-    up by array products (`_power_walk`)."""
+def _syndromes(ctx, nonzero, j_max: int) -> list[int]:
+    """[p_1, ..., p_j_max] over the nonzero uint64 support elements.  With
+    built log tables each p_j is one gather of alpha^(j log x); without,
+    the odd p_j come from the blocked walk `_odd_power_sums` and each even
+    one is p_(j/2) squared."""
     if ctx.tables_built:
         n, exp, logs = ctx.n, ctx.exp_array(), ctx.logs(nonzero).astype(np.int64)
-        for j in js:
-            yield int(np.bitwise_xor.reduce(exp[(logs * j) % n]))
-        return
-    yield from _power_walk(ctx, nonzero, js)
-
-
-def _power_walk(ctx, x: np.ndarray, js):
-    """Yield the XOR of x^j over the uint64 elements x for each j >= 1 of
-    the ascending js.  y = x^j is kept for the whole array and stepped up by
-    y * x^2 while j is two or more ahead, and by y * x for an odd gap, so
-    power_sums takes one product per j."""
-    y, at, x2 = x, 1, None
-    for j in js:
-        while at < j:
-            if j - at >= 2:
-                if x2 is None:
-                    x2 = ctx.mul_array(x, x)
-                y, at = ctx.mul_array(y, x2), at + 2
-            else:
-                y, at = ctx.mul_array(y, x), at + 1
-        yield int(np.bitwise_xor.reduce(y))
+        return [int(np.bitwise_xor.reduce(exp[(logs * j) % n])) for j in range(1, j_max + 1)]
+    p, odd = [0], []
+    for _, block in _odd_power_sums(ctx, nonzero, j_max):
+        odd += block.tolist()
+        if 2 * len(odd) >= j_max:
+            break
+    for j in range(1, j_max + 1):
+        p.append(odd[j // 2] if j % 2 else ctx.mul(p[j // 2], p[j // 2]))
+    return p[1:]
 
 
 def _times(ctx, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -228,7 +216,7 @@ def power_sums(cw, j_max: int) -> list[int]:
     nonzero = cw.elems[cw.elems != 0]
     if not len(nonzero):
         return [0] * j_max
-    return list(_syndromes(cw.ctx, nonzero, range(1, j_max + 1)))
+    return _syndromes(cw.ctx, nonzero, j_max)
 
 
 def _coset_leaders(m: int, lo: int, hi: int):
@@ -537,7 +525,8 @@ def _first_failure(ctx, nonzero, j_limit: int, route: str) -> tuple[int, int] | 
     ascending, or None, for the nonzero uint64 support elements of a claim
     whose p_1 is 0; p_(2j mod n) = p_j^2, so the range vanishes iff one
     leader per 2-cyclotomic coset does.  The walk route walks the powers;
-    the others take the discrete logs: the check route tests the check
+    the others gather the discrete logs from the log tables, which they
+    build at m = 21..24 as they are priced to: the check route tests the check
     polynomial, and the scan (on the scan route, or after a check rejection
     to name its first failing syndrome) walks the leaders block by block,
     so it stops early whatever j_limit is: one cached array below
@@ -548,7 +537,7 @@ def _first_failure(ctx, nonzero, j_limit: int, route: str) -> tuple[int, int] | 
         blocks = _coset_leaders(ctx.m, 3, j_limit + 1)
     if route == "walk":
         return _walk(ctx, nonzero, blocks, j_limit)
-    logs = ctx.logs(nonzero).astype(np.int64)
+    logs = ctx.log_array()[nonzero].astype(np.int64)  # the tables the route is charged for
     if route == "check" and _in_code(ctx, logs, j_limit):
         return None
     fail = _scan(ctx, logs, blocks)
@@ -660,30 +649,6 @@ def _subspace_map(ctx, basis) -> tuple[list[int], int]:
     return vals, a0
 
 
-# Row t holds bit t of each byte value 0..255, as 0/1 words.
-_BYTE_BITS = (np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None]) & 1
-
-
-def _map_tables(cols) -> np.ndarray:
-    """Byte tables of the GF(2)-linear map with columns cols: row k, entry b
-    is the image of b << 8k, the XOR of the columns 8k + t over the set
-    bits t of b."""
-    padded = np.zeros(-(-len(cols) // 8) * 8, dtype=np.uint64)
-    padded[:len(cols)] = cols
-    return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 8, 1), axis=1)
-
-
-def _apply(tables, x: np.ndarray) -> np.ndarray:
-    """The map of `_map_tables` on the uint64 field elements x: one gather
-    per byte; tables None is the identity, x itself."""
-    if tables is None:
-        return x
-    img = tables[0][x & 0xFF]
-    for k, tab in enumerate(tables[1:], 1):
-        img ^= tab[(x >> (8 * k)) & 0xFF]
-    return img
-
-
 def _spans(ctx, x_set: np.ndarray, basis, s: np.ndarray) -> bool:
     """Whether the distinct uint64 elements s are exactly X + span(B), for X
     with no two elements in one coset of span(B): X + span(B) is built by
@@ -722,8 +687,7 @@ def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
     if (x_set >> ctx.m).any() or not all(0 <= b <= ctx.n for b in basis):
         raise ValueError(f"X and B must be elements of GF(2^{ctx.m})")
     cols, a0 = _subspace_map(ctx, basis)
-    tables = _map_tables(cols) if basis else None  # A_V = T for an empty B
-    y = np.sort(_apply(tables, x_set))
+    y = np.sort(ctx.linear_array(cols, x_set) if basis else x_set)
     if (y[1:] == y[:-1]).any():
         raise ValueError("two elements of X lie in one coset of span(B)")
     q = 1 << len(basis)

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import count
+from operator import xor
 
 import numpy as np
 import pytest
@@ -132,14 +134,11 @@ def min_poly(ctx, r: int) -> int:
 # -- scalar syndrome reference ----------------------------------------------------
 
 
-def scalar_syndromes(ctx, nonzero, js):
-    """Reference for `verify._syndromes` on fields without log tables: p_j
-    as the XOR of one scalar `ctx.pow(x, j)` per support element."""
-    for j in js:
-        acc = 0
-        for x in nonzero:
-            acc ^= ctx.pow(int(x), j)
-        yield acc
+def scalar_syndromes(ctx, nonzero, j_max):
+    """Reference for `verify._syndromes` on fields without log tables: p_j,
+    j = 1..j_max, as the XOR of one scalar `ctx.pow(x, j)` per support
+    element."""
+    return [reduce(xor, (ctx.pow(int(x), j) for x in nonzero), 0) for j in range(1, j_max + 1)]
 
 
 # -- bit-matrix helpers for the test oracles -------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bchmin import verify
 from bchmin.construct import CodewordSupport, SupportSpec, expand, generate, puncture
 from bchmin.fixtures import BCH23_FIXTURE, BCH27_FIXTURES
-from bchmin.gf2m import default_field
+from bchmin.gf2m import GF2m, default_field
 from bchmin.verify import (
     _BLOCK,
     _check_poly,
@@ -20,8 +20,8 @@ from bchmin.verify import (
     _fft_mul,
     _first_failure,
     _min_polys,
+    _odd_power_sums,
     _pick_route,
-    _power_walk,
     _shift_xor_mul,
     _witness,
     designed_distance,
@@ -102,20 +102,22 @@ def test_power_sums_match_direct_path():
 @pytest.mark.parametrize("m", [*range(2, 17), *range(25, 33)])
 def test_array_product_matches_field_mul(m):
     # the power walk's array products (GF2m.mul_array, tested elementwise
-    # in test_gf2m) against scalar powers: j = 3 steps by x^2, j = 4 by x,
-    # and 5000 elements pass one block of the product
+    # in test_gf2m) against scalar powers: p_1, p_3, p_5, p_7 of the odd
+    # power sums, one row a block, and 5000 elements pass one block of the
+    # product
     ctx, r = default_field(m), rng(m)
     x = [r.getrandbits(m) for _ in range(5000)]
-    got = list(_power_walk(ctx, np.array(x, dtype=np.uint64), [1, 3, 4]))
-    assert got == [reduce(xor, (ctx.pow(v, j) for v in x)) for j in (1, 3, 4)]
+    sums = _odd_power_sums(ctx, np.array(x, dtype=np.uint64), 7)
+    got = [int(next(sums)[1][0]) for _ in range(4)]
+    assert got == [reduce(xor, (ctx.pow(v, j) for v in x)) for j in (1, 3, 5, 7)]
 
 
-def _table_free_claims(m):
-    """The large-m benchmark cells at m (smallest d for i = 2, 3 and, when
-    4 | m, 4), two mutants of each that keep |S| and p_1 (a, b replaced by
-    a + u, b + u), and the i = 3 support claimed at d = 120, whose first
-    failure falls past the leader 3."""
-    ctx, rand = default_field(m), rng(m)
+def _table_free_claims(ctx):
+    """The large-m benchmark cells on the field ctx (smallest d for i = 2,
+    3 and, when 4 | m, 4), two mutants of each that keep |S| and p_1 (a, b
+    replaced by a + u, b + u), and the i = 3 support claimed at d = 120,
+    whose first failure falls past the leader 3."""
+    m, rand = ctx.m, rng(ctx.m)
     for i in (2, 3, 4) if m % 4 == 0 else (2, 3):
         cw, _, _ = generate(ctx, i, m - 2 * i, seed=0)
         yield "valid", cw
@@ -131,7 +133,7 @@ def test_table_free_kernel_matches_scalar_reference(m, monkeypatch):
     # first failing (j, p_j) of the verdict against the frozen scan, one
     # scalar pow per element, and p_1..p_40 of the array kernel against
     # scalar syndromes
-    for kind, cw in _table_free_claims(m):
+    for kind, cw in _table_free_claims(default_field(m)):
         verdict, sums = is_min_weight(cw), power_sums(cw, 40)
         j_limit = cw.claimed_distance + (not cw.extended) - 2
         assert verdict.failing_syndrome == scan_oracle.first_failure(cw.ctx, cw.elems, j_limit)
@@ -430,7 +432,7 @@ def test_block_scan_splits_large_supports(m, r, monkeypatch):
 def test_table_free_scan_matches_leader_by_leader_scan(m):
     # the power walk, kept without log tables: valid claims, mutants that
     # keep p_1, and the i = 3 support claimed at d = 120
-    for kind, cw in _table_free_claims(m):
+    for kind, cw in _table_free_claims(default_field(m)):
         _oracle_agrees(cw.ctx, cw.elems, cw.claimed_distance - 2)
 
 
@@ -453,6 +455,61 @@ def test_blocked_walk_matches_leader_by_leader_scan(m, monkeypatch):
                     assert _p1_then(ctx, _nonzero(elems), j_limit, "walk") == expect, (r, cap)
                 seen.add(None if expect is None else expect[0] == (1 << r) - 1)
     assert seen == {None, True, False}
+
+
+def _random_claim(ctx, size, d, rand):
+    """An extended claim at d on size distinct nonzero elements with p_1 = 0,
+    drawn at random, so that with no translation symmetry it fails at p_3."""
+    while True:
+        elems = rand.sample(range(1, ctx.n + 1), size - 1)
+        last = reduce(xor, elems)
+        if last and last not in elems:
+            return CodewordSupport(ctx, frozenset([*elems, last]), d, True)
+
+
+def test_lazy_table_scan_takes_its_logs_from_the_tables(monkeypatch):
+    # at m = 22 a scan claim of 8,192 points is charged for building the log
+    # tables, so it builds them and gathers its logs there, never through
+    # the subgroup logs, which would be a second pass over the support
+    ctx = GF2m(22)
+    cw = _random_claim(ctx, 1 << 13, 1 << 10, rng(22))
+    assert _pick_route(ctx, (1 << 10) - 2, len(cw.elems), False) == "scan"
+
+    def subgroup_logs(x):
+        raise AssertionError("subgroup logs on the scan route")
+
+    monkeypatch.setattr(ctx, "_subgroup_logs", subgroup_logs)
+    verdict = is_min_weight(cw)
+    assert ctx.tables_built and verdict.route == "scan"
+    assert verdict.failing_syndrome == scan_oracle.first_failure(ctx, cw.elems, (1 << 10) - 2)
+
+
+def test_lazy_table_routes_do_not_depend_on_the_tables_being_built():
+    # at m = 22 the routes of the benchmark cells, their p_1-keeping mutants
+    # and a past-p_3 claim are priced and decided the same before and after
+    # the first log_array() builds the tables; they take the walk, whose
+    # first failures on the mutants are the frozen scan's
+    ctx = GF2m(22)
+    claims = list(_table_free_claims(ctx))
+
+    def decide():
+        out = []
+        for _, cw in claims:
+            j_limit = cw.claimed_distance + (not cw.extended) - 2
+            size = int(np.count_nonzero(cw.elems))
+            routes = [_pick_route(ctx, j_limit, size, search) for search in (True, False)]
+            out.append((routes, is_min_weight(cw)))
+        return out
+
+    before = decide()
+    assert not ctx.tables_built
+    ctx.log_array()
+    assert decide() == before
+    assert all(routes[1] == "walk" for routes, _ in before)
+    for (kind, cw), (_, verdict) in zip(claims, before):
+        if kind == "p1":
+            expect = scan_oracle.first_failure(ctx, cw.elems, cw.claimed_distance - 2)
+            assert verdict.failing_syndrome == expect and expect[0] >= 3
 
 
 def test_coset_counts_match_brute_force():
