@@ -18,6 +18,10 @@ bchmin verify foreign.json
 # is not built in
 bchmin generate --m 31 --i 2 --s 27 --poly 0xC000005B > foreign31.json
 bchmin verify foreign31.json
+# the complement route of the subspace images on a field whose log tables
+# are built on first use, under a modulus that is not built in
+bchmin generate --m 24 --i 3 --s 18 --poly 0x1000087 > foreign24.json
+bchmin verify foreign24.json
 bchmin generate --m 16 --i 4 --s 0 --method gold > gold.json
 bchmin verify gold.json
 grep -q '"B"' gold.json

@@ -59,18 +59,26 @@ _CHARS = np.frombuffer(b"0123456789abcdef", np.uint8)
 _LIMITS = {10: 10 ** np.arange(1, 10, dtype=np.int32), 16: 16 ** np.arange(1, 16, dtype=np.uint64)}
 
 
-def _sorted_out(ctx, elems: np.ndarray) -> np.ndarray:
-    """The support entries as written, sorted: int32 discrete logs
-    (`GF2m.logs`), with -1 for the zero element (first in elems) first, when
-    the field has logs; otherwise elems itself, written in hex."""
+def _entries(ctx, elems: np.ndarray) -> np.ndarray:
+    """The entries written for the ascending elements elems, in their
+    order: int32 discrete logs (`GF2m.logs`), -1 for the zero element
+    (first in elems), when the field has logs; otherwise elems itself,
+    written in hex."""
     if not ctx.has_logs:
         return elems
     zero = int(len(elems) > 0 and elems[0] == 0)
     logs = np.empty(len(elems), np.int32)
     logs[:zero] = -1
     logs[zero:] = ctx.logs(elems[zero:])
-    logs[zero:].sort()
     return logs
+
+
+def _ascending(entries: np.ndarray) -> np.ndarray:
+    """`_entries` as written, ascending: logs sorted in place (the -1
+    first); hex entries ascend already."""
+    if entries.dtype == np.int32:
+        entries.sort()
+    return entries
 
 
 def _write_entries(write, values: np.ndarray, sep: str, quoted: bool = False) -> None:
@@ -142,19 +150,28 @@ def _json_doc(doc: dict, write) -> None:
     write("\n}")
 
 
-def render_json(ctx, cw: CodewordSupport, meta: dict, write=None) -> str | None:
+def render_json(ctx, cw: CodewordSupport, meta: dict, write=None, spec=None) -> str | None:
     """The JSON document of a support: written piece by piece through
-    write(str) if given, else returned."""
+    write(str) if given, else returned.  Given the SupportSpec the support
+    was expanded from, X and B follow meta; X, a subset of the support,
+    takes its entries from the support's, logged once."""
+    entries = _entries(ctx, cw.elems)
+    parts = {}
+    if spec is not None:
+        parts["X"] = _ascending(entries[np.searchsorted(cw.elems, spec.x_set)])
+        basis = np.array(spec.basis, dtype=np.uint64)  # all nonzero
+        parts["B"] = ctx.logs(basis).tolist() if ctx.has_logs else list(map(hex, spec.basis))
     doc = {
         "spec_version": SPEC_VERSION,
         "m": ctx.m,
         "poly": hex(ctx.poly),
         "d": cw.claimed_distance,
         "extended": cw.extended,
-        "support": _sorted_out(ctx, cw.elems),
+        "support": _ascending(entries),
         "verified": True,
     }
     doc.update(meta)
+    doc.update(parts)
     return _written(write, _json_doc, doc)
 
 
@@ -168,7 +185,7 @@ def _text_doc(ctx, cw: CodewordSupport, values: np.ndarray, sep: str, write) -> 
 def render_logsupport(ctx, cw: CodewordSupport, write=None) -> str | None:
     """The log-support text of a support, written or returned as by
     `render_json`; hex element values when the field has no log tables."""
-    return _written(write, _text_doc, ctx, cw, _sorted_out(ctx, cw.elems), ",")
+    return _written(write, _text_doc, ctx, cw, _ascending(_entries(ctx, cw.elems)), ",")
 
 
 def render_bits(ctx, cw: CodewordSupport, write=None) -> str | None:
@@ -340,10 +357,7 @@ def _cmd_generate(args) -> int:
     cw, meta, spec = construct.generate(ctx, args.i, args.s, args.seed, args.method, args.retries)
     write = sys.stdout.write  # in pieces of at most _CHUNK entries
     if args.format == "json":
-        meta["X"] = _sorted_out(ctx, spec.x_set)
-        basis = np.array(spec.basis, dtype=np.uint64)  # all nonzero
-        meta["B"] = ctx.logs(basis).tolist() if ctx.has_logs else list(map(hex, spec.basis))
-        render_json(ctx, cw, meta, write)
+        render_json(ctx, cw, meta, write, spec)
         write("\n")
     elif args.format == "logsupport":
         render_logsupport(ctx, cw, write)

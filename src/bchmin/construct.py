@@ -96,22 +96,25 @@ def quadform_rows(i: int) -> tuple[int, ...]:
 def build_support(sol: SolutionVector, s: int) -> SupportSpec:
     """Support of the distance-d(m, s, i) codeword seeded by sol.
 
-    The solution entries are completed to a basis, whose trace-dual basis
-    b'_1..b'_m splits into quadratic-form generators (first 2i), the
-    annihilated directions (next s), and the free subspace part.  With A
-    the annihilator of span(b'_{2i+1}, ..., b'_{2i+s}), evaluated only at
-    the m - s other dual vectors (about m*s - s^2/2 products), the support is
+    The solution entries are completed to a basis b_1..b_m, whose
+    trace-dual basis b'_1..b'_m splits into quadratic-form generators
+    (first 2i), the annihilated directions (next s), and the free subspace
+    part.  With A the annihilator of V = span(b'_{2i+1}, ..., b'_{2i+s}),
+    evaluated only at the r = m - s other dual vectors, the support is
       { row-combinations of A(b'_1), ..., A(b'_2i) } + span of the A-images
     of the remaining dual vectors.
+    `linearized.annihilator` takes the basis and the collapsed range and
+    picks by counted products between s steps of the recursion over V, with
+    the dual basis, and r - 1 steps over the r primal vectors outside that
+    range, which span the trace-orthogonal complement of V, with no dual
+    basis.
     """
     ctx = sol.ctx
     m, i = ctx.m, sol.i
     if not 0 <= s <= m - 2 * i:
         raise UncoveredCase(f"s must be in 0..{m - 2 * i}, got {s}")
     basis = gflinalg.complete_to_basis(ctx, list(sol.b))
-    dual = gflinalg.dual_basis(ctx, basis)
-    collapsed = dual[2 * i : 2 * i + s]
-    images = linearized.annihilator(ctx, collapsed, dual[: 2 * i] + dual[2 * i + s :])
+    images = linearized.annihilator(ctx, range(2 * i, 2 * i + s), basis=basis)
     gens, tail = tuple(images[: 2 * i]), tuple(images[2 * i :])
     assert gflinalg.independent(ctx, gens + tail)
     x_set = np.sort(gflinalg.span(gens)[list(quadform_rows(i))])

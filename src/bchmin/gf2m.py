@@ -481,14 +481,42 @@ class GF2m:
         return x
 
     def frobenius_array(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x^(2^k) elementwise for a uint64 array x of field elements: a
-        GF(2)-linear map, one gather per byte of x from byte tables kept
-        per k."""
+        """x^(2^(k mod m)) elementwise for a uint64 array x of field
+        elements: a GF(2)-linear map, one gather per byte of x from byte
+        tables kept per k.  The square map's columns alpha^(2t) and the
+        square root's, alpha^(t/2) for even t and alpha^((t-1)/2) sqrt(alpha)
+        for odd t with sqrt(alpha) = alpha^(2^(m-1)), come from shifts; any
+        other k applies one of the two min(k, m - k) times to the unit
+        columns, so no k costs m k scalar squarings."""
+        m = self.m
+        k %= m
         tables = self._frobenius_tables.get(k)
         if tables is None:
-            cols = [self.frobenius(1 << t, k) for t in range(self.m)]
+            if k == 1:
+                cols = self.alpha_steps(1, 2, m)
+            elif k == m - 1:
+                root, half = self._pow_nontable(2, 1 << (m - 1)), (m + 1) // 2  # sqrt(alpha)
+                pairs = zip(self.alpha_steps(1, 1, half), self.alpha_steps(root, 1, half))
+                cols = [c for pair in pairs for c in pair][:m]
+            else:
+                step, times = (1, k) if 2 * k <= m else (m - 1, m - k)
+                cols = np.uint64(1) << np.arange(m, dtype=np.uint64)
+                for _ in range(times):
+                    cols = self.frobenius_array(cols, step)
             tables = self._frobenius_tables[k] = _linear_tables(cols)
         return _apply_linear(tables, x)
+
+    def alpha_steps(self, v: int, t: int, count: int) -> list[int]:
+        """v alpha^(t j) for j < count, each from the last by t shifts and
+        reductions."""
+        out = []
+        for _ in range(count):
+            out.append(v)
+            for _ in range(t):
+                v <<= 1
+                if v >> self.m:
+                    v ^= self.poly
+        return out
 
     def linear_array(self, cols, x: np.ndarray) -> np.ndarray:
         """The GF(2)-linear map whose image of 2^t is cols[t] on the uint64

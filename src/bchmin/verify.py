@@ -313,10 +313,14 @@ def _pick_route(ctx, j_limit: int, size: int, searchable: bool) -> str:
     is cached per (field, L), but a route that depended on the cache would
     differ between two calls on one claim.  For the same reason the scan
     and the check at m = 21..24 are always charged for building the log
-    tables, built or not.  A searchable claim may take "affine", the
+    tables, built or not.  The scan and the walk are priced to min(L, w)
+    for the w = |S| nonzero points: w distinct nonzero points cannot give
+    p_1 = ... = p_w = 0, since the matrix (x^j), j <= w, is a Vandermonde
+    matrix times a diagonal one, both nonsingular, so a claim with w <= L
+    fails at a leader j <= w.  A searchable claim may take "affine", the
     stabilizer search priced at (_PROBES + m) |S| lookups; ties go to the
     scan, then the check, then the walk."""
-    costs = {}
+    costs, reach = {}, min(j_limit, size)
     if ctx.has_logs:
         n = ctx.n
         reps, k = _coset_counts(n, j_limit)
@@ -326,10 +330,10 @@ def _pick_route(ctx, j_limit: int, size: int, searchable: bool) -> str:
             terms, dense_len = size, k + 1
         else:
             terms, dense_len = k // 2 + 1, n
-        costs["scan"] = tables_ns + (reps - 1) * size * _SCAN_NS_PER_GATHER
+        costs["scan"] = tables_ns + (_coset_counts(n, reach)[0] - 1) * size * _SCAN_NS_PER_GATHER
         costs["check"] = tables_ns + build_ns + min(_shift_xor_ns(terms, dense_len), _fft_ns(n, k + 1))
     if not ctx.has_logs or ctx.lazy_logs:
-        costs["walk"] = j_limit // 2 * size * _WALK_NS_PER_ELEMENT
+        costs["walk"] = reach // 2 * size * _WALK_NS_PER_ELEMENT
     if searchable:
         costs["affine"] = (_PROBES + ctx.m) * size * _LOOKUP_NS
     return min(costs, key=costs.get)
@@ -356,8 +360,9 @@ def _walk(ctx, x, blocks, j_limit: int) -> tuple[int, int] | None:
     """`_scan` without log tables, on the nonzero uint64 elements x: p_j of
     every odd j comes from `_odd_power_sums` block by block, and each block
     of leaders is read off them, so the walk stops at the block holding the
-    first failure."""
-    sums = _odd_power_sums(ctx, x, j_limit)
+    first failure.  Its blocks are sized for min(L, |x|), the last leader
+    it can reach (see `_pick_route`)."""
+    sums = _odd_power_sums(ctx, x, min(j_limit, len(x)))
     lo, p = 1, np.empty(0, dtype=np.uint64)  # p[t] = p_(lo + 2t)
     for lead in blocks:
         while len(lead):

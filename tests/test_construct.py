@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bchmin import gflinalg, linearized, verify
+from bchmin import gflinalg, linearized, solvers, verify
 from bchmin.construct import (
     METHODS,
     CodewordSupport,
@@ -130,6 +130,72 @@ def test_build_support_bad_s():
         build_support(sol, 5)
     with pytest.raises(UncoveredCase, match="s must be in 0..4, got -1"):
         build_support(sol, -1)
+
+
+# -- the two routes of the dual-form annihilator --------------------------------
+
+
+def _solution_bases(ctx, i):
+    """The completed bases `build_support` starts from, for the solver that
+    auto-routing picks at (m, i): seeds 1 and 2 for a seeded one."""
+    m = ctx.m
+    if i == 2:
+        sols = [solvers.solve_i2_even(ctx)] if m % 2 == 0 else [
+            solvers.solve_i2_odd(ctx, seed) for seed in (1, 2)]
+    elif i == 3:
+        solve = solvers.solve_i3_even if m % 2 == 0 else solvers.solve_i3_heuristic
+        sols = [solve(ctx, seed) for seed in (1, 2)]
+    else:
+        sols = [solvers.solve_i4(ctx)]
+    return [gflinalg.complete_to_basis(ctx, list(sol.solution.b)) for sol in sols]
+
+
+def _covered(m):
+    """The (i, s) that auto-routing covers at m, every s for m <= 16, the
+    three smallest d above."""
+    for i in (2, 3, 4):
+        if m >= 2 * i + (i == 2) * (m % 2) and (i < 4 or m % 4 == 0):
+            top = m - 2 * i
+            yield from ((i, s) for s in range(top + 1) if m <= 16 or s >= top - 2)
+
+
+def _routes_agree_with_the_oracle(ctx, monkeypatch):
+    """Both routes of `linearized.annihilator`'s dual form, forced, give
+    the oracle's A_V at the dual vectors outside the collapsed range."""
+    for i, s in _covered(ctx.m):
+        for basis in _solution_bases(ctx, i):
+            collapsed = range(2 * i, 2 * i + s)
+            dual = gflinalg.dual_basis(ctx, basis)
+            ann = oracle.annihilator(ctx, [dual[c] for c in collapsed])
+            expect = [oracle.lin_eval(ann, dual[k]) for k in range(ctx.m) if k not in collapsed]
+            for route in ("direct", "complement"):
+                monkeypatch.setattr(linearized, "_dual_route", lambda *args: route)
+                got = linearized.annihilator(ctx, collapsed, basis=basis)
+                assert got == expect, (ctx.m, i, s, route)
+
+
+@pytest.mark.parametrize("m", range(4, 33))
+def test_dual_annihilator_routes_match_the_oracle(m, monkeypatch):
+    # m = 21..24 with the log tables unbuilt (array products) and built
+    # (scalar products); m >= 25 have none
+    ctx = GF2m(m) if 21 <= m <= 24 else default_field(m)
+    _routes_agree_with_the_oracle(ctx, monkeypatch)
+    if ctx.lazy_logs:
+        ctx.log_array()
+        _routes_agree_with_the_oracle(ctx, monkeypatch)
+
+
+@pytest.mark.parametrize("m", [8, 25])  # with log tables and without
+@pytest.mark.parametrize("route", ["direct", "complement"])
+def test_dual_annihilator_rejects_a_dependent_primal_set(m, route, monkeypatch):
+    # the primal vectors outside the collapsed range 0..m-4: a repeated
+    # one, a zero one, and three whose sum is zero
+    ctx = default_field(m)
+    monkeypatch.setattr(linearized, "_dual_route", lambda *args: route)
+    units = [1 << k for k in range(m - 3)]
+    for rest in ([3, 5, 3], [3, 0, 5], [3, 5, 6]):
+        with pytest.raises(ValueError, match="dependent|full basis"):
+            linearized.annihilator(ctx, range(m - 3), basis=units + rest)
 
 
 def test_expand_weight_ledger():

@@ -503,7 +503,7 @@ def test_log_exp_roundtrip_exhaustive(m):
 def test_frobenius_array_matches_scalar_frobenius(m):
     ctx, r = default_field(m), rng(200 + m)
     x = [0, 1, ctx.n, 1 << (m - 1)] + [r.getrandbits(m) for _ in range(100)]
-    for k in (0, 1, m // 2, m - 1, m):
+    for k in (0, 1, m // 2, m // 2 + 1, m - 1, m, m + 3):  # squares, square roots
         got = ctx.frobenius_array(np.array(x, dtype=np.uint64), k)
         assert got.tolist() == [ctx.frobenius(v, k) for v in x], k
 

@@ -484,6 +484,23 @@ def test_lazy_table_scan_takes_its_logs_from_the_tables(monkeypatch):
     assert verdict.failing_syndrome == scan_oracle.first_failure(ctx, cw.elems, (1 << 10) - 2)
 
 
+def test_claim_of_fewer_points_than_its_leaders_takes_the_walk():
+    # six distinct nonzero points with p_1 = 0, claimed at d = 2^24: p_1..p_6
+    # cannot all vanish (a Vandermonde matrix), so the walk is priced to
+    # j = 6, not L, and takes the claim at m = 24 without building the log
+    # tables; its first failure is the frozen scan's, which the oracle finds
+    # by j = 6 (so the scan to L finds it too)
+    ctx, r = GF2m(24), rng(24)
+    x = [r.getrandbits(24) for _ in range(5)]
+    cw = CodewordSupport(ctx, [*x, reduce(xor, x)], 1 << 24, extended=True)
+    assert 0 not in cw.elems and len(cw.elems) == 6
+    assert _pick_route(ctx, (1 << 24) - 2, 6, True) == "walk"
+    verdict = is_min_weight(cw)
+    assert verdict.route == "scan" and not verdict.member and not ctx.tables_built
+    expect = scan_oracle.first_failure(ctx, cw.elems, 6)
+    assert expect is not None and verdict.failing_syndrome == expect
+
+
 def test_lazy_table_routes_do_not_depend_on_the_tables_being_built():
     # at m = 22 the routes of the benchmark cells, their p_1-keeping mutants
     # and a past-p_3 claim are priced and decided the same before and after
