@@ -10,8 +10,11 @@ bchmin() { command ${BCHMIN:-bchmin} "$@"; }
 bchmin generate --m 8 --i 3 --s 2 > s.json
 bchmin verify s.json
 bchmin table t23
+# m > 16: the stabilizer search tests membership by a sorted search, not
+# a 2^m-entry table, and the claim takes the affine route
 bchmin generate --m 32 --i 4 --s 22 > big.json
-bchmin verify big.json
+bchmin verify big.json > big_verdict.json
+grep -q '"route": "affine"' big_verdict.json
 bchmin generate --m 29 --i 3 --s 23 --poly 0x20000017 > foreign.json
 bchmin verify foreign.json
 # the Euclid inverse and the array subspace images, under a modulus that
@@ -68,7 +71,8 @@ grep -q '"route": "check"' check_verdict.json
 # the golden punctured supports for m = 8..16 and punctured fresh ones
 bchmin table t27
 bchmin generate --m 25 --i 2 --s 6 --format bits > m25.bits
-bchmin verify m25.bits
+bchmin verify m25.bits > m25_verdict.json
+grep -q '"route": "affine"' m25_verdict.json
 bchmin generate --m 16 --i 2 --s 0 > wide.json
 bchmin verify wide.json
 bchmin generate --m 16 --i 2 --s 0 --format bits > wide.bits

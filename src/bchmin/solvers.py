@@ -100,27 +100,25 @@ def solve_i2_odd(ctx, rng_seed: int, max_retries: int = 64) -> SolverReport:
     the cube-root tuple
       (cbrt(v^2/(c+v)), cbrt((c+v)^2/v), cbrt(v'^2/(c+v')), cbrt((c+v')^2/v')),
     which always satisfies the equation; only independence can fail, for at
-    most a handful of bad c per field.
+    most a handful of bad c per field.  Cube roots are unique at odd m, so
+    with t = cbrt(w^2/(c+w)) the root cbrt((c+w)^2/w) is w/t^2: one root
+    per pair.
     """
     if ctx.m % 2 == 0 or ctx.m < 5:
         raise UncoveredCase(f"odd m >= 5 required, got m={ctx.m}")
     v, vp = 1, ctx.alpha
     inv3 = pow(3, -1, ctx.n)
 
-    def cbrt(x):
-        return ctx.pow(x, inv3)
+    def pair(c, w):
+        t = ctx.pow(ctx.mul(ctx.mul(w, w), ctx.inv(c ^ w)), inv3)
+        return t, ctx.mul(w, ctx.inv(ctx.mul(t, t)))
 
     for attempt, rng in draws(rng_seed, max_retries, "no independent i=2 solution in {} draws"):
         while True:
             c = rng.getrandbits(ctx.m)
             if c not in (0, v, vp):
                 break
-        b = (
-            cbrt(ctx.mul(ctx.mul(v, v), ctx.inv(c ^ v))),
-            cbrt(ctx.mul(ctx.mul(c ^ v, c ^ v), ctx.inv(v))),
-            cbrt(ctx.mul(ctx.mul(vp, vp), ctx.inv(c ^ vp))),
-            cbrt(ctx.mul(ctx.mul(c ^ vp, c ^ vp), ctx.inv(vp))),
-        )
+        b = (*pair(c, v), *pair(c, vp))
         if gflinalg.independent(ctx, b):
             return SolverReport(SolutionVector(ctx, b), attempt)
 

@@ -67,11 +67,14 @@ S: x + v in S for all of them.  A failed check names an x with x + v
 outside S, which filters the candidates again, and the search stops after
 2m failed checks.  Successes halve the elements checked, so the search
 makes at most (_PROBES + 2 + 4m) |S| lookups, and is priced at
-(_PROBES + m) |S|.  With B found, X is the elements of S whose bits at the
-top bits of B are 0, and the affine route certifies (X, B, d, S),
-re-checking S = X + span(B) itself; a claim whose search finds no B takes
-the scan or the check, whichever is cheaper.  The affine route's own check
-of Y never searches.
+(_PROBES + m) |S|.  A lookup asks whether an element lies in S: by one
+gather from a table of 2^m booleans filled from S once per search, on
+fields with m <= 16, and by a sorted search of S above (`_membership`).
+With B found, X is the elements of S whose bits at the top bits of B are
+0, and the affine route certifies (X, B, d, S), re-checking
+S = X + span(B) itself; a claim whose search finds no B takes the scan or
+the check, whichever is cheaper.  The affine route's own check of Y never
+searches.
 
 This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element arrays (anything with ctx,
@@ -105,8 +108,14 @@ _FFT_NS_PER_TRANSFORM = 300e3
 _FFT_NS_PER_PAIR = 24e3
 _CHECK_POLY_NS_PER_LEADER = 13.4e3
 # Measured later on a 2-vCPU Xeon, where the scan's gather took 7.8 ns, and
-# scaled by 7.2 / 7.8: one lookup of the stabilizer search (a sorted search,
-# a gather and a compare per element; 35-55 ns at 256..10^6 points).
+# scaled by 7.2 / 7.8: one lookup of the stabilizer search as a sorted
+# search (a search, a gather and a compare per element; 35-55 ns at
+# 256..10^6 points).  The table lookup (an XOR, a gather and a compress)
+# takes 2-6 ns, and the whole search about 13 ns per priced lookup on the
+# m = 10..16 acceptance supports, but the price stays the sorted one's: at
+# 13 ns (10, 2, 0) would leave the check, 8x faster than the search once its
+# check polynomial is cached, and (16, 2..3, 1) would leave a check 6-10x
+# slower than the search; which to favour is a decision on the cached h.
 _LOOKUP_NS = 40
 # Measured on a 2-vCPU x86-64 host where the scan's gather took 4.7-5.5 ns
 # (m = 16, 255..4,095 points), and scaled by 7.2 / 5.1.  One element and
@@ -122,6 +131,11 @@ _TABLE_NS_PER_ENTRY = 22
 # The stabilizer search tries every candidate on this many elements of S
 # before any full check.
 _PROBES = 4
+# It tests membership in S by one gather from a table of 2^m booleans when
+# m is at most _TABLE_MAX_M (64 KiB, whose fill costs a few us even for a
+# four-point S), and otherwise by a sorted search, the only test that fits
+# a small claim at m = 32.
+_TABLE_MAX_M = 16
 
 # One gather of the scan takes at most this many (leader, element) pairs,
 # so its int64 temporaries take 128 KB (at 2^16 pairs, the scan of 3,072
@@ -555,10 +569,13 @@ def is_min_weight(cw) -> Verdict:
     """Certify the support as a minimum-weight codeword: membership plus
     weight exactly equal to the claimed designed distance.  The one place
     that maps a punctured claim to the extended one (see the module text);
-    the verdict keeps the punctured weight and d."""
+    the verdict keeps the punctured weight and d.  Elements outside the
+    field raise ValueError."""
     ctx, d, elems = cw.ctx, cw.claimed_distance, cw.elems
     if not 2 <= d <= ctx.n + 1:
         raise ValueError(f"claimed distance must be in 2..{ctx.n + 1}, got {d}")
+    if len(elems) and int(elems.max()) >> ctx.m:
+        raise ValueError(f"support elements must lie in GF(2^{ctx.m})")
     if cw.extended:
         if d % 2:
             raise ValueError(f"extended claim needs even d, got {d}")
@@ -596,31 +613,40 @@ def _verdict(ctx, elems, d: int, search: bool) -> Verdict:
     return Verdict(member, len(elems), d, member and len(elems) == d, fail, route)
 
 
-def _inside(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Whether each uint64 element of y lies in the sorted array s."""
-    return s[np.minimum(np.searchsorted(s, y), len(s) - 1)] == y
+def _membership(s: np.ndarray, m: int):
+    """A test of whether each element of a uint64 array of GF(2^m) lies in
+    the sorted distinct uint64 elements s of that field: one gather from a
+    boolean table of 2^m entries filled from s, at m <= _TABLE_MAX_M; a
+    sorted search of s above."""
+    if m > _TABLE_MAX_M:
+        return lambda y: s[np.minimum(np.searchsorted(s, y), len(s) - 1)] == y
+    table = np.zeros(1 << m, dtype=bool)
+    table[s.view(np.int64)] = True
+    return lambda y: table[y.view(np.int64)]
 
 
-def _witness(s: np.ndarray, x_set: np.ndarray, v):
+def _witness(inside, x_set: np.ndarray, v):
     """The first x in x_set with x + v outside S, or None if there is none:
-    the full check of a candidate v of the stabilizer search."""
-    kept = _inside(s, x_set ^ v)
+    the full check of a candidate v of the stabilizer search, with inside
+    the membership test of S."""
+    kept = inside(x_set ^ v)
     return None if kept.all() else x_set[np.argmin(kept)]
 
 
 def _stabilizer(s: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
-    """(B, X) for the sorted distinct uint64 elements s, at least two: B a
-    basis, with distinct top bits, of a subspace V of {v : S + v = S}, and
-    X the elements of S whose bits at those top bits are 0, one per coset
-    of V, so S = X + V.  V is the whole stabilizer unless 2m full checks
-    failed first (see the module text)."""
+    """(B, X) for the sorted distinct uint64 elements s of GF(2^m), at least
+    two: B a basis, with distinct top bits, of a subspace V of
+    {v : S + v = S}, and X the elements of S whose bits at those top bits
+    are 0, one per coset of V, so S = X + V.  V is the whole stabilizer
+    unless 2m full checks failed first (see the module text)."""
+    inside = _membership(s, m)
     cand = s[1:] ^ s[0]  # S + s_0, 0 left out
     for p in s[len(s) * np.arange(1, _PROBES + 1) // (_PROBES + 1)]:
-        cand = cand[_inside(s, cand ^ p)]
+        cand = cand[inside(cand ^ p)]
     basis, x_set, failed = [], s, 0
     while len(cand) and failed < 2 * m:
         v = cand[0]
-        x = _witness(s, x_set, v)
+        x = _witness(inside, x_set, v)
         if x is None:  # S + v lies in S, since S = X + span(basis)
             basis.append(int(v))
             top = np.uint64(1 << (int(v).bit_length() - 1))
@@ -629,7 +655,7 @@ def _stabilizer(s: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
             x_set = x_set[(x_set & top) == 0]
         else:
             failed += 1
-            cand = cand[_inside(s, cand ^ x)]  # v goes, and every c with x + c outside S
+            cand = cand[inside(cand ^ x)]  # v goes, and every c with x + c outside S
     return basis, x_set
 
 

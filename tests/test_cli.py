@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -220,6 +221,34 @@ def test_verify_mutated_fixture(tmp_path, capsys):
     assert code == EXIT_VERIFY_FAIL
     doc = json.loads(out)
     assert doc["is_min_weight"] is False and doc["failing_syndrome"] is not None
+
+
+VERDICT_STDOUT = {
+    "member": (
+        '{\n  "member": true,\n  "weight": 27,\n  "claimed_distance": 27,\n'
+        '  "is_min_weight": true,\n  "failing_syndrome": null,\n  "route": "scan"\n}\n'
+    ),
+    "failing": (
+        '{\n  "member": false,\n  "weight": 27,\n  "claimed_distance": 27,\n'
+        '  "is_min_weight": false,\n  "failing_syndrome": [\n    1,\n    38\n  ],\n'
+        '  "route": "scan"\n}\n'
+    ),
+}
+
+
+def test_verify_stdout_is_pinned(tmp_path, capsys):
+    # the verdict's six fields, in order, as json.dumps(dataclasses.asdict(
+    # verdict), indent=2) renders them, byte for byte: the m = 8 fixture
+    # and its copy with the last log moved by one
+    poly, exps = BCH27_FIXTURES[8]
+    moved = list(exps[:-1]) + [(exps[-1] + 1) % 255]
+    for kind, logs, expect in (("member", exps, EXIT_OK), ("failing", moved, EXIT_VERIFY_FAIL)):
+        path = tmp_path / f"{kind}.log"
+        path.write_text("m=8 poly=0x11d d=27 extended=0\n" + ",".join(map(str, sorted(logs))))
+        code, out = _run(capsys, ["verify", str(path)])
+        assert (code, out) == (expect, VERDICT_STDOUT[kind])
+        verdict = verify.is_min_weight(parse_support_file(path.read_text()))
+        assert out == json.dumps(dataclasses.asdict(verdict), indent=2) + "\n"
 
 
 def test_verify_parse_error(tmp_path, capsys):

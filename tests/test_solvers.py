@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bchmin import gflinalg, linearized
@@ -108,6 +110,29 @@ def test_solve_i2_odd_structure(m):
 def test_solve_i2_odd_deterministic_given_seed():
     ctx = default_field(7)
     assert solve_i2_odd(ctx, 99).solution.b == solve_i2_odd(ctx, 99).solution.b
+
+
+def _four_root_i2_odd(ctx, seed: int):
+    """(b, draws) of solve_i2_odd with all four cube roots of its tuple
+    taken as roots, drawing c as it does."""
+    v, vp, inv3, rand = 1, ctx.alpha, pow(3, -1, ctx.n), random.Random(seed)
+    for attempt in range(1, 65):
+        while (c := rand.getrandbits(ctx.m)) in (0, v, vp):
+            pass
+        pairs = ((v, c ^ v), (c ^ v, v), (vp, c ^ vp), (c ^ vp, vp))
+        b = tuple(ctx.pow(ctx.mul(ctx.mul(a, a), ctx.inv(e)), inv3) for a, e in pairs)
+        if gflinalg.independent(ctx, b):
+            return b, attempt
+    raise AssertionError("no independent draw")
+
+
+@pytest.mark.parametrize("m", range(5, 32, 2))
+def test_solve_i2_odd_matches_the_four_root_formula(m):
+    # one cube root per pair: the second root of each pair is w / t^2
+    ctx = default_field(m)
+    for seed in range(1, 21):
+        rep = solve_i2_odd(ctx, seed)
+        assert (rep.solution.b, rep.trials) == _four_root_i2_odd(ctx, seed), seed
 
 
 def test_solve_i2_odd_requires_odd_m():

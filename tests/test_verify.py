@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from dataclasses import astuple
 from functools import reduce
 from operator import xor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1059,16 +1061,21 @@ def test_search_without_symmetry_falls_back():
             assert searched.route == _pick_route(ctx, claimed - 2, size, False)
 
 
-def test_stabilizer_search_caps_failed_checks(monkeypatch):
-    # S = W + (h + W less e1, e2) + {z, z + e1 + e2}, with W the 256
-    # elements below 2^8, at m = 12: p_1 = 0 and |S| is even; every nonzero
-    # w in W but four passes the probes, and only e1 + e2 = 0xff, the last
-    # of them, stabilizes S.  Each failed check's witness removes about two
-    # candidates, so the search gives up after 2m = 24 failed checks.
-    ctx = default_field(12)
+def _capped_search_support() -> set:
+    """S = W + (h + W less e1, e2) + {z, z + e1 + e2}, with W the 256
+    elements below 2^8, at m = 12: p_1 = 0 and |S| is even; every nonzero
+    w in W but four passes the probes, and only e1 + e2 = 0xff, the last
+    of them, stabilizes S."""
     e1, e2, h, z = 0x80, 0x7F, 0x100, 0x200
     low = set(range(256))
-    elems = low | {h ^ w for w in low - {e1, e2}} | {z, z ^ e1 ^ e2}
+    return low | {h ^ w for w in low - {e1, e2}} | {z, z ^ e1 ^ e2}
+
+
+def test_stabilizer_search_caps_failed_checks(monkeypatch):
+    # the support of `_capped_search_support`: each failed check's witness
+    # removes about two candidates, so the search gives up after 2m = 24
+    # failed checks
+    ctx, elems = default_field(12), _capped_search_support()
     assert reduce(xor, elems) == 0 and len(elems) % 2 == 0
     assert _stabilizer_dim(elems) == 1
     checks = []
@@ -1079,3 +1086,89 @@ def test_stabilizer_search_caps_failed_checks(monkeypatch):
     verdict = _forced(CodewordSupport(ctx, elems, len(elems), True), "affine")
     assert len(checks) == 2 * 12 and verdict.route != "affine"
     _routes_agree(CodewordSupport(ctx, elems, len(elems), True))
+
+
+def _coset_swap(spec, rand) -> frozenset:
+    """X + span(B) with the coset of its least x replaced by one outside
+    it: still a union of cosets of span(B), so the search finds B, and
+    p_1 is kept when |B| >= 2."""
+    support, span = elem_set(expand(spec)), _span(spec.basis)
+    while True:
+        y = _outsider(spec.ctx, support, rand)
+        if not support & {y ^ v for v in span}:
+            x = int(spec.x_set[0])
+            return (support - {x ^ v for v in span}) | {y ^ v for v in span}
+
+
+def _memberships_agree(claim):
+    """The search's (B, X) on claim.elems and the default and forced-search
+    Verdicts of claim, asserted equal with membership in S tested by the
+    2^m-entry table and by the sorted search."""
+    results = []
+    for table_max_m in (claim.ctx.m, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_TABLE_MAX_M", table_max_m)
+            basis, x_set = verify._stabilizer(claim.elems, claim.ctx.m)
+            results.append((basis, x_set.tolist(), is_min_weight(claim), _forced(claim, "affine")))
+    assert results[0] == results[1]
+    return results[0]
+
+
+@pytest.mark.parametrize(
+    "m, i, s", [(10, 2, 0), (12, 4, 0), (13, 3, 3), (14, 3, 4), (16, 2, 4), (16, 4, 4), (16, 3, 3),
+                (16, 2, 1), (16, 3, 1)],
+)
+def test_table_and_sorted_membership_agree(m, i, s):
+    # the benchmark's verify_files cells and (16, 2..3, 1), extended and
+    # punctured, a coset-swap mutant and one-element mutants of each
+    # (moved, added, removed, and two moved keeping p_1): the search finds
+    # the same (B, X) and the claims get the same Verdicts either way
+    rand = rng(300 + m + i + s)
+    cw, _, spec = generate(default_field(m), i, s, 1)
+    ctx, d, support = cw.ctx, cw.claimed_distance, elem_set(cw)
+    mutants = [_mutate(ctx, support, kind, rand) for kind in ("swap", "add", "remove", "p1swap")]
+    if spec.basis:
+        mutants.append(_coset_swap(spec, rand))
+    basis, _, verdict, _ = _memberships_agree(cw)
+    assert verdict.is_min_weight and len(basis) >= len(spec.basis)
+    _memberships_agree(puncture(cw, int(cw.elems[0])))
+    for elems in mutants:
+        _memberships_agree(CodewordSupport(ctx, elems, d, True))
+        _memberships_agree(CodewordSupport(ctx, elems - {0}, d - 1, False))
+
+
+def test_table_and_sorted_membership_agree_on_the_capped_search():
+    ctx, elems = default_field(12), _capped_search_support()
+    basis, _, verdict, searched = _memberships_agree(CodewordSupport(ctx, elems, len(elems), True))
+    assert basis == [] and searched.route != "affine"
+
+
+def test_membership_table_only_up_to_m_16():
+    # an 8-point translate of a 3-dimensional subspace: the search fills a
+    # 2^m-entry table at m = 16 and none at m = 17, where it searches the
+    # sorted support; numpy reports its buffers to tracemalloc
+    for m, table in ((16, True), (17, False)):
+        elems = elem_array(_subspace_member(default_field(m), 3, True, rng(m)))
+        tracemalloc.start()
+        try:
+            basis, _ = verify._stabilizer(elems, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == 3 and (peak >= 1 << m) == table, (m, peak)
+
+
+@pytest.mark.parametrize("m", [12, 16, 25])
+def test_elements_outside_the_field_raise(m):
+    # a duck-typed claim whose elements reach 2^m, extended and punctured:
+    # one element at 2^m (odd weight), and two elements moved past 2^m
+    # keeping parity and p_1, so that no later check would refuse it
+    cw, _, _ = generate(default_field(m), 2, 0 if m < 25 else 21, 1)
+    high = np.uint64(1 << m)
+    moved = cw.elems.copy()
+    moved[-2:] ^= high
+    for elems in (np.append(cw.elems, high), np.sort(moved)):
+        for extended, d in ((True, cw.claimed_distance), (False, cw.claimed_distance - 1)):
+            claim = SimpleNamespace(ctx=cw.ctx, claimed_distance=d, extended=extended, elems=elems)
+            with pytest.raises(ValueError, match="must lie in GF"):
+                is_min_weight(claim)
