@@ -9,25 +9,25 @@ residue class of X modulo the primitive polynomial.
 
 Fields with m <= 20 build log/antilog tables at construction and multiply
 through them.  At m = 21..24 the tables (2^m entries, 129 MB at m = 24) are
-built on the first `exp_array` or `log_array` call, and until then the field
-multiplies without them, as every larger field does: a 4-bit windowed
-carry-less product, or for a square one bit-spread lookup per byte, whose
-high m - 1 bits are folded back with one lookup per byte into tables of
-(b X^(m+8k)) mod poly; the inverse is the extended Euclidean algorithm on
-the polynomials themselves.  `mul_array` multiplies uint64 arrays
-elementwise for any m: a short array by one shift-XOR per bit, a longer one
-by 16 integer products of 4-bit-spaced masks, then the same fold as one
-gather per byte.  `frobenius_array` and `linear_array` apply GF(2)-linear
-maps to such arrays, one byte-table gather per byte.  `logs` and `elems`
-take discrete logs
-and powers of alpha of whole arrays, from the full tables once built, and
-for a small array at m = 21..24 through two subgroups of about sqrt(2^m)
-elements each instead (Pohlig and Hellman, IEEE Trans. IT, 1978).
+built on the first `exp_array` or `log_array` call, in the calling thread
+(0.25-0.5 s at m = 24), and until then the field multiplies without them,
+as every larger field does: a 4-bit windowed carry-less product, or for a
+square one bit-spread lookup per byte, whose high m - 1 bits are folded
+back with one lookup per byte into tables of (b X^(m+8k)) mod poly; the
+inverse is the extended Euclidean algorithm on the polynomials themselves.
+`mul_array` multiplies uint64 arrays elementwise for any m: a short array
+by one shift-XOR per bit, a longer one by 16 integer products of
+4-bit-spaced masks, then the same fold as one gather per byte.
+`frobenius_array` and `linear_array` apply GF(2)-linear maps to such
+arrays, one byte-table gather per byte.  `logs` and `elems` take discrete
+logs and powers of alpha of whole arrays, from the full tables once built,
+and for a small array at m = 21..24 through two subgroups of about
+sqrt(2^m) elements each instead (Pohlig and Hellman, IEEE Trans. IT,
+1978).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -97,7 +97,7 @@ _MASKS2 = np.concatenate((_MASKS, _MASKS))
 # to 2^(m - _SUBGROUP_SHIFT) elements while the tables are unbuilt, and
 # build the tables for longer ones: about where the two cost the same (the
 # subgroup logs took 330-700 ns per element over 2^12..2^16 elements, the
-# build 12-19 ns per table entry, in process on 2 vCPUs).
+# build 13-20 ns per table entry, in process on 2 vCPUs).
 _SUBGROUP_SHIFT = 5
 
 # _SPREAD[v] is the carry-less square of the byte v: its bits moved to the
@@ -140,14 +140,6 @@ def _int(s: str, base: int, what: str) -> int:
     if len(s) > 4300 and sum(map(str.isdigit, s)) > 4300:
         raise ValueError(f"{what} {s[:12]}... has over 4300 digits")
     return int(s, base)
-
-
-def _cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def _clmul(a: int, b: int) -> int:
@@ -546,24 +538,33 @@ class GF2m:
 
     def _build_tables(self) -> None:
         """exp[k] = alpha^k for k < n and log[exp[k]] = k; log[0] is unused.
-        Both are built in rows of w = min(n, _BLOCK) entries.  Row 0 of exp
-        is `_powers` of alpha.  Row q is alpha^(qw) times row 0, a
-        GF(2)-linear map: one gather per byte of row 0, whose bytes are
-        indexed once.  Each row writes its own logs, log[row] = qw + j.
-        The rows are split over the cores this process may run on, one
-        thread each (numpy releases the GIL in the gathers and the
-        scatter); a field of one row, any m <= 16, starts no thread.
-        Scalar arithmetic indexes zero-copy memoryviews of both tables."""
+        Both are built in rows of w = min(n, _BLOCK) entries, one after
+        another in the calling thread.  Row 0 of exp is `_powers` of alpha.
+        Row q is alpha^(qw) times row 0, a GF(2)-linear map: one gather per
+        byte of row 0, whose bytes are indexed once, for rows 1.. only.
+        Each row writes its own logs, log[row] = qw + j.  At m = 24 this
+        takes 0.25-0.5 s in a fresh process on 2 vCPUs (0.16-0.5 s with the
+        rows split over two threads, which no workload paid for).  Scalar
+        arithmetic indexes zero-copy memoryviews of both tables."""
         n = self.n
         w = min(n, _BLOCK)
         exp = np.empty(n, dtype=np.uint32)
-        exp[:w] = self._powers(self.alpha, w, np.uint32)
         log = np.zeros(n + 1, dtype=np.uint32)
-        rows = -(-n // w)
-        if rows == 1:
-            log[exp] = np.arange(n, dtype=np.uint32)
-        else:
-            self._fill_rows(exp, log, w, rows)
+        base = exp[:w] = self._powers(self.alpha, w, np.uint32)
+        nbytes = -(-self.m // 8) if n > w else 0
+        idx = [(base >> 8 * k & 0xFF).astype(np.intp) for k in range(nbytes)]
+        tmp = np.empty(w, dtype=np.uint32)
+        step = c = self._mul_free(int(base[-1]), 2)  # alpha^w
+        for lo in range(0, n, w):
+            row = exp[lo:lo + w]
+            r = len(row)
+            if lo:  # "wrap" gathers unbuffered; byte indices never wrap
+                row.fill(0)
+                for k, tab in enumerate(_byte_tables(c, self.m, self.poly, self.m)):
+                    tab = np.array(tab, dtype=np.uint32)
+                    row ^= np.take(tab, idx[k][:r], out=tmp[:r], mode="wrap")
+                c = self._mul_free(c, step)
+            log[row] = np.arange(lo, lo + r, dtype=np.uint32)
         # alpha has order n iff exp hits 1..n once each: an entry above n
         # raised in the scatter, and only k = 0 wrote a 0, to log[1]
         assert log[2:].all()
@@ -590,45 +591,6 @@ class GF2m:
                 dst ^= np.array(tab, dtype=dtype)[byte]
             size += top
         return out
-
-    def _fill_rows(self, exp: np.ndarray, log: np.ndarray, w: int, rows: int) -> None:
-        """Rows 1.. of exp from row 0, and the logs of every row, in
-        contiguous runs of rows, one per worker; the calling thread takes
-        the first run.  A worker's exception is raised here."""
-        base = exp[:w]
-        idx = [(base >> 8 * k & 0xFF).astype(np.intp) for k in range(-(-self.m // 8))]
-        step = self._mul_free(int(base[-1]), 2)  # alpha^w
-        errors = []
-
-        def fill(lo: int, hi: int) -> None:
-            try:
-                tmp = np.empty(w, dtype=np.uint32)
-                c = self._pow_nontable(step, lo)  # alpha^(lo w)
-                for q in range(lo, hi):
-                    row = exp[q * w:(q + 1) * w]
-                    r = len(row)
-                    if q:  # "wrap" gathers unbuffered; byte indices never wrap
-                        row.fill(0)
-                        for k, tab in enumerate(_byte_tables(c, self.m, self.poly, self.m)):
-                            tab = np.array(tab, dtype=np.uint32)
-                            row ^= np.take(tab, idx[k][:r], out=tmp[:r], mode="wrap")
-                    log[row] = np.arange(q * w, q * w + r, dtype=np.uint32)
-                    c = self._mul_free(c, step)
-            except BaseException as exc:  # raised again by the calling thread
-                errors.append(exc)
-
-        workers = min(rows, _cores())
-        cuts = [rows * t // workers for t in range(workers + 1)]
-        threads = [
-            threading.Thread(target=fill, args=(cuts[t], cuts[t + 1])) for t in range(1, workers)
-        ]
-        for t in threads:
-            t.start()
-        fill(cuts[0], cuts[1])
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
 
     def _require_tables(self) -> None:
         if not self.has_logs:

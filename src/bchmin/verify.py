@@ -123,8 +123,10 @@ _LOOKUP_NS = 40
 # m = 24..32): 57-61 ns at 511 and 2,047 points, 81-94 ns at 127, so
 # 82-134 scaled; 90 is kept, since any value in (89.2, 90] leaves every
 # route at m > 24 as it was.  One entry of the log tables built at
-# m = 21..24 in a fresh process (`GF2m._build_tables`, two threads): 12-19
-# ns, so 17-27 scaled.
+# m = 21..24 in a fresh process, in one thread (`GF2m._build_tables`): 14-20
+# ns (median 17 at m = 24; 24-30 in a slower spell of the same host), so
+# 20-28 scaled; 22 is kept, so no route moves (a re-fit is direction 7 of
+# the ROADMAP).
 _WALK_NS_PER_ELEMENT = 90
 _TABLE_NS_PER_ENTRY = 22
 

@@ -632,52 +632,33 @@ def test_tables_match_reference_walk(m, poly):
     assert ctx.log_array()[1:].tolist() == log[1:]
 
 
+def _no_thread(self):
+    raise AssertionError("a table build started a thread")
+
+
 @pytest.mark.parametrize(
     "m, poly", [(m, _DEFAULT_POLYS[m]) for m in range(5, 13)] + [(8, 0x12B), (10, 0x481)]
 )
 def test_row_layout_matches_reference_walk(monkeypatch, m, poly):
-    # small rows give a partial last row, more rows than workers, and (at
-    # n <= block) the single row, which starts no thread
+    # small rows give a partial last row and more rows than one; no build
+    # starts a thread
     exp, log = _reference_tables(m, poly)
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often: interleave the rows' writes
-    try:
-        for block in (16, 100, 128):
-            monkeypatch.setattr(gf2m, "_BLOCK", block)
-            rows = -(-len(exp) // block)
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(gf2m, "_cores", lambda: workers)
-                started.clear()
-                ctx = GF2m(m, poly)
-                assert ctx.exp_array().tolist() == exp
-                assert ctx.log_array()[1:].tolist() == log[1:]
-                assert len(started) == (min(rows, workers) - 1 if rows > 1 else 0)
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    for block in (16, 100, 128):
+        monkeypatch.setattr(gf2m, "_BLOCK", block)
+        ctx = GF2m(m, poly)
+        assert ctx.exp_array().tolist() == exp
+        assert ctx.log_array()[1:].tolist() == log[1:]
 
 
-def test_row_worker_exception_reaches_the_caller(monkeypatch):
-    # an error in a row built by another thread is raised by the constructor
-    orig = gf2m._byte_tables
-
-    def failing(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("row table")
-        return orig(*args)
-
-    monkeypatch.setattr(gf2m, "_byte_tables", failing)
-    monkeypatch.setattr(gf2m, "_BLOCK", 16)
-    monkeypatch.setattr(gf2m, "_cores", lambda: 3)
-    with pytest.raises(MemoryError, match="row table"):
-        GF2m(8)
+def test_table_builds_start_no_thread(monkeypatch):
+    # the eager multi-row build at m = 17 and the lazy one at m = 21 run in
+    # the calling thread
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    assert GF2m(17).tables_built
+    ctx = GF2m(21)
+    assert not ctx.tables_built
+    assert len(ctx.log_array()) == ctx.n + 1
 
 
 def test_m24_tables_whole():
@@ -726,10 +707,10 @@ def test_memoryview_path_matches_polynomial_arithmetic(m):
 
 
 # A fresh interpreter building the m = 24 tables: 2 x 64 MB of uint32 arrays,
-# built and scattered in rows of 2^16 entries (~160 MB and 0.3-0.5 s with two
-# threads, 0.5-0.6 s with one, measured on a 2-vCPU x86-64 machine).  The
-# whole-array log scatter peaked at 252-254 MB (~0.9 s); the Python-list
-# tables took 1.38 GB and ~8 s.
+# built and scattered in rows of 2^16 entries in the calling thread (~160 MB
+# and 0.25-0.5 s on a 2-vCPU x86-64 machine, about 1.4x the time with the
+# rows split over two threads).  The whole-array log scatter peaked at
+# 252-254 MB (~0.9 s); the Python-list tables took 1.38 GB and ~8 s.
 _M24_RSS_CEILING_MB = 250
 _M24_WALL_CEILING_S = 10.0
 # On Linux ru_maxrss also holds the parent's peak at exec, so the child reads
