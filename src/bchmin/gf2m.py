@@ -19,18 +19,20 @@ inverse is the extended Euclidean algorithm on the polynomials themselves.
 by one shift-XOR per bit, a longer one by 16 integer products of
 4-bit-spaced masks, then the same fold as one gather per byte.
 `frobenius_array` and `linear_array` apply GF(2)-linear maps to such
-arrays, one byte-table gather per byte.  `logs` and `elems` take discrete
-logs and powers of alpha of whole arrays, from the full tables once built,
-and for a small array at m = 21..24 through two subgroups of about
-sqrt(2^m) elements each instead (Pohlig and Hellman, IEEE Trans. IT,
-1978).
+arrays, one byte-table gather per byte.  Every byte table (the fold, the
+multiplications by a constant that build the log tables, Frobenius and
+`linear_array`) comes from `_linear_tables` of the map's columns.  `logs`
+and `elems` take discrete logs and powers of alpha of whole arrays, from
+the full tables once built, and for a small array at m = 21..24 through
+two subgroups of about sqrt(2^m) elements each instead (Pohlig and
+Hellman, IEEE Trans. IT, 1978).
 """
 
 from __future__ import annotations
 
 import threading
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import prod
 from typing import NamedTuple
 
@@ -172,22 +174,6 @@ def _square(a: int) -> int:
     )
 
 
-def _byte_tables(img: int, m: int, poly: int, bits: int) -> list[list[int]]:
-    """Doubling tables of img X^t mod poly, t < bits, one per 8 bits of t:
-    entry b of table k is the sum of img X^(8k + t) mod poly over the set
-    bits t of b."""
-    tables = []
-    for t in range(bits):
-        if t % 8 == 0:
-            tab = [0]
-            tables.append(tab)
-        tab += [v ^ img for v in tab]
-        img <<= 1
-        if img >> m:
-            img ^= poly
-    return tables
-
-
 # Row t holds bit t of each byte value 0..255, as 0/1 words.
 _BYTE_BITS = (np.arange(256, dtype=np.uint64) >> np.arange(8, dtype=np.uint64)[:, None]) & 1
 
@@ -201,13 +187,24 @@ def _linear_tables(cols) -> np.ndarray:
     return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 8, 1), axis=1)
 
 
-def _apply_linear(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The map of `_linear_tables` on the uint64 array x: one gather per
-    byte."""
-    img = tables[0][x & 0xFF]
-    for k, tab in enumerate(tables[1:], 1):
-        img ^= tab[(x >> (8 * k)) & 0xFF]
-    return img
+def _gather(tables: np.ndarray, idx, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The map of `_linear_tables` into out, on the elements whose byte k
+    is idx[k] (an iterable, one index array per row): the XOR of the
+    gathers, each after the first into tmp, of out's shape.  "wrap"
+    gathers unbuffered; byte indices never wrap."""
+    tables, idx = tables.astype(out.dtype, copy=False), iter(idx)
+    np.take(tables[0], next(idx), out=out, mode="wrap")
+    for tab, i in zip(tables[1:], idx):
+        out ^= np.take(tab, i, out=tmp, mode="wrap")
+    return out
+
+
+def _apply_linear(tables: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The map of `_linear_tables` on the array x, into out (by default a
+    new array like x): one gather per byte of x."""
+    out = np.empty_like(x) if out is None else out
+    idx = (x >> 8 * k & 0xFF for k in range(len(tables)))
+    return _gather(tables, idx, out, np.empty_like(out))
 
 
 def _factorize(x: int) -> list[int]:
@@ -317,7 +314,7 @@ class GF2m:
         self.alpha = 2
         # entry [k][b] is (b X^(m+8k)) mod poly, for the high m - 1 bits of
         # a product of two field elements; from (m, poly) alone
-        self._fold = _byte_tables(poly ^ (1 << m), m, poly, m - 1)
+        self._fold = _linear_tables(self.alpha_steps(poly ^ (1 << m), 1, m - 1)).tolist()
 
         # poly is accepted iff X has order exactly n modulo it.  The n powers
         # of X are then n distinct units, so every nonzero residue is a unit
@@ -409,13 +406,10 @@ class GF2m:
     def _fold_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Constants of `mul_array`: the bit shifts 0..m-1 and the byte
         shifts 8k of the high half of a product, as columns; the offsets
-        256k; and the `_fold` tables as one flat array, each padded to 256
-        entries."""
-        table = np.zeros((len(self._fold), 256), dtype=np.uint64)
-        for k, tab in enumerate(self._fold):
-            table[k, :len(tab)] = tab
+        256k; and the `_fold` tables as one flat array."""
+        table = np.array(self._fold, dtype=np.uint64).ravel()
         shifts = np.arange(0, 8 * len(self._fold), 8, dtype=np.uint64)[:, None]
-        return np.arange(self.m, dtype=np.uint64)[:, None], shifts, shifts << 5, table.ravel()
+        return np.arange(self.m, dtype=np.uint64)[:, None], shifts, shifts << 5, table
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0.  With
@@ -474,28 +468,15 @@ class GF2m:
 
     def frobenius_array(self, x: np.ndarray, k: int) -> np.ndarray:
         """x^(2^(k mod m)) elementwise for a uint64 array x of field
-        elements: a GF(2)-linear map, one gather per byte of x from byte
-        tables kept per k.  The square map's columns alpha^(2t) and the
-        square root's, alpha^(t/2) for even t and alpha^((t-1)/2) sqrt(alpha)
-        for odd t with sqrt(alpha) = alpha^(2^(m-1)), come from shifts; any
-        other k applies one of the two min(k, m - k) times to the unit
-        columns, so no k costs m k scalar squarings."""
-        m = self.m
-        k %= m
+        elements: a GF(2)-linear map, one gather per byte of x from the
+        `_linear_tables` kept per k.  Column t, the image of alpha^t, is
+        g^t for g = alpha^(2^k): m - 1 scalar products."""
+        k %= self.m
         tables = self._frobenius_tables.get(k)
         if tables is None:
-            if k == 1:
-                cols = self.alpha_steps(1, 2, m)
-            elif k == m - 1:
-                root, half = self._pow_nontable(2, 1 << (m - 1)), (m + 1) // 2  # sqrt(alpha)
-                pairs = zip(self.alpha_steps(1, 1, half), self.alpha_steps(root, 1, half))
-                cols = [c for pair in pairs for c in pair][:m]
-            else:
-                step, times = (1, k) if 2 * k <= m else (m - 1, m - k)
-                cols = np.uint64(1) << np.arange(m, dtype=np.uint64)
-                for _ in range(times):
-                    cols = self.frobenius_array(cols, step)
-            tables = self._frobenius_tables[k] = _linear_tables(cols)
+            g = self.pow(self.alpha, 1 << k)
+            cols = accumulate([g] * (self.m - 1), self.mul, initial=1)
+            tables = self._frobenius_tables[k] = _linear_tables(list(cols))
         return _apply_linear(tables, x)
 
     def alpha_steps(self, v: int, t: int, count: int) -> list[int]:
@@ -541,7 +522,9 @@ class GF2m:
         Both are built in rows of w = min(n, _BLOCK) entries, one after
         another in the calling thread.  Row 0 of exp is `_powers` of alpha.
         Row q is alpha^(qw) times row 0, a GF(2)-linear map: one gather per
-        byte of row 0, whose bytes are indexed once, for rows 1.. only.
+        byte of row 0 from the `_linear_tables` of the multiplication by
+        alpha^(qw), into the row itself; the bytes of row 0 are indexed
+        once, for rows 1.. only.
         Each row writes its own logs, log[row] = qw + j.  At m = 24 this
         takes 0.25-0.5 s in a fresh process on 2 vCPUs (0.16-0.5 s with the
         rows split over two threads, which no workload paid for).  Scalar
@@ -558,11 +541,9 @@ class GF2m:
         for lo in range(0, n, w):
             row = exp[lo:lo + w]
             r = len(row)
-            if lo:  # "wrap" gathers unbuffered; byte indices never wrap
-                row.fill(0)
-                for k, tab in enumerate(_byte_tables(c, self.m, self.poly, self.m)):
-                    tab = np.array(tab, dtype=np.uint32)
-                    row ^= np.take(tab, idx[k][:r], out=tmp[:r], mode="wrap")
+            if lo:
+                tables = _linear_tables(self.alpha_steps(c, 1, self.m))
+                _gather(tables, [i[:r] for i in idx], row, tmp[:r])
                 c = self._mul_free(c, step)
             log[row] = np.arange(lo, lo + r, dtype=np.uint32)
         # alpha has order n iff exp hits 1..n once each: an entry above n
@@ -572,23 +553,17 @@ class GF2m:
         self._exp, self._log = memoryview(exp), memoryview(log)  # _log last: `mul` tests it
 
     def _powers(self, g: int, count: int, dtype=np.uint64) -> np.ndarray:
-        """g^k for k < count, filled by doubling: x -> c*x with c = g^size
-        is GF(2)-linear, so each doubling XORs one gather per byte of x
-        from a 256-entry table of c times that byte."""
+        """g^k for k < count, filled by doubling: x -> c x with c = g^size
+        is GF(2)-linear, with columns c alpha^t, so each doubling is one
+        gather per byte of x from the `_linear_tables` of that map."""
         out = np.empty(count, dtype=dtype)
         out[:1] = 1
         size = 1
         while size < count:
             top = min(size, count - size)
-            src, dst = out[:top], out[size:size + top]
-            dst.fill(0)
             c = self._mul_free(int(out[size - 1]), g)  # g^size
-            for k, tab in enumerate(_byte_tables(c, self.m, self.poly, self.m)):
-                # tab[v] = c * (v << 8k)
-                byte = src >> 8 * k
-                if 8 * k + 8 < self.m:
-                    byte &= 0xFF
-                dst ^= np.array(tab, dtype=dtype)[byte]
+            tables = _linear_tables(self.alpha_steps(c, 1, self.m))
+            _apply_linear(tables, out[:top], out[size:size + top])
             size += top
         return out
 

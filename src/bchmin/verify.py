@@ -179,24 +179,6 @@ def designed_distance(m: int, s: int, i: int) -> int:
     return ((1 << (m - s)) - (1 << (m - i - s))) >> 1  # 0 at i = 0, s = m
 
 
-def _syndromes(ctx, nonzero, j_max: int) -> list[int]:
-    """[p_1, ..., p_j_max] over the nonzero uint64 support elements.  With
-    built log tables each p_j is one gather of alpha^(j log x); without,
-    the odd p_j come from the blocked walk `_odd_power_sums` and each even
-    one is p_(j/2) squared."""
-    if ctx.tables_built:
-        n, exp, logs = ctx.n, ctx.exp_array(), ctx.logs(nonzero).astype(np.int64)
-        return [int(np.bitwise_xor.reduce(exp[(logs * j) % n])) for j in range(1, j_max + 1)]
-    p, odd = [0], []
-    for _, block in _odd_power_sums(ctx, nonzero, j_max):
-        odd += block.tolist()
-        if 2 * len(odd) >= j_max:
-            break
-    for j in range(1, j_max + 1):
-        p.append(odd[j // 2] if j % 2 else ctx.mul(p[j // 2], p[j // 2]))
-    return p[1:]
-
-
 def _times(ctx, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Each row of the 2-D uint64 array rows times y, elementwise."""
     ys = y if len(rows) == 1 else np.tile(y, len(rows))
@@ -226,13 +208,21 @@ def _odd_power_sums(ctx, x: np.ndarray, j_limit: int):
 
 def power_sums(cw, j_max: int) -> list[int]:
     """[p_1, ..., p_j_max] with p_j the sum of x^j over nonzero x in the
-    support."""
+    support: the odd p_j from the blocked walk `_odd_power_sums`, on any
+    field, and each even one p_(j/2) squared."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    nonzero = cw.elems[cw.elems != 0]
+    ctx, nonzero = cw.ctx, cw.elems[cw.elems != 0]
     if not len(nonzero):
         return [0] * j_max
-    return _syndromes(cw.ctx, nonzero, j_max)
+    p, odd = [0], []
+    for _, block in _odd_power_sums(ctx, nonzero, j_max):
+        odd += block.tolist()
+        if 2 * len(odd) >= j_max:
+            break
+    for j in range(1, j_max + 1):
+        p.append(odd[j // 2] if j % 2 else ctx.mul(p[j // 2], p[j // 2]))
+    return p[1:]
 
 
 def _coset_leaders(m: int, lo: int, hi: int):

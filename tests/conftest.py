@@ -135,7 +135,7 @@ def min_poly(ctx, r: int) -> int:
 
 
 def scalar_syndromes(ctx, nonzero, j_max):
-    """Reference for `verify._syndromes` on fields without log tables: p_j,
+    """Reference for `verify.power_sums` on fields without log tables: p_j,
     j = 1..j_max, as the XOR of one scalar `ctx.pow(x, j)` per support
     element."""
     return [reduce(xor, (ctx.pow(int(x), j) for x in nonzero), 0) for j in range(1, j_max + 1)]

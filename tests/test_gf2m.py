@@ -503,7 +503,7 @@ def test_log_exp_roundtrip_exhaustive(m):
 def test_frobenius_array_matches_scalar_frobenius(m):
     ctx, r = default_field(m), rng(200 + m)
     x = [0, 1, ctx.n, 1 << (m - 1)] + [r.getrandbits(m) for _ in range(100)]
-    for k in (0, 1, m // 2, m // 2 + 1, m - 1, m, m + 3):  # squares, square roots
+    for k in (*range(m), -1, m + 3):
         got = ctx.frobenius_array(np.array(x, dtype=np.uint64), k)
         assert got.tolist() == [ctx.frobenius(v, k) for v in x], k
 
@@ -743,17 +743,17 @@ def test_m24_tables_memory_and_time_ceiling():
 
 @pytest.mark.parametrize("m", [8, 12, 16, 17])
 def test_build_tables_refuses_a_non_bijective_exp(monkeypatch, m):
-    # one flipped entry in each byte table of the log build (the only callers
-    # with bits == m; at m = 17 also the row tables) makes exp miss some
-    # element of 1..n
-    orig = gf2m._byte_tables
+    # one flipped entry in each multiply-by-c table of the log build (the
+    # only tables with m columns built with the field: the fold has m - 1;
+    # at m = 17 also the row tables) makes exp miss some element of 1..n
+    orig = gf2m._linear_tables
 
-    def flipped(img, deg, poly, bits):
-        tables = orig(img, deg, poly, bits)
-        if bits == deg:
+    def flipped(cols):
+        tables = orig(cols)
+        if len(cols) == m:
             tables[0][1] ^= 1
         return tables
 
-    monkeypatch.setattr(gf2m, "_byte_tables", flipped)
+    monkeypatch.setattr(gf2m, "_linear_tables", flipped)
     with pytest.raises(AssertionError):
         GF2m(m)
