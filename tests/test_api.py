@@ -51,7 +51,7 @@ def test_public_api_is_pinned():
 # One class per outcome a caller handles on its own; every other refusal is
 # the builtin named here as its base.
 EXCEPTIONS = {
-    "cli.ParseError": ValueError,
+    "files.ParseError": ValueError,
     "construct.DegenerateY": ValueError,
     "construct.UnverifiedSupport": RuntimeError,
     "gf2m.UnsupportedDegree": ValueError,
@@ -84,3 +84,18 @@ def test_verify_imports_nothing_from_the_package():
         for alias in node.names if alias.name.startswith("bchmin")
     ]
     assert imported == []
+
+
+def test_support_files_import_nothing_from_the_cli():
+    # the library reads and writes its own files: `files` takes the field,
+    # the support class and nothing else from the package
+    tree = ast.parse(inspect.getsource(importlib.import_module("bchmin.files")))
+    imported = {
+        (node.level, node.module) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("bchmin"))
+    }
+    imported |= {
+        (0, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.startswith("bchmin")
+    }
+    assert imported == {(1, "construct"), (1, "gf2m")}

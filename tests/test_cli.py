@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bchmin
-from bchmin import cli, construct, gflinalg, verify
+from bchmin import cli, construct, files, gflinalg, verify
 from bchmin.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -29,6 +29,7 @@ from bchmin.cli import (
     ParseError,
     UncoveredCase,
     parse_support_file,
+    render_bits,
     render_json,
     render_logsupport,
 )
@@ -1353,6 +1354,88 @@ def test_parser_matches_its_predecessor(text):
         assert (old.claimed_distance, old.extended) == (new.claimed_distance, new.extended)
 
 
+
+@given(text=st.one_of(_text_files(), _json_files()), piece=st.integers(1, 48))
+@settings(max_examples=300, deadline=None)
+def test_parser_in_small_pieces_matches_its_predecessor(text, piece):
+    # a body read a few bytes at a time is refused, or read, as a whole
+    with mock.patch.object(files, "_PIECE", piece):
+        new = _parse(parse_support_file, text)
+    old = _parse(predecessor, text)
+    if isinstance(old, str) or isinstance(new, str):
+        assert isinstance(old, str) and isinstance(new, str), (old, new)
+        assert _cut(old) == new or _INTERNAL.search(old), (old, new)
+    else:
+        assert np.array_equal(old.elems, new.elems) and old.ctx.poly == new.ctx.poly
+
+
+@given(text=st.one_of(_text_files(), _json_files()), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=300, deadline=None)
+def test_parser_reads_bytes_as_text_mode_reads_the_file(text, newline):
+    # the bytes of a file parse as the str a text-mode read of it gives:
+    # UTF-8 with universal newlines, so CRLF and lone CR as LF
+    data = text.replace("\n", newline).encode()
+    read = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    old, new = _parse(parse_support_file, read), _parse(parse_support_file, data)
+    if isinstance(old, str) or isinstance(new, str):
+        assert old == new
+    else:
+        assert np.array_equal(old.elems, new.elems) and old.ctx.poly == new.ctx.poly
+        assert (old.claimed_distance, old.extended) == (new.claimed_distance, new.extended)
+
+
+_FORM = "support entries must be all 0x-hex values or all decimal logs"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_refusals_of_a_long_body_rank_across_pieces(tmp_path, capsys, newline):
+    # 98,304 entries, read in several pieces: a refusal is the one the whole
+    # body gets, with the parent's message; a form error anywhere outranks an
+    # entry of over 4300 digits, which outranks an entry outside the field
+    cw, _, _ = construct.generate(default_field(18), 2, 0)
+    head, body = render_logsupport(cw.ctx, cw).split("\n", 1)
+    logs = body.split(",")
+    assert len(logs) > files._CHUNK and len(body) > 4 * files._PIECE
+    first, middle, last = 5, len(logs) // 2, len(logs) - 5
+    too_long, outside = "7" * 5000, "discrete log 262143 is outside -1..262142"
+    cases = [
+        ({first: "262143"}, outside),
+        ({first: "262143", last: "0x1"}, _FORM),
+        ({first: "262143", middle: too_long, last: "1 2"}, _FORM),
+        ({first: "262143", middle: too_long}, "discrete log 777777777777... has over 4300 digits"),
+        ({middle: "262143", last: "-2"}, _FORM),
+        ({middle: "00000000000000000000262143"}, "discrete log 262143 is outside -1..262142"),
+        ({first: logs[last]}, "1 repeated support entries"),
+    ]
+    path = tmp_path / "long.log"
+    for changes, message in cases:
+        text = head + "\n" + ",".join(changes.get(k, v) for k, v in enumerate(logs))
+        message = f"bad log-support file: {message}"
+        old = _parse(predecessor, text)
+        assert _cut(old) == message or _INTERNAL.search(old), (old, message)
+        path.write_bytes(text.replace("\n", newline).encode())
+        code = cli.main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_PARSE, "", message + "\n")
+    # the bits file of the same support: hex entries, one per line
+    lines = render_bits(cw.ctx, cw).split("\n")
+    for changes, message in [({3: "0x40000"}, "element 0x40000 is outside GF(2^18)"),
+                             ({3: "0x40000", len(lines) - 4: "17"}, _FORM)]:
+        text = "\n".join(changes.get(k, v) for k, v in enumerate(lines))
+        path.write_bytes(text.replace("\n", newline).encode())
+        code = cli.main(["verify", str(path)])
+        assert (code, capsys.readouterr().err) == (EXIT_PARSE, f"bad log-support file: {message}\n")
+
+
+def test_verify_refuses_non_utf8_as_a_text_mode_read_does(tmp_path, capsys):
+    path = tmp_path / "latin1.log"
+    path.write_bytes(b"m=8 poly=0x11d d=4 extended=1\r\n1,2,\xe9,3\n")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        path.read_text(encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"{path} is not UTF-8 text: {exc.value}\n"
+
+
 # -- the JSON writer ------------------------------------------------------------
 
 # Support, X and B entries as emitted: sorted logs, -1 (the zero element)
@@ -1388,7 +1471,7 @@ _ENTRIES = _LOG_ENTRIES | _HEX_ENTRIES
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_json_dumps(doc):
     pieces = []
-    cli._json_doc(doc, pieces.append)
+    files._json_doc(doc, pieces.append)
     assert "".join(pieces) == json.dumps(doc, indent=2)
 
 
@@ -1404,9 +1487,9 @@ _DIGIT_EDGES = {
     dtype=st.sampled_from([np.int32, np.uint64]),
     zero=st.booleans(),
     edges=st.lists(st.integers(0, 14)),
-    fill=st.integers(0, 2 * cli._VECTOR_MIN + 100),
+    fill=st.integers(0, 2 * files._VECTOR_MIN + 100),
     seed=st.integers(0, 2**32 - 1),
-    chunk=st.sampled_from([1, 7, 64, cli._CHUNK]),
+    chunk=st.sampled_from([1, 7, 64, files._CHUNK]),
     sep=st.sampled_from([",", "\n", ",\n    "]),
     quoted=st.booleans(),
 )
@@ -1425,10 +1508,10 @@ def test_entry_writer_matches_str_join(dtype, zero, edges, fill, seed, chunk, se
     else:
         expected = sep.join(f'"{x:#x}"' if quoted else hex(x) for x in values.tolist())
     pieces = []
-    with mock.patch.object(cli, "_CHUNK", chunk):
-        cli._write_entries(pieces.append, values, sep, quoted)
+    with mock.patch.object(files, "_CHUNK", chunk):
+        files._write_entries(pieces.append, values, sep, quoted)
     assert "".join(pieces) == expected
-    if len(values) >= cli._VECTOR_MIN:  # bounded pieces: at most `chunk` entries each
+    if len(values) >= files._VECTOR_MIN:  # bounded pieces: at most `chunk` entries each
         assert max(piece.count(sep) for piece in pieces) <= chunk
 
 
