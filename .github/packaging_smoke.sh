@@ -41,9 +41,12 @@ bchmin verify composite.json
 bchmin generate --m 8 --i 3 --s 1 --method i3heuristic > heuristic.json
 bchmin verify heuristic.json
 bchmin generate --m 10 --i 2 --s 3 --format logsupport > s.log
-bchmin verify s.log
+bchmin verify s.log > s_verdict.json
 bchmin generate --m 18 --i 2 --s 0 --format logsupport > multi.log
 bchmin verify multi.log
+# a text body of more than 2^16 entries is read in several pieces
+bchmin generate --m 18 --i 2 --s 0 --format bits > pieces.bits
+bchmin verify pieces.bits
 # a reader that closes stdout early: no traceback on stderr (set -e
 # ignores a command negated by "!", so the grep is tested by "if")
 bchmin generate --m 20 --i 2 --s 0 2> pipe.err | head -c 16 > /dev/null
@@ -93,7 +96,8 @@ code=0; bchmin verify brace.json || code=$?; test "$code" = 5
 # the text grammar: CRLF line breaks are separators; a blank alone is not,
 # a JSON support holds no booleans, and no entry is beyond the field
 sed 's/$/\r/' s.log > crlf.log
-bchmin verify crlf.log
+bchmin verify crlf.log > crlf_verdict.json
+cmp s_verdict.json crlf_verdict.json
 printf 'm=8 poly=0x11d d=4 extended=1\n1 2\n' > gap.log
 code=0; bchmin verify gap.log || code=$?; test "$code" = 5
 printf '{"spec_version": 1, "m": 8, "poly": "0x11d", "d": 4, "extended": true, "support": [true, 2]}' > true.json

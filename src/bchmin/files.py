@@ -96,11 +96,9 @@ def _write_entries(write, values: np.ndarray, sep: str, quoted: bool = False) ->
 def _written(write, body, *args):
     """body(*args, write): through `write` if given, else the pieces joined
     into the str returned."""
-    if write is not None:
-        return body(*args, write)
     pieces = []
-    body(*args, pieces.append)
-    return "".join(pieces)
+    body(*args, pieces.append if write is None else write)
+    return "".join(pieces) if write is None else None
 
 
 def _json_doc(doc: dict, write) -> None:
@@ -222,10 +220,9 @@ def _decode(ctx, data: bytes, start: int, classes: bytes = _TEXT_BYTES, count=No
             cuts = np.stack([starts[long] + skip, ends[long] - width], axis=1).ravel()
             out[long[np.logical_or.reduceat(raw > ord("0"), cuts)[::2]]] = ctx.n + 1  # out of range
         out[neg] = -1
-        if not late:
-            entry = lambda j: int(raw[starts[j]:ends[j]].tobytes(), base)  # noqa: E731
-            if outside := _outside(ctx, out, logs, entry):
-                late["outside"] = outside
+        entry = lambda j: int(raw[starts[j]:ends[j]].tobytes(), base)  # noqa: E731
+        if not late and (outside := _outside(ctx, out, logs, entry)):
+            late["outside"] = outside
         filled, start = filled + len(starts), stop
     logs = False not in kinds
     if count not in (None, filled * (not logs)):

@@ -30,6 +30,10 @@ from . import gflinalg
 # r + s.  The two routes took equal time at s = 14..20 for m = 24..32, in
 # process, where r - 1 + 6 met s within one product.
 _COMPLEMENT_EXTRA = 6
+# With tables, the dual basis less the complement's uncounted set-up, in
+# scalar products (86 less 64-78, each route forced at the workloads' 96
+# (m, s, r), m <= 20, in process); the rule's regret was least at 30-35.
+_DUAL_BASIS = 30
 
 
 def annihilator(
@@ -134,12 +138,13 @@ def _dual_route(ctx, s: int, r: int) -> str:
     _COMPLEMENT_EXTRA.  With tables each product is a scalar lookup:
     "direct" takes s r + s (s - 1) / 2 (r points and the s - 1 - t
     generators left at step t), "complement" r (r - 1) (r + 2) / 2 for
-    its steps (r rows of r + 1 - t values at step t) and 2 r to finish;
-    ties go to "direct"."""
+    its steps (r rows of r + 1 - t values at step t) and 2 r to finish,
+    "direct" _DUAL_BASIS more; ties go to "direct"."""
     if not ctx.tables_built:
         direct, complement = s, r - 1 + _COMPLEMENT_EXTRA
     else:
-        direct, complement = s * r + s * (s - 1) // 2, r * (r - 1) * (r + 2) // 2 + 2 * r
+        direct = s * r + s * (s - 1) // 2 + _DUAL_BASIS
+        complement = r * (r - 1) * (r + 2) // 2 + 2 * r
     return "complement" if complement < direct else "direct"
 
 

@@ -25,6 +25,7 @@ from bchmin.verify import (
     _odd_power_sums,
     _pick_route,
     _shift_xor_mul,
+    _stabilizer,
     _witness,
     designed_distance,
     is_min_weight,
@@ -362,6 +363,30 @@ def test_routes_agree(data):
             assert _p1_then(ctx, nonzero, j_limit, "check") == scanned, product
     if kind in ("none", "add0"):
         assert scanned is None
+
+
+def test_routes_agree_on_a_member_with_no_translation_stabilizer():
+    # eBCH is affine-invariant, so S + (5 S + mu_5) + (9 S + mu_9), a sum of
+    # three codewords, is a member; unlike the generated S it has no v with
+    # S + v = S.  Every route, the check with each product, accepts it, and
+    # rejects a p_1-keeping mutant at the same first failing syndrome.
+    ctx = default_field(14)
+    cw, _, _ = generate(ctx, 3, 3, 1)
+    points = set(cw.elems.tolist())
+    for lam in (5, 9):
+        points ^= {ctx.mul(lam, x) ^ 7919 * lam % ctx.n for x in cw.elems.tolist()}
+    assert len(points) == 2416 and _stabilizer(elem_array(points), ctx.m)[0] == []
+    j_limit = cw.claimed_distance - 2
+    mutant = _mutate(ctx, frozenset(points), "p1swap", rng(14))
+    for elems, member in ((points, True), (mutant, False)):
+        nonzero = _nonzero(elems)
+        fails = {route: _p1_then(ctx, nonzero, j_limit, route) for route in ("scan", "walk")}
+        for product in (_shift_xor_mul, _fft_mul):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verify, "_polymul", product)
+                fails[product.__name__] = _p1_then(ctx, nonzero, j_limit, "check")
+        assert len(set(fails.values())) == 1, fails
+        assert (fails["scan"] is None) == member and (member or fails["scan"][0] > 1)
 
 
 # -- the block kernel against the frozen leader-by-leader scan --------------------
