@@ -25,6 +25,11 @@ bchmin verify foreign31.json
 # are built on first use, under a modulus that is not built in
 bchmin generate --m 24 --i 3 --s 18 --poly 0x1000087 > foreign24.json
 bchmin verify foreign24.json
+# the affine route applies A_V to X on a field whose log tables are built
+# on first use: B has 10 vectors, and neither command builds the tables
+bchmin generate --m 22 --i 2 --s 8 --format bits > m22.bits
+bchmin verify m22.bits > m22_verdict.json
+grep -q '"route": "affine"' m22_verdict.json
 bchmin generate --m 16 --i 4 --s 0 --method gold > gold.json
 bchmin verify gold.json
 grep -q '"B"' gold.json

@@ -18,10 +18,10 @@ inverse is the extended Euclidean algorithm on the polynomials themselves.
 `mul_array` multiplies uint64 arrays elementwise for any m: a short array
 by one shift-XOR per bit, a longer one by 16 integer products of
 4-bit-spaced masks, then the same fold as one gather per byte.
-`frobenius_array` and `linear_array` apply GF(2)-linear maps to such
-arrays, one byte-table gather per byte.  Every byte table (the fold, the
-multiplications by a constant that build the log tables, Frobenius and
-`linear_array`) comes from `_linear_tables` of the map's columns.  `logs`
+`frobenius_array` applies x -> x^(2^k) to such arrays, one byte-table
+gather per byte.  Every byte table (the fold, the multiplications by a
+constant that build the log tables, and Frobenius) comes from
+`_linear_tables` of the map's columns.  `logs`
 and `elems` take discrete logs and powers of alpha of whole arrays, from
 the full tables once built, and for a small array at m = 21..24 through
 two subgroups of about sqrt(2^m) elements each instead (Pohlig and
@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import threading
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
-from math import prod
+from itertools import accumulate
+from math import gcd, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -224,23 +224,14 @@ def _factorize(x: int) -> list[int]:
 
 
 def _subgroup_split(m: int) -> tuple[int, int]:
-    """(n1, n2) with n1 n2 = n = 2^m - 1 and gcd(n1, n2) = 1: 2^(m/2) - 1
-    and 2^(m/2) + 1 for even m, so that x^(n2) is x^(2^(m/2)) x; for odd m
-    the most balanced split of the prime powers exactly dividing n, the
-    larger part first, so x^(n2) has the smaller exponent.  (The lookups
-    of `GF2m._subgroup_logs` need only n1 n2 = n.)"""
+    """(n1, n2) with n1 n2 = n = 2^m - 1 and gcd(n1, n2) = 1: the largest
+    divisor of n at most sqrt(n) with a coprime cofactor, and that cofactor,
+    the one with more set bits first, so x^(n2) takes fewer products; for
+    even m 2^(m/2) - 1 and 2^(m/2) + 1, and x^(n2) is x^(2^(m/2)) x.  (The
+    lookups of `GF2m._subgroup_logs` need only n1 n2 = n.)"""
     n = (1 << m) - 1
-    if m % 2 == 0:
-        return (1 << m // 2) - 1, (1 << m // 2) + 1
-    powers = []
-    for p in _factorize(n):
-        q = p
-        while n % (q * p) == 0:
-            q *= p
-        powers.append(q)
-    splits = (prod(c) for r in range(len(powers) + 1) for c in combinations(powers, r))
-    d = min(splits, key=lambda k: max(k, n // k))
-    return max(d, n // d), min(d, n // d)
+    d = next(k for k in range(isqrt(n), 0, -1) if n % k == 0 and gcd(k, n // k) == 1)
+    return tuple(sorted((d, n // d), key=int.bit_count, reverse=True))
 
 
 class _Subgroups(NamedTuple):
@@ -490,12 +481,6 @@ class GF2m:
                 if v >> self.m:
                     v ^= self.poly
         return out
-
-    def linear_array(self, cols, x: np.ndarray) -> np.ndarray:
-        """The GF(2)-linear map whose image of 2^t is cols[t] on the uint64
-        array x of field elements, one gather per byte of x from byte
-        tables built for this call."""
-        return _apply_linear(_linear_tables(cols), x)
 
     def trace_mask(self, ell: int) -> int:
         """The mask whose parity with y is T(y) = y + y^2 + ... + y^(2^(ell-1))

@@ -80,7 +80,7 @@ This module deliberately shares nothing with the construction code beyond
 field arithmetic: it consumes plain element arrays (anything with ctx,
 claimed_distance, extended attributes and elems, the sorted distinct
 support elements as a np.uint64 array), or X as such an array and B as
-plain ints, and builds its own A_V.
+plain ints, and applies its own A_V to X.
 """
 
 from __future__ import annotations
@@ -654,22 +654,23 @@ def _stabilizer(s: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
 # -- the affine route: X + span(B) through the subspace polynomial of span(B) ---
 
 
-def _subspace_map(ctx, basis) -> tuple[list[int], int]:
-    """The columns A_V(2^t), t < m, of the subspace polynomial A_V of
-    V = span(basis), and its coefficient a_0 of T.  Built from A = T by
-    A <- A^2 + A(v) A = A (A + A(v)) for each basis vector v, on values, as
-    `linearized.annihilator` does: the columns and the basis vectors not yet
-    used are kept as their images, so A(v) is read off, w, and each kept
-    value c maps to c (c + w), a_0 to w a_0.  w = 0 exactly when v lies in
-    the span so far, which refuses a dependent basis."""
-    vals, a0 = [*(1 << t for t in range(ctx.m)), *reversed(basis)], 1
-    for _ in basis:
-        w = vals.pop()
+def _subspace_image(ctx, x_set: np.ndarray, basis) -> tuple[np.ndarray, int]:
+    """Y = A_V(X), sorted, for the uint64 array X = x_set, and the
+    coefficient a_0 of T of A_V, the subspace polynomial of V = span(basis).
+    From A = T, A <- A^2 + A(v) A = A (A + A(v)) for each basis vector v,
+    on values, as `linearized.annihilator` does: the points of X and the
+    basis vectors not yet used are kept as their images, so w = A(v) is
+    read off and each kept c maps to c (c + w), a_0 to w a_0; w = 0 refuses
+    v in the span so far, a dependent basis.  No basis leaves Y = X."""
+    y, rest, a0 = x_set, list(basis), 1
+    while rest:
+        w = rest.pop(0)
         if not w:
             raise ValueError("the basis B is dependent")
-        vals = [ctx.mul(c, c ^ w) for c in vals]
+        y = np.array([ctx.mul(c, c ^ w) for c in y.tolist()], dtype=np.uint64)
+        rest = [ctx.mul(c, c ^ w) for c in rest]
         a0 = ctx.mul(a0, w)
-    return vals, a0
+    return np.sort(y), a0
 
 
 def _spans(ctx, x_set: np.ndarray, basis, s: np.ndarray) -> bool:
@@ -699,18 +700,17 @@ def is_min_weight_affine(ctx, x_set, basis, d: int, support) -> Verdict:
     minimum-weight codeword of eBCH(d) through Y = A_V(X) (see the module
     text): Y is checked by `is_min_weight` at the least even distance
     that covers ceil(d / q); at ceil(d / q) = 1 nothing is left to check.
-    An empty B is q = 1: A_V = T, applied as no map at all, so Y = X, the
-    support must be X itself, and Y is checked at d.  A failure of Y at
-    (E, p_E) is reported as S's (q(E + 1) - 1, a_0 p_E), and odd |Y| as
-    p_(q-1)(S) = a_0 when q > 1.  A dependent B, two elements of X in one
-    coset of span(B), elements outside the field and a support other than
-    X + span(B) raise ValueError."""
+    An empty B is q = 1: A_V = T, so Y = X, the support must be X itself,
+    and Y is checked at d.  A failure of Y at (E, p_E) is reported as S's
+    (q(E + 1) - 1, a_0 p_E), and odd |Y| as p_(q-1)(S) = a_0 when q > 1.
+    A dependent B, two elements of X in one coset of span(B), elements
+    outside the field and a support other than X + span(B) raise
+    ValueError."""
     if d % 2 or not 2 <= d <= ctx.n + 1:
         raise ValueError(f"extended claim needs even d in 2..{ctx.n + 1}, got {d}")
     if (x_set >> ctx.m).any() or not all(0 <= b <= ctx.n for b in basis):
         raise ValueError(f"X and B must be elements of GF(2^{ctx.m})")
-    cols, a0 = _subspace_map(ctx, basis)
-    y = np.sort(ctx.linear_array(cols, x_set) if basis else x_set)
+    y, a0 = _subspace_image(ctx, x_set, basis)
     if (y[1:] == y[:-1]).any():
         raise ValueError("two elements of X lie in one coset of span(B)")
     q = 1 << len(basis)

@@ -3,7 +3,12 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
+import pytest
+
 import bchmin
+from bchmin.solvers import UncoveredCase
+from bchmin.verify import is_min_weight_affine
 
 PUBLIC = {
     "GF2m",
@@ -99,3 +104,37 @@ def test_support_files_import_nothing_from_the_cli():
         for alias in node.names if alias.name.startswith("bchmin")
     }
     assert imported == {(1, "construct"), (1, "gf2m")}
+
+
+def _punctured():
+    return bchmin.CodewordSupport(bchmin.default_field(8), frozenset({1, 2, 4}), 3, extended=False)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: bchmin.quadform_rows(0), ValueError, "i must be >= 1"),
+        (lambda: bchmin.down_convert(_punctured(), []), ValueError, "down-conversion applies to extended"),
+        (lambda: bchmin.up_convert(_punctured(), []), ValueError, "up-conversion applies to extended"),
+        (lambda: bchmin.puncture(_punctured(), 1), ValueError, "puncturing applies to extended"),
+        (lambda: bchmin.gk_support(bchmin.default_field(3), 2), ValueError, "m >= 4 required"),
+        (lambda: bchmin.GF2m(8, -285), ValueError, "modulus -0x11d is negative"),
+        (
+            lambda: bchmin.solve_i3_heuristic(bchmin.default_field(5), 1), UncoveredCase,
+            "m >= 6 required, got m=5",
+        ),
+        (lambda: bchmin.power_sums(_punctured(), 0), ValueError, "j_max must be >= 1"),
+        (
+            lambda: is_min_weight_affine(bchmin.default_field(8), np.ones(1, np.uint64), (), 5, None),
+            ValueError, r"extended claim needs even d in 2\.\.256, got 5",
+        ),
+    ],
+    ids=[
+        "quadform_rows", "down_convert", "up_convert", "puncture", "gk_support", "GF2m",
+        "solve_i3_heuristic", "power_sums", "is_min_weight_affine",
+    ],
+)
+def test_public_refusals(call, error, message):
+    # the refusals of the public calls, each with its message
+    with pytest.raises(error, match=message):
+        call()

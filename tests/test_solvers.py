@@ -219,6 +219,16 @@ def test_solve_i3_heuristic_exhausted():
         solve_i3_heuristic(default_field(7), rng_seed=1, max_retries=0)
 
 
+def test_solve_i3_heuristic_first_draw_rate():
+    # the stated per-draw rate: a share of at least 0.12 of the seeds
+    # succeed on their first draw (0.15-0.18 at these m, near the 1/6 of
+    # cubics with three distinct roots)
+    for m in (9, 11, 13):
+        ctx = default_field(m)
+        hits = sum(1 for seed in range(1000) if solve_i3_heuristic(ctx, seed).trials == 1)
+        assert hits / 1000 >= 0.12, (m, hits)
+
+
 # -- i = 4 --------------------------------------------------------------------
 
 

@@ -877,6 +877,32 @@ def test_affine_route_agrees_on_random_claims():
     assert seen >= {(1, False, False), (0, True, True), (1, True, True), (0, False, False)}
 
 
+@pytest.mark.parametrize("m", [22, 25])
+def test_affine_route_agrees_on_fields_without_built_tables(m):
+    # random X of up to 120 points (most of them more than m) and B of 0..3
+    # vectors, at m = 22, whose tables the route leaves unbuilt, and at
+    # m = 25, which has none: member and the first failing syndrome equal
+    # the frozen scan's on X + span(B) at d = 4..4q + 2, members among them
+    ctx = GF2m(m) if m == 22 else default_field(m)  # a fresh m = 22 field has no tables
+    rand, claims = rng(m), []
+    while len(claims) < 24:
+        k = len(claims) % 4
+        basis = tuple(_subspace_basis(ctx, k, rand))
+        x_set = elem_array({rand.getrandbits(m) for _ in range(rand.randint(1, 120))})
+        spec, d = SupportSpec(ctx, x_set, basis), rand.randrange(4, (4 << k) + 3, 2)
+        try:
+            claims.append((spec, expand(spec).elems, d, _affine(spec, d)))
+        except ValueError:  # two x in one coset: drawn again
+            pass
+    assert not ctx.tables_built
+    assert max(len(spec.x_set) for spec, *_ in claims) > 100
+    for _, support, d, verdict in claims:
+        fail = None if len(support) % 2 else scan_oracle.first_failure(ctx, support, d - 2)
+        assert verdict.failing_syndrome == fail, (len(support), d)
+        assert verdict.member == (len(support) % 2 == 0 and fail is None)
+    assert {verdict.member for *_, verdict in claims} == {False, True}
+
+
 def test_affine_route_checks_the_support():
     # the route certifies only the set X + span(B) itself: a swapped, a
     # dropped and a translated element set (the last still a minimum-weight
