@@ -257,38 +257,32 @@ def _gk_drawn(ctx, seed: int, max_retries: int = 64) -> CodewordSupport:
             return gk_support(ctx, rng.getrandbits(ctx.m))
 
 
+def _fixed(i: int, auto: Callable[[int], bool], solver: str) -> Method:
+    """The method that builds from `solvers.<solver>(ctx)`, which draws nothing."""
+    return Method(i, auto, False, lambda ctx, i, s, seed, **kw: build_support(
+        getattr(solvers, solver)(ctx).solution, s))
+
+
+def _drawn(i: int, auto: Callable[[int], bool], solver: str) -> Method:
+    """The method that builds from `solvers.<solver>(ctx, seed, **max_retries)`."""
+    return Method(i, auto, True, lambda ctx, i, s, seed, **kw: build_support(
+        getattr(solvers, solver)(ctx, seed, **kw).solution, s))
+
+
 # In auto-routing order: `auto` takes the first method for i whose predicate
 # holds, so i2even and i3even win on even m.  The calls look their steps up
 # by name when they run, so wrappers installed on the modules are honoured.
 METHODS: dict[str, Method] = {
-    "i2even": Method(
-        2, lambda m: m >= 4 and m % 2 == 0, False,
-        lambda ctx, i, s, seed, **kw: build_support(solvers.solve_i2_even(ctx).solution, s),
-    ),
-    "i2odd": Method(
-        2, lambda m: m >= 5, True,
-        lambda ctx, i, s, seed, **kw: build_support(
-            solvers.solve_i2_odd(ctx, seed, **kw).solution, s),
-    ),
+    "i2even": _fixed(2, lambda m: m >= 4 and m % 2 == 0, "solve_i2_even"),
+    "i2odd": _drawn(2, lambda m: m >= 5, "solve_i2_odd"),
     "i2composite": Method(
         2, lambda m: False, False,
         lambda ctx, i, s, seed, **kw: build_support(
             solvers.solve_i2_composite(ctx, *solvers.coprime_split(ctx.m)).solution, s),
     ),
-    "i3even": Method(
-        3, lambda m: m >= 6 and m % 2 == 0, True,
-        lambda ctx, i, s, seed, **kw: build_support(
-            solvers.solve_i3_even(ctx, seed, **kw).solution, s),
-    ),
-    "i3heuristic": Method(
-        3, lambda m: m >= 7, True,
-        lambda ctx, i, s, seed, **kw: build_support(
-            solvers.solve_i3_heuristic(ctx, seed, **kw).solution, s),
-    ),
-    "i4": Method(
-        4, lambda m: m >= 8 and m % 4 == 0, False,
-        lambda ctx, i, s, seed, **kw: build_support(solvers.solve_i4(ctx).solution, s),
-    ),
+    "i3even": _drawn(3, lambda m: m >= 6 and m % 2 == 0, "solve_i3_even"),
+    "i3heuristic": _drawn(3, lambda m: m >= 7, "solve_i3_heuristic"),
+    "i4": _fixed(4, lambda m: m >= 8 and m % 4 == 0, "solve_i4"),
     "gold": Method(
         None, lambda m: False, False,
         lambda ctx, i, s, seed, **kw: _lifted(gold_support(ctx, i), i, s),

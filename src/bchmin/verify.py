@@ -267,16 +267,20 @@ def _coset_counts(n: int, j_limit: int) -> tuple[int, int]:
     """(number of coset leaders in [1, j_limit], code dimension k) for the
     cost rule: k is n less the sizes of the 2-cyclotomic cosets meeting
     [1, j_limit], the zeros of the code.  Every leader lies below 2^(m-1),
-    so from j_limit = 2^(m-1) - 1 on every nonzero coset is a zero: one per
-    binary necklace of length m but the all-0 and all-1 ones, which both
-    stand for 0, leaving k = 1.  Two ints per key, so a stream of claims
-    keeps the cache small."""
+    and every nonzero coset has one: one per binary necklace of length m
+    but the all-0 and all-1 ones, which both stand for 0, leaving k = 1 with
+    all of them zeros.  The leaders are enumerated on the shorter side of
+    j_limit: [1, j_limit] below 2^(m-2), else (j_limit, 2^(m-1)), taken
+    from all of them.  Two ints per key, so a stream of claims keeps the
+    cache small."""
     m = n.bit_length()
-    if j_limit >= (1 << (m - 1)) - 1:
-        return _necklaces(m) - 2, 1
-    reps, k = 0, n
-    for lead in _coset_leaders(m, 1, j_limit + 1):
-        reps, k = reps + len(lead), k - int(_coset_sizes(m, lead).sum())
+    top = 1 << (m - 1)
+    if j_limit < top >> 1:
+        reps, k, sign, lo, hi = 0, n, 1, 1, j_limit + 1
+    else:
+        reps, k, sign, lo, hi = _necklaces(m) - 2, 1, -1, j_limit + 1, top
+    for lead in _coset_leaders(m, lo, hi):
+        reps, k = reps + sign * len(lead), k - sign * int(_coset_sizes(m, lead).sum())
     return reps, k
 
 

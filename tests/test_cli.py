@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bchmin
-from bchmin import cli, construct, files, gflinalg, verify
+from bchmin import cli, construct, files, gflinalg, solvers, verify
 from bchmin.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -122,16 +122,44 @@ SEED_CELLS = {
 }
 
 
+# the module attribute each method's call reaches for its support
+SEED_CALLEES = {
+    "i2even": (solvers, "solve_i2_even"),
+    "i2odd": (solvers, "solve_i2_odd"),
+    "i2composite": (solvers, "solve_i2_composite"),
+    "i3even": (solvers, "solve_i3_even"),
+    "i3heuristic": (solvers, "solve_i3_heuristic"),
+    "i4": (solvers, "solve_i4"),
+    "gold": (construct, "gold_support"),
+    "gk": (construct, "gk_support"),
+}
+
+
 @pytest.mark.parametrize("method", sorted(SEED_CELLS))
-def test_generate_records_the_seed_iff_it_is_used(method):
+def test_generate_records_the_seed_iff_it_is_used(monkeypatch, method):
+    # each call looks its builder up on the module when it runs (a builder
+    # bound at import would bypass perfbench's wrappers), and a solver
+    # entry draws, passing the seed on, exactly when it claims to
     m, i, s, seeded = SEED_CELLS[method]
+    entry = construct.METHODS[method]
+    module, name = SEED_CALLEES[method]
+    builder, calls = getattr(module, name), []
+
+    def recording(ctx, *args, **kw):
+        calls.append(args)
+        return builder(ctx, *args, **kw)
+
+    monkeypatch.setattr(module, name, recording)
     _, meta, _ = construct.generate(default_field(m), i, s, 5, method)
+    assert calls
     assert meta["method"] == method
     assert meta["seed"] == (5 if seeded else None)
+    if method not in ("i2composite", "gold", "gk"):
+        assert calls == [(5,) if entry.seeded else ()]
 
 
 def test_seed_cells_cover_the_registry():
-    assert set(SEED_CELLS) == set(construct.METHODS)
+    assert set(SEED_CELLS) == set(SEED_CALLEES) == set(construct.METHODS)
 
 
 # per method, the cell at s = m - 2i and the SEED_CELLS one below it, if any,

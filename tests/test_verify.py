@@ -584,6 +584,30 @@ def test_coset_counts_every_coset_without_enumeration():
     assert _coset_counts(n, top - 1) == (len(lead) - 1, 1 + m)
 
 
+def test_coset_counts_top_quarter_from_the_leaders_above(monkeypatch):
+    # from L = 2^(m-2) on the counts start from every nonzero coset, one per
+    # necklace, and take off the leaders in (L, 2^(m-1)), the only ones
+    # enumerated; at m = 20 against the full enumeration
+    m = 20
+    n, quarter = (1 << m) - 1, 1 << (m - 2)
+    lead = np.concatenate(list(_coset_leaders(m, 1, n))).tolist()
+    sizes = [len({(j << t) % n for t in range(m)}) for j in lead]
+    top, asked = lead[-1], []
+
+    def recording(m, lo, hi):
+        asked.append((lo, hi))
+        return _coset_leaders(m, lo, hi)
+
+    monkeypatch.setattr(verify, "_coset_leaders", recording)
+    rng = random.Random(20)
+    limits = [quarter, quarter + 1, top - 1, top, top + 1, n - 1]
+    for j_limit in limits + [rng.randrange(quarter, top) for _ in range(4)]:
+        asked.clear()
+        zeros = [size for j, size in zip(lead, sizes) if j <= j_limit]
+        assert _coset_counts.__wrapped__(n, j_limit) == (len(zeros), n - sum(zeros)), j_limit
+        assert all(lo > j_limit and hi <= 2 * quarter for lo, hi in asked), (j_limit, asked)
+
+
 def _brute_leaders(m, lo, hi):
     n = (1 << m) - 1
     return [j for j in range(lo, hi) if j % 2 and all((j << t) % n >= j for t in range(1, m))]
